@@ -24,12 +24,6 @@ from .adjust import (
     PlaceboSpec,
     SensitivityPoint,
     ShortCoefficients,
-    adjust_mediator,
-    adjust_observed_confounder_1,
-    adjust_observed_confounder_2,
-    adjust_placebo_outcome,
-    adjust_placebo_treatment,
-    adjust_post_outcome,
     dispatch_case,
     k_from_m,
     m_from_k,
@@ -110,7 +104,6 @@ from .regression import (
 from .selfcheck import CheckReport, run_selfcheck
 from .semiparam import (
     SemiparamInputs,
-    adjust_nonparametric,
     adjust_partially_linear,
 )
 from .simulate import (

@@ -24,24 +24,64 @@ import numpy as np
 from .errors import (
     AmbiguousSpec,
     ConfigError,
-    DegenerateResidual,
     MediatorCautionWarning,
     NonpositiveScale,
     ScaleConfusionWarning,
     UnsupportedCase,
 )
-from .regression import Dataset, fit_ols, residualize
-
-ROLES = (
-    "placebo_outcome",
-    "placebo_treatment",
-    "observed_confounder_1",
-    "observed_confounder_2",
-    "mediator",
-    "post_outcome",
-)
+from .regression import Dataset, guard_residual_norm, least_squares
 
 LARGE_K = 10.0
+
+
+class _Role(NamedTuple):
+    """One placebo role, written with placeholders.
+
+    ``y``, ``d`` and ``p`` stand for the outcome, treatment and placebo
+    columns; a string of them lists regressors in order, so ``"dp"`` means
+    (d, p), and the covariates x are always appended. ``target`` and
+    ``placebo`` name a short-regression coefficient as (response,
+    regressors, column). SF is the product of the ``sf`` ratios, each
+    written (num, num_controls, den, den_controls) for
+    r(num | num_controls) / r(den | den_controls), where r is the norm of
+    the residual after OLS on the controls, x, and an intercept.
+    """
+
+    target: tuple[str, str, str]
+    placebo: tuple[str, str, str]
+    sf: tuple[tuple[str, str, str, str], ...]
+    direct_effect_name: str
+
+
+# The only place that knows the roles.
+_ROLE_TABLE = {
+    "placebo_outcome": _Role(
+        ("y", "d", "d"), ("p", "d", "d"),
+        (("y", "d", "p", "d"),),
+        "treatment->placebo"),
+    "placebo_treatment": _Role(
+        ("y", "dp", "d"), ("y", "dp", "p"),
+        (("p", "d", "d", "p"),),
+        "placebo->outcome"),
+    "observed_confounder_1": _Role(
+        ("y", "dp", "d"), ("p", "d", "d"),
+        (("y", "dp", "d", "p"), ("d", "", "p", "d")),
+        "treatment->placebo"),
+    "observed_confounder_2": _Role(
+        ("y", "dp", "d"), ("d", "p", "p"),
+        (("y", "dp", "d", "p"), ("p", "", "d", "p")),
+        "placebo->treatment"),
+    "mediator": _Role(
+        ("y", "d", "d"), ("y", "dp", "p"),
+        (("p", "d", "d", ""), ("y", "d", "y", "dp")),
+        "placebo->outcome"),
+    "post_outcome": _Role(
+        ("y", "d", "d"), ("p", "dy", "y"),
+        (("y", "d", "d", ""), ("y", "d", "p", "dy")),
+        "outcome->placebo"),
+}
+
+ROLES = tuple(_ROLE_TABLE)
 
 
 @dataclass(frozen=True)
@@ -112,10 +152,13 @@ class ShortCoefficients(NamedTuple):
 class CaseFormula:
     """One taxonomy case, resolved against concrete column names.
 
-    ``short_regressions`` lists (response, regressors) pairs the case fits;
-    ``sf`` maps a dataset to the case's positive scale factor; ``adjust``
-    maps (coefs, k, direct_effect, sf) to the adjusted estimate;
-    ``fit_coefficients`` extracts the ShortCoefficients from a dataset.
+    ``short_regressions`` lists the (response, regressors) pairs the two
+    coefficients come from; ``sf`` maps a dataset to the case's positive
+    scale factor; ``adjust`` maps (coefs, k, direct_effect, sf) to the
+    adjusted estimate; ``fit_coefficients`` extracts the ShortCoefficients
+    from a dataset. ``quantities(cols, idx)`` evaluates (target, placebo,
+    SF) on rows ``idx`` of a mapping of named columns; the other two
+    readers and the bootstrap engine all call it.
     ``alternatives`` names other roles compatible with the declared edges and
     ``cautions`` carries flags (for example for the mediator case) that
     result tables propagate into their metadata.
@@ -127,20 +170,9 @@ class CaseFormula:
     adjust: Callable[[ShortCoefficients, float, float, float], float]
     fit_coefficients: Callable[[Dataset], ShortCoefficients]
     direct_effect_name: str
+    quantities: Callable[..., tuple[float, float, float]]
     alternatives: tuple[str, ...] = ()
     cautions: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class AdjustedEstimate:
-    """A single adjusted estimate, optionally with bootstrap inference."""
-
-    estimate: float
-    point: SensitivityPoint
-    label: str = ""
-    se: float | None = None
-    ci_low: float | None = None
-    ci_high: float | None = None
 
 
 def _check_sf(sf: float) -> None:
@@ -148,97 +180,9 @@ def _check_sf(sf: float) -> None:
         raise NonpositiveScale(f"scale factor must be positive, got {sf}")
 
 
-def _warn_large_k(k: float) -> None:
-    if abs(k) > LARGE_K:
-        warnings.warn(
-            f"|k| = {abs(k):.3g} exceeds {LARGE_K:g}; k is scale-free, so "
-            "values this large usually mean m (raw-bias ratio) was intended",
-            ScaleConfusionWarning,
-            stacklevel=3,
-        )
-
-
-def _ovb_adjust(short: float, measured: float, point: SensitivityPoint,
-                sf: float) -> float:
-    _check_sf(sf)
-    _warn_large_k(point.k)
-    return short - point.k * (measured - point.direct_effect) * sf
-
-
-def adjust_placebo_outcome(beta_y_short: float, beta_n_short: float,
-                           point: SensitivityPoint, sf: float) -> float:
-    """Adjusted Y~D coefficient using an outcome-side placebo N.
-
-    ``beta_y_short`` is the D coefficient from Y ~ D + X and
-    ``beta_n_short`` the D coefficient from N ~ D + X. ``direct_effect`` is
-    the direct D-to-N coefficient (zero for a perfect placebo) and
-    ``sf`` the ratio of residual scales of Y and N given (D, X).
-    """
-    return _ovb_adjust(beta_y_short, beta_n_short, point, sf)
-
-
-def adjust_placebo_treatment(beta_yd_short: float, beta_yp_short: float,
-                             point: SensitivityPoint, sf: float) -> float:
-    """Adjusted Y~D coefficient using a treatment-side placebo P.
-
-    Both inputs come from the single short regression Y ~ D + P + X:
-    ``beta_yd_short`` is the D coefficient and ``beta_yp_short`` the P
-    coefficient. ``direct_effect`` is the direct P-to-Y coefficient.
-    """
-    return _ovb_adjust(beta_yd_short, beta_yp_short, point, sf)
-
-
-def adjust_observed_confounder_1(beta_yd_given_px: float, beta_pd_short: float,
-                                 point: SensitivityPoint, sf: float) -> float:
-    """Adjusted Y~D coefficient when P (a cause of Y) is controlled.
-
-    ``beta_yd_given_px`` comes from Y ~ D + P + X and ``beta_pd_short`` from
-    P ~ D + X. ``direct_effect`` is the direct D-to-P coefficient, zero when
-    D does not cause P.
-    """
-    return _ovb_adjust(beta_yd_given_px, beta_pd_short, point, sf)
-
-
-def adjust_mediator(beta_yd_short: float, beta_yp_given_dx: float,
-                    point: SensitivityPoint, sf: float) -> float:
-    """Total-effect adjustment when P mediates part of D's effect on Y.
-
-    Discouraged: with a mediator the relative-confounding parameter mixes
-    causal channels and is hard to reason about. Emits a
-    MediatorCautionWarning every time. ``beta_yd_short`` comes from
-    Y ~ D + X, ``beta_yp_given_dx`` is the P coefficient from Y ~ D + P + X,
-    and ``direct_effect`` is the causal P-to-Y coefficient, which here is
-    part of the total effect being recovered.
-    """
-    warnings.warn(
-        "mediator-case adjustment: the sensitivity parameter conflates "
-        "causal and confounding channels; interpret with care",
-        MediatorCautionWarning,
-        stacklevel=2,
-    )
-    return _ovb_adjust(beta_yd_short, beta_yp_given_dx, point, sf)
-
-
-def adjust_observed_confounder_2(beta_yd_given_px: float, beta_dp_short: float,
-                                 point: SensitivityPoint, sf: float) -> float:
-    """Adjusted Y~D coefficient when P is an observed cause of D.
-
-    ``beta_yd_given_px`` comes from Y ~ D + P + X and ``beta_dp_short`` is
-    the P coefficient from D ~ P + X. ``direct_effect`` is the causal
-    P-to-D coefficient, typically nonzero in this role.
-    """
-    return _ovb_adjust(beta_yd_given_px, beta_dp_short, point, sf)
-
-
-def adjust_post_outcome(beta_yd_short: float, beta_py_given_dx: float,
-                        point: SensitivityPoint, sf: float) -> float:
-    """Adjusted Y~D coefficient when P is measured downstream of Y.
-
-    ``beta_yd_short`` comes from Y ~ D + X and ``beta_py_given_dx`` is the Y
-    coefficient from P ~ D + Y + X. ``direct_effect`` is the causal
-    Y-to-P coefficient, typically nonzero in this role.
-    """
-    return _ovb_adjust(beta_yd_short, beta_py_given_dx, point, sf)
+def ovb_estimate(target, placebo, k, direct_effect, sf):
+    """short_target - k * (measured - direct_effect) * SF, elementwise."""
+    return target - k * (placebo - direct_effect) * sf
 
 
 def m_from_k(k: float, sf: float) -> float:
@@ -253,127 +197,69 @@ def k_from_m(m: float, sf: float) -> float:
     return m / sf
 
 
-def _l2(data: Dataset, variable: str, controls) -> float:
-    res = residualize(data, variable, controls)
-    scale = float(np.sqrt(np.mean(data[variable] ** 2)))
-    if res.l2_norm <= 1e-12 * max(scale, 1e-300) * np.sqrt(data.n_rows):
-        raise DegenerateResidual(
-            f"residual of {variable!r} on {list(controls)} has (near) zero "
-            "variance; scale factor undefined"
-        )
-    return res.l2_norm
+class _Plan:
+    """A role resolved against column names, ready to evaluate.
 
+    ``designs`` holds each distinct regressor tuple once and ``responses``
+    the responses fitted on it, both in order of first use, so a design
+    costs one QR per evaluation. ``target`` and ``placebo`` are (design,
+    response, beta row) indices; ``norms`` lists the (design, response)
+    residuals SF reads and ``sf`` each ratio's (numerator, denominator)
+    positions in ``norms``.
+    """
 
-def _sf_placebo_outcome(data, y, d, p, x):
-    return _l2(data, y, (d, *x)) / _l2(data, p, (d, *x))
+    def __init__(self, role: _Role, names: dict[str, str], x: tuple[str, ...]):
+        designs: list[tuple[str, ...]] = []
+        responses: list[list[str]] = []
+        norms: list[tuple[int, int]] = []
 
+        def locate(response, regressors):
+            regressors = (*(names[c] for c in regressors), *x)
+            if regressors not in designs:
+                designs.append(regressors)
+                responses.append([])
+            i = designs.index(regressors)
+            if names[response] not in responses[i]:
+                responses[i].append(names[response])
+            return i, responses[i].index(names[response])
 
-def _sf_placebo_treatment(data, y, d, p, x):
-    return _l2(data, p, (d, *x)) / _l2(data, d, (p, *x))
+        def coefficient(response, regressors, column):
+            i, j = locate(response, regressors)
+            return i, j, 1 + designs[i].index(names[column])
 
+        def norm(variable, controls):
+            key = locate(variable, controls)
+            if key not in norms:
+                norms.append(key)
+            return norms.index(key)
 
-def _sf_observed_confounder_1(data, y, d, p, x):
-    return (_l2(data, y, (d, p, *x)) / _l2(data, d, (p, *x))) * (
-        _l2(data, d, x) / _l2(data, p, (d, *x))
-    )
+        self.target = coefficient(*role.target)
+        self.placebo = coefficient(*role.placebo)
+        self.sf = tuple((norm(num, num_c), norm(den, den_c))
+                        for num, num_c, den, den_c in role.sf)
+        self.norms = tuple(norms)
+        self.designs = tuple(designs)
+        self.responses = tuple(map(tuple, responses))
 
-
-def _sf_mediator(data, y, d, p, x):
-    return (_l2(data, p, (d, *x)) / _l2(data, d, x)) * (
-        _l2(data, y, (d, *x)) / _l2(data, y, (d, p, *x))
-    )
-
-
-def _sf_observed_confounder_2(data, y, d, p, x):
-    return (_l2(data, y, (d, p, *x)) / _l2(data, d, (p, *x))) * (
-        _l2(data, p, x) / _l2(data, d, (p, *x))
-    )
-
-
-def _sf_post_outcome(data, y, d, p, x):
-    return (_l2(data, y, (d, *x)) / _l2(data, d, x)) * (
-        _l2(data, y, (d, *x)) / _l2(data, p, (y, d, *x))
-    )
-
-
-_SF_BUILDERS = {
-    "placebo_outcome": _sf_placebo_outcome,
-    "placebo_treatment": _sf_placebo_treatment,
-    "observed_confounder_1": _sf_observed_confounder_1,
-    "mediator": _sf_mediator,
-    "observed_confounder_2": _sf_observed_confounder_2,
-    "post_outcome": _sf_post_outcome,
-}
-
-_ADJUSTERS = {
-    "placebo_outcome": adjust_placebo_outcome,
-    "placebo_treatment": adjust_placebo_treatment,
-    "observed_confounder_1": adjust_observed_confounder_1,
-    "mediator": adjust_mediator,
-    "observed_confounder_2": adjust_observed_confounder_2,
-    "post_outcome": adjust_post_outcome,
-}
-
-# Per role: short regressions as (response, regressors) and how to read the
-# (target, placebo) coefficients out of them, with y/d/p placeholders
-# resolved against the spec at dispatch time.
-_DIRECT_EFFECT_NAMES = {
-    "placebo_outcome": "treatment->placebo",
-    "placebo_treatment": "placebo->outcome",
-    "observed_confounder_1": "treatment->placebo",
-    "mediator": "placebo->outcome",
-    "observed_confounder_2": "placebo->treatment",
-    "post_outcome": "outcome->placebo",
-}
-
-
-def _short_regressions(role, y, d, p, x):
-    if role == "placebo_outcome":
-        return ((y, (d, *x)), (p, (d, *x)))
-    if role == "placebo_treatment":
-        return ((y, (d, p, *x)),)
-    if role == "observed_confounder_1":
-        return ((y, (d, p, *x)), (p, (d, *x)))
-    if role == "mediator":
-        return ((y, (d, *x)), (y, (d, p, *x)))
-    if role == "observed_confounder_2":
-        return ((y, (d, p, *x)), (d, (p, *x)))
-    if role == "post_outcome":
-        return ((y, (d, *x)), (p, (d, y, *x)))
-    raise ConfigError(f"unknown role {role!r}")
-
-
-def _coefficient_reader(role, y, d, p, x):
-    def read(data: Dataset) -> ShortCoefficients:
-        if role == "placebo_outcome":
-            return ShortCoefficients(
-                target=fit_ols(data, y, (d, *x)).coef(d),
-                placebo=fit_ols(data, p, (d, *x)).coef(d),
-            )
-        if role == "placebo_treatment":
-            fit = fit_ols(data, y, (d, p, *x))
-            return ShortCoefficients(target=fit.coef(d), placebo=fit.coef(p))
-        if role == "observed_confounder_1":
-            return ShortCoefficients(
-                target=fit_ols(data, y, (d, p, *x)).coef(d),
-                placebo=fit_ols(data, p, (d, *x)).coef(d),
-            )
-        if role == "mediator":
-            return ShortCoefficients(
-                target=fit_ols(data, y, (d, *x)).coef(d),
-                placebo=fit_ols(data, y, (d, p, *x)).coef(p),
-            )
-        if role == "observed_confounder_2":
-            return ShortCoefficients(
-                target=fit_ols(data, y, (d, p, *x)).coef(d),
-                placebo=fit_ols(data, d, (p, *x)).coef(p),
-            )
-        return ShortCoefficients(
-            target=fit_ols(data, y, (d, *x)).coef(d),
-            placebo=fit_ols(data, p, (d, y, *x)).coef(y),
-        )
-
-    return read
+    def quantities(self, cols, idx=slice(None)):
+        """(target, placebo, SF) on rows ``idx``, one QR per design."""
+        betas, l2s, ys = [], [], []
+        for regressors, responses in zip(self.designs, self.responses):
+            y = np.column_stack([cols[name][idx] for name in responses])
+            beta, resid, _ = least_squares(cols, regressors, y, idx)
+            betas.append(beta)
+            l2s.append(np.linalg.norm(resid, axis=0))
+            ys.append(y)
+        norms = [
+            guard_residual_norm(l2s[i][j], ys[i][:, j], self.responses[i][j],
+                                self.designs[i])
+            for i, j in self.norms
+        ]
+        sf = 1.0
+        for num, den in self.sf:
+            sf *= norms[num] / norms[den]
+        (ti, tj, tr), (pi, pj, pr) = self.target, self.placebo
+        return betas[ti][tr, tj], betas[pi][pr, pj], sf
 
 
 def _role_consistency(spec: PlaceboSpec) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -459,37 +345,58 @@ def dispatch_case(spec: PlaceboSpec) -> CaseFormula:
     for the gated mediator role without its acknowledgment flag.
     """
     alternatives, cautions = _role_consistency(spec)
-    y, d, p = spec.outcome_col, spec.treatment_col, spec.placebo_col
-    x = spec.covariate_cols
-    role = spec.role
-    sf_builder = _SF_BUILDERS[role]
+    role = _ROLE_TABLE[spec.role]
+    names = {"y": spec.outcome_col, "d": spec.treatment_col,
+             "p": spec.placebo_col}
+    plan = _Plan(role, names, spec.covariate_cols)
+
+    def fit_coefficients(data: Dataset) -> ShortCoefficients:
+        target, placebo, _ = plan.quantities(data)
+        return ShortCoefficients(target=float(target), placebo=float(placebo))
 
     def sf(data: Dataset) -> float:
-        return sf_builder(data, y, d, p, x)
+        return plan.quantities(data)[2]
 
     def adjust(coefs: ShortCoefficients, k: float, direct_effect: float,
                sf_value: float) -> float:
-        point = SensitivityPoint(k=k, direct_effect=direct_effect)
-        return _ADJUSTERS[role](coefs.target, coefs.placebo, point, sf_value)
+        SensitivityPoint(k=k, direct_effect=direct_effect)  # finite check
+        if spec.role == "mediator":
+            warnings.warn(
+                "mediator-case adjustment: the sensitivity parameter "
+                "conflates causal and confounding channels; interpret with "
+                "care",
+                MediatorCautionWarning,
+                stacklevel=2,
+            )
+        _check_sf(sf_value)
+        if abs(k) > LARGE_K:
+            warnings.warn(
+                f"|k| = {abs(k):.3g} exceeds {LARGE_K:g}; k is scale-free, "
+                "so values this large usually mean m (raw-bias ratio) was "
+                "intended",
+                ScaleConfusionWarning,
+                stacklevel=2,
+            )
+        return ovb_estimate(coefs.target, coefs.placebo, k, direct_effect,
+                            sf_value)
 
+    pairs = (plan.target, plan.placebo)
     return CaseFormula(
-        role=role,
-        short_regressions=_short_regressions(role, y, d, p, x),
+        role=spec.role,
+        short_regressions=tuple(dict.fromkeys(
+            (plan.responses[i][j], plan.designs[i]) for i, j, _ in pairs)),
         sf=sf,
         adjust=adjust,
-        fit_coefficients=_coefficient_reader(role, y, d, p, x),
-        direct_effect_name=_DIRECT_EFFECT_NAMES[role],
+        fit_coefficients=fit_coefficients,
+        direct_effect_name=role.direct_effect_name,
+        quantities=plan.quantities,
         alternatives=alternatives,
         cautions=cautions,
     )
 
 
-def scale_factor(case: CaseFormula, data: Dataset, spec: PlaceboSpec) -> float:
-    """Evaluate the case's scale factor on a dataset.
-
-    The spec argument is accepted for symmetry with dispatch_case; the case
-    already carries its resolved column names.
-    """
+def scale_factor(case: CaseFormula, data: Dataset) -> float:
+    """Evaluate the case's scale factor on a dataset."""
     value = case.sf(data)
     _check_sf(value)
     return value

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DenominatorNearZero
-from .regression import Dataset
-
-NEAR_ZERO = 1e-12
+from .regression import NEAR_ZERO, Dataset
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DenominatorNearZero
-from .regression import Dataset, fit_ols
-
-NEAR_ZERO = 1e-12
+from .regression import NEAR_ZERO, Dataset, fit_ols
 
 
 class DoubleShortFits(NamedTuple):
@@ -106,29 +104,47 @@ def fit_double_shorts(data: Dataset, outcome: str, treatment: str,
     )
 
 
-def adjust_double_placebo(fits: DoubleShortFits,
-                          point: DoublePlaceboPoint) -> float:
-    """Adjusted Y~D coefficient from the four short fits.
+def check_placebo_pair(beta_np: float, beta_np_long: float) -> None:
+    """Raise DenominatorNearZero when ``beta_np - np_long`` vanishes.
 
-        beta_yd - k_product * (beta_yp - yp_long) * (beta_nd - nd_long)
-                                / (beta_np - np_long)
-
-    Raises DenominatorNearZero when the placebo-pair channel
-    ``beta_np - np_long`` vanishes: with no confounding measured between the
-    two placebos the expression is undefined.
+    The gap counts as zero within NEAR_ZERO of max(1, |beta_np|,
+    |np_long|). With no confounding measured between the two placebos the
+    double-placebo formula divides by zero and is undefined.
     """
-    denom = fits.beta_np - point.beta_np_long
-    scale = max(1.0, abs(fits.beta_np), abs(point.beta_np_long))
-    if abs(denom) <= NEAR_ZERO * scale:
+    scale = max(1.0, abs(beta_np), abs(beta_np_long))
+    if abs(beta_np - beta_np_long) <= NEAR_ZERO * scale:
         raise DenominatorNearZero(
             "measured placebo-pair coefficient equals its assumed direct "
             "part; the double-placebo adjustment is undefined"
         )
-    return fits.beta_yd - point.k_product * (
-        (fits.beta_yp - point.beta_yp_long)
-        * (fits.beta_nd - point.beta_nd_long)
-        / denom
+
+
+def double_placebo_estimate(fits: DoubleShortFits, k_product, beta_yp_long,
+                            beta_nd_long, beta_np_long):
+    """The double-placebo formula, elementwise over array arguments.
+
+        beta_yd - k_product * (beta_yp - yp_long) * (beta_nd - nd_long)
+                                / (beta_np - np_long)
+
+    Unguarded: callers run ``check_placebo_pair`` on the short fits first.
+    """
+    return fits.beta_yd - k_product * (
+        (fits.beta_yp - beta_yp_long)
+        * (fits.beta_nd - beta_nd_long)
+        / (fits.beta_np - beta_np_long)
     )
+
+
+def adjust_double_placebo(fits: DoubleShortFits,
+                          point: DoublePlaceboPoint) -> float:
+    """Adjusted Y~D coefficient from the four short fits.
+
+    Applies ``double_placebo_estimate`` at ``point`` after
+    ``check_placebo_pair`` has ruled out a vanishing denominator.
+    """
+    check_placebo_pair(fits.beta_np, point.beta_np_long)
+    return double_placebo_estimate(fits, point.k_product, point.beta_yp_long,
+                                   point.beta_nd_long, point.beta_np_long)
 
 
 def point_identify_double_placebo(fits: DoubleShortFits,

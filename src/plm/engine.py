@@ -15,28 +15,32 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .adjust import (
     LARGE_K,
     PlaceboSpec,
     dispatch_case,
+    ovb_estimate,
 )
-from .double import DoublePlaceboSpec
+from .double import (
+    DoublePlaceboSpec,
+    DoubleShortFits,
+    check_placebo_pair,
+    double_placebo_estimate,
+)
 from .errors import (
     BootstrapDegenerate,
     ConfigError,
-    DegenerateResidual,
-    DenominatorNearZero,
-    MediatorCautionWarning,
     NonpositiveScale,
     NumericError,
-    RankDeficient,
     ScaleConfusionWarning,
+    TooFewRows,
 )
-from .regression import RANK_TOL, Dataset
+from .regression import Dataset, least_squares
 
-NEAR_ZERO = 1e-12
+# A replicate that raises one of these is dropped and counted; a cluster
+# resample can come out with too few rows for the design.
+_REPLICATE_FAILURES = (NumericError, TooFewRows)
 
 
 @dataclass(frozen=True)
@@ -138,134 +142,25 @@ def standard_did_k(sf: float) -> float:
     return 1.0 / sf
 
 
-def _fit_block(cols, idx, regressors, responses):
-    """One QR shared by several responses on the same design.
-
-    Returns (beta, l2) where beta[j + 1, r] is the coefficient of
-    ``regressors[j]`` for ``responses[r]`` (row 0 is the intercept) and
-    l2[r] the residual norm.
-    """
-    n = cols[responses[0]][idx].shape[0]
-    p = len(regressors)
-    if n <= p + 1:
-        raise RankDeficient(
-            f"{n} rows cannot support {p} regressors plus an intercept"
-        )
-    x = np.empty((n, p + 1))
-    x[:, 0] = 1.0
-    for j, name in enumerate(regressors):
-        x[:, j + 1] = cols[name][idx]
-    q, r = np.linalg.qr(x)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= RANK_TOL * diag.max():
-        raise RankDeficient(
-            f"design with regressors {list(regressors)} is rank deficient"
-        )
-    y = np.empty((n, len(responses)))
-    for j, name in enumerate(responses):
-        y[:, j] = cols[name][idx]
-    beta = solve_triangular(r, q.T @ y)
-    resid = y - x @ beta
-    return beta, np.linalg.norm(resid, axis=0)
-
-
-def _guarded_l2(l2: float, col: np.ndarray, idx) -> float:
-    values = col[idx]
-    scale = float(np.sqrt(np.mean(values**2)))
-    if l2 <= NEAR_ZERO * max(scale, 1e-300) * np.sqrt(values.shape[0]):
-        raise DegenerateResidual(
-            "a residual needed for the scale factor has (near) zero norm"
-        )
-    return float(l2)
-
-
 class _SingleEngine:
     """Per-replicate quantities (target, placebo, SF) for a placebo spec."""
 
     width = 3
 
     def __init__(self, data: Dataset, spec: PlaceboSpec):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", MediatorCautionWarning)
-            self.case = dispatch_case(spec)
+        self.case = dispatch_case(spec)
         self.spec = spec
         names = {spec.outcome_col, spec.treatment_col, spec.placebo_col,
                  *spec.covariate_cols}
         self.cols = {name: data[name] for name in names}
-        self._quantities = getattr(self, "_q_" + spec.role)
 
     def quantities(self, idx):
-        y, d, p = (self.spec.outcome_col, self.spec.treatment_col,
-                   self.spec.placebo_col)
-        return self._quantities(self.cols, idx, y, d, p,
-                                self.spec.covariate_cols)
-
-    @staticmethod
-    def _q_placebo_outcome(cols, idx, y, d, p, x):
-        beta, l2 = _fit_block(cols, idx, (d, *x), (y, p))
-        sf = (_guarded_l2(l2[0], cols[y], idx)
-              / _guarded_l2(l2[1], cols[p], idx))
-        return beta[1, 0], beta[1, 1], sf
-
-    @staticmethod
-    def _q_placebo_treatment(cols, idx, y, d, p, x):
-        beta, _ = _fit_block(cols, idx, (d, p, *x), (y,))
-        _, l2_p = _fit_block(cols, idx, (d, *x), (p,))
-        _, l2_d = _fit_block(cols, idx, (p, *x), (d,))
-        sf = (_guarded_l2(l2_p[0], cols[p], idx)
-              / _guarded_l2(l2_d[0], cols[d], idx))
-        return beta[1, 0], beta[2, 0], sf
-
-    @staticmethod
-    def _q_observed_confounder_1(cols, idx, y, d, p, x):
-        beta_y, l2_y = _fit_block(cols, idx, (d, p, *x), (y,))
-        beta_p, l2_p = _fit_block(cols, idx, (d, *x), (p,))
-        _, l2_d_px = _fit_block(cols, idx, (p, *x), (d,))
-        _, l2_d_x = _fit_block(cols, idx, x, (d,))
-        sf = (_guarded_l2(l2_y[0], cols[y], idx)
-              / _guarded_l2(l2_d_px[0], cols[d], idx)) * (
-            _guarded_l2(l2_d_x[0], cols[d], idx)
-            / _guarded_l2(l2_p[0], cols[p], idx))
-        return beta_y[1, 0], beta_p[1, 0], sf
-
-    @staticmethod
-    def _q_mediator(cols, idx, y, d, p, x):
-        beta_s, l2_s = _fit_block(cols, idx, (d, *x), (y, p))
-        beta_l, l2_l = _fit_block(cols, idx, (d, p, *x), (y,))
-        _, l2_d_x = _fit_block(cols, idx, x, (d,))
-        sf = (_guarded_l2(l2_s[1], cols[p], idx)
-              / _guarded_l2(l2_d_x[0], cols[d], idx)) * (
-            _guarded_l2(l2_s[0], cols[y], idx)
-            / _guarded_l2(l2_l[0], cols[y], idx))
-        return beta_s[1, 0], beta_l[2, 0], sf
-
-    @staticmethod
-    def _q_observed_confounder_2(cols, idx, y, d, p, x):
-        beta_y, l2_y = _fit_block(cols, idx, (d, p, *x), (y,))
-        beta_d, l2_d = _fit_block(cols, idx, (p, *x), (d,))
-        _, l2_p_x = _fit_block(cols, idx, x, (p,))
-        l2_d_px = _guarded_l2(l2_d[0], cols[d], idx)
-        sf = (_guarded_l2(l2_y[0], cols[y], idx) / l2_d_px) * (
-            _guarded_l2(l2_p_x[0], cols[p], idx) / l2_d_px)
-        return beta_y[1, 0], beta_d[1, 0], sf
-
-    @staticmethod
-    def _q_post_outcome(cols, idx, y, d, p, x):
-        beta_s, l2_s = _fit_block(cols, idx, (d, *x), (y,))
-        beta_p, l2_p = _fit_block(cols, idx, (d, y, *x), (p,))
-        _, l2_d_x = _fit_block(cols, idx, x, (d,))
-        l2_y_dx = _guarded_l2(l2_s[0], cols[y], idx)
-        sf = (l2_y_dx / _guarded_l2(l2_d_x[0], cols[d], idx)) * (
-            l2_y_dx / _guarded_l2(l2_p[0], cols[p], idx))
-        return beta_s[1, 0], beta_p[2, 0], sf
+        return self.case.quantities(self.cols, idx)
 
     @staticmethod
     def estimate(q, k, direct):
         """Adjusted estimate; q rows are (target, placebo, sf)."""
-        t = q[..., 0]
-        p = q[..., 1]
-        s = q[..., 2]
-        return t - k * (p - direct) * s
+        return ovb_estimate(q[..., 0], q[..., 1], k, direct, q[..., 2])
 
 
 class _DoubleEngine:
@@ -281,37 +176,27 @@ class _DoubleEngine:
         self.cols = {name: data[name] for name in names}
 
     def quantities(self, idx):
+        """(yd, yp, nd, np) coefficients from one QR on rows ``idx``.
+
+        Raises DenominatorNearZero where the placebo-pair coefficient
+        equals its assumed direct part, so such replicates are dropped.
+        """
         s = self.spec
-        beta, _ = _fit_block(
-            self.cols, idx,
+        y = np.column_stack([self.cols[s.outcome_col][idx],
+                             self.cols[s.placebo_outcome_col][idx]])
+        beta, _, _ = least_squares(
+            self.cols,
             (s.treatment_col, s.placebo_treatment_col, *s.covariate_cols),
-            (s.outcome_col, s.placebo_outcome_col),
+            y, idx,
         )
+        check_placebo_pair(beta[2, 1], s.beta_np_long)
         return beta[1, 0], beta[2, 0], beta[1, 1], beta[2, 1]
 
     def estimate(self, q, k_product, beta_nd_long):
         """Adjusted estimate; q rows are (yd, yp, nd, np) coefficients."""
-        denom = q[..., 3] - self.spec.beta_np_long
-        return q[..., 0] - k_product * (
-            (q[..., 1] - self.spec.beta_yp_long)
-            * (q[..., 2] - beta_nd_long)
-            / denom
-        )
-
-    def check_denominator(self, q) -> None:
-        denom = float(q[3]) - self.spec.beta_np_long
-        scale = max(1.0, abs(float(q[3])), abs(self.spec.beta_np_long))
-        if abs(denom) <= NEAR_ZERO * scale:
-            raise DenominatorNearZero(
-                "measured placebo-pair coefficient equals its assumed "
-                "direct part; the double-placebo surface is undefined"
-            )
-
-    def replicate_valid(self, q_rows: np.ndarray) -> np.ndarray:
-        denom = q_rows[:, 3] - self.spec.beta_np_long
-        scale = np.maximum(1.0, np.maximum(np.abs(q_rows[:, 3]),
-                                           abs(self.spec.beta_np_long)))
-        return np.abs(denom) > NEAR_ZERO * scale
+        return double_placebo_estimate(
+            DoubleShortFits(*np.moveaxis(q, -1, 0)), k_product,
+            self.spec.beta_yp_long, beta_nd_long, self.spec.beta_np_long)
 
 
 def _build_engine(data: Dataset, cfg: AnalysisConfig):
@@ -384,7 +269,7 @@ def _bootstrap_quantities(engine, data: Dataset, cfg: AnalysisConfig):
         idx = _replicate_indices(rng, data.n_rows, members)
         try:
             out[rep] = engine.quantities(idx)
-        except NumericError:
+        except _REPLICATE_FAILURES:
             return
         valid[rep] = True
 
@@ -396,16 +281,6 @@ def _bootstrap_quantities(engine, data: Dataset, cfg: AnalysisConfig):
             "is too close to degenerate for resampling inference"
         )
     q_rows = out[valid]
-    if isinstance(engine, _DoubleEngine):
-        keep = engine.replicate_valid(q_rows)
-        dropped = int((~keep).sum())
-        failures += dropped
-        if failures > 0.01 * reps:
-            raise BootstrapDegenerate(
-                f"{failures} of {reps} bootstrap replicates degenerate "
-                "(rank failures or vanishing placebo-pair coefficient)"
-            )
-        q_rows = q_rows[keep]
     if cfg.freeze_sf and isinstance(engine, _SingleEngine):
         q_full = engine.quantities(slice(None))
         q_rows = q_rows.copy()
@@ -469,7 +344,6 @@ def run_table(data: Dataset, cfg: AnalysisConfig) -> ResultTable:
     _warn_on_ranges(cfg)
     q_full = np.asarray(engine.quantities(slice(None)))
     if isinstance(engine, _DoubleEngine):
-        engine.check_denominator(q_full)
         anchors = [("SOO", 0.0, 0.0), ("Point ID", 1.0, 0.0)]
     else:
         sf_full = float(q_full[2])
@@ -524,8 +398,6 @@ def run_contour(data: Dataset, cfg: AnalysisConfig) -> ContourGrid:
     engine = _build_engine(data, cfg)
     _warn_on_ranges(cfg)
     q_full = np.asarray(engine.quantities(slice(None)))
-    if isinstance(engine, _DoubleEngine):
-        engine.check_denominator(q_full)
     g = 201 if cfg.grid_points_per_axis is None else cfg.grid_points_per_axis
     k_values = _axis_lattice(cfg.k_range, g)
     direct_values = _axis_lattice(cfg.direct_range, g)
@@ -562,8 +434,6 @@ def run_line(data: Dataset, cfg: AnalysisConfig, varying: str = "k",
     engine = _build_engine(data, cfg)
     _warn_on_ranges(cfg)
     q_full = np.asarray(engine.quantities(slice(None)))
-    if isinstance(engine, _DoubleEngine):
-        engine.check_denominator(q_full)
     g = 201 if cfg.grid_points_per_axis is None else cfg.grid_points_per_axis
     vary_bounds = cfg.k_range if varying == "k" else cfg.direct_range
     fixed_bounds = cfg.direct_range if varying == "k" else cfg.k_range
@@ -620,7 +490,7 @@ def bootstrap(data: Dataset, cfg: AnalysisConfig,
         idx = _replicate_indices(rng, data.n_rows, members)
         try:
             values[rep] = statistic(data.take(idx))
-        except NumericError:
+        except _REPLICATE_FAILURES:
             return
         valid[rep] = True
 

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import (
+    DegenerateResidual,
     DivisionByNearZero,
     NonFiniteValue,
     RankDeficient,
@@ -31,6 +32,9 @@ from .errors import (
     UnknownColumn,
 )
 
+# The package's tolerances: RANK_TOL bounds the smallest |R_ii| of a design
+# relative to the largest; NEAR_ZERO is the size, relative to the natural
+# scale where one exists, below which a norm, gap, or denominator is zero.
 RANK_TOL = 1e-10
 NEAR_ZERO = 1e-12
 
@@ -84,11 +88,6 @@ class Dataset:
             raise ValueError("dataset needs at least one row")
         self._columns = cleaned
         self.n_rows = n_rows
-
-    @property
-    def columns(self) -> dict[str, np.ndarray]:
-        """Name to (read-only) column vector."""
-        return dict(self._columns)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -208,38 +207,55 @@ class BiasDecomposition:
         return self.partial_corr * self.cohens_f * self.sd_ratio
 
 
-def _design(data: Dataset, regressors) -> np.ndarray:
-    cols = [np.ones(data.n_rows)]
-    for name in regressors:
-        cols.append(data[name])
-    return np.column_stack(cols)
+def least_squares(cols, regressors, y, idx=slice(None)):
+    """QR least squares of ``y`` on an intercept plus the named regressors.
 
+    The package's one least-squares kernel. ``cols`` maps names to full
+    columns (a Dataset or a plain dict), ``idx`` picks the rows (all of
+    them, or a bootstrap resample) and ``y`` holds the response at those
+    rows: one vector, or one column per response sharing the design.
+    Returns (beta, residuals, r) with the intercept in ``beta[0]``.
 
-def _qr_solve(x: np.ndarray, y: np.ndarray):
-    """QR least squares for one or more right-hand sides.
-
-    Returns (beta, residuals). Raises RankDeficient when any diagonal of R
-    falls below RANK_TOL times the largest diagonal magnitude.
+    Raises TooFewRows unless there are more rows than coefficients and
+    RankDeficient when a diagonal of R falls to RANK_TOL of the largest.
     """
+    n = y.shape[0]
+    x = np.empty((n, len(regressors) + 1))
+    x[:, 0] = 1.0
+    for j, name in enumerate(regressors):
+        x[:, j + 1] = cols[name][idx]
+    if n <= x.shape[1]:
+        raise TooFewRows(
+            f"{n} rows cannot support {len(regressors)} regressors plus "
+            "intercept"
+        )
     q, r = np.linalg.qr(x)
     diag = np.abs(np.diag(r))
-    if diag.size and diag.min() <= RANK_TOL * diag.max():
+    if diag.min() <= RANK_TOL * diag.max():
         raise RankDeficient(
-            f"design matrix is rank deficient (min |R_ii| = {diag.min():.3e})"
+            f"collinear design on {list(regressors)} "
+            f"(min |R_ii| = {diag.min():.3e})"
         )
     beta = solve_triangular(r, q.T @ y)
-    return beta, y - x @ beta
+    return beta, y - x @ beta, r
 
 
-def _check_fit_inputs(data: Dataset, response: str, regressors) -> None:
-    data[response]
-    for name in regressors:
-        data[name]
-    p = len(regressors)
-    if data.n_rows <= p + 1:
-        raise TooFewRows(
-            f"{data.n_rows} rows cannot support {p} regressors plus intercept"
+def guard_residual_norm(l2: float, values: np.ndarray, variable: str,
+                        controls) -> float:
+    """Return the residual norm ``l2`` of the column ``values`` if usable.
+
+    ``values`` is ``variable`` at the fitted rows and ``controls`` its
+    regressors. Raises DegenerateResidual when ``l2`` is at most NEAR_ZERO
+    times the root-mean-square of ``values`` times sqrt(n): a ratio with
+    that norm would be built on rounding noise.
+    """
+    scale = float(np.sqrt(np.mean(values**2)))
+    if l2 <= NEAR_ZERO * max(scale, 1e-300) * np.sqrt(values.shape[0]):
+        raise DegenerateResidual(
+            f"residual of {variable!r} on {list(controls)} has (near) zero "
+            "norm; scale factor undefined"
         )
+    return float(l2)
 
 
 def fit_ols(data: Dataset, response: str, regressors) -> FitSummary:
@@ -262,18 +278,7 @@ def fit_ols(data: Dataset, response: str, regressors) -> FitSummary:
     UnknownColumn, TooFewRows, RankDeficient
     """
     regressors = tuple(regressors)
-    _check_fit_inputs(data, response, regressors)
-    x = _design(data, regressors)
-    y = data[response]
-    q, r = np.linalg.qr(x)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= RANK_TOL * diag.max():
-        raise RankDeficient(
-            f"collinear design for {response!r} ~ {list(regressors)} "
-            f"(min |R_ii| = {diag.min():.3e})"
-        )
-    beta = solve_triangular(r, q.T @ y)
-    resid = y - x @ beta
+    beta, resid, r = least_squares(data, regressors, data[response])
     rss = float(resid @ resid)
     dof = data.n_rows - (len(regressors) + 1)
     sigma2 = rss / dof
@@ -300,10 +305,7 @@ def residualize(data: Dataset, variable: str, controls) -> Residualization:
     becomes an error where a scale factor divides by it.
     """
     controls = tuple(controls)
-    _check_fit_inputs(data, variable, controls)
-    x = _design(data, controls)
-    y = data[variable]
-    _, resid = _qr_solve(x, y)
+    resid = _residual_vector(data, variable, controls)
     l2 = float(np.linalg.norm(resid))
     return Residualization(
         variable=variable,
@@ -316,10 +318,8 @@ def residualize(data: Dataset, variable: str, controls) -> Residualization:
 
 def _residual_vector(data: Dataset, variable, controls) -> np.ndarray:
     """Residual of a column (by name) or raw vector on controls + intercept."""
-    x = _design(data, controls)
     y = data[variable] if isinstance(variable, str) else np.asarray(variable)
-    _, resid = _qr_solve(x, y)
-    return resid
+    return least_squares(data, tuple(controls), y)[1]
 
 
 def partial_corr(data: Dataset, a, b, given) -> float:

@@ -56,28 +56,17 @@ class SemiparamInputs:
             raise ConfigError("sign_m must be +1 or -1")
 
 
-def _adjust(inputs: SemiparamInputs) -> float:
-    gap = inputs.theta_s_n - inputs.theta_l_n
-    scale = sqrt(inputs.gamma * inputs.k) * sqrt(inputs.s2_y / inputs.s2_n)
-    return inputs.theta_s_y - inputs.sign_m * scale * gap
-
-
 def adjust_partially_linear(inputs: SemiparamInputs) -> float:
-    """Adjusted effect when outcome models are linear in treatment only.
+    """Adjusted effect under partially linear or nonparametric outcome models.
 
     theta_s_y - sign_m * sqrt(gamma * k) * (theta_s_n - theta_l_n)
               * sqrt(s2_y / s2_n)
 
-    Reduces to the linear placebo-outcome adjustment when gamma = 1 and
-    k equals the squared linear relative-confounding parameter.
+    The expression is the same for both model classes; they differ only in
+    how the short estimates and residual variances are produced. Reduces to
+    the linear placebo-outcome adjustment when gamma = 1 and k equals the
+    squared linear relative-confounding parameter.
     """
-    return _adjust(inputs)
-
-
-def adjust_nonparametric(inputs: SemiparamInputs) -> float:
-    """Adjusted average effect with fully nonparametric outcome models.
-
-    Same expression as the partially linear case; the two differ only in
-    how the short estimates and residual variances are produced.
-    """
-    return _adjust(inputs)
+    gap = inputs.theta_s_n - inputs.theta_l_n
+    scale = sqrt(inputs.gamma * inputs.k) * sqrt(inputs.s2_y / inputs.s2_n)
+    return inputs.theta_s_y - inputs.sign_m * scale * gap

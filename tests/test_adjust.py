@@ -9,13 +9,12 @@ from plm.adjust import (
     PlaceboSpec,
     SensitivityPoint,
     ShortCoefficients,
-    adjust_mediator,
-    adjust_placebo_outcome,
     dispatch_case,
     k_from_m,
     m_from_k,
     scale_factor,
 )
+from plm.engine import AnalysisConfig, run_table
 from plm.errors import (
     AmbiguousSpec,
     ConfigError,
@@ -111,7 +110,7 @@ def test_scale_factor_trivial_placebo_copies():
     case = dispatch_case(spec)
     assert case.sf(data_same) == pytest.approx(1.0, rel=1e-12)
     assert case.sf(data_double) == pytest.approx(0.5, rel=1e-10)
-    assert scale_factor(case, data_double, spec) == case.sf(data_double)
+    assert scale_factor(case, data_double) == case.sf(data_double)
 
 
 def test_outcome_rescaling_equivariance():
@@ -174,21 +173,29 @@ def test_degenerate_placebo_residual():
 
 
 def test_mediator_warns_every_call():
-    with pytest.warns(MediatorCautionWarning):
-        adjust_mediator(1.0, 0.5, SensitivityPoint(k=0.5), 1.0)
+    case = _case("mediator", edge_d_to_p=True, edge_p_to_y=True,
+                 acknowledge_mediator=True)
+    coefs = ShortCoefficients(target=1.0, placebo=0.5)
+    for _ in range(2):
+        with pytest.warns(MediatorCautionWarning):
+            case.adjust(coefs, 0.5, 0.0, 1.0)
 
 
 def test_large_k_warns_scale_confusion():
+    case = _case("placebo_outcome")
+    coefs = ShortCoefficients(target=1.0, placebo=0.5)
     with pytest.warns(ScaleConfusionWarning):
-        adjust_placebo_outcome(1.0, 0.5, SensitivityPoint(k=50.0), 1.0)
+        case.adjust(coefs, 50.0, 0.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ScaleConfusionWarning)
-        adjust_placebo_outcome(1.0, 0.5, SensitivityPoint(k=10.0), 1.0)
+        case.adjust(coefs, 10.0, 0.0, 1.0)
 
 
 def test_nonpositive_scale_factor_rejected():
+    case = _case("placebo_outcome")
     with pytest.raises(NonpositiveScale):
-        adjust_placebo_outcome(1.0, 0.5, SensitivityPoint(k=1.0), 0.0)
+        case.adjust(ShortCoefficients(target=1.0, placebo=0.5), 1.0, 0.0,
+                    0.0)
 
 
 def test_spec_validation():
@@ -249,3 +256,78 @@ def test_short_regressions_listing():
         ("Y", ("D", "P", "X1")),
         ("D", ("P", "X1")),
     )
+
+
+# One consistent set of edge flags per role.
+ROLE_KWARGS = {role: kwargs for _, role, kwargs in SINGLE_CASES}
+
+
+def _earnings_data(n=400, seed=12):
+    # Earnings-scale outcome and placebo (means around 1e4) next to a binary
+    # treatment and two covariates on their natural scales.
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=n)
+    age = 35.0 + 9.0 * rng.normal(size=n)
+    educ = 12.0 + 2.5 * rng.normal(size=n)
+    d = (0.8 * z + 0.03 * (age - 35.0) + rng.normal(size=n) > 0).astype(float)
+    p = (9000.0 + 2500.0 * z + 120.0 * (age - 35.0) + 400.0 * (educ - 12.0)
+         + 1500.0 * rng.normal(size=n))
+    y = (11000.0 + 1800.0 * d + 3000.0 * z + 200.0 * (age - 35.0)
+         + 600.0 * (educ - 12.0) + 2000.0 * rng.normal(size=n))
+    return Dataset({"Y": y, "D": d, "P": p, "AGE": age, "EDUC": educ})
+
+
+def _lstsq_reference(role, data, x):
+    """(target, placebo, SF) from numpy lstsq fits, written out per role."""
+
+    def fit(response, regressors):
+        regressors = (*regressors, *x)
+        design = np.column_stack([np.ones(data.n_rows)]
+                                 + [data[name] for name in regressors])
+        beta = np.linalg.lstsq(design, data[response], rcond=None)[0]
+        resid = data[response] - design @ beta
+        return dict(zip(regressors, beta[1:])), np.linalg.norm(resid)
+
+    def coef(response, regressors, column):
+        return fit(response, regressors)[0][column]
+
+    def r(variable, *controls):
+        return fit(variable, controls)[1]
+
+    if role == "placebo_outcome":
+        return (coef("Y", ("D",), "D"), coef("P", ("D",), "D"),
+                r("Y", "D") / r("P", "D"))
+    if role == "placebo_treatment":
+        return (coef("Y", ("D", "P"), "D"), coef("Y", ("D", "P"), "P"),
+                r("P", "D") / r("D", "P"))
+    if role == "observed_confounder_1":
+        return (coef("Y", ("D", "P"), "D"), coef("P", ("D",), "D"),
+                r("Y", "D", "P") / r("D", "P") * r("D") / r("P", "D"))
+    if role == "observed_confounder_2":
+        return (coef("Y", ("D", "P"), "D"), coef("D", ("P",), "P"),
+                r("Y", "D", "P") / r("D", "P") * r("P") / r("D", "P"))
+    if role == "mediator":
+        return (coef("Y", ("D",), "D"), coef("Y", ("D", "P"), "P"),
+                r("P", "D") / r("D") * r("Y", "D") / r("Y", "D", "P"))
+    return (coef("Y", ("D",), "D"), coef("P", ("D", "Y"), "Y"),
+            r("Y", "D") / r("D") * r("Y", "D") / r("P", "D", "Y"))
+
+
+@pytest.mark.parametrize("role", sorted(ROLE_KWARGS))
+def test_role_paths_match_lstsq_reference(role):
+    # The case formula and the bootstrap engine must both reproduce an
+    # independent least-squares reference on earnings-scale data.
+    data = _earnings_data()
+    x = ("AGE", "EDUC")
+    target, placebo, sf = _lstsq_reference(role, data, x)
+    spec = _spec(role, covariate_cols=x, **ROLE_KWARGS[role])
+    case = _case(role, covariate_cols=x, **ROLE_KWARGS[role])
+    coefs = case.fit_coefficients(data)
+    assert coefs.target == pytest.approx(target, rel=1e-8)
+    assert coefs.placebo == pytest.approx(placebo, rel=1e-8)
+    assert case.sf(data) == pytest.approx(sf, rel=1e-8)
+    table = run_table(data, AnalysisConfig(spec=spec, bootstrap_reps=20,
+                                           seed=1))
+    soo = next(row for row in table.rows if row.label == "SOO")
+    assert soo.estimate == pytest.approx(target, rel=1e-8)
+    assert table.metadata["scale_factor"] == pytest.approx(sf, rel=1e-8)

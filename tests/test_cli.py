@@ -128,6 +128,22 @@ def test_degenerate_placebo_exits_four(tmp_path, capsys):
     assert "degenerac" in capsys.readouterr().err
 
 
+def test_too_few_rows_exits_three(tmp_path, capsys):
+    # Five rows for the five coefficients of Y ~ D + P + X1 + X2.
+    rng = np.random.default_rng(2)
+    rows = ["Y,D,P,X1,X2"]
+    rows += [",".join(f"{v:.6f}" for v in rng.normal(size=5))
+             for _ in range(5)]
+    path = tmp_path / "short.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code = cli_main(["table", "--data", str(path), "--outcome", "Y",
+                     "--treatment", "D", "--placebo", "P",
+                     "--role", "placebo_treatment", "--covariates", "X1,X2",
+                     "--reps", "20", "--out", str(tmp_path / "t.csv")])
+    assert code == 3
+    assert "rows" in capsys.readouterr().err
+
+
 def test_contour_config_writes_csv_json_svg(tmp_path, capsys):
     _data_csv(tmp_path)
     config = tmp_path / "run.json"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from plm.adjust import SensitivityPoint, adjust_placebo_outcome, k_from_m
+from plm.adjust import PlaceboSpec, ShortCoefficients, dispatch_case, k_from_m
 from plm.did import (
     DIDAssumption,
     GroupMeans,
@@ -117,9 +117,10 @@ def test_att_matches_placebo_outcome_adjustment():
     assert beta_n == pytest.approx(dim(means)["dim_N"], rel=1e-10)
     sf = (residualize(data, "Y", ("G",)).l2_norm
           / residualize(data, "N", ("G",)).l2_norm)
+    case = dispatch_case(PlaceboSpec(outcome_col="Y", treatment_col="G",
+                                     placebo_col="N", role="placebo_outcome"))
+    coefs = ShortCoefficients(target=beta_y, placebo=beta_n)
     for m in (0.0, 0.5, 1.0, 1.7):
         via_did = att(means, DIDAssumption(m=m))
-        via_adjust = adjust_placebo_outcome(
-            beta_y, beta_n, SensitivityPoint(k=k_from_m(m, sf)), sf
-        )
+        via_adjust = case.adjust(coefs, k_from_m(m, sf), 0.0, sf)
         assert via_adjust == pytest.approx(via_did, abs=1e-10)

@@ -10,6 +10,9 @@ from plm.double import DoublePlaceboSpec, fit_double_shorts, \
     point_identify_double_placebo
 from plm.engine import (
     AnalysisConfig,
+    _cluster_index_pool,
+    _replicate_indices,
+    _replicate_rng,
     bootstrap,
     run_contour,
     run_line,
@@ -19,9 +22,11 @@ from plm.engine import (
 from plm.errors import (
     BootstrapDegenerate,
     ConfigError,
+    DenominatorNearZero,
     MediatorCautionWarning,
     NonpositiveScale,
     ScaleConfusionWarning,
+    TooFewRows,
 )
 from plm.regression import Dataset
 from plm.selfcheck import random_recipe
@@ -277,6 +282,21 @@ def test_double_placebo_table():
     assert all(row.se > 0 for row in table.rows)
 
 
+def test_double_placebo_vanishing_pair_is_rejected():
+    # An assumed placebo-pair direct part equal to the measured coefficient
+    # leaves the double-placebo surface undefined on every runner.
+    data = simulate_scm(SCMRecipe(n=200, graph_case="double_a", seed=2))
+    fits = fit_double_shorts(data, "Y", "D", "P", "N")
+    spec = DoublePlaceboSpec(outcome_col="Y", treatment_col="D",
+                             placebo_treatment_col="P",
+                             placebo_outcome_col="N",
+                             beta_np_long=fits.beta_np)
+    cfg = AnalysisConfig(spec=spec, bootstrap_reps=20, seed=4)
+    for runner in (run_table, run_contour, run_line):
+        with pytest.raises(DenominatorNearZero):
+            runner(data, cfg)
+
+
 def test_mediator_metadata_carries_caution():
     data = _data(graph_case="d")
     spec = PlaceboSpec(outcome_col="Y", treatment_col="D", placebo_col="P",
@@ -309,3 +329,44 @@ def test_config_validation():
         AnalysisConfig(grid_points_per_axis=0)
     with pytest.raises(ConfigError, match="spec"):
         run_table(_data(), AnalysisConfig())
+
+
+def _noise_data(n, names, seed=3, **extra):
+    rng = np.random.default_rng(seed)
+    return Dataset({**{name: rng.normal(size=n) for name in names}, **extra})
+
+
+def test_too_few_rows_is_the_same_error_on_every_path():
+    # Five rows for the five coefficients of Y ~ D + P + X1 + X2.
+    data = _noise_data(5, ("Y", "D", "P", "X1", "X2"))
+    spec = _spec(role="placebo_treatment", edge_d_to_p=False,
+                 covariate_cols=("X1", "X2"))
+    case = dispatch_case(spec)
+    with pytest.raises(TooFewRows):
+        case.fit_coefficients(data)
+    with pytest.raises(TooFewRows):
+        case.sf(data)
+    with pytest.raises(TooFewRows):
+        run_table(data, _cfg(spec=spec, bootstrap_reps=20))
+
+
+def test_short_cluster_replicate_is_dropped():
+    # Two of six clusters are single rows; a resample drawing only those has
+    # six rows for the six coefficients of Y ~ D + P + X1 + X2 + X3 and must
+    # count as a dropped replicate rather than abort the run.
+    sizes = (1, 1, 30, 30, 30, 30)
+    cluster = np.repeat(np.arange(6.0), sizes)
+    data = _noise_data(cluster.size, ("Y", "D", "P", "X1", "X2", "X3"),
+                       C=cluster)
+    spec = _spec(role="placebo_treatment", edge_d_to_p=False,
+                 covariate_cols=("X1", "X2", "X3"))
+    cfg = _cfg(spec=spec, bootstrap_reps=1000, seed=4, cluster_col="C")
+    members = _cluster_index_pool(data, "C")
+    short = sum(
+        _replicate_indices(_replicate_rng(cfg.seed, rep), data.n_rows,
+                           members).size <= 6
+        for rep in range(cfg.bootstrap_reps)
+    )
+    assert short > 0
+    table = run_table(data, cfg)
+    assert table.metadata["bootstrap_failures"] == short

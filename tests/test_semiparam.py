@@ -5,11 +5,7 @@ import pytest
 
 from plm.adjust import PlaceboSpec, dispatch_case
 from plm.errors import ConfigError, NonpositiveScale
-from plm.semiparam import (
-    SemiparamInputs,
-    adjust_nonparametric,
-    adjust_partially_linear,
-)
+from plm.semiparam import SemiparamInputs, adjust_partially_linear
 from plm.selfcheck import random_recipe
 from plm.simulate import simulate_scm
 
@@ -37,6 +33,8 @@ def test_zero_k_or_gamma_leaves_short_estimate():
 
 
 def test_both_model_classes_share_the_formula():
+    # One function serves the partially linear and the nonparametric model;
+    # it must evaluate the shared closed form on arbitrary inputs.
     rng = np.random.default_rng(7)
     for _ in range(25):
         inputs = SemiparamInputs(
@@ -49,7 +47,12 @@ def test_both_model_classes_share_the_formula():
             s2_n=rng.uniform(0.1, 4),
             sign_m=int(rng.choice((-1, 1))),
         )
-        assert adjust_partially_linear(inputs) == adjust_nonparametric(inputs)
+        closed_form = inputs.theta_s_y - inputs.sign_m * np.sqrt(
+            inputs.gamma * inputs.k) * (inputs.theta_s_n - inputs.theta_l_n) \
+            * np.sqrt(inputs.s2_y / inputs.s2_n)
+        assert adjust_partially_linear(inputs) == pytest.approx(closed_form,
+                                                                rel=1e-12,
+                                                                abs=1e-12)
 
 
 def test_reduces_to_linear_placebo_outcome():
