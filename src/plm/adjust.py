@@ -29,7 +29,14 @@ from .errors import (
     ScaleConfusionWarning,
     UnsupportedCase,
 )
-from .regression import Dataset, guard_residual_norm, least_squares
+from .regression import (
+    Dataset,
+    GramFallback,
+    ScaledColumns,
+    gram_least_squares,
+    guard_residual_norm,
+    least_squares,
+)
 
 LARGE_K = 10.0
 
@@ -157,8 +164,10 @@ class CaseFormula:
     scale factor; ``adjust`` maps (coefs, k, direct_effect, sf) to the
     adjusted estimate; ``fit_coefficients`` extracts the ShortCoefficients
     from a dataset. ``quantities(cols, idx)`` evaluates (target, placebo,
-    SF) on rows ``idx`` of a mapping of named columns; the other two
-    readers and the bootstrap engine all call it.
+    SF) on rows ``idx`` of a mapping of named columns with one QR per
+    design; the other two readers and the full-sample fits call it.
+    ``gram_quantities(cols, g)`` evaluates the same triple from a weighted
+    Gram matrix of ``ScaledColumns`` and serves the bootstrap replicates.
     ``alternatives`` names other roles compatible with the declared edges and
     ``cautions`` carries flags (for example for the mediator case) that
     result tables propagate into their metadata.
@@ -171,6 +180,7 @@ class CaseFormula:
     fit_coefficients: Callable[[Dataset], ShortCoefficients]
     direct_effect_name: str
     quantities: Callable[..., tuple[float, float, float]]
+    gram_quantities: Callable[..., tuple[float, float, float]]
     alternatives: tuple[str, ...] = ()
     cautions: tuple[str, ...] = ()
 
@@ -202,7 +212,8 @@ class _Plan:
 
     ``designs`` holds each distinct regressor tuple once and ``responses``
     the responses fitted on it, both in order of first use, so a design
-    costs one QR per evaluation. ``target`` and ``placebo`` are (design,
+    costs one solve per evaluation: a QR of the rows, or a Cholesky factor
+    of a Gram block. ``target`` and ``placebo`` are (design,
     response, beta row) indices; ``norms`` lists the (design, response)
     residuals SF reads and ``sf`` each ratio's (numerator, denominator)
     positions in ``norms``.
@@ -243,18 +254,41 @@ class _Plan:
 
     def quantities(self, cols, idx=slice(None)):
         """(target, placebo, SF) on rows ``idx``, one QR per design."""
-        betas, l2s, ys = [], [], []
+        fits = []
         for regressors, responses in zip(self.designs, self.responses):
             y = np.column_stack([cols[name][idx] for name in responses])
             beta, resid, _ = least_squares(cols, regressors, y, idx)
-            betas.append(beta)
-            l2s.append(np.linalg.norm(resid, axis=0))
-            ys.append(y)
-        norms = [
-            guard_residual_norm(l2s[i][j], ys[i][:, j], self.responses[i][j],
-                                self.designs[i])
-            for i, j in self.norms
-        ]
+            fits.append((beta, np.linalg.norm(resid, axis=0), y))
+
+        def norm(i, j):
+            return guard_residual_norm(fits[i][1][j], fits[i][2][:, j],
+                                       self.responses[i][j], self.designs[i])
+
+        return self._assemble([beta for beta, _, _ in fits], norm)
+
+    def gram_quantities(self, cols: ScaledColumns, g):
+        """(target, placebo, SF) from ``g = cols.gram(idx)``, no QR.
+
+        Raises GramFallback where the result might differ from
+        ``quantities(cols, idx)``, including where a norm SF reads is not
+        clear of cancellation or of the residual guard.
+        """
+        fits = [gram_least_squares(cols, g, regressors, responses)
+                for regressors, responses in zip(self.designs,
+                                                 self.responses)]
+
+        def norm(i, j):
+            _, l2, exact = fits[i]
+            if not exact[j]:
+                raise GramFallback
+            return float(l2[j])
+
+        return self._assemble([beta for beta, _, _ in fits], norm)
+
+    def _assemble(self, betas, norm):
+        """(target, placebo, SF) from each design's betas; ``norm(i, j)``
+        is the checked residual norm of response j on design i."""
+        norms = [norm(i, j) for i, j in self.norms]
         sf = 1.0
         for num, den in self.sf:
             sf *= norms[num] / norms[den]
@@ -390,6 +424,7 @@ def dispatch_case(spec: PlaceboSpec) -> CaseFormula:
         fit_coefficients=fit_coefficients,
         direct_effect_name=role.direct_effect_name,
         quantities=plan.quantities,
+        gram_quantities=plan.gram_quantities,
         alternatives=alternatives,
         cautions=cautions,
     )

@@ -5,6 +5,26 @@ over the data yields the handful of coefficients and residual norms that
 determine the whole surface. The bootstrap therefore resamples rows once,
 stores those per-replicate quantities, and reuses them for every grid
 point, anchor row, and line slice.
+
+Full-sample quantities come from one QR per design. Bootstrap replicates
+do not refit rows: every coefficient and residual norm a role reads is a
+function of the cross-product (Gram) matrix of an intercept and the
+columns the engine reads, and a resample is the same as integer row
+weights ``bincount(idx)``. So ``_bootstrap_quantities`` centres and scales
+the columns once per run (``regression.ScaledColumns``), and each
+replicate forms its weighted Gram matrix ``Z' diag(w) Z`` with one
+temporary the size of Z and solves each design from a Cholesky factor of its block
+(``regression.gram_least_squares``). A replicate whose Gram solve might
+not match QR to rounding -- too few rows, a Cholesky pivot ratio at or
+below ``GRAM_TOL``, a rank or residual check of QR's too close to call, or
+a norm SF reads lost to cancellation -- is refitted by QR, so the same
+replicates fail, with the same errors, as under QR everywhere.
+
+Each replicate draws its rows from its own ``SeedSequence(spawn_key=rep)``
+and writes its own row of the result, and its Gram matrix and solves
+depend only on those rows, so ``workers`` (threads sharing the replicate
+loop) changes which thread fits a replicate, never its numbers: output
+bytes are the same for any worker count.
 """
 
 from __future__ import annotations
@@ -36,7 +56,13 @@ from .errors import (
     ScaleConfusionWarning,
     TooFewRows,
 )
-from .regression import Dataset, least_squares
+from .regression import (
+    Dataset,
+    GramFallback,
+    ScaledColumns,
+    gram_least_squares,
+    least_squares,
+)
 
 # A replicate that raises one of these is dropped and counted; a cluster
 # resample can come out with too few rows for the design.
@@ -157,6 +183,9 @@ class _SingleEngine:
     def quantities(self, idx):
         return self.case.quantities(self.cols, idx)
 
+    def gram_quantities(self, cols: ScaledColumns, g):
+        return self.case.gram_quantities(cols, g)
+
     @staticmethod
     def estimate(q, k, direct):
         """Adjusted estimate; q rows are (target, placebo, sf)."""
@@ -170,10 +199,11 @@ class _DoubleEngine:
 
     def __init__(self, data: Dataset, spec: DoublePlaceboSpec):
         self.spec = spec
-        names = {spec.outcome_col, spec.treatment_col,
-                 spec.placebo_treatment_col, spec.placebo_outcome_col,
-                 *spec.covariate_cols}
-        self.cols = {name: data[name] for name in names}
+        self.design = (spec.treatment_col, spec.placebo_treatment_col,
+                       *spec.covariate_cols)
+        self.responses = (spec.outcome_col, spec.placebo_outcome_col)
+        self.cols = {name: data[name]
+                     for name in {*self.design, *self.responses}}
 
     def quantities(self, idx):
         """(yd, yp, nd, np) coefficients from one QR on rows ``idx``.
@@ -181,15 +211,16 @@ class _DoubleEngine:
         Raises DenominatorNearZero where the placebo-pair coefficient
         equals its assumed direct part, so such replicates are dropped.
         """
-        s = self.spec
-        y = np.column_stack([self.cols[s.outcome_col][idx],
-                             self.cols[s.placebo_outcome_col][idx]])
-        beta, _, _ = least_squares(
-            self.cols,
-            (s.treatment_col, s.placebo_treatment_col, *s.covariate_cols),
-            y, idx,
-        )
-        check_placebo_pair(beta[2, 1], s.beta_np_long)
+        y = np.column_stack([self.cols[name][idx] for name in self.responses])
+        return self._read(least_squares(self.cols, self.design, y, idx)[0])
+
+    def gram_quantities(self, cols: ScaledColumns, g):
+        """``quantities`` from ``g = cols.gram(idx)``; may raise GramFallback."""
+        return self._read(
+            gram_least_squares(cols, g, self.design, self.responses)[0])
+
+    def _read(self, beta):
+        check_placebo_pair(beta[2, 1], self.spec.beta_np_long)
         return beta[1, 0], beta[2, 0], beta[1, 1], beta[2, 1]
 
     def estimate(self, q, k_product, beta_nd_long):
@@ -256,11 +287,21 @@ def _run_replicates(task: Callable[[int], None], reps: int,
         list(pool.map(task, range(reps)))
 
 
+def _replicate_quantities(engine, cols: ScaledColumns, idx):
+    """A replicate's quantities from its weighted Gram matrix, or from QR
+    on its rows where the Gram solve might not match QR."""
+    try:
+        return engine.gram_quantities(cols, cols.gram(idx))
+    except GramFallback:
+        return engine.quantities(idx)
+
+
 def _bootstrap_quantities(engine, data: Dataset, cfg: AnalysisConfig):
     """Per-replicate quantity matrix and validity mask."""
     reps = cfg.bootstrap_reps
     members = (None if cfg.cluster_col is None
                else _cluster_index_pool(data, cfg.cluster_col))
+    cols = ScaledColumns(engine.cols)
     out = np.zeros((reps, engine.width))
     valid = np.zeros(reps, dtype=bool)
 
@@ -268,7 +309,7 @@ def _bootstrap_quantities(engine, data: Dataset, cfg: AnalysisConfig):
         rng = _replicate_rng(cfg.seed, rep)
         idx = _replicate_indices(rng, data.n_rows, members)
         try:
-            out[rep] = engine.quantities(idx)
+            out[rep] = _replicate_quantities(engine, cols, idx)
         except _REPLICATE_FAILURES:
             return
         valid[rep] = True

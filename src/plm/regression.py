@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 from .errors import (
     DegenerateResidual,
@@ -35,8 +35,11 @@ from .errors import (
 # The package's tolerances: RANK_TOL bounds the smallest |R_ii| of a design
 # relative to the largest; NEAR_ZERO is the size, relative to the natural
 # scale where one exists, below which a norm, gap, or denominator is zero.
+# GRAM_TOL bounds where a Gram solve is trusted to match QR (see
+# gram_least_squares).
 RANK_TOL = 1e-10
 NEAR_ZERO = 1e-12
+GRAM_TOL = 1e-2
 
 
 class Dataset:
@@ -238,6 +241,91 @@ def least_squares(cols, regressors, y, idx=slice(None)):
         )
     beta = solve_triangular(r, q.T @ y)
     return beta, y - x @ beta, r
+
+
+class GramFallback(Exception):
+    """A Gram solve that might differ from QR; refit the rows with QR."""
+
+
+class ScaledColumns:
+    """An intercept plus named columns, centred and scaled once.
+
+    Each column is centred by its mean and divided by its SD (1 for a
+    constant column) over all rows of ``cols``, so the cross-product matrix
+    of any resample is well scaled whatever the columns' units. ``gram(idx)``
+    is that matrix for rows ``idx``: a resample is the integer row weights
+    ``bincount(idx)``, so no rows are gathered.
+    """
+
+    def __init__(self, cols):
+        names = sorted(cols)  # a fixed layout, whatever the mapping's order
+        self.position = {name: j for j, name in enumerate(names, 1)}
+        self.mean = np.zeros(len(names) + 1)
+        self.scale = np.ones(len(names) + 1)
+        # Stored transposed, (columns, rows): the weighted product is fastest
+        # in this layout. Filled a row at a time, so building it needs no
+        # temporary the size of the data.
+        self.zt = np.empty((len(names) + 1, len(cols[names[0]])))
+        self.zt[0] = 1.0
+        for j, name in enumerate(names, 1):
+            values = cols[name]
+            self.mean[j] = values.mean()
+            sd = values.std()
+            if sd > 0:
+                self.scale[j] = sd
+            np.subtract(values, self.mean[j], out=self.zt[j])
+            self.zt[j] /= self.scale[j]
+
+    def gram(self, idx) -> np.ndarray:
+        w = np.bincount(idx, minlength=self.zt.shape[1])
+        return (self.zt * w) @ self.zt.T
+
+
+def gram_least_squares(cols: ScaledColumns, g: np.ndarray, regressors,
+                       responses):
+    """``least_squares`` from a weighted Gram matrix of ``cols``.
+
+    ``g`` is ``cols.gram(idx)``; ``responses`` name the columns fitted on
+    an intercept plus ``regressors``. Solves the normal equations with a
+    Cholesky factor of the design block and returns (beta, l2, exact) in
+    raw units: beta as ``least_squares`` lays it out, the residual norms
+    sqrt(g[v,v] - g[v,S] beta) and, per response, whether its norm is
+    trusted: its ratio to the response's centred norm (the pivot the
+    response would add to the factor) is above GRAM_TOL, and it is clear
+    of ``guard_residual_norm`` by a factor 1/GRAM_TOL.
+
+    Raises GramFallback unless the coefficients match QR's to rounding:
+    too few rows, a pivot ratio of the factor at or below GRAM_TOL
+    (cond(g) near 1/GRAM_TOL**2; at GRAM_TOL = 1e-2 the coefficients stay
+    within about 1e-10 of QR's, relative to their size or to
+    sd(response) / sd(regressor)), or a raw pivot ratio within a factor
+    1/GRAM_TOL of RANK_TOL (the pivots times the column SDs are QR's
+    |R_ii|). Callers refit those rows with ``least_squares``, which
+    raises what it always did.
+    """
+    s = [0, *(cols.position[name] for name in regressors)]
+    v = [cols.position[name] for name in responses]
+    if g[0, 0] <= len(s):
+        raise GramFallback
+    chol, info = lapack.dpotrf(g[np.ix_(s, s)], lower=1)
+    if info != 0:
+        raise GramFallback
+    pivots = np.diag(chol)
+    raw_pivots = pivots * cols.scale[s]
+    if (pivots.min() <= GRAM_TOL * pivots.max()
+            or raw_pivots.min() <= RANK_TOL / GRAM_TOL * raw_pivots.max()):
+        raise GramFallback
+    g_sv = g[np.ix_(s, v)]
+    b, _ = lapack.dpotrs(chol, g_sv, lower=1)
+    g_vv = g[v, v]
+    r2 = g_vv - np.einsum("ij,ij->j", g_sv, b)
+    m = cols.mean[v] / cols.scale[v]
+    uncentred = g_vv + 2.0 * m * g[0, v] + m * m * g[0, 0]
+    exact = ((r2 > GRAM_TOL**2 * g_vv)
+             & (r2 > (NEAR_ZERO / GRAM_TOL) ** 2 * uncentred))
+    beta = b * (cols.scale[v] / cols.scale[s][:, None])
+    beta[0] += cols.mean[v] - cols.mean[s] @ beta
+    return beta, cols.scale[v] * np.sqrt(np.maximum(r2, 0.0)), exact
 
 
 def guard_residual_norm(l2: float, values: np.ndarray, variable: str,

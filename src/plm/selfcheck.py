@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjust import PlaceboSpec, dispatch_case
+from .adjust import PlaceboSpec, ShortCoefficients, dispatch_case
 from .double import (DoublePlaceboPoint, adjust_double_placebo,
                      fit_double_shorts, point_identify_double_placebo)
 from .errors import MediatorCautionWarning, ScaleConfusionWarning
@@ -138,11 +138,12 @@ def recovery_error(graph_case: str, role: str, spec_kwargs: dict,
         warnings.simplefilter("ignore", MediatorCautionWarning)
         warnings.simplefilter("ignore", ScaleConfusionWarning)
         case = dispatch_case(spec)
-        coefs = case.fit_coefficients(data)
-        sf = case.sf(data)
+        short_target, placebo, sf = case.quantities(data)
         target, direct, bias_t, bias_p = _oracle_quantities(role, data, x, z)
         k_exact = bias_t / (bias_p * sf)
-        adjusted = case.adjust(coefs, k_exact, direct, sf)
+        adjusted = case.adjust(ShortCoefficients(float(short_target),
+                                                 float(placebo)),
+                               k_exact, direct, sf)
     return abs(adjusted - target) / max(1.0, abs(target))
 
 

@@ -168,6 +168,37 @@ def test_contour_config_writes_csv_json_svg(tmp_path, capsys):
     assert cli_main(["table", "--config", str(config)]) == 2
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("bootstrap", {"reps": "abc"}, "bootstrap.reps"),
+    ("ci_level", "x", "ci_level"),
+    ("edges", [1], "edges"),
+    ("outputs", {"table": 5}, "outputs.table"),
+    ("bootstrap", {"seed": 1.5}, "bootstrap.seed"),
+    ("bootstrap", {"reps": 2.7}, "bootstrap.reps"),
+    ("bootstrap", {"reps": True}, "bootstrap.reps"),
+    ("covariates", "X", "covariates"),
+])
+def test_malformed_config_value_exits_two(tmp_path, capsys, key, value,
+                                          message):
+    # Each used to be truncated, iterated character by character, or to
+    # escape as a ValueError/TypeError traceback.
+    _data_csv(tmp_path)
+    raw = {
+        "data_path": "data.csv",
+        "outcome": "Y", "treatment": "D", "placebo": "P",
+        "role": "placebo_outcome",
+        "edges": {"d_to_p": True},
+        "bootstrap": {"reps": 20, "seed": 1},
+        "outputs": {"table": "table.csv"},
+        key: value,
+    }
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli_main(["table", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "table.csv").exists()
+
+
 def test_line_multiple_fixed_positions(tmp_path, capsys):
     data_path = _data_csv(tmp_path)
     out = tmp_path / "line.csv"

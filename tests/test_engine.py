@@ -4,13 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from plm.adjust import PlaceboSpec, dispatch_case
+from plm.adjust import _ROLE_TABLE, ROLES, PlaceboSpec, dispatch_case
 from plm.double import DoublePlaceboSpec, fit_double_shorts, \
     point_identify_double_placebo
 from plm.engine import (
     AnalysisConfig,
+    _build_engine,
     _cluster_index_pool,
+    _replicate_quantities,
     _replicate_indices,
     _replicate_rng,
     bootstrap,
@@ -25,10 +28,11 @@ from plm.errors import (
     DenominatorNearZero,
     MediatorCautionWarning,
     NonpositiveScale,
+    NumericError,
     ScaleConfusionWarning,
     TooFewRows,
 )
-from plm.regression import Dataset
+from plm.regression import Dataset, GramFallback, ScaledColumns
 from plm.selfcheck import random_recipe
 from plm.simulate import SCMRecipe, simulate_scm
 
@@ -370,3 +374,149 @@ def test_short_cluster_replicate_is_dropped():
     assert short > 0
     table = run_table(data, cfg)
     assert table.metadata["bootstrap_failures"] == short
+
+
+def _earnings_data(seed, n, collinearity=1.0, placebo_noise=3000.0,
+                   clusters=0):
+    """Earnings-scale columns: Y, P and N have means about 1e4.
+
+    X2 is X1 plus ``collinearity`` times its SD in noise, and P is linear
+    in D and X1 up to ``placebo_noise`` (SD) of confounder and noise, so
+    small values of either make a design or a residual nearly degenerate.
+    """
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=n)
+    x1 = 25.0 + 7.0 * rng.normal(size=n)
+    x2 = x1 + collinearity * 7.0 * rng.normal(size=n)
+    d = (0.8 * z + rng.normal(size=n) > 0.3).astype(float)
+    p = (1e4 + 400.0 * d + 50.0 * x1
+         + placebo_noise * (0.6 * z + 0.8 * rng.normal(size=n)))
+    placebo_n = 1e4 + 1500.0 * z + 40.0 * x2 + 2500.0 * rng.normal(size=n)
+    y = (1e4 + 1000.0 * d + 2500.0 * z + 60.0 * x1 + 0.3 * p
+         + 4000.0 * rng.normal(size=n))
+    return Dataset({"Y": y, "D": d, "P": p, "N": placebo_n, "X1": x1,
+                    "X2": x2, "C": rng.integers(0, max(clusters, 1), n)})
+
+
+_ROLE_EDGES = {"observed_confounder_1": {"edge_p_to_y": True},
+               "mediator": {"edge_d_to_p": True, "edge_p_to_y": True,
+                            "acknowledge_mediator": True}}
+
+
+def _role_spec(role, covariates=("X1", "X2")):
+    if role == "double_placebo":
+        return DoublePlaceboSpec(outcome_col="Y", treatment_col="D",
+                                 placebo_treatment_col="P",
+                                 placebo_outcome_col="N",
+                                 covariate_cols=covariates)
+    return PlaceboSpec(outcome_col="Y", treatment_col="D", placebo_col="P",
+                       role=role, covariate_cols=covariates,
+                       **_ROLE_EDGES.get(role, {}))
+
+
+# Distinct designs each role fits: the QRs of one full-sample evaluation.
+_DESIGNS = {"placebo_outcome": 1, "placebo_treatment": 3,
+            "observed_confounder_1": 4, "observed_confounder_2": 3,
+            "mediator": 3, "post_outcome": 3, "double_placebo": 1}
+
+
+@pytest.mark.parametrize("role", [*ROLES, "double_placebo"])
+def test_bootstrap_replicates_run_no_qr(monkeypatch, role):
+    # On well-conditioned data every replicate is fitted from its weighted
+    # Gram matrix: the QR count is the full sample's, whatever the reps.
+    data = _earnings_data(seed=3, n=400)
+    qr = np.linalg.qr
+    calls = []
+
+    def counting_qr(a, *args, **kwargs):
+        calls.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    counts = []
+    for reps in (20, 200):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MediatorCautionWarning)
+            table = run_table(data, AnalysisConfig(spec=_role_spec(role),
+                                                   bootstrap_reps=reps,
+                                                   seed=1))
+        assert table.metadata["bootstrap_failures"] == 0
+        counts.append(len(calls))
+    assert counts == [_DESIGNS[role]] * 2
+
+
+def _natural_scales(role, data):
+    """sd(response) / sd(regressor) of each coefficient a role reads."""
+    sd = {name: np.std(data[name]) for name in data.names}
+    if role == "double_placebo":
+        pairs = (("Y", "D"), ("Y", "P"), ("N", "D"), ("N", "P"))
+        return np.array([sd[a] / sd[b] for a, b in pairs])
+    names = {"y": "Y", "d": "D", "p": "P"}
+    row = _ROLE_TABLE[role]
+    coefficient = [sd[names[response]] / sd[names[column]]
+                   for response, _, column in (row.target, row.placebo)]
+    return np.array([*coefficient, 0.0])
+
+
+def _replicate_both_ways(data, role, seed, rep, clusters):
+    """(QR, Gram-or-fallback, fell back) quantities of one replicate; an
+    error stands in for the quantities of a path that raises it."""
+    engine = _build_engine(data, AnalysisConfig(spec=_role_spec(role)))
+    members = _cluster_index_pool(data, "C") if clusters else None
+    idx = _replicate_indices(_replicate_rng(seed, rep), data.n_rows, members)
+    cols = ScaledColumns(engine.cols)
+    results = []
+    for fit in (engine.quantities, lambda i: _replicate_quantities(
+            engine, cols, i)):
+        try:
+            results.append(np.array(fit(idx)))
+        except (NumericError, TooFewRows) as exc:
+            results.append(type(exc))
+    try:
+        engine.gram_quantities(cols, cols.gram(idx))
+        fell_back = False
+    except GramFallback:
+        fell_back = True
+    except (NumericError, TooFewRows):
+        fell_back = False
+    return (*results, fell_back, data.take(idx))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(30, 400),
+       log_collinearity=st.floats(-4.0, 1.0),
+       log_placebo_noise=st.floats(-2.0, 4.0),
+       role=st.sampled_from([*ROLES, "double_placebo"]),
+       clusters=st.sampled_from([0, 15]), rep=st.integers(0, 10_000))
+def test_gram_replicates_match_qr(seed, n, log_collinearity,
+                                  log_placebo_noise, role, clusters, rep):
+    data = _earnings_data(seed, n, 10.0**log_collinearity,
+                          10.0**log_placebo_noise, clusters)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MediatorCautionWarning)
+        want, got, fell_back, rows = _replicate_both_ways(
+            data, role, seed, rep, clusters)
+    if isinstance(want, type) or isinstance(got, type) or fell_back:
+        # Refitted by QR: the same numbers, or the same error, exactly.
+        assert got is want or np.array_equal(got, want)
+        return
+    # To 1e-9 of each coefficient or of its natural scale, and of SF.
+    scale = np.maximum(np.abs(want), _natural_scales(role, rows))
+    assert np.all(np.abs(got - want) <= 1e-9 * scale), (got, want)
+
+
+@pytest.mark.parametrize("clusters", [0, 15])
+@pytest.mark.parametrize("role, kwargs", [
+    # X2 within 1e-4 SD of X1: pivot ratio far below GRAM_TOL.
+    ("placebo_treatment", {"collinearity": 1e-4}),
+    ("double_placebo", {"collinearity": 1e-4}),
+    # P within 1e-3 of D and X1: a norm SF reads lost to cancellation.
+    ("placebo_outcome", {"placebo_noise": 1e-3}),
+])
+def test_untrusted_gram_replicate_is_refitted_by_qr(role, kwargs, clusters):
+    data = _earnings_data(seed=5, n=300, clusters=clusters, **kwargs)
+    want, got, fell_back, _ = _replicate_both_ways(data, role, 5, 0,
+                                                   clusters)
+    assert fell_back
+    assert np.array_equal(got, want)
