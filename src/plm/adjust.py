@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,36 +155,6 @@ class ShortCoefficients(NamedTuple):
     placebo: float
 
 
-@dataclass(frozen=True)
-class CaseFormula:
-    """One taxonomy case, resolved against concrete column names.
-
-    ``short_regressions`` lists the (response, regressors) pairs the two
-    coefficients come from; ``sf`` maps a dataset to the case's positive
-    scale factor; ``adjust`` maps (coefs, k, direct_effect, sf) to the
-    adjusted estimate; ``fit_coefficients`` extracts the ShortCoefficients
-    from a dataset. ``quantities(cols, idx)`` evaluates (target, placebo,
-    SF) on rows ``idx`` of a mapping of named columns with one QR per
-    design; the other two readers and the full-sample fits call it.
-    ``gram_quantities(cols, g)`` evaluates the same triple from a weighted
-    Gram matrix of ``ScaledColumns`` and serves the bootstrap replicates.
-    ``alternatives`` names other roles compatible with the declared edges and
-    ``cautions`` carries flags (for example for the mediator case) that
-    result tables propagate into their metadata.
-    """
-
-    role: str
-    short_regressions: tuple[tuple[str, tuple[str, ...]], ...]
-    sf: Callable[[Dataset], float]
-    adjust: Callable[[ShortCoefficients, float, float, float], float]
-    fit_coefficients: Callable[[Dataset], ShortCoefficients]
-    direct_effect_name: str
-    quantities: Callable[..., tuple[float, float, float]]
-    gram_quantities: Callable[..., tuple[float, float, float]]
-    alternatives: tuple[str, ...] = ()
-    cautions: tuple[str, ...] = ()
-
-
 def _check_sf(sf: float) -> None:
     if not np.isfinite(sf) or sf <= 0:
         raise NonpositiveScale(f"scale factor must be positive, got {sf}")
@@ -205,95 +175,6 @@ def k_from_m(m: float, sf: float) -> float:
     """Convert a raw bias ratio m to the scale-free k = m / SF."""
     _check_sf(sf)
     return m / sf
-
-
-class _Plan:
-    """A role resolved against column names, ready to evaluate.
-
-    ``designs`` holds each distinct regressor tuple once and ``responses``
-    the responses fitted on it, both in order of first use, so a design
-    costs one solve per evaluation: a QR of the rows, or a Cholesky factor
-    of a Gram block. ``target`` and ``placebo`` are (design,
-    response, beta row) indices; ``norms`` lists the (design, response)
-    residuals SF reads and ``sf`` each ratio's (numerator, denominator)
-    positions in ``norms``.
-    """
-
-    def __init__(self, role: _Role, names: dict[str, str], x: tuple[str, ...]):
-        designs: list[tuple[str, ...]] = []
-        responses: list[list[str]] = []
-        norms: list[tuple[int, int]] = []
-
-        def locate(response, regressors):
-            regressors = (*(names[c] for c in regressors), *x)
-            if regressors not in designs:
-                designs.append(regressors)
-                responses.append([])
-            i = designs.index(regressors)
-            if names[response] not in responses[i]:
-                responses[i].append(names[response])
-            return i, responses[i].index(names[response])
-
-        def coefficient(response, regressors, column):
-            i, j = locate(response, regressors)
-            return i, j, 1 + designs[i].index(names[column])
-
-        def norm(variable, controls):
-            key = locate(variable, controls)
-            if key not in norms:
-                norms.append(key)
-            return norms.index(key)
-
-        self.target = coefficient(*role.target)
-        self.placebo = coefficient(*role.placebo)
-        self.sf = tuple((norm(num, num_c), norm(den, den_c))
-                        for num, num_c, den, den_c in role.sf)
-        self.norms = tuple(norms)
-        self.designs = tuple(designs)
-        self.responses = tuple(map(tuple, responses))
-
-    def quantities(self, cols, idx=slice(None)):
-        """(target, placebo, SF) on rows ``idx``, one QR per design."""
-        fits = []
-        for regressors, responses in zip(self.designs, self.responses):
-            y = np.column_stack([cols[name][idx] for name in responses])
-            beta, resid, _ = least_squares(cols, regressors, y, idx)
-            fits.append((beta, np.linalg.norm(resid, axis=0), y))
-
-        def norm(i, j):
-            return guard_residual_norm(fits[i][1][j], fits[i][2][:, j],
-                                       self.responses[i][j], self.designs[i])
-
-        return self._assemble([beta for beta, _, _ in fits], norm)
-
-    def gram_quantities(self, cols: ScaledColumns, g):
-        """(target, placebo, SF) from ``g = cols.gram(idx)``, no QR.
-
-        Raises GramFallback where the result might differ from
-        ``quantities(cols, idx)``, including where a norm SF reads is not
-        clear of cancellation or of the residual guard.
-        """
-        fits = [gram_least_squares(cols, g, regressors, responses)
-                for regressors, responses in zip(self.designs,
-                                                 self.responses)]
-
-        def norm(i, j):
-            _, l2, exact = fits[i]
-            if not exact[j]:
-                raise GramFallback
-            return float(l2[j])
-
-        return self._assemble([beta for beta, _, _ in fits], norm)
-
-    def _assemble(self, betas, norm):
-        """(target, placebo, SF) from each design's betas; ``norm(i, j)``
-        is the checked residual norm of response j on design i."""
-        norms = [norm(i, j) for i, j in self.norms]
-        sf = 1.0
-        for num, den in self.sf:
-            sf *= norms[num] / norms[den]
-        (ti, tj, tr), (pi, pj, pr) = self.target, self.placebo
-        return betas[ti][tr, tj], betas[pi][pr, pj], sf
 
 
 def _role_consistency(spec: PlaceboSpec) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -370,31 +251,127 @@ def _role_consistency(spec: PlaceboSpec) -> tuple[tuple[str, ...], tuple[str, ..
     return (), ()
 
 
-def dispatch_case(spec: PlaceboSpec) -> CaseFormula:
-    """Resolve a PlaceboSpec to its case formula.
+class CaseFormula:
+    """One taxonomy case, resolved against concrete column names.
 
-    The declared role wins whenever several roles fit the declared edges;
-    the other compatible roles are listed in ``alternatives``. Raises
-    AmbiguousSpec when the role contradicts the edges and UnsupportedCase
-    for the gated mediator role without its acknowledgment flag.
+    ``short_regressions`` lists the (response, regressors) pairs the two
+    coefficients come from. ``quantities(cols, idx)`` evaluates (target,
+    placebo, SF) on rows ``idx`` of a mapping of named columns with one QR
+    per design; ``fit_coefficients`` (the ShortCoefficients) and ``sf``
+    (the positive scale factor) read it on a whole dataset.
+    ``gram_quantities(cols, g)`` evaluates the same triple from a weighted
+    Gram matrix of ``ScaledColumns`` and serves the bootstrap replicates.
+    ``adjust(coefs, k, direct_effect, sf)`` is the adjusted estimate.
+    ``alternatives`` names other roles compatible with the declared edges
+    and ``cautions`` carries flags (for example for the mediator case) that
+    result tables propagate into their metadata.
+
+    The plan behind these: ``designs`` holds each distinct regressor tuple
+    once and ``responses`` the responses fitted on it, both in order of
+    first use, so a design costs one solve per evaluation: a QR of the
+    rows, or a Cholesky factor of a Gram block. ``target`` and ``placebo``
+    are (design, response, beta row) indices; ``norms`` lists the (design,
+    response) residuals SF reads and ``sf_ratios`` each ratio's
+    (numerator, denominator) positions in ``norms``.
     """
-    alternatives, cautions = _role_consistency(spec)
-    role = _ROLE_TABLE[spec.role]
-    names = {"y": spec.outcome_col, "d": spec.treatment_col,
-             "p": spec.placebo_col}
-    plan = _Plan(role, names, spec.covariate_cols)
 
-    def fit_coefficients(data: Dataset) -> ShortCoefficients:
-        target, placebo, _ = plan.quantities(data)
+    def __init__(self, spec: PlaceboSpec):
+        self.alternatives, self.cautions = _role_consistency(spec)
+        role = _ROLE_TABLE[spec.role]
+        self.role = spec.role
+        self.direct_effect_name = role.direct_effect_name
+        names = {"y": spec.outcome_col, "d": spec.treatment_col,
+                 "p": spec.placebo_col}
+        x = spec.covariate_cols
+        designs: list[tuple[str, ...]] = []
+        responses: list[list[str]] = []
+        norms: list[tuple[int, int]] = []
+
+        def locate(response, regressors):
+            regressors = (*(names[c] for c in regressors), *x)
+            if regressors not in designs:
+                designs.append(regressors)
+                responses.append([])
+            i = designs.index(regressors)
+            if names[response] not in responses[i]:
+                responses[i].append(names[response])
+            return i, responses[i].index(names[response])
+
+        def coefficient(response, regressors, column):
+            i, j = locate(response, regressors)
+            return i, j, 1 + designs[i].index(names[column])
+
+        def norm(variable, controls):
+            key = locate(variable, controls)
+            if key not in norms:
+                norms.append(key)
+            return norms.index(key)
+
+        self.target = coefficient(*role.target)
+        self.placebo = coefficient(*role.placebo)
+        self.sf_ratios = tuple((norm(num, num_c), norm(den, den_c))
+                               for num, num_c, den, den_c in role.sf)
+        self.norms = tuple(norms)
+        self.designs = tuple(designs)
+        self.responses = tuple(map(tuple, responses))
+        self.short_regressions = tuple(dict.fromkeys(
+            (self.responses[i][j], self.designs[i])
+            for i, j, _ in (self.target, self.placebo)))
+
+    def quantities(self, cols, idx=slice(None)):
+        """(target, placebo, SF) on rows ``idx``, one QR per design."""
+        fits = []
+        for regressors, responses in zip(self.designs, self.responses):
+            y = np.column_stack([cols[name][idx] for name in responses])
+            beta, resid, _ = least_squares(cols, regressors, y, idx)
+            fits.append((beta, np.linalg.norm(resid, axis=0), y))
+
+        def norm(i, j):
+            return guard_residual_norm(fits[i][1][j], fits[i][2][:, j],
+                                       self.responses[i][j], self.designs[i])
+
+        return self._assemble([beta for beta, _, _ in fits], norm)
+
+    def gram_quantities(self, cols: ScaledColumns, g):
+        """(target, placebo, SF) from ``g = cols.gram(idx)``, no QR.
+
+        Raises GramFallback where the result might differ from
+        ``quantities(cols, idx)``, including where a norm SF reads is not
+        clear of cancellation or of the residual guard.
+        """
+        fits = [gram_least_squares(cols, g, regressors, responses)
+                for regressors, responses in zip(self.designs,
+                                                 self.responses)]
+
+        def norm(i, j):
+            _, l2, exact = fits[i]
+            if not exact[j]:
+                raise GramFallback
+            return float(l2[j])
+
+        return self._assemble([beta for beta, _, _ in fits], norm)
+
+    def _assemble(self, betas, norm):
+        """(target, placebo, SF) from each design's betas; ``norm(i, j)``
+        is the checked residual norm of response j on design i."""
+        norms = [norm(i, j) for i, j in self.norms]
+        sf = 1.0
+        for num, den in self.sf_ratios:
+            sf *= norms[num] / norms[den]
+        (ti, tj, tr), (pi, pj, pr) = self.target, self.placebo
+        return betas[ti][tr, tj], betas[pi][pr, pj], sf
+
+    def fit_coefficients(self, data: Dataset) -> ShortCoefficients:
+        target, placebo, _ = self.quantities(data)
         return ShortCoefficients(target=float(target), placebo=float(placebo))
 
-    def sf(data: Dataset) -> float:
-        return plan.quantities(data)[2]
+    def sf(self, data: Dataset) -> float:
+        return self.quantities(data)[2]
 
-    def adjust(coefs: ShortCoefficients, k: float, direct_effect: float,
-               sf_value: float) -> float:
+    def adjust(self, coefs: ShortCoefficients, k: float, direct_effect: float,
+               sf: float) -> float:
         SensitivityPoint(k=k, direct_effect=direct_effect)  # finite check
-        if spec.role == "mediator":
+        if self.role == "mediator":
             warnings.warn(
                 "mediator-case adjustment: the sensitivity parameter "
                 "conflates causal and confounding channels; interpret with "
@@ -402,7 +379,7 @@ def dispatch_case(spec: PlaceboSpec) -> CaseFormula:
                 MediatorCautionWarning,
                 stacklevel=2,
             )
-        _check_sf(sf_value)
+        _check_sf(sf)
         if abs(k) > LARGE_K:
             warnings.warn(
                 f"|k| = {abs(k):.3g} exceeds {LARGE_K:g}; k is scale-free, "
@@ -411,24 +388,18 @@ def dispatch_case(spec: PlaceboSpec) -> CaseFormula:
                 ScaleConfusionWarning,
                 stacklevel=2,
             )
-        return ovb_estimate(coefs.target, coefs.placebo, k, direct_effect,
-                            sf_value)
+        return ovb_estimate(coefs.target, coefs.placebo, k, direct_effect, sf)
 
-    pairs = (plan.target, plan.placebo)
-    return CaseFormula(
-        role=spec.role,
-        short_regressions=tuple(dict.fromkeys(
-            (plan.responses[i][j], plan.designs[i]) for i, j, _ in pairs)),
-        sf=sf,
-        adjust=adjust,
-        fit_coefficients=fit_coefficients,
-        direct_effect_name=role.direct_effect_name,
-        quantities=plan.quantities,
-        gram_quantities=plan.gram_quantities,
-        alternatives=alternatives,
-        cautions=cautions,
-    )
 
+def dispatch_case(spec: PlaceboSpec) -> CaseFormula:
+    """Resolve a PlaceboSpec to its case formula.
+
+    The declared role wins whenever several roles fit the declared edges;
+    the other compatible roles are listed in ``alternatives``. Raises
+    AmbiguousSpec when the role contradicts the edges and UnsupportedCase
+    for the gated mediator role without its acknowledgment flag.
+    """
+    return CaseFormula(spec)
 
 def scale_factor(case: CaseFormula, data: Dataset) -> float:
     """Evaluate the case's scale factor on a dataset."""

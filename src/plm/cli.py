@@ -92,9 +92,6 @@ def _analysis_parent() -> argparse.ArgumentParser:
     data.add_argument("--out", metavar="PATH", help="output file")
     data.add_argument("--svg", metavar="PATH", help="also render an SVG")
     run = parent.add_argument_group("execution")
-    run.add_argument("--workers", type=int, default=1,
-                     help="bootstrap worker threads (results are "
-                          "identical at any count)")
     run.add_argument("--freeze-sf", action="store_true", default=False,
                      help="hold the scale factor at its full-sample value "
                           "inside the bootstrap")
@@ -258,7 +255,6 @@ def _run_analysis(kind: str, args) -> int:
     else:
         cfg = _run_config_from_flags(kind, args)
     engine_cfg = cfg.analysis_config(
-        workers=args.workers,
         freeze_sf=args.freeze_sf,
         cluster_col=args.cluster,
         seed=_env_seed(),

@@ -20,17 +20,14 @@ below ``GRAM_TOL``, a rank or residual check of QR's too close to call, or
 a norm SF reads lost to cancellation -- is refitted by QR, so the same
 replicates fail, with the same errors, as under QR everywhere.
 
-Each replicate draws its rows from its own ``SeedSequence(spawn_key=rep)``
-and writes its own row of the result, and its Gram matrix and solves
-depend only on those rows, so ``workers`` (threads sharing the replicate
-loop) changes which thread fits a replicate, never its numbers: output
-bytes are the same for any worker count.
+One serial loop, ``_replicates``, runs every bootstrap: replicate ``rep``
+draws its rows from its own ``SeedSequence(spawn_key=rep)``, and its
+numbers depend only on those rows, so reruns give the same output bytes.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -51,6 +48,7 @@ from .double import (
 from .errors import (
     BootstrapDegenerate,
     ConfigError,
+    DataError,
     NonpositiveScale,
     NumericError,
     ScaleConfusionWarning,
@@ -78,7 +76,8 @@ class AnalysisConfig:
     case-specific direct-effect coefficient (the treatment-to-placebo-
     outcome direct link for double-placebo specs). ``freeze_sf`` holds the
     scale factor at its full-sample value inside bootstrap replicates
-    instead of re-estimating it. ``cluster_col`` switches the bootstrap to
+    instead of re-estimating it; double-placebo specs have no scale factor
+    and refuse it. ``cluster_col`` switches the bootstrap to
     resampling whole clusters.
     """
 
@@ -89,7 +88,6 @@ class AnalysisConfig:
     bootstrap_reps: int = 1000
     seed: int = 0
     ci_level: float = 0.95
-    workers: int = 1
     freeze_sf: bool = False
     cluster_col: str | None = None
 
@@ -109,8 +107,10 @@ class AnalysisConfig:
             raise ConfigError("bootstrap_reps must be at least 2")
         if not 0.0 < self.ci_level < 1.0:
             raise ConfigError("ci_level must sit strictly between 0 and 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+        if self.freeze_sf and isinstance(self.spec, DoublePlaceboSpec):
+            raise ConfigError(
+                "freeze_sf needs a scale factor; double-placebo specs have "
+                "none")
 
 
 class TableRow(NamedTuple):
@@ -171,8 +171,6 @@ def standard_did_k(sf: float) -> float:
 class _SingleEngine:
     """Per-replicate quantities (target, placebo, SF) for a placebo spec."""
 
-    width = 3
-
     def __init__(self, data: Dataset, spec: PlaceboSpec):
         self.case = dispatch_case(spec)
         self.spec = spec
@@ -194,8 +192,6 @@ class _SingleEngine:
 
 class _DoubleEngine:
     """Per-replicate short coefficients for a double-placebo spec."""
-
-    width = 4
 
     def __init__(self, data: Dataset, spec: DoublePlaceboSpec):
         self.spec = spec
@@ -255,11 +251,16 @@ def _warn_on_ranges(cfg: AnalysisConfig) -> None:
 
 
 def _cluster_index_pool(data: Dataset, cluster_col: str):
-    ids = data[cluster_col]
-    _, inverse = np.unique(ids, return_inverse=True)
+    """Row numbers of each cluster, clusters in sorted id order."""
+    _, inverse = np.unique(data[cluster_col], return_inverse=True)
     n_clusters = int(inverse.max()) + 1
-    members = [np.flatnonzero(inverse == c) for c in range(n_clusters)]
-    return members
+    if n_clusters < 2:
+        # Every resample would be the full sample: a zero-width interval.
+        raise DataError(
+            f"cluster column {cluster_col!r} holds one cluster; the cluster "
+            "bootstrap needs at least two"
+        )
+    return [np.flatnonzero(inverse == c) for c in range(n_clusters)]
 
 
 def _replicate_indices(rng, n_rows: int, members) -> np.ndarray:
@@ -276,15 +277,33 @@ def _replicate_rng(seed: int, rep: int):
     )
 
 
-def _run_replicates(task: Callable[[int], None], reps: int,
-                    workers: int) -> None:
-    if workers == 1:
-        for rep in range(reps):
-            task(rep)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # list() propagates the first worker exception, if any.
-        list(pool.map(task, range(reps)))
+def _replicates(data: Dataset, cfg: AnalysisConfig,
+                fit: Callable[[np.ndarray], object]):
+    """``fit(idx)`` of every bootstrap replicate that does not fail.
+
+    Returns the array of results, one row per kept replicate in replicate
+    order, and the number of replicates dropped because ``fit`` raised one
+    of ``_REPLICATE_FAILURES``; more than 1 percent dropped raises
+    BootstrapDegenerate.
+    """
+    reps = cfg.bootstrap_reps
+    members = (None if cfg.cluster_col is None
+               else _cluster_index_pool(data, cfg.cluster_col))
+    rows = []
+    for rep in range(reps):
+        idx = _replicate_indices(_replicate_rng(cfg.seed, rep), data.n_rows,
+                                 members)
+        try:
+            rows.append(fit(idx))
+        except _REPLICATE_FAILURES:
+            continue
+    failures = reps - len(rows)
+    if failures > 0.01 * reps:
+        raise BootstrapDegenerate(
+            f"{failures} of {reps} bootstrap replicates failed; the design "
+            "is too close to degenerate for resampling inference"
+        )
+    return np.array(rows, dtype=float), failures
 
 
 def _replicate_quantities(engine, cols: ScaledColumns, idx):
@@ -296,35 +315,14 @@ def _replicate_quantities(engine, cols: ScaledColumns, idx):
         return engine.quantities(idx)
 
 
-def _bootstrap_quantities(engine, data: Dataset, cfg: AnalysisConfig):
-    """Per-replicate quantity matrix and validity mask."""
-    reps = cfg.bootstrap_reps
-    members = (None if cfg.cluster_col is None
-               else _cluster_index_pool(data, cfg.cluster_col))
+def _bootstrap_quantities(engine, data: Dataset, cfg: AnalysisConfig,
+                          q_full):
+    """Per-replicate quantity rows and the dropped-replicate count;
+    ``freeze_sf`` pins each row's SF to the full sample's ``q_full``."""
     cols = ScaledColumns(engine.cols)
-    out = np.zeros((reps, engine.width))
-    valid = np.zeros(reps, dtype=bool)
-
-    def task(rep: int) -> None:
-        rng = _replicate_rng(cfg.seed, rep)
-        idx = _replicate_indices(rng, data.n_rows, members)
-        try:
-            out[rep] = _replicate_quantities(engine, cols, idx)
-        except _REPLICATE_FAILURES:
-            return
-        valid[rep] = True
-
-    _run_replicates(task, reps, cfg.workers)
-    failures = reps - int(valid.sum())
-    if failures > 0.01 * reps:
-        raise BootstrapDegenerate(
-            f"{failures} of {reps} bootstrap replicates failed; the design "
-            "is too close to degenerate for resampling inference"
-        )
-    q_rows = out[valid]
-    if cfg.freeze_sf and isinstance(engine, _SingleEngine):
-        q_full = engine.quantities(slice(None))
-        q_rows = q_rows.copy()
+    q_rows, failures = _replicates(
+        data, cfg, lambda idx: _replicate_quantities(engine, cols, idx))
+    if cfg.freeze_sf:
         q_rows[:, 2] = q_full[2]
     return q_rows, failures
 
@@ -349,7 +347,9 @@ def _axis_lattice(bounds: tuple[float, float], g: int) -> np.ndarray:
     return np.linspace(lo, hi, g)
 
 
-def _base_metadata(engine, data: Dataset, cfg: AnalysisConfig) -> dict:
+def _metadata(engine, data: Dataset, cfg: AnalysisConfig, q_full,
+              failures: int | None = None) -> dict:
+    """Run description; ``failures`` is given by the bootstrap runners."""
     meta = {"n_rows": data.n_rows, "seed": cfg.seed}
     if isinstance(engine, _SingleEngine):
         case = engine.case
@@ -358,6 +358,7 @@ def _base_metadata(engine, data: Dataset, cfg: AnalysisConfig) -> dict:
             direct_effect_name=case.direct_effect_name,
             alternatives=case.alternatives,
             cautions=case.cautions,
+            scale_factor=float(q_full[2]),
         )
     else:
         meta.update(
@@ -367,6 +368,14 @@ def _base_metadata(engine, data: Dataset, cfg: AnalysisConfig) -> dict:
             cautions=(),
             beta_yp_long=engine.spec.beta_yp_long,
             beta_np_long=engine.spec.beta_np_long,
+        )
+    if failures is not None:
+        meta.update(
+            bootstrap_reps=cfg.bootstrap_reps,
+            bootstrap_failures=failures,
+            ci_level=cfg.ci_level,
+            freeze_sf=cfg.freeze_sf,
+            cluster_col=cfg.cluster_col,
         )
     return meta
 
@@ -401,7 +410,7 @@ def run_table(data: Dataset, cfg: AnalysisConfig) -> ResultTable:
         for k in k_values
         for dv in direct_values
     ]
-    q_rows, failures = _bootstrap_quantities(engine, data, cfg)
+    q_rows, failures = _bootstrap_quantities(engine, data, cfg, q_full)
     rows = []
     for label, k, dv in points:
         est = float(engine.estimate(q_full, k, dv))
@@ -416,17 +425,9 @@ def run_table(data: Dataset, cfg: AnalysisConfig) -> ResultTable:
             ci_low=float(lo),
             ci_high=float(hi),
         ))
-    meta = _base_metadata(engine, data, cfg)
-    meta.update(
-        bootstrap_reps=cfg.bootstrap_reps,
-        bootstrap_failures=failures,
-        ci_level=cfg.ci_level,
-        freeze_sf=cfg.freeze_sf,
-        cluster_col=cfg.cluster_col,
-    )
+    meta = _metadata(engine, data, cfg, q_full, failures)
     if isinstance(engine, _SingleEngine):
-        meta.update(scale_factor=sf_full,
-                    standard_did_k=standard_did_k(sf_full))
+        meta.update(standard_did_k=standard_did_k(sf_full))
     return ResultTable(rows=tuple(rows), metadata=meta)
 
 
@@ -446,15 +447,12 @@ def run_contour(data: Dataset, cfg: AnalysisConfig) -> ContourGrid:
         q_full, k_values[:, None], direct_values[None, :]
     )
     contour = _zero_contour(k_values, direct_values, estimates)
-    meta = _base_metadata(engine, data, cfg)
-    if isinstance(engine, _SingleEngine):
-        meta.update(scale_factor=float(q_full[2]))
     return ContourGrid(
         k_values=k_values,
         direct_values=direct_values,
         estimates=estimates,
         zero_contour=tuple(contour),
-        metadata=meta,
+        metadata=_metadata(engine, data, cfg, q_full),
     )
 
 
@@ -483,7 +481,7 @@ def run_line(data: Dataset, cfg: AnalysisConfig, varying: str = "k",
         float(fixed_bounds[0] + f * (fixed_bounds[1] - fixed_bounds[0]))
         for f in fixed_percentiles
     )
-    q_rows, failures = _bootstrap_quantities(engine, data, cfg)
+    q_rows, failures = _bootstrap_quantities(engine, data, cfg, q_full)
     curves = []
     for fv in fixed_values:
         if varying == "k":
@@ -494,21 +492,11 @@ def run_line(data: Dataset, cfg: AnalysisConfig, varying: str = "k",
             draws = engine.estimate(q_rows[None, :, :], fv, axis[:, None])
         lo, hi = _ci_bounds(draws, cfg.ci_level, axis=1)
         curves.append(np.column_stack([axis, est, lo, hi]))
-    meta = _base_metadata(engine, data, cfg)
-    meta.update(
-        bootstrap_reps=cfg.bootstrap_reps,
-        bootstrap_failures=failures,
-        ci_level=cfg.ci_level,
-        freeze_sf=cfg.freeze_sf,
-        cluster_col=cfg.cluster_col,
-    )
-    if isinstance(engine, _SingleEngine):
-        meta.update(scale_factor=float(q_full[2]))
     return LineSlice(
         varying=varying,
         fixed_values=fixed_values,
         curves=tuple(curves),
-        metadata=meta,
+        metadata=_metadata(engine, data, cfg, q_full, failures),
     )
 
 
@@ -520,28 +508,7 @@ def bootstrap(data: Dataset, cfg: AnalysisConfig,
     ``cfg.ci_level``. Replicates where the statistic raises a numeric
     error count as failures, tolerated up to 1 percent.
     """
-    reps = cfg.bootstrap_reps
-    members = (None if cfg.cluster_col is None
-               else _cluster_index_pool(data, cfg.cluster_col))
-    values = np.zeros(reps)
-    valid = np.zeros(reps, dtype=bool)
-
-    def task(rep: int) -> None:
-        rng = _replicate_rng(cfg.seed, rep)
-        idx = _replicate_indices(rng, data.n_rows, members)
-        try:
-            values[rep] = statistic(data.take(idx))
-        except _REPLICATE_FAILURES:
-            return
-        valid[rep] = True
-
-    _run_replicates(task, reps, cfg.workers)
-    failures = reps - int(valid.sum())
-    if failures > 0.01 * reps:
-        raise BootstrapDegenerate(
-            f"{failures} of {reps} bootstrap replicates failed"
-        )
-    draws = values[valid]
+    draws, _ = _replicates(data, cfg, lambda idx: statistic(data.take(idx)))
     lo, hi = _ci_bounds(draws, cfg.ci_level)
     return {"se": float(np.std(draws, ddof=1)),
             "ci": (float(lo), float(hi))}

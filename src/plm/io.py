@@ -169,11 +169,12 @@ def _as_path(base: Path, value, name: str) -> Path:
 
 
 def _as_range(value, name: str) -> tuple[float, float]:
-    try:
-        lo, hi = (float(v) for v in value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a [low, high] pair") from None
-    return lo, hi
+    """A pair of JSON numbers; strings and true/false are refused."""
+    if (not isinstance(value, (list, tuple)) or len(value) != 2
+            or not all(isinstance(v, (int, float))
+                       and not isinstance(v, bool) for v in value)):
+        raise ConfigError(f"{name} must be a [low, high] pair of numbers")
+    return float(value[0]), float(value[1])
 
 
 class RunConfig:
@@ -250,7 +251,7 @@ class RunConfig:
                 )
             self.outputs[key] = target
 
-    def analysis_config(self, workers: int = 1, freeze_sf: bool = False,
+    def analysis_config(self, freeze_sf: bool = False,
                         cluster_col: str | None = None,
                         seed: int | None = None) -> AnalysisConfig:
         """Build the engine configuration, optionally overriding the seed."""
@@ -262,7 +263,6 @@ class RunConfig:
             bootstrap_reps=self.bootstrap_reps,
             seed=self.seed if seed is None else seed,
             ci_level=self.ci_level,
-            workers=workers,
             freeze_sf=freeze_sf,
             cluster_col=cluster_col,
         )

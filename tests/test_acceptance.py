@@ -286,20 +286,18 @@ def test_acceptance_09_byte_identical_outputs(capsys, tmp_path):
                     "line": "line.csv"},
     }), encoding="utf-8")
 
-    def run_all(extra=()):
+    def run_all():
         for kind in ("table", "contour", "line"):
-            assert cli_main([kind, "--config", str(config), *extra]) == 0
+            assert cli_main([kind, "--config", str(config)]) == 0
         return {name: (tmp_path / name).read_bytes()
                 for name in ("table.csv", "contour.csv", "contour.json",
                              "line.csv")}
 
     first = run_all()
     assert run_all() == first
-    assert run_all(("--workers", "4")) == first
     capsys.readouterr()
     _report(capsys, 9, "PASS",
-            "table/contour/line bytes identical across reruns and "
-            "worker counts")
+            "table/contour/line bytes identical across reruns")
 
 
 def test_acceptance_10_bootstrap_calibration(capsys):

@@ -14,6 +14,7 @@ import pytest
 import plm
 from plm.cli import cli_main
 from plm.io import load_csv, read_table_csv, write_dataset_csv
+from plm.regression import Dataset
 from plm.selfcheck import random_recipe
 from plm.simulate import SCMRecipe, simulate_scm
 
@@ -51,7 +52,7 @@ def test_table_flag_form(tmp_path, capsys):
     assert all(label == "Grid" for label in labels[3:])
 
 
-def test_table_config_form_and_worker_invariance(tmp_path):
+def test_table_config_form_reruns_identically(tmp_path):
     _data_csv(tmp_path)
     (tmp_path / "out").mkdir()
     config = tmp_path / "run.json"
@@ -70,9 +71,25 @@ def test_table_config_form_and_worker_invariance(tmp_path):
     first = out.read_bytes()
     assert cli_main(["table", "--config", str(config)]) == 0
     assert out.read_bytes() == first
-    assert cli_main(["table", "--config", str(config),
-                     "--workers", "3"]) == 0
-    assert out.read_bytes() == first
+
+
+def test_retired_workers_flag_exits_two(tmp_path, capsys):
+    data_path = _data_csv(tmp_path)
+    out = tmp_path / "t.csv"
+    assert cli_main(_table_argv(data_path, out, **{"--workers": 2})) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_single_cluster_exits_three(tmp_path, capsys):
+    data = simulate_scm(random_recipe("b", seed=1, n=250))
+    columns = {name: data[name] for name in data.names}
+    data_path = write_dataset_csv(Dataset({**columns, "C": np.zeros(250)}),
+                                  tmp_path / "data.csv")
+    out = tmp_path / "t.csv"
+    assert cli_main(_table_argv(data_path, out, **{"--cluster": "C"})) == 3
+    assert "one cluster" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_clashes_with_flags(tmp_path, capsys):
@@ -177,6 +194,9 @@ def test_contour_config_writes_csv_json_svg(tmp_path, capsys):
     ("bootstrap", {"reps": 2.7}, "bootstrap.reps"),
     ("bootstrap", {"reps": True}, "bootstrap.reps"),
     ("covariates", "X", "covariates"),
+    ("k", ["1", 2], "k must be"),
+    ("k", [True, 2], "k must be"),
+    ("direct", [-1.0, False], "direct must be"),
 ])
 def test_malformed_config_value_exits_two(tmp_path, capsys, key, value,
                                           message):

@@ -25,6 +25,7 @@ from plm.engine import (
 from plm.errors import (
     BootstrapDegenerate,
     ConfigError,
+    DataError,
     DenominatorNearZero,
     MediatorCautionWarning,
     NonpositiveScale,
@@ -125,16 +126,9 @@ def test_identical_runs_are_identical():
     first = run_table(data, cfg)
     second = run_table(data, cfg)
     assert first.rows == second.rows
-
-
-def test_worker_count_does_not_change_results():
-    data = _data()
-    serial = run_table(data, _cfg(workers=1))
-    threaded = run_table(data, _cfg(workers=4))
-    assert serial.rows == threaded.rows
-    line_s = run_line(data, _cfg(workers=1))
-    line_t = run_line(data, _cfg(workers=4))
-    for a, b in zip(line_s.curves, line_t.curves):
+    line_first = run_line(data, cfg)
+    line_second = run_line(data, cfg)
+    for a, b in zip(line_first.curves, line_second.curves):
         np.testing.assert_array_equal(a, b)
 
 
@@ -177,6 +171,17 @@ def test_cluster_bootstrap_widens_se_for_clustered_noise():
         stat,
     )
     assert clustered["se"] > 2.0 * iid["se"]
+
+
+def test_single_cluster_is_a_data_error():
+    # One cluster makes every resample the full sample: SE 0, not an error
+    # estimate, so both bootstrap paths refuse it.
+    data = _noise_data(300, ("Y", "D", "P"), C=np.ones(300))
+    with pytest.raises(DataError, match="one cluster"):
+        run_table(data, _cfg(cluster_col="C"))
+    with pytest.raises(DataError, match="one cluster"):
+        bootstrap(data, AnalysisConfig(cluster_col="C"),
+                  lambda d: float(d["Y"].mean()))
 
 
 def test_bootstrap_degenerate_raises():
@@ -327,8 +332,8 @@ def test_config_validation():
         AnalysisConfig(bootstrap_reps=1)
     with pytest.raises(ConfigError, match="ci_level"):
         AnalysisConfig(ci_level=1.0)
-    with pytest.raises(ConfigError, match="workers"):
-        AnalysisConfig(workers=0)
+    with pytest.raises(ConfigError, match="freeze_sf"):
+        AnalysisConfig(spec=_role_spec("double_placebo"), freeze_sf=True)
     with pytest.raises(ConfigError, match="grid_points"):
         AnalysisConfig(grid_points_per_axis=0)
     with pytest.raises(ConfigError, match="spec"):
