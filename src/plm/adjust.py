@@ -31,7 +31,6 @@ from .errors import (
 )
 from .regression import (
     Dataset,
-    GramFallback,
     ScaledColumns,
     gram_least_squares,
     guard_residual_norm,
@@ -259,8 +258,9 @@ class CaseFormula:
     placebo, SF) on rows ``idx`` of a mapping of named columns with one QR
     per design; ``fit_coefficients`` (the ShortCoefficients) and ``sf``
     (the positive scale factor) read it on a whole dataset.
-    ``gram_quantities(cols, g)`` evaluates the same triple from a weighted
-    Gram matrix of ``ScaledColumns`` and serves the bootstrap replicates.
+    ``gram_quantities(cols, g)`` evaluates the same triple for a whole
+    batch of resamples from their stacked Gram matrices (``ScaledColumns``)
+    and serves the bootstrap replicates.
     ``adjust(coefs, k, direct_effect, sf)`` is the adjusted estimate.
     ``alternatives`` names other roles compatible with the declared edges
     and ``cautions`` carries flags (for example for the mediator case) that
@@ -269,10 +269,10 @@ class CaseFormula:
     The plan behind these: ``designs`` holds each distinct regressor tuple
     once and ``responses`` the responses fitted on it, both in order of
     first use, so a design costs one solve per evaluation: a QR of the
-    rows, or a Cholesky factor of a Gram block. ``target`` and ``placebo``
-    are (design, response, beta row) indices; ``norms`` lists the (design,
-    response) residuals SF reads and ``sf_ratios`` each ratio's
-    (numerator, denominator) positions in ``norms``.
+    rows, or one stacked solve of a batch's Gram blocks. ``target`` and
+    ``placebo`` are (design, response, beta row) indices; ``norms`` lists
+    the (design, response) residuals SF reads and ``sf_ratios`` each
+    ratio's (numerator, denominator) positions in ``norms``.
     """
 
     def __init__(self, spec: PlaceboSpec):
@@ -333,33 +333,30 @@ class CaseFormula:
         return self._assemble([beta for beta, _, _ in fits], norm)
 
     def gram_quantities(self, cols: ScaledColumns, g):
-        """(target, placebo, SF) from ``g = cols.gram(idx)``, no QR.
+        """(target, placebo, SF) rows, (batch, 3), from a stack of Gram
+        matrices ``g = cols.grams(counts)``, no QR.
 
-        Raises GramFallback where the result might differ from
-        ``quantities(cols, idx)``, including where a norm SF reads is not
-        clear of cancellation or of the residual guard.
+        A row holds NaN where it might differ from ``quantities`` on that
+        resample, including where a norm SF reads is not clear of
+        cancellation or of the residual guard (see gram_least_squares).
         """
         fits = [gram_least_squares(cols, g, regressors, responses)
                 for regressors, responses in zip(self.designs,
                                                  self.responses)]
-
-        def norm(i, j):
-            _, l2, exact = fits[i]
-            if not exact[j]:
-                raise GramFallback
-            return float(l2[j])
-
-        return self._assemble([beta for beta, _, _ in fits], norm)
+        return np.stack(self._assemble([beta for beta, _ in fits],
+                                       lambda i, j: fits[i][1][:, j]),
+                        axis=-1)
 
     def _assemble(self, betas, norm):
-        """(target, placebo, SF) from each design's betas; ``norm(i, j)``
-        is the checked residual norm of response j on design i."""
+        """(target, placebo, SF) from each design's betas, one resample's
+        or a stack's; ``norm(i, j)`` is the checked residual norm of
+        response j on design i."""
         norms = [norm(i, j) for i, j in self.norms]
         sf = 1.0
         for num, den in self.sf_ratios:
             sf *= norms[num] / norms[den]
         (ti, tj, tr), (pi, pj, pr) = self.target, self.placebo
-        return betas[ti][tr, tj], betas[pi][pr, pj], sf
+        return betas[ti][..., tr, tj], betas[pi][..., pr, pj], sf
 
     def fit_coefficients(self, data: Dataset) -> ShortCoefficients:
         target, placebo, _ = self.quantities(data)

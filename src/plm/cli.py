@@ -9,6 +9,7 @@ bootstrap seed for table/contour/line runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -192,6 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """This process's one parser, built on first use; parsing never
+    changes it, so each ``cli_main`` call reuses it."""
+    return build_parser()
+
+
 def _given_config_owned(args) -> list[str]:
     given = []
     for dest, flag in _CONFIG_OWNED:
@@ -363,9 +371,8 @@ def _run_verify(args) -> int:
 
 
 def cli_main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage and 0 for --help, matching the
         # exit code contract.

@@ -104,15 +104,20 @@ def fit_double_shorts(data: Dataset, outcome: str, treatment: str,
     )
 
 
-def check_placebo_pair(beta_np: float, beta_np_long: float) -> None:
-    """Raise DenominatorNearZero when ``beta_np - np_long`` vanishes.
+def placebo_pair_vanishes(beta_np, beta_np_long):
+    """Elementwise: whether ``beta_np - np_long`` counts as zero.
 
     The gap counts as zero within NEAR_ZERO of max(1, |beta_np|,
     |np_long|). With no confounding measured between the two placebos the
     double-placebo formula divides by zero and is undefined.
     """
-    scale = max(1.0, abs(beta_np), abs(beta_np_long))
-    if abs(beta_np - beta_np_long) <= NEAR_ZERO * scale:
+    scale = np.maximum(1.0, np.maximum(np.abs(beta_np), abs(beta_np_long)))
+    return np.abs(beta_np - beta_np_long) <= NEAR_ZERO * scale
+
+
+def check_placebo_pair(beta_np: float, beta_np_long: float) -> None:
+    """Raise DenominatorNearZero where ``placebo_pair_vanishes``."""
+    if placebo_pair_vanishes(beta_np, beta_np_long):
         raise DenominatorNearZero(
             "measured placebo-pair coefficient equals its assumed direct "
             "part; the double-placebo adjustment is undefined"

@@ -9,20 +9,31 @@ point, anchor row, and line slice.
 Full-sample quantities come from one QR per design. Bootstrap replicates
 do not refit rows: every coefficient and residual norm a role reads is a
 function of the cross-product (Gram) matrix of an intercept and the
-columns the engine reads, and a resample is the same as integer row
-weights ``bincount(idx)``. So ``_bootstrap_quantities`` centres and scales
-the columns once per run (``regression.ScaledColumns``), and each
-replicate forms its weighted Gram matrix ``Z' diag(w) Z`` with one
-temporary the size of Z and solves each design from a Cholesky factor of its block
-(``regression.gram_least_squares``). A replicate whose Gram solve might
-not match QR to rounding -- too few rows, a Cholesky pivot ratio at or
-below ``GRAM_TOL``, a rank or residual check of QR's too close to call, or
-a norm SF reads lost to cancellation -- is refitted by QR, so the same
-replicates fail, with the same errors, as under QR everywhere.
+columns the engine reads, and a resample is the same as integer counts
+over rows, or over clusters for the cluster bootstrap. So
+``_bootstrap_quantities`` centres and scales the columns once per run
+(``regression.ScaledColumns``) and runs the replicates in batches sized
+by the fixed byte budget ``regression.BATCH_BYTES``. A batch stacks its
+replicates' counts and forms all their Gram matrices with one matrix
+product, against the column-pair products of each row block or, for
+clusters, against each cluster's sums of them, formed once per run. Each
+design is then solved for the whole batch with one stacked Cholesky and
+solve (``regression.gram_least_squares``). A replicate whose Gram solve
+might not match QR to rounding -- too few rows, a Cholesky pivot ratio at
+or below ``GRAM_TOL``, a rank or residual check of QR's too close to call,
+a norm SF reads lost to cancellation, or a double placebo's vanishing
+placebo pair -- comes back as NaN and is refitted by QR, in replicate
+order, so the same replicates fail, with the same errors, as under QR
+everywhere. Where a batch's stacked Cholesky fails, the batch is split in
+halves until the replicate whose design block is not positive definite is
+alone, and that one goes to QR.
 
-One serial loop, ``_replicates``, runs every bootstrap: replicate ``rep``
-draws its rows from its own ``SeedSequence(spawn_key=rep)``, and its
-numbers depend only on those rows, so reruns give the same output bytes.
+Replicate ``rep`` draws its rows from its own ``SeedSequence(spawn_key=rep)``
+and batch sizes depend only on the data's shape and the fixed budget,
+never on timing, so reruns with the same BLAS thread count give the same
+output bytes. The generic
+``bootstrap()`` runs the same draws through one serial loop,
+``_replicates``.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ from .double import (
     DoubleShortFits,
     check_placebo_pair,
     double_placebo_estimate,
+    placebo_pair_vanishes,
 )
 from .errors import (
     BootstrapDegenerate,
@@ -56,7 +68,6 @@ from .errors import (
 )
 from .regression import (
     Dataset,
-    GramFallback,
     ScaledColumns,
     gram_least_squares,
     least_squares,
@@ -208,16 +219,24 @@ class _DoubleEngine:
         equals its assumed direct part, so such replicates are dropped.
         """
         y = np.column_stack([self.cols[name][idx] for name in self.responses])
-        return self._read(least_squares(self.cols, self.design, y, idx)[0])
+        beta = least_squares(self.cols, self.design, y, idx)[0]
+        check_placebo_pair(beta[2, 1], self.spec.beta_np_long)
+        return self._read(beta)
 
     def gram_quantities(self, cols: ScaledColumns, g):
-        """``quantities`` from ``g = cols.gram(idx)``; may raise GramFallback."""
-        return self._read(
-            gram_least_squares(cols, g, self.design, self.responses)[0])
+        """``quantities`` rows, (batch, 4), from ``g = cols.grams(counts)``;
+        NaN rows as in gram_least_squares. A vanishing placebo pair is a
+        NaN row too, so QR decides it and raises as ``quantities`` does."""
+        q = np.stack(self._read(
+            gram_least_squares(cols, g, self.design, self.responses)[0]),
+            axis=-1)
+        q[placebo_pair_vanishes(q[:, 3], self.spec.beta_np_long)] = np.nan
+        return q
 
-    def _read(self, beta):
-        check_placebo_pair(beta[2, 1], self.spec.beta_np_long)
-        return beta[1, 0], beta[2, 0], beta[1, 1], beta[2, 1]
+    @staticmethod
+    def _read(beta):
+        return (beta[..., 1, 0], beta[..., 2, 0], beta[..., 1, 1],
+                beta[..., 2, 1])
 
     def estimate(self, q, k_product, beta_nd_long):
         """Adjusted estimate; q rows are (yd, yp, nd, np) coefficients."""
@@ -264,6 +283,9 @@ def _cluster_index_pool(data: Dataset, cluster_col: str):
 
 
 def _replicate_indices(rng, n_rows: int, members) -> np.ndarray:
+    """A replicate's rows: its first draw picks rows, or whole clusters
+    (``members``), with replacement; ``_replicate_counts`` counts the same
+    draw."""
     if members is None:
         return rng.integers(0, n_rows, n_rows)
     n_clusters = len(members)
@@ -277,26 +299,19 @@ def _replicate_rng(seed: int, rep: int):
     )
 
 
-def _replicates(data: Dataset, cfg: AnalysisConfig,
-                fit: Callable[[np.ndarray], object]):
-    """``fit(idx)`` of every bootstrap replicate that does not fail.
+def _replicate_counts(seed: int, reps, units: int) -> np.ndarray:
+    """(len(reps), units): how often each replicate drew each unit, a row
+    or a cluster, in the draw ``_replicate_indices`` makes."""
+    counts = np.empty((len(reps), units))
+    for i, rep in enumerate(reps):
+        draw = _replicate_rng(seed, rep).integers(0, units, units)
+        counts[i] = np.bincount(draw, minlength=units)
+    return counts
 
-    Returns the array of results, one row per kept replicate in replicate
-    order, and the number of replicates dropped because ``fit`` raised one
-    of ``_REPLICATE_FAILURES``; more than 1 percent dropped raises
-    BootstrapDegenerate.
-    """
-    reps = cfg.bootstrap_reps
-    members = (None if cfg.cluster_col is None
-               else _cluster_index_pool(data, cfg.cluster_col))
-    rows = []
-    for rep in range(reps):
-        idx = _replicate_indices(_replicate_rng(cfg.seed, rep), data.n_rows,
-                                 members)
-        try:
-            rows.append(fit(idx))
-        except _REPLICATE_FAILURES:
-            continue
+
+def _kept(rows, reps: int):
+    """The kept replicates' rows as an array and the number dropped; more
+    than 1 percent dropped raises BootstrapDegenerate."""
     failures = reps - len(rows)
     if failures > 0.01 * reps:
         raise BootstrapDegenerate(
@@ -306,22 +321,73 @@ def _replicates(data: Dataset, cfg: AnalysisConfig,
     return np.array(rows, dtype=float), failures
 
 
-def _replicate_quantities(engine, cols: ScaledColumns, idx):
-    """A replicate's quantities from its weighted Gram matrix, or from QR
-    on its rows where the Gram solve might not match QR."""
+def _replicates(data: Dataset, cfg: AnalysisConfig,
+                fit: Callable[[np.ndarray], object]):
+    """``fit(idx)`` of every bootstrap replicate that does not fail.
+
+    Returns the array of results, one row per kept replicate in replicate
+    order, and the number of replicates dropped because ``fit`` raised one
+    of ``_REPLICATE_FAILURES`` (see ``_kept``).
+    """
+    members = (None if cfg.cluster_col is None
+               else _cluster_index_pool(data, cfg.cluster_col))
+    rows = []
+    for rep in range(cfg.bootstrap_reps):
+        idx = _replicate_indices(_replicate_rng(cfg.seed, rep), data.n_rows,
+                                 members)
+        try:
+            rows.append(fit(idx))
+        except _REPLICATE_FAILURES:
+            continue
+    return _kept(rows, cfg.bootstrap_reps)
+
+
+def _gram_rows(engine, cols: ScaledColumns, g) -> list:
+    """``engine.gram_quantities`` of the Gram stack ``g``, one row per
+    replicate; a row holding NaN is one the Gram solve cannot vouch for.
+
+    Where the stacked Cholesky fails, the stack is split in halves and each
+    retried, so one replicate whose design block is not positive definite
+    costs a few small retries and ends alone as a NaN row, and the rest of
+    its batch keeps the Gram path.
+    """
     try:
-        return engine.gram_quantities(cols, cols.gram(idx))
-    except GramFallback:
-        return engine.quantities(idx)
+        return list(engine.gram_quantities(cols, g))
+    except np.linalg.LinAlgError:
+        if len(g) == 1:
+            return [np.full(1, np.nan)]
+        half = len(g) // 2
+        return (_gram_rows(engine, cols, g[:half])
+                + _gram_rows(engine, cols, g[half:]))
 
 
 def _bootstrap_quantities(engine, data: Dataset, cfg: AnalysisConfig,
                           q_full):
     """Per-replicate quantity rows and the dropped-replicate count;
-    ``freeze_sf`` pins each row's SF to the full sample's ``q_full``."""
-    cols = ScaledColumns(engine.cols)
-    q_rows, failures = _replicates(
-        data, cfg, lambda idx: _replicate_quantities(engine, cols, idx))
+    ``freeze_sf`` pins each row's SF to the full sample's ``q_full``.
+
+    Replicates run in batches of ``cols.batch``, each fitted from one
+    stack of Gram matrices; a row the Gram solve cannot vouch for is
+    refitted by QR on the replicate's rows, in replicate order, and
+    dropped if that raises one of ``_REPLICATE_FAILURES``.
+    """
+    members = (None if cfg.cluster_col is None
+               else _cluster_index_pool(data, cfg.cluster_col))
+    cols = ScaledColumns(engine.cols, members)
+    kept = []
+    for start in range(0, cfg.bootstrap_reps, cols.batch):
+        reps = range(start, min(start + cols.batch, cfg.bootstrap_reps))
+        g = cols.grams(_replicate_counts(cfg.seed, reps, cols.units))
+        for rep, row in zip(reps, _gram_rows(engine, cols, g)):
+            if not np.isfinite(row).all():
+                idx = _replicate_indices(_replicate_rng(cfg.seed, rep),
+                                         data.n_rows, members)
+                try:
+                    row = engine.quantities(idx)
+                except _REPLICATE_FAILURES:
+                    continue
+            kept.append(row)
+    q_rows, failures = _kept(kept, cfg.bootstrap_reps)
     if cfg.freeze_sf:
         q_rows[:, 2] = q_full[2]
     return q_rows, failures

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .errors import (
     DegenerateResidual,
@@ -40,6 +40,10 @@ from .errors import (
 RANK_TOL = 1e-10
 NEAR_ZERO = 1e-12
 GRAM_TOL = 1e-2
+
+# Bytes a batch of bootstrap resamples may hold beyond the stored columns
+# (see ScaledColumns). Fixed, so batch sizes never depend on timing.
+BATCH_BYTES = 8 << 20
 
 
 class Dataset:
@@ -243,27 +247,33 @@ def least_squares(cols, regressors, y, idx=slice(None)):
     return beta, y - x @ beta, r
 
 
-class GramFallback(Exception):
-    """A Gram solve that might differ from QR; refit the rows with QR."""
-
-
 class ScaledColumns:
     """An intercept plus named columns, centred and scaled once.
 
     Each column is centred by its mean and divided by its SD (1 for a
     constant column) over all rows of ``cols``, so the cross-product matrix
-    of any resample is well scaled whatever the columns' units. ``gram(idx)``
-    is that matrix for rows ``idx``: a resample is the integer row weights
-    ``bincount(idx)``, so no rows are gathered.
+    of any resample is well scaled whatever the columns' units. A resample
+    is a vector of counts over units: the rows, or with ``members`` (the
+    row numbers of each group) the groups of rows. ``grams(counts)`` gives
+    the cross-product (Gram) matrices of a batch of resamples, and no rows
+    are gathered.
+
+    Row units: every Gram matrix is ``counts @ P`` for the products P of
+    each column pair at each row, formed in row blocks as the product runs.
+    Group units: each group's sums of those products are formed once here,
+    G rows of q(q+1)/2 values held outside the budget, so a resample costs
+    one small product.
+    ``batch`` is the number of resamples whose counts and Gram matrices
+    fit half of BATCH_BYTES; a row block of P fills the other half.
     """
 
-    def __init__(self, cols):
+    def __init__(self, cols, members=None):
         names = sorted(cols)  # a fixed layout, whatever the mapping's order
         self.position = {name: j for j, name in enumerate(names, 1)}
         self.mean = np.zeros(len(names) + 1)
         self.scale = np.ones(len(names) + 1)
-        # Stored transposed, (columns, rows): the weighted product is fastest
-        # in this layout. Filled a row at a time, so building it needs no
+        # Stored transposed, (columns, rows), so a row block of every column
+        # is contiguous. Filled a row at a time, so building it needs no
         # temporary the size of the data.
         self.zt = np.empty((len(names) + 1, len(cols[names[0]])))
         self.zt[0] = 1.0
@@ -275,57 +285,111 @@ class ScaledColumns:
                 self.scale[j] = sd
             np.subtract(values, self.mean[j], out=self.zt[j])
             self.zt[j] /= self.scale[j]
+        q, n = self.zt.shape
+        self._upper = np.triu_indices(q)
+        self._unit_sums = None
+        self.units = n
+        if members is not None:
+            groups = np.empty(n, dtype=np.intp)
+            for c, rows in enumerate(members):
+                groups[rows] = c
+            self.units = len(members)
+            self._unit_sums = np.zeros((self.units, len(self._upper[0])))
+            for start, pairs in self._pair_blocks():
+                ids = groups[start:start + pairs.shape[1]]
+                for k, products in enumerate(pairs):
+                    self._unit_sums[:, k] += np.bincount(
+                        ids, weights=products, minlength=self.units)
+        self.batch = max(1, BATCH_BYTES // 2 // (8 * (self.units + q * q)))
 
-    def gram(self, idx) -> np.ndarray:
-        w = np.bincount(idx, minlength=self.zt.shape[1])
-        return (self.zt * w) @ self.zt.T
+    def _pair_blocks(self):
+        """(first row, products) of consecutive row blocks; ``products`` is
+        (column pairs, rows), pairs in ``_upper`` order, in one reused
+        buffer of at most half of BATCH_BYTES."""
+        q, n = self.zt.shape
+        width = max(1, min(n, BATCH_BYTES // 2 // (8 * len(self._upper[0]))))
+        buffer = np.empty((len(self._upper[0]), width))
+        for start in range(0, n, width):
+            stop = min(start + width, n)
+            block = buffer[:, :stop - start]
+            k = 0
+            for i in range(q):
+                np.multiply(self.zt[i:, start:stop], self.zt[i, start:stop],
+                            out=block[k:k + q - i])
+                k += q - i
+            yield start, block
+
+    def grams(self, counts: np.ndarray) -> np.ndarray:
+        """Gram matrices (batch, q, q) of the resamples ``counts`` (batch,
+        units): ``Z' diag(w) Z`` with ``w`` each resample's row counts."""
+        if self._unit_sums is not None:
+            flat = counts @ self._unit_sums
+        else:
+            flat = np.zeros((counts.shape[0], len(self._upper[0])))
+            for start, pairs in self._pair_blocks():
+                flat += counts[:, start:start + pairs.shape[1]] @ pairs.T
+        q = self.zt.shape[0]
+        g = np.empty((counts.shape[0], q, q))
+        i, j = self._upper
+        g[:, i, j] = flat
+        g[:, j, i] = flat
+        return g
 
 
 def gram_least_squares(cols: ScaledColumns, g: np.ndarray, regressors,
                        responses):
-    """``least_squares`` from a weighted Gram matrix of ``cols``.
+    """``least_squares`` for each matrix of ``g = cols.grams(counts)``.
 
-    ``g`` is ``cols.gram(idx)``; ``responses`` name the columns fitted on
-    an intercept plus ``regressors``. Solves the normal equations with a
-    Cholesky factor of the design block and returns (beta, l2, exact) in
-    raw units: beta as ``least_squares`` lays it out, the residual norms
-    sqrt(g[v,v] - g[v,S] beta) and, per response, whether its norm is
-    trusted: its ratio to the response's centred norm (the pivot the
-    response would add to the factor) is above GRAM_TOL, and it is clear
-    of ``guard_residual_norm`` by a factor 1/GRAM_TOL.
+    ``responses`` name the columns fitted on an intercept plus
+    ``regressors``. Solves each resample's normal equations and returns
+    (beta, l2) in raw units: beta (batch, coefficients, responses), each
+    resample laid out as ``least_squares`` lays it out, and the residual
+    norms sqrt(g[v,v] - g[v,S] beta), (batch, responses).
 
-    Raises GramFallback unless the coefficients match QR's to rounding:
-    too few rows, a pivot ratio of the factor at or below GRAM_TOL
+    NaN marks a value that might not match QR to rounding. A resample's
+    betas and norms are NaN where it has too few rows, a pivot ratio of
+    the Cholesky factor of its design block at or below GRAM_TOL
     (cond(g) near 1/GRAM_TOL**2; at GRAM_TOL = 1e-2 the coefficients stay
     within about 1e-10 of QR's, relative to their size or to
     sd(response) / sd(regressor)), or a raw pivot ratio within a factor
     1/GRAM_TOL of RANK_TOL (the pivots times the column SDs are QR's
-    |R_ii|). Callers refit those rows with ``least_squares``, which
+    |R_ii|). A norm is also NaN unless its ratio to the response's centred
+    norm (the pivot the response would add to the factor) is above
+    GRAM_TOL and it is clear of ``guard_residual_norm`` by a factor
+    1/GRAM_TOL. Callers refit those resamples with ``least_squares``, which
     raises what it always did.
+
+    Raises numpy.linalg.LinAlgError when the stacked Cholesky fails: some
+    design block with enough rows is not numerically positive definite.
     """
-    s = [0, *(cols.position[name] for name in regressors)]
-    v = [cols.position[name] for name in responses]
-    if g[0, 0] <= len(s):
-        raise GramFallback
-    chol, info = lapack.dpotrf(g[np.ix_(s, s)], lower=1)
-    if info != 0:
-        raise GramFallback
-    pivots = np.diag(chol)
+    s = np.array([0, *(cols.position[name] for name in regressors)])
+    v = np.array([cols.position[name] for name in responses])
+    identity = np.eye(len(s))
+    g_ss = g[:, s[:, None], s]
+    trusted = g[:, 0, 0] > len(s)
+    g_ss[~trusted] = identity  # too few rows: keep the stack factorable
+    pivots = np.diagonal(np.linalg.cholesky(g_ss), axis1=1, axis2=2)
     raw_pivots = pivots * cols.scale[s]
-    if (pivots.min() <= GRAM_TOL * pivots.max()
-            or raw_pivots.min() <= RANK_TOL / GRAM_TOL * raw_pivots.max()):
-        raise GramFallback
-    g_sv = g[np.ix_(s, v)]
-    b, _ = lapack.dpotrs(chol, g_sv, lower=1)
-    g_vv = g[v, v]
-    r2 = g_vv - np.einsum("ij,ij->j", g_sv, b)
+    trusted &= pivots.min(1) > GRAM_TOL * pivots.max(1)
+    trusted &= raw_pivots.min(1) > RANK_TOL / GRAM_TOL * raw_pivots.max(1)
+    # NumPy has no stacked triangular solve. On the blocks trusted here
+    # (cond below about 1/GRAM_TOL**2) an LU solve is as accurate, and
+    # identity blocks keep the others from breaking it down.
+    g_ss[~trusted] = identity
+    g_sv = g[:, s[:, None], v]
+    b = np.linalg.solve(g_ss, g_sv)
+    g_vv = g[:, v, v]
+    r2 = g_vv - np.einsum("mij,mij->mj", g_sv, b)
     m = cols.mean[v] / cols.scale[v]
-    uncentred = g_vv + 2.0 * m * g[0, v] + m * m * g[0, 0]
-    exact = ((r2 > GRAM_TOL**2 * g_vv)
+    uncentred = g_vv + 2.0 * m * g[:, 0, v] + m * m * g[:, 0, :1]
+    exact = (trusted[:, None] & (r2 > GRAM_TOL**2 * g_vv)
              & (r2 > (NEAR_ZERO / GRAM_TOL) ** 2 * uncentred))
+    l2 = np.where(exact, cols.scale[v] * np.sqrt(np.maximum(r2, 0.0)),
+                  np.nan)
     beta = b * (cols.scale[v] / cols.scale[s][:, None])
-    beta[0] += cols.mean[v] - cols.mean[s] @ beta
-    return beta, cols.scale[v] * np.sqrt(np.maximum(r2, 0.0)), exact
+    beta[:, 0] += cols.mean[v] - np.einsum("i,mij->mj", cols.mean[s], beta)
+    beta[~trusted] = np.nan
+    return beta, l2
 
 
 def guard_residual_norm(l2: float, values: np.ndarray, variable: str,

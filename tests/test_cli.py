@@ -337,6 +337,32 @@ def test_help_and_missing_subcommand(capsys):
     capsys.readouterr()
 
 
+def test_back_to_back_runs_match_fresh_processes(tmp_path, monkeypatch,
+                                                 capsys):
+    # cli_main keeps one parser per process: a good run and a usage error,
+    # each run twice in this process, give what a fresh process gives.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to this
+    data_path = _data_csv(tmp_path)
+    out = tmp_path / "table.csv"
+    runs = [_table_argv(data_path, out), ["table", "--reps", "many"]]
+    fresh = []
+    for argv in runs:
+        out.unlink(missing_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "plm.cli", *argv],
+            capture_output=True, text=True, timeout=300, env=_child_env(),
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr,
+                      out.read_bytes() if out.exists() else None))
+    assert [run[0] for run in fresh] == [0, 2]
+    for argv, want in zip(runs * 2, fresh * 2):
+        out.unlink(missing_ok=True)
+        code = cli_main(argv)
+        stdout, stderr = capsys.readouterr()
+        assert (code, stdout, stderr,
+                out.read_bytes() if out.exists() else None) == want
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 

@@ -1,5 +1,6 @@
 """Tests for the grid/contour/line runners and the bootstrap."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,9 +13,11 @@ from plm.double import DoublePlaceboSpec, fit_double_shorts, \
 from plm.engine import (
     AnalysisConfig,
     _build_engine,
+    _bootstrap_quantities,
     _cluster_index_pool,
-    _replicate_quantities,
+    _gram_rows,
     _replicate_indices,
+    _replicate_counts,
     _replicate_rng,
     bootstrap,
     run_contour,
@@ -33,7 +36,8 @@ from plm.errors import (
     ScaleConfusionWarning,
     TooFewRows,
 )
-from plm.regression import Dataset, GramFallback, ScaledColumns
+from plm import regression
+from plm.regression import Dataset, ScaledColumns
 from plm.selfcheck import random_recipe
 from plm.simulate import SCMRecipe, simulate_scm
 
@@ -465,27 +469,27 @@ def _natural_scales(role, data):
 
 
 def _replicate_both_ways(data, role, seed, rep, clusters):
-    """(QR, Gram-or-fallback, fell back) quantities of one replicate; an
-    error stands in for the quantities of a path that raises it."""
+    """(QR, batched, fell back) quantities of one replicate; an error stands
+    in for the quantities of a path that raises it. The batched path is the
+    engine's: the replicate's row of a Gram batch, refitted by QR where the
+    row holds NaN."""
     engine = _build_engine(data, AnalysisConfig(spec=_role_spec(role)))
     members = _cluster_index_pool(data, "C") if clusters else None
     idx = _replicate_indices(_replicate_rng(seed, rep), data.n_rows, members)
-    cols = ScaledColumns(engine.cols)
-    results = []
-    for fit in (engine.quantities, lambda i: _replicate_quantities(
-            engine, cols, i)):
-        try:
-            results.append(np.array(fit(idx)))
-        except (NumericError, TooFewRows) as exc:
-            results.append(type(exc))
     try:
-        engine.gram_quantities(cols, cols.gram(idx))
-        fell_back = False
-    except GramFallback:
-        fell_back = True
-    except (NumericError, TooFewRows):
-        fell_back = False
-    return (*results, fell_back, data.take(idx))
+        want = np.array(engine.quantities(idx))
+    except (NumericError, TooFewRows) as exc:
+        want = type(exc)
+    cols = ScaledColumns(engine.cols, members)
+    got = _gram_rows(engine, cols, cols.grams(
+        _replicate_counts(seed, [rep], cols.units)))[0]
+    fell_back = not np.isfinite(got).all()
+    if fell_back:
+        try:
+            got = np.array(engine.quantities(idx))
+        except (NumericError, TooFewRows) as exc:
+            got = type(exc)
+    return want, got, fell_back, data.take(idx)
 
 
 @settings(max_examples=150, deadline=None)
@@ -525,3 +529,221 @@ def test_untrusted_gram_replicate_is_refitted_by_qr(role, kwargs, clusters):
                                                    clusters)
     assert fell_back
     assert np.array_equal(got, want)
+
+
+def _qr_reference(engine, data, cfg):
+    """Kept rows and dropped count of one-at-a-time QR evaluation."""
+    members = (None if cfg.cluster_col is None
+               else _cluster_index_pool(data, cfg.cluster_col))
+    rows = []
+    for rep in range(cfg.bootstrap_reps):
+        idx = _replicate_indices(_replicate_rng(cfg.seed, rep), data.n_rows,
+                                 members)
+        try:
+            rows.append(engine.quantities(idx))
+        except (NumericError, TooFewRows):
+            continue
+    return np.array(rows, dtype=float), cfg.bootstrap_reps - len(rows)
+
+
+def _bootstrap_matches_qr(data, cfg):
+    """The engine's kept rows, checked against ``_qr_reference``: the same
+    drops, and each row within test_gram_replicates_match_qr's bound."""
+    engine = _build_engine(data, cfg)
+    got, failures = _bootstrap_quantities(engine, data, cfg, None)
+    want, want_failures = _qr_reference(engine, data, cfg)
+    assert failures == want_failures
+    assert got.shape == want.shape
+    scale = np.maximum(np.abs(want), _natural_scales(cfg.spec.role, data))
+    assert np.all(np.abs(got - want) <= 1e-9 * scale)
+    return got, want
+
+
+def _batch_size(data, cfg):
+    engine = _build_engine(data, cfg)
+    members = (None if cfg.cluster_col is None
+               else _cluster_index_pool(data, cfg.cluster_col))
+    return ScaledColumns(engine.cols, members).batch
+
+
+def test_bootstrap_one_replicate_past_a_batch(monkeypatch):
+    # A batch of seven, then a batch of one; a row block of the column-pair
+    # products holds 119 of the 300 rows, so the products are summed over
+    # three blocks, the last one short.
+    monkeypatch.setattr(regression, "BATCH_BYTES", 40_000)
+    data = _earnings_data(seed=2, n=300)
+    cfg = AnalysisConfig(spec=_role_spec("placebo_treatment"), seed=4)
+    batch = _batch_size(data, cfg)
+    assert batch == 7
+    _bootstrap_matches_qr(data, AnalysisConfig(
+        spec=cfg.spec, seed=4, bootstrap_reps=batch + 1))
+
+
+@pytest.mark.parametrize("role", ["observed_confounder_1", "double_placebo"])
+def test_bootstrap_in_batches_of_one(monkeypatch, role):
+    monkeypatch.setattr(regression, "BATCH_BYTES", 1)
+    data = _earnings_data(seed=3, n=80, clusters=8)
+    for cluster_col in (None, "C"):
+        cfg = AnalysisConfig(spec=_role_spec(role), seed=6, bootstrap_reps=12,
+                             cluster_col=cluster_col)
+        assert _batch_size(data, cfg) == 1
+        _bootstrap_matches_qr(data, cfg)
+
+
+def _short_clusters():
+    # The data of test_short_cluster_replicate_is_dropped.
+    cluster = np.repeat(np.arange(6.0), (1, 1, 30, 30, 30, 30))
+    return _noise_data(cluster.size, ("Y", "D", "P", "X1", "X2", "X3"),
+                       C=cluster)
+
+
+@pytest.mark.parametrize("make_data, covariates, cluster_col, seed, reps", [
+    # X2 within 1% of an SD of X1: some resamples' pivot ratios fall
+    # below GRAM_TOL, and QR fits and keeps them.
+    (lambda: _earnings_data(seed=5, n=60, collinearity=0.01), ("X1", "X2"),
+     None, 2, 200),
+    # Resamples of only the single-row clusters: QR raises TooFewRows.
+    (_short_clusters, ("X1", "X2", "X3"), "C", 4, 1000),
+])
+def test_untrusted_replicate_inside_a_batch(monkeypatch, make_data,
+                                            covariates, cluster_col, seed,
+                                            reps):
+    data = make_data()
+    cfg = AnalysisConfig(spec=_role_spec("placebo_treatment", covariates),
+                         seed=seed, bootstrap_reps=reps,
+                         cluster_col=cluster_col)
+    engine = _build_engine(data, cfg)
+    members = (None if cluster_col is None
+               else _cluster_index_pool(data, cluster_col))
+    cols = ScaledColumns(engine.cols, members)
+    rows = _gram_rows(engine, cols, cols.grams(
+        _replicate_counts(seed, range(reps), cols.units)))
+    untrusted = [rep for rep, row in enumerate(rows)
+                 if not np.isfinite(row).all()]
+    # Batches of ten: some untrusted replicate has trusted neighbours in
+    # its own batch.
+    q = cols.zt.shape[0]
+    monkeypatch.setattr(regression, "BATCH_BYTES",
+                        2 * 8 * (cols.units + q * q) * 10)
+    assert _batch_size(data, cfg) == 10
+    assert any(rep % 10 not in (0, 9) and rep - 1 not in untrusted
+               and rep + 1 not in untrusted for rep in untrusted)
+    if cluster_col is not None:
+        for rep in untrusted:
+            idx = _replicate_indices(_replicate_rng(seed, rep), data.n_rows,
+                                     members)
+            assert idx.size <= 6
+            with pytest.raises(TooFewRows):
+                engine.quantities(idx)
+    _bootstrap_matches_qr(data, cfg)
+
+
+def test_batch_whose_stacked_cholesky_raises(monkeypatch):
+    # Make the stacked Cholesky raise for any stack holding a resample of
+    # one chosen row count: the stack is split until each such resample is
+    # alone and refitted by QR, and the rest of the batch keeps the Gram
+    # path.
+    data = _earnings_data(seed=7, n=300, clusters=15)
+    cfg = AnalysisConfig(spec=_role_spec("placebo_outcome"), seed=3,
+                         bootstrap_reps=64, cluster_col="C")
+    members = _cluster_index_pool(data, "C")
+    sizes = [_replicate_indices(_replicate_rng(cfg.seed, rep), data.n_rows,
+                                members).size
+             for rep in range(cfg.bootstrap_reps)]
+    marked = np.array(sizes) == sizes[20]
+    cholesky = np.linalg.cholesky
+    raised = []
+
+    def refusing_cholesky(a, *args, **kwargs):
+        if np.any(a[:, 0, 0] == sizes[20]):
+            raised.append(len(a))
+            raise np.linalg.LinAlgError("refused")
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", refusing_cholesky)
+    got, want = _bootstrap_matches_qr(data, cfg)
+    assert raised and raised[0] == cfg.bootstrap_reps
+    assert np.array_equal(got[marked], want[marked])
+    assert not np.array_equal(got[~marked], want[~marked])
+
+
+def test_gram_path_refuses_too_few_rows():
+    # Six distinct rows for the six coefficients of Y ~ D + P + X1 + X2 +
+    # X3: the design block is invertible, but QR raises TooFewRows, so the
+    # Gram row must be refused.
+    data = _noise_data(6, ("Y", "D", "P", "X1", "X2", "X3"))
+    engine = _build_engine(data, AnalysisConfig(
+        spec=_role_spec("placebo_treatment", ("X1", "X2", "X3"))))
+    cols = ScaledColumns(engine.cols)
+    row = _gram_rows(engine, cols, cols.grams(np.ones((1, 6))))[0]
+    assert not np.isfinite(row).all()
+    with pytest.raises(TooFewRows):
+        engine.quantities(np.arange(6))
+
+
+def test_vanishing_placebo_pair_in_one_replicate_is_dropped():
+    # Assume the placebo-pair direct part equals replicate 30's measured
+    # coefficient: that replicate's pair vanishes, and QR drops it.
+    data = _earnings_data(seed=4, n=200)
+    engine = _build_engine(data, AnalysisConfig(
+        spec=_role_spec("double_placebo")))
+    idx = _replicate_indices(_replicate_rng(2, 30), data.n_rows, None)
+    beta_np = engine.quantities(idx)[3]
+    spec = DoublePlaceboSpec(outcome_col="Y", treatment_col="D",
+                             placebo_treatment_col="P",
+                             placebo_outcome_col="N",
+                             covariate_cols=("X1", "X2"),
+                             beta_np_long=beta_np)
+    cfg = AnalysisConfig(spec=spec, seed=2, bootstrap_reps=100)
+    got, _ = _bootstrap_matches_qr(data, cfg)
+    assert len(got) == cfg.bootstrap_reps - 1
+
+
+@pytest.mark.parametrize("sizes", [
+    (1,) * 40,  # single-row clusters
+    (1, 1, 2, 3, 5, 80, 200, 1, 9, 40),  # very unequal clusters
+])
+def test_cluster_grams_match_row_weighted_grams(sizes):
+    rng = np.random.default_rng(9)
+    cluster = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    data = _earnings_data(seed=9, n=cluster.size)
+    data = Dataset({**{name: data[name] for name in data.names},
+                    "C": cluster.astype(float)})
+    engine = _build_engine(data, AnalysisConfig(
+        spec=_role_spec("observed_confounder_1")))
+    members = _cluster_index_pool(data, "C")
+    by_cluster = ScaledColumns(engine.cols, members)
+    by_row = ScaledColumns(engine.cols, None)
+    reps = range(50)
+    got = by_cluster.grams(_replicate_counts(4, reps, by_cluster.units))
+    weights = np.array([
+        np.bincount(_replicate_indices(_replicate_rng(4, rep), data.n_rows,
+                                       members), minlength=data.n_rows)
+        for rep in reps], dtype=float)
+    want = by_row.grams(weights)
+    diag = np.sqrt(np.diagonal(want, axis1=1, axis2=2))
+    scale = diag[:, :, None] * diag[:, None, :]
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_row_bootstrap_memory_stays_within_the_batch_budget():
+    # Twelve replicates' row counts would take 19 MB and the column-pair
+    # products 34 MB; in batches neither is held whole.
+    n = 200_000
+    data = _noise_data(n, ("Y", "D", "P", "X1", "X2"))
+    cfg = _cfg(spec=_spec(role="placebo_treatment", edge_d_to_p=False,
+                          covariate_cols=("X1", "X2")),
+               bootstrap_reps=12)
+    engine = _build_engine(data, cfg)
+    stored = (len(engine.cols) + 1) * n * 8  # ScaledColumns.zt
+    # Slack: a replicate's draw and its bincount, a column's temporaries
+    # while it is scaled, and 1 MiB for small arrays.
+    slack = 4 * n * 8 + 2**20
+    tracemalloc.start()
+    try:
+        q_rows, failures = _bootstrap_quantities(engine, data, cfg, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (q_rows.shape, failures) == ((12, 3), 0)
+    assert peak <= stored + regression.BATCH_BYTES + slack, peak
