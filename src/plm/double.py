@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DenominatorNearZero
-from .regression import NEAR_ZERO, Dataset, fit_ols
+from .regression import NEAR_ZERO, Dataset, least_squares
 
 
 class DoubleShortFits(NamedTuple):
@@ -31,6 +31,13 @@ class DoubleShortFits(NamedTuple):
     beta_yp: float
     beta_nd: float
     beta_np: float
+
+    @classmethod
+    def read(cls, beta):
+        """From coefficients ``beta[..., coefficient, response]`` of the
+        ``short_design`` fits, one or a stack of them: D and P on Y, then
+        on N."""
+        return cls(*beta.T[[0, 0, 1, 1], [1, 2, 1, 2]])
 
 
 @dataclass(frozen=True)
@@ -89,19 +96,25 @@ class DoublePlaceboSpec:
             raise ConfigError("fixed long coefficients must be finite")
 
 
+def short_design(outcome: str, treatment: str, placebo_treatment: str,
+                 placebo_outcome: str, covariates=()):
+    """(regressors, responses) of the two short regressions: Y and N, each
+    on the shared design D + P + X."""
+    return ((treatment, placebo_treatment, *covariates),
+            (outcome, placebo_outcome))
+
+
 def fit_double_shorts(data: Dataset, outcome: str, treatment: str,
                       placebo_treatment: str, placebo_outcome: str,
-                      covariates=()) -> DoubleShortFits:
-    """Fit the two short regressions and collect the four coefficients."""
-    x = tuple(covariates)
-    fit_y = fit_ols(data, outcome, (treatment, placebo_treatment, *x))
-    fit_n = fit_ols(data, placebo_outcome, (treatment, placebo_treatment, *x))
-    return DoubleShortFits(
-        beta_yd=fit_y.coef(treatment),
-        beta_yp=fit_y.coef(placebo_treatment),
-        beta_nd=fit_n.coef(treatment),
-        beta_np=fit_n.coef(placebo_treatment),
-    )
+                      covariates=(), idx=slice(None)) -> DoubleShortFits:
+    """The four short coefficients from one QR of the shared design, with
+    Y and N as its two responses, on rows ``idx`` (default: all). ``data``
+    maps names to columns: a Dataset or a plain dict."""
+    regressors, responses = short_design(outcome, treatment,
+                                         placebo_treatment, placebo_outcome,
+                                         covariates)
+    y = np.column_stack([data[name][idx] for name in responses])
+    return DoubleShortFits.read(least_squares(data, regressors, y, idx)[0])
 
 
 def placebo_pair_vanishes(beta_np, beta_np_long):

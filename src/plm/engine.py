@@ -31,9 +31,14 @@ alone, and that one goes to QR.
 Replicate ``rep`` draws its rows from its own ``SeedSequence(spawn_key=rep)``
 and batch sizes depend only on the data's shape and the fixed budget,
 never on timing, so reruns with the same BLAS thread count give the same
-output bytes. The generic
-``bootstrap()`` runs the same draws through one serial loop,
-``_replicates``.
+output bytes. The generic ``bootstrap()`` runs the same draws through one
+serial loop, ``_replicates``.
+
+The zero contour needs no search. Each engine's ``surface`` gives the
+estimate as a + k * (b + c * direct), zero on the hyperbola
+k = -a / (b + c * direct), so the contour is the hyperbola's crossings with
+the grid lines in closed form: one polyline per branch, negative k first,
+each in increasing direct, a point repeated where two grid lines meet on it.
 """
 
 from __future__ import annotations
@@ -55,7 +60,9 @@ from .double import (
     DoubleShortFits,
     check_placebo_pair,
     double_placebo_estimate,
+    fit_double_shorts,
     placebo_pair_vanishes,
+    short_design,
 )
 from .errors import (
     BootstrapDegenerate,
@@ -70,7 +77,6 @@ from .regression import (
     Dataset,
     ScaledColumns,
     gram_least_squares,
-    least_squares,
 )
 
 # A replicate that raises one of these is dropped and counted; a cluster
@@ -146,9 +152,14 @@ class ResultTable:
 class ContourGrid:
     """Estimate surface over the (k, direct) rectangle.
 
-    ``estimates[i, j]`` belongs to ``(k_values[i], direct_values[j])``;
-    ``zero_contour`` holds polylines of (k, direct) points where the
-    estimate crosses zero.
+    ``estimates[i, j]`` belongs to ``(k_values[i], direct_values[j])``.
+    The estimate is a + k * (b + c * direct), zero on the hyperbola
+    k = -a / (b + c * direct). ``zero_contour`` holds its crossings with
+    the grid lines as polylines of (k, direct) points, one per branch:
+    negative k first, each in increasing direct (then k), so that every
+    segment stays in one grid cell. A point where a k line and a direct
+    line meet on the zero set appears once per line. With a = 0 the zero
+    set is the lines k = 0 and direct = -b / c, up to three polylines.
     """
 
     k_values: np.ndarray
@@ -200,15 +211,22 @@ class _SingleEngine:
         """Adjusted estimate; q rows are (target, placebo, sf)."""
         return ovb_estimate(q[..., 0], q[..., 1], k, direct, q[..., 2])
 
+    @staticmethod
+    def surface(q):
+        """(a, b, c) with ``estimate(q, k, d) = a + k * (b + c * d)``."""
+        target, placebo, sf = q
+        return target, -placebo * sf, sf
+
 
 class _DoubleEngine:
     """Per-replicate short coefficients for a double-placebo spec."""
 
     def __init__(self, data: Dataset, spec: DoublePlaceboSpec):
         self.spec = spec
-        self.design = (spec.treatment_col, spec.placebo_treatment_col,
-                       *spec.covariate_cols)
-        self.responses = (spec.outcome_col, spec.placebo_outcome_col)
+        self.names = (spec.outcome_col, spec.treatment_col,
+                      spec.placebo_treatment_col, spec.placebo_outcome_col,
+                      spec.covariate_cols)
+        self.design, self.responses = short_design(*self.names)
         self.cols = {name: data[name]
                      for name in {*self.design, *self.responses}}
 
@@ -218,31 +236,32 @@ class _DoubleEngine:
         Raises DenominatorNearZero where the placebo-pair coefficient
         equals its assumed direct part, so such replicates are dropped.
         """
-        y = np.column_stack([self.cols[name][idx] for name in self.responses])
-        beta = least_squares(self.cols, self.design, y, idx)[0]
-        check_placebo_pair(beta[2, 1], self.spec.beta_np_long)
-        return self._read(beta)
+        fits = fit_double_shorts(self.cols, *self.names, idx)
+        check_placebo_pair(fits.beta_np, self.spec.beta_np_long)
+        return fits
 
     def gram_quantities(self, cols: ScaledColumns, g):
         """``quantities`` rows, (batch, 4), from ``g = cols.grams(counts)``;
         NaN rows as in gram_least_squares. A vanishing placebo pair is a
         NaN row too, so QR decides it and raises as ``quantities`` does."""
-        q = np.stack(self._read(
+        q = np.stack(DoubleShortFits.read(
             gram_least_squares(cols, g, self.design, self.responses)[0]),
             axis=-1)
         q[placebo_pair_vanishes(q[:, 3], self.spec.beta_np_long)] = np.nan
         return q
-
-    @staticmethod
-    def _read(beta):
-        return (beta[..., 1, 0], beta[..., 2, 0], beta[..., 1, 1],
-                beta[..., 2, 1])
 
     def estimate(self, q, k_product, beta_nd_long):
         """Adjusted estimate; q rows are (yd, yp, nd, np) coefficients."""
         return double_placebo_estimate(
             DoubleShortFits(*np.moveaxis(q, -1, 0)), k_product,
             self.spec.beta_yp_long, beta_nd_long, self.spec.beta_np_long)
+
+    def surface(self, q):
+        """(a, b, c) with ``estimate(q, k, d) = a + k * (b + c * d)``."""
+        yd, yp, nd, np_ = q
+        slope = ((yp - self.spec.beta_yp_long)
+                 / (np_ - self.spec.beta_np_long))
+        return yd, -slope * nd, slope
 
 
 def _build_engine(data: Dataset, cfg: AnalysisConfig):
@@ -408,11 +427,6 @@ def _axis_quartiles(bounds: tuple[float, float], g: int) -> np.ndarray:
     return np.unique(lo + fractions * (hi - lo))
 
 
-def _axis_lattice(bounds: tuple[float, float], g: int) -> np.ndarray:
-    lo, hi = bounds
-    return np.linspace(lo, hi, g)
-
-
 def _metadata(engine, data: Dataset, cfg: AnalysisConfig, q_full,
               failures: int | None = None) -> dict:
     """Run description; ``failures`` is given by the bootstrap runners."""
@@ -501,18 +515,18 @@ def run_contour(data: Dataset, cfg: AnalysisConfig) -> ContourGrid:
     """Estimate surface over the full (k, direct) rectangle.
 
     No bootstrap: the surface is a point-estimate map, with the zero-level
-    set traced for overlay plots.
+    set found in closed form from the engine's ``surface`` for overlay
+    plots.
     """
     engine = _build_engine(data, cfg)
     _warn_on_ranges(cfg)
     q_full = np.asarray(engine.quantities(slice(None)))
     g = 201 if cfg.grid_points_per_axis is None else cfg.grid_points_per_axis
-    k_values = _axis_lattice(cfg.k_range, g)
-    direct_values = _axis_lattice(cfg.direct_range, g)
-    estimates = engine.estimate(
-        q_full, k_values[:, None], direct_values[None, :]
-    )
-    contour = _zero_contour(k_values, direct_values, estimates)
+    k_values = np.linspace(*cfg.k_range, g)
+    direct_values = np.linspace(*cfg.direct_range, g)
+    estimates = engine.estimate(q_full, k_values[:, None],
+                                direct_values[None, :])
+    contour = _zero_contour(k_values, direct_values, *engine.surface(q_full))
     return ContourGrid(
         k_values=k_values,
         direct_values=direct_values,
@@ -542,7 +556,7 @@ def run_line(data: Dataset, cfg: AnalysisConfig, varying: str = "k",
     g = 201 if cfg.grid_points_per_axis is None else cfg.grid_points_per_axis
     vary_bounds = cfg.k_range if varying == "k" else cfg.direct_range
     fixed_bounds = cfg.direct_range if varying == "k" else cfg.k_range
-    axis = _axis_lattice(vary_bounds, g)
+    axis = np.linspace(*vary_bounds, g)
     fixed_values = tuple(
         float(fixed_bounds[0] + f * (fixed_bounds[1] - fixed_bounds[0]))
         for f in fixed_percentiles
@@ -580,102 +594,22 @@ def bootstrap(data: Dataset, cfg: AnalysisConfig,
             "ci": (float(lo), float(hi))}
 
 
-def _zero_contour(k_values, direct_values, z):
-    """Zero-level polylines of the surface via marching squares.
+def _zero_contour(k_values, direct_values, a, b, c):
+    """``ContourGrid.zero_contour`` of the surface a + k * (b + c * direct).
 
-    Edge crossings are computed once per canonical grid edge so shared
-    points are bitwise identical; four-crossing cells are disambiguated
-    with the cell-center sign.
+    The crossings of every grid line with k = -a / (b + c * direct) that
+    fall inside the rectangle; a line with no crossing (an asymptote, or
+    k = 0) divides by zero and its non-finite value is dropped.
     """
-    gk, gd = z.shape
-    if gk < 2 or gd < 2:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.concatenate([-a / (b + c * direct_values), k_values])
+        d = np.concatenate([direct_values, -(a / k_values + b) / c])
+    inside = ((k_values[0] <= k) & (k <= k_values[-1])
+              & (direct_values[0] <= d) & (d <= direct_values[-1]))
+    k, d = k[inside], d[inside]
+    branch = np.sign(k)
+    order = np.lexsort((k, d, branch))
+    points = np.column_stack([k, d])[order]
+    if not len(points):
         return []
-    positive = z > 0
-    crossings: dict[tuple, tuple[float, float]] = {}
-
-    def edge_point(kind, i, j):
-        # kind "k": (i,j)-(i+1,j); kind "d": (i,j)-(i,j+1).
-        key = (kind, i, j)
-        if key in crossings:
-            return key
-        if kind == "k":
-            v0, v1 = z[i, j], z[i + 1, j]
-            p0 = (k_values[i], direct_values[j])
-            p1 = (k_values[i + 1], direct_values[j])
-        else:
-            v0, v1 = z[i, j], z[i, j + 1]
-            p0 = (k_values[i], direct_values[j])
-            p1 = (k_values[i], direct_values[j + 1])
-        t = v0 / (v0 - v1)
-        crossings[key] = (p0[0] + t * (p1[0] - p0[0]),
-                          p0[1] + t * (p1[1] - p0[1]))
-        return key
-
-    segments = []
-    for i in range(gk - 1):
-        for j in range(gd - 1):
-            signs = (positive[i, j], positive[i + 1, j],
-                     positive[i + 1, j + 1], positive[i, j + 1])
-            if all(signs) or not any(signs):
-                continue
-            # Cyclic edge list with the sign pair along each edge.
-            edges = (
-                (("k", i, j), signs[0], signs[1]),
-                (("d", i + 1, j), signs[1], signs[2]),
-                (("k", i, j + 1), signs[3], signs[2]),
-                (("d", i, j), signs[0], signs[3]),
-            )
-            crossed = [spec for spec, s0, s1 in edges if s0 != s1]
-            keys = [edge_point(*spec) for spec in crossed]
-            if len(keys) == 2:
-                segments.append((keys[0], keys[1]))
-            else:
-                center = (z[i, j] + z[i + 1, j] + z[i + 1, j + 1]
-                          + z[i, j + 1]) / 4.0
-                # Cyclic crossed order: bottom, right, top, left.
-                if (center > 0) == signs[0]:
-                    segments.append((keys[0], keys[3]))
-                    segments.append((keys[1], keys[2]))
-                else:
-                    segments.append((keys[0], keys[1]))
-                    segments.append((keys[2], keys[3]))
-    return _chain_segments(segments, crossings)
-
-
-def _chain_segments(segments, crossings):
-    """Join crossing-to-crossing segments into maximal polylines."""
-    neighbors: dict[tuple, list[tuple]] = {}
-    for a, b in segments:
-        neighbors.setdefault(a, []).append(b)
-        neighbors.setdefault(b, []).append(a)
-    used = set()
-    polylines = []
-
-    def walk(start):
-        chain = [start]
-        current = start
-        while True:
-            step = None
-            for nxt in neighbors[current]:
-                pair = frozenset((current, nxt))
-                if pair not in used:
-                    step = nxt
-                    used.add(pair)
-                    break
-            if step is None:
-                return chain
-            chain.append(step)
-            current = step
-
-    endpoints = [key for key, adj in neighbors.items() if len(adj) == 1]
-    for start in endpoints:
-        if any(frozenset((start, nxt)) not in used
-               for nxt in neighbors[start]):
-            chain = walk(start)
-            polylines.append(np.array([crossings[key] for key in chain]))
-    for a, b in segments:
-        if frozenset((a, b)) not in used:
-            used.add(frozenset((a, b)))
-            chain = [a] + walk(b)
-            polylines.append(np.array([crossings[key] for key in chain]))
-    return polylines
+    return np.split(points, np.flatnonzero(np.diff(branch[order])) + 1)

@@ -161,12 +161,10 @@ def double_recovery_error(graph_case: str, seed: int, n: int = 200,
     data = simulate_scm(recipe)
     z = tuple(f"Z{i}" for i in range(1, z_dim + 1))
     fits = fit_double_shorts(data, "Y", "D", "P", "N")
-    long_y = fit_ols(data, "Y", ("D", "P", *z))
-    long_n = fit_ols(data, "N", ("D", "P", *z))
-    target = long_y.coef("D")
-    longs = {"beta_yp_long": long_y.coef("P"),
-             "beta_nd_long": long_n.coef("D"),
-             "beta_np_long": long_n.coef("P")}
+    long = fit_double_shorts(data, "Y", "D", "P", "N", z)
+    target = long.beta_yd
+    longs = {"beta_yp_long": long.beta_yp, "beta_nd_long": long.beta_nd,
+             "beta_np_long": long.beta_np}
     if point_identified:
         adjusted = point_identify_double_placebo(fits, longs)
     else:

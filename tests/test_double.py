@@ -10,6 +10,7 @@ from plm.double import (
     fit_double_shorts,
     point_identify_double_placebo,
 )
+from plm.engine import AnalysisConfig, _build_engine
 from plm.errors import ConfigError, DenominatorNearZero
 from plm.regression import fit_ols
 from plm.selfcheck import double_recovery_error
@@ -107,14 +108,20 @@ def test_point_parameter_validation():
 
 
 def test_fit_double_shorts_matches_direct_fits():
+    # One QR of the shared design: bit for bit the engine's full-sample
+    # route, and two separate fit_ols calls up to the last bit.
     data = simulate_scm(SCMRecipe(n=120, graph_case="double_b", seed=5))
     fits = fit_double_shorts(data, "Y", "D", "P", "N")
+    spec = DoublePlaceboSpec(outcome_col="Y", treatment_col="D",
+                             placebo_treatment_col="P",
+                             placebo_outcome_col="N")
+    engine = _build_engine(data, AnalysisConfig(spec=spec))
+    assert tuple(engine.quantities(slice(None))) == tuple(fits)
     fit_y = fit_ols(data, "Y", ("D", "P"))
     fit_n = fit_ols(data, "N", ("D", "P"))
-    assert fits.beta_yd == fit_y.coef("D")
-    assert fits.beta_yp == fit_y.coef("P")
-    assert fits.beta_nd == fit_n.coef("D")
-    assert fits.beta_np == fit_n.coef("P")
+    assert fits == pytest.approx(
+        (fit_y.coef("D"), fit_y.coef("P"), fit_n.coef("D"),
+         fit_n.coef("P")), rel=1e-12, abs=0)
 
 
 def test_spec_validation():

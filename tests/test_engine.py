@@ -12,6 +12,7 @@ from plm.double import DoublePlaceboSpec, fit_double_shorts, \
     point_identify_double_placebo
 from plm.engine import (
     AnalysisConfig,
+    _SingleEngine,
     _build_engine,
     _bootstrap_quantities,
     _cluster_index_pool,
@@ -19,6 +20,7 @@ from plm.engine import (
     _replicate_indices,
     _replicate_counts,
     _replicate_rng,
+    _zero_contour,
     bootstrap,
     run_contour,
     run_line,
@@ -241,6 +243,128 @@ def test_contour_degenerate_direct_axis_single_polyline():
     # One straight crossing at constant k.
     assert np.ptp(polyline[:, 0]) <= 1e-12
     assert polyline.shape[0] == 21
+
+
+@pytest.mark.parametrize("g", [2, 4])
+def test_contour_saddle_keeps_the_branches_apart(monkeypatch, g):
+    # (target, placebo, SF) = (-1e-3, 0, 1): estimate = -1e-3 + k * direct,
+    # two hyperbola branches hugging the axes with a saddle cell at the
+    # origin. No polyline may cross from one branch to the other through
+    # the positive region between them.
+    a, b, c = -1e-3, 0.0, 1.0
+    monkeypatch.setattr(_SingleEngine, "quantities",
+                        lambda self, idx: np.array([a, 0.0, 1.0]))
+    grid = run_contour(_data(), _cfg(k_range=(-1.0, 1.0),
+                                     direct_range=(-1.0, 1.0),
+                                     grid_points_per_axis=g))
+    assert len(grid.zero_contour) == 2
+    for polyline in grid.zero_contour:
+        k, d = polyline.T
+        assert np.ptp(np.sign(k)) == 0
+        assert np.all(np.abs(a + k * (b + c * d)) <= 1e-12 * max(1.0, abs(a)))
+
+
+@pytest.mark.parametrize("double", [False, True])
+def test_surface_reproduces_the_estimate(double):
+    if double:
+        data = simulate_scm(SCMRecipe(n=300, graph_case="double_a", seed=2))
+        spec = DoublePlaceboSpec(outcome_col="Y", treatment_col="D",
+                                 placebo_treatment_col="P",
+                                 placebo_outcome_col="N", beta_yp_long=0.3,
+                                 beta_np_long=-0.2)
+    else:
+        data, spec = _data(), _spec()
+    engine = _build_engine(data, AnalysisConfig(spec=spec))
+    q = np.asarray(engine.quantities(slice(None)))
+    a, b, c = engine.surface(q)
+    k, d = np.meshgrid(np.linspace(-2.0, 2.0, 9), np.linspace(-1.0, 1.0, 9))
+    assert np.allclose(a + k * (b + c * d), engine.estimate(q, k, d),
+                       rtol=1e-12, atol=1e-12 * max(1.0, abs(a)))
+
+
+def _edge_crossings(k_values, direct_values, a, b, c):
+    """Where ``z > 0`` changes along a grid edge, linearly interpolated."""
+    k, d = np.meshgrid(k_values, direct_values, indexing="ij")
+    z = a + k * (b + c * d)
+    points = []
+    for axis in (0, 1):
+        head = (slice(None),) * axis + (slice(None, -1),)
+        tail = (slice(None),) * axis + (slice(1, None),)
+        crossed = (z[head] > 0) != (z[tail] > 0)
+        z0, z1 = z[head][crossed], z[tail][crossed]
+        t = z0 / (z0 - z1)
+        points.append(np.column_stack(
+            [p[head][crossed] + t * (p[tail][crossed] - p[head][crossed])
+             for p in (k, d)]))
+    return np.concatenate(points)
+
+
+def _check_zero_contour(k_values, direct_values, a, b, c, max_polylines=2):
+    """The closed-form polylines against the edge crossings: each polyline
+    on one branch and running along direct, and the two point sets equal
+    within 1e-12 of each axis's span."""
+    polylines = _zero_contour(k_values, direct_values, a, b, c)
+    assert len(polylines) <= max_polylines
+    for polyline in polylines:
+        assert len(polyline) > 0
+        assert np.all(np.diff(polyline[:, 1]) >= 0)
+        assert np.ptp(np.sign(polyline[:, 0])) == 0
+    traced = np.concatenate(polylines) if polylines else np.empty((0, 2))
+    reference = _edge_crossings(k_values, direct_values, a, b, c)
+    tol = 1e-12 * np.array([np.ptp(k_values), np.ptp(direct_values)])
+    near = np.all(np.abs(traced[:, None] - reference[None]) <= tol, axis=2)
+    assert near.any(axis=1).all(), "a traced point is no edge crossing"
+    assert near.any(axis=0).all(), "an edge crossing was not traced"
+    return polylines
+
+
+def test_zero_contour_matches_edge_crossings_on_random_surfaces():
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        k_lo, d_lo = rng.uniform(-3.0, 1.0, 2)
+        k_hi, d_hi = (k_lo, d_lo) + rng.uniform(0.5, 4.0, 2)
+        gk, gd = rng.integers(2, 41, 2)
+        c = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-2.0, 1.0)
+        # The asymptote direct = -b / c often crosses the rectangle, so
+        # saddle cells near (0, -b / c) are common.
+        b = -c * rng.uniform(d_lo - 1.0, d_hi + 1.0)
+        a = rng.choice([-1.0, 1.0]) * abs(c) * 10 ** rng.uniform(-4.0, 0.5)
+        _check_zero_contour(np.linspace(k_lo, k_hi, gk),
+                            np.linspace(d_lo, d_hi, gd), a, b, c)
+
+
+_K = np.linspace(-2.0, 2.0, 21)
+_D = np.linspace(-1.0, 1.0, 21)
+_K201 = np.linspace(-2.0, 2.0, 201)  # the default k grid; k = 0 is on it
+_QUARTERS = np.linspace(-2.0, 2.0, 9)
+
+
+@pytest.mark.parametrize("k_values, direct_values, a, b, c, max_polylines", [
+    pytest.param(_K, _D, 0.5, -1.0, 0.0, 1, id="c=0"),
+    pytest.param(_K, _D, 0.2, -1.5 * _D[5], 1.5, 2, id="asymptote-on-grid"),
+    pytest.param(_K201, _D, 0.3, 0.1, 1.2, 2, id="k=0-on-grid"),
+    pytest.param(_K201, _D, 0.0, 0.3, 1.2, 3, id="a=0-k=0-on-grid"),
+    pytest.param(np.linspace(-2.0, 2.0, 20), _D, 0.0, 0.3, 1.2, 3,
+                 id="a=0"),
+    pytest.param(_QUARTERS, _QUARTERS, -1.0, 0.0, 1.0, 2, id="zero-nodes"),
+    pytest.param(_K, np.zeros(21), 0.3, -1.0, 2.0, 1, id="flat-direct"),
+    pytest.param(np.zeros(11), np.zeros(11), 0.4, -1.0, 2.0, 0,
+                 id="flat-both"),
+])
+def test_zero_contour_special_cases(k_values, direct_values, a, b, c,
+                                    max_polylines):
+    polylines = _check_zero_contour(k_values, direct_values, a, b, c,
+                                    max_polylines)
+    assert len(polylines) == max_polylines
+
+
+def test_zero_contour_repeats_a_point_where_grid_lines_meet_on_it():
+    # k * direct = 1 passes through the nodes (1, 1) and (2, 0.5) of this
+    # grid; each comes once from its k line and once from its direct line.
+    (_, positive) = _zero_contour(_QUARTERS, _QUARTERS, -1.0, 0.0, 1.0)
+    assert np.all(np.abs(positive[:, 0] * positive[:, 1] - 1.0) <= 1e-15)
+    for node in ([1.0, 1.0], [2.0, 0.5]):
+        assert np.all(positive == node, axis=1).sum() == 2
 
 
 def test_line_slice_shapes_and_k_zero_anchor():
