@@ -159,9 +159,13 @@ def _check_sf(sf: float) -> None:
         raise NonpositiveScale(f"scale factor must be positive, got {sf}")
 
 
-def ovb_estimate(target, placebo, k, direct_effect, sf):
-    """short_target - k * (measured - direct_effect) * SF, elementwise."""
-    return target - k * (placebo - direct_effect) * sf
+def ovb_estimate(target, placebo, scale, k, direct_effect):
+    """target - k * (placebo - direct_effect) * scale, elementwise.
+
+    The package's one adjusted estimate: every role's, with its SF as the
+    scale, and the double placebo's, with the placebo pair's slope.
+    """
+    return target - k * (placebo - direct_effect) * scale
 
 
 def m_from_k(k: float, sf: float) -> float:
@@ -255,16 +259,18 @@ class CaseFormula:
 
     ``short_regressions`` lists the (response, regressors) pairs the two
     coefficients come from. ``quantities(cols, idx)`` evaluates (target,
-    placebo, SF) on rows ``idx`` of a mapping of named columns with one QR
-    per design; ``fit_coefficients`` (the ShortCoefficients) and ``sf``
-    (the positive scale factor) read it on a whole dataset.
+    placebo, SF) on rows ``idx`` of a mapping of the named ``columns`` with
+    one QR per design; ``fit_coefficients`` (the ShortCoefficients) and
+    ``sf`` (the positive scale factor) read it on a whole dataset.
     ``gram_quantities(cols, g)`` evaluates the same triple for a whole
     batch of resamples from their stacked Gram matrices (``ScaledColumns``)
     and serves the bootstrap replicates.
     ``adjust(coefs, k, direct_effect, sf)`` is the adjusted estimate.
     ``alternatives`` names other roles compatible with the declared edges
     and ``cautions`` carries flags (for example for the mediator case) that
-    result tables propagate into their metadata.
+    result tables propagate into their metadata. ``columns``, ``triple``,
+    ``anchors``, ``metadata`` and ``warn_large_k`` complete the members the
+    engine reads, shared with DoubleFormula.
 
     The plan behind these: ``designs`` holds each distinct regressor tuple
     once and ``responses`` the responses fitted on it, both in order of
@@ -283,6 +289,7 @@ class CaseFormula:
         names = {"y": spec.outcome_col, "d": spec.treatment_col,
                  "p": spec.placebo_col}
         x = spec.covariate_cols
+        self.columns = (*names.values(), *x)
         designs: list[tuple[str, ...]] = []
         responses: list[list[str]] = []
         norms: list[tuple[int, int]] = []
@@ -358,6 +365,36 @@ class CaseFormula:
         (ti, tj, tr), (pi, pj, pr) = self.target, self.placebo
         return betas[ti][..., tr, tj], betas[pi][..., pr, pj], sf
 
+    @staticmethod
+    def triple(q):
+        """(target, placebo, scale) of quantity rows ``q`` (..., 3)."""
+        return np.moveaxis(q, -1, 0)
+
+    @staticmethod
+    def anchors(q):
+        """A table's anchor rows (label, k, direct) at the full-sample
+        quantities ``q``, and the metadata that names them: k = 0, the k
+        that reproduces standard DID (1 / SF), and k = 1."""
+        did_k = k_from_m(1.0, float(q[2]))
+        return ([("SOO", 0.0, 0.0), ("Standard DID", did_k, 0.0),
+                 ("k=1 DID", 1.0, 0.0)], {"standard_did_k": did_k})
+
+    def metadata(self, q) -> dict:
+        """What a result reports of the role, at full-sample ``q``."""
+        return dict(role=self.role,
+                    direct_effect_name=self.direct_effect_name,
+                    alternatives=self.alternatives, cautions=self.cautions,
+                    scale_factor=float(q[2]))
+
+    @staticmethod
+    def warn_large_k(k: float) -> None:
+        """ScaleConfusionWarning where |k| exceeds LARGE_K."""
+        if abs(k) > LARGE_K:
+            warnings.warn(
+                f"|k| = {abs(k):.3g} exceeds {LARGE_K:g}; k is scale-free, "
+                "so values this large usually mean m (raw-bias ratio) was "
+                "intended", ScaleConfusionWarning, stacklevel=3)
+
     def fit_coefficients(self, data: Dataset) -> ShortCoefficients:
         target, placebo, _ = self.quantities(data)
         return ShortCoefficients(target=float(target), placebo=float(placebo))
@@ -377,15 +414,8 @@ class CaseFormula:
                 stacklevel=2,
             )
         _check_sf(sf)
-        if abs(k) > LARGE_K:
-            warnings.warn(
-                f"|k| = {abs(k):.3g} exceeds {LARGE_K:g}; k is scale-free, "
-                "so values this large usually mean m (raw-bias ratio) was "
-                "intended",
-                ScaleConfusionWarning,
-                stacklevel=2,
-            )
-        return ovb_estimate(coefs.target, coefs.placebo, k, direct_effect, sf)
+        self.warn_large_k(k)
+        return ovb_estimate(coefs.target, coefs.placebo, sf, k, direct_effect)
 
 
 def dispatch_case(spec: PlaceboSpec) -> CaseFormula:

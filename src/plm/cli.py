@@ -20,8 +20,8 @@ from .did import DIDAssumption, GroupMeans, att, dim, m_to_w, \
     parallel_trends_gap
 from .engine import run_contour, run_line, run_table
 from .errors import ConfigError, DataError, NumericError, PlmError
-from .io import RunConfig, emit_outputs, load_csv, parse_run_config, \
-    write_dataset_csv
+from .io import _EDGE_KEYS, RunConfig, _write_text, emit_outputs, \
+    load_csv, parse_run_config, write_dataset_csv
 from .selfcheck import run_selfcheck
 from .semiparam import SemiparamInputs, adjust_partially_linear
 from .simulate import GRAPH_EDGES, SCMRecipe, simulate_scm
@@ -210,28 +210,21 @@ def _given_config_owned(args) -> list[str]:
 
 
 def _run_config_from_flags(kind: str, args) -> RunConfig:
-    required = [("data", "--data"), ("outcome", "--outcome"),
-                ("treatment", "--treatment"), ("placebo", "--placebo"),
-                ("role", "--role"), ("out", "--out")]
-    missing = [flag for dest, flag in required if getattr(args, dest) is None]
+    missing = [flag for flag in ("--data", "--outcome", "--treatment",
+                                 "--placebo", "--role", "--out")
+               if getattr(args, flag[2:]) is None]
     if missing:
-        raise ConfigError(
-            f"missing {', '.join(missing)} (or use --config)"
-        )
-    covariates = []
-    if args.covariates:
-        covariates = [c.strip() for c in args.covariates.split(",")
-                      if c.strip()]
-    edges = {}
-    for key, flag in (("d_to_p", args.edge_d_to_p),
-                      ("p_to_y", args.edge_p_to_y),
-                      ("p_to_d", args.edge_p_to_d),
-                      ("y_to_p", args.edge_y_to_p)):
-        if flag:
-            edges[key] = True
+        raise ConfigError(f"missing {', '.join(missing)} (or use --config)")
+    covariates = [c.strip() for c in (args.covariates or "").split(",")
+                  if c.strip()]
+    edges = {key: True for key in _EDGE_KEYS if getattr(args, f"edge_{key}")}
     outputs = {kind: args.out}
     if args.svg:
         outputs["svg"] = args.svg
+    # Only the settings given: RunConfig holds the defaults.
+    settings = {"k": args.k, "direct": args.direct, "grid": args.grid,
+                "ci_level": args.ci_level}
+    bootstrap = {"reps": args.reps, "seed": args.seed}
     return RunConfig(
         data_path=args.data,
         outcome=args.outcome,
@@ -240,13 +233,9 @@ def _run_config_from_flags(kind: str, args) -> RunConfig:
         role=args.role,
         edges=edges,
         covariates=covariates,
-        k=tuple(args.k) if args.k else (-2.0, 2.0),
-        direct=tuple(args.direct) if args.direct else (0.0, 0.0),
-        grid=args.grid,
-        bootstrap={"reps": args.reps if args.reps is not None else 1000,
-                   "seed": args.seed if args.seed is not None else 0},
-        ci_level=args.ci_level if args.ci_level is not None else 0.95,
+        bootstrap={key: v for key, v in bootstrap.items() if v is not None},
         outputs=outputs,
+        **{key: v for key, v in settings.items() if v is not None},
     )
 
 
@@ -287,7 +276,7 @@ def _emit_json(payload: dict, out: str | None) -> None:
     if out is None:
         print(text)
     else:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        _write_text(Path(out), text + "\n")
         print(out)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adjust import ovb_estimate
 from .errors import ConfigError, DataError, DenominatorNearZero
 from .regression import NEAR_ZERO, Dataset
 
@@ -92,7 +93,8 @@ def att(means: GroupMeans, assumption: DIDAssumption) -> float:
     estimate (when att_n = 0).
     """
     d = dim(means)
-    return d["dim_Y"] - assumption.m * (d["dim_N"] - assumption.att_n)
+    return ovb_estimate(d["dim_Y"], d["dim_N"], 1.0, assumption.m,
+                        assumption.att_n)
 
 
 def parallel_trends_gap(means: GroupMeans) -> dict:

@@ -5,6 +5,12 @@ product of the two relative-confounding parameters is all that is needed on
 top of the three direct-link coefficients, and under a single shared
 confounder that product is exactly 1, giving point identification with no
 relative-confounding input at all.
+
+The adjustment is the single-placebo one, ``adjust.ovb_estimate``, with
+beta_yd as the target, beta_nd as the placebo coefficient, and the placebo
+pair's slope (beta_yp - yp_long) / (beta_np - np_long) as the scale in
+place of a ratio of residual norms. ``DoubleFormula`` serves it to the
+engine through the members ``adjust.CaseFormula`` serves a role with.
 """
 
 from __future__ import annotations
@@ -14,8 +20,10 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from .adjust import ovb_estimate
 from .errors import ConfigError, DenominatorNearZero
-from .regression import NEAR_ZERO, Dataset, least_squares
+from .regression import (NEAR_ZERO, Dataset, ScaledColumns,
+                         gram_least_squares, least_squares)
 
 
 class DoubleShortFits(NamedTuple):
@@ -35,8 +43,8 @@ class DoubleShortFits(NamedTuple):
     @classmethod
     def read(cls, beta):
         """From coefficients ``beta[..., coefficient, response]`` of the
-        ``short_design`` fits, one or a stack of them: D and P on Y, then
-        on N."""
+        shared-design fits (``DoubleFormula``), one or a stack of them: D
+        and P on Y, then on N."""
         return cls(*beta.T[[0, 0, 1, 1], [1, 2, 1, 2]])
 
 
@@ -96,25 +104,14 @@ class DoublePlaceboSpec:
             raise ConfigError("fixed long coefficients must be finite")
 
 
-def short_design(outcome: str, treatment: str, placebo_treatment: str,
-                 placebo_outcome: str, covariates=()):
-    """(regressors, responses) of the two short regressions: Y and N, each
-    on the shared design D + P + X."""
-    return ((treatment, placebo_treatment, *covariates),
-            (outcome, placebo_outcome))
-
-
 def fit_double_shorts(data: Dataset, outcome: str, treatment: str,
                       placebo_treatment: str, placebo_outcome: str,
                       covariates=(), idx=slice(None)) -> DoubleShortFits:
-    """The four short coefficients from one QR of the shared design, with
-    Y and N as its two responses, on rows ``idx`` (default: all). ``data``
-    maps names to columns: a Dataset or a plain dict."""
-    regressors, responses = short_design(outcome, treatment,
-                                         placebo_treatment, placebo_outcome,
-                                         covariates)
-    y = np.column_stack([data[name][idx] for name in responses])
-    return DoubleShortFits.read(least_squares(data, regressors, y, idx)[0])
+    """``DoubleFormula.fit`` of these columns on rows ``idx`` (default:
+    all). ``data`` maps names to columns: a Dataset or a plain dict."""
+    return DoubleFormula(DoublePlaceboSpec(
+        outcome, treatment, placebo_treatment, placebo_outcome,
+        tuple(covariates))).fit(data, idx)
 
 
 def placebo_pair_vanishes(beta_np, beta_np_long):
@@ -137,32 +134,90 @@ def check_placebo_pair(beta_np: float, beta_np_long: float) -> None:
         )
 
 
-def double_placebo_estimate(fits: DoubleShortFits, k_product, beta_yp_long,
-                            beta_nd_long, beta_np_long):
-    """The double-placebo formula, elementwise over array arguments.
-
-        beta_yd - k_product * (beta_yp - yp_long) * (beta_nd - nd_long)
-                                / (beta_np - np_long)
-
-    Unguarded: callers run ``check_placebo_pair`` on the short fits first.
-    """
-    return fits.beta_yd - k_product * (
-        (fits.beta_yp - beta_yp_long)
-        * (fits.beta_nd - beta_nd_long)
-        / (fits.beta_np - beta_np_long)
-    )
+def pair_slope(fits: DoubleShortFits, beta_yp_long, beta_np_long):
+    """(beta_yp - yp_long) / (beta_np - np_long), elementwise: the scale of
+    the double-placebo adjustment. Unguarded: callers run
+    ``check_placebo_pair`` on the short fits first."""
+    return (fits.beta_yp - beta_yp_long) / (fits.beta_np - beta_np_long)
 
 
 def adjust_double_placebo(fits: DoubleShortFits,
                           point: DoublePlaceboPoint) -> float:
     """Adjusted Y~D coefficient from the four short fits.
 
-    Applies ``double_placebo_estimate`` at ``point`` after
-    ``check_placebo_pair`` has ruled out a vanishing denominator.
+        beta_yd - k_product * (beta_nd - nd_long) * pair_slope
+
+    after ``check_placebo_pair`` has ruled out a vanishing denominator.
     """
     check_placebo_pair(fits.beta_np, point.beta_np_long)
-    return double_placebo_estimate(fits, point.k_product, point.beta_yp_long,
-                                   point.beta_nd_long, point.beta_np_long)
+    return ovb_estimate(fits.beta_yd, fits.beta_nd,
+                        pair_slope(fits, point.beta_yp_long,
+                                   point.beta_np_long),
+                        point.k_product, point.beta_nd_long)
+
+
+class DoubleFormula:
+    """A double-placebo spec as the engine reads it.
+
+    The members of ``adjust.CaseFormula``. A quantity row holds the four
+    short coefficients (yd, yp, nd, np), and ``triple`` maps rows to
+    (beta_yd, beta_nd, pair_slope): k is the product parameter and the
+    direct effect the D-to-N direct link, while ``beta_yp_long`` and
+    ``beta_np_long`` stay fixed at the spec's values.
+    """
+
+    def __init__(self, spec: DoublePlaceboSpec):
+        self.spec = spec
+        self.design = (spec.treatment_col, spec.placebo_treatment_col,
+                       *spec.covariate_cols)
+        self.responses = (spec.outcome_col, spec.placebo_outcome_col)
+        self.columns = (*self.design, *self.responses)
+
+    def fit(self, cols, idx=slice(None)) -> DoubleShortFits:
+        """The four short coefficients from one QR of the shared design
+        D + P + X, with Y and N as its two responses, on rows ``idx``."""
+        y = np.column_stack([cols[name][idx] for name in self.responses])
+        beta = least_squares(cols, self.design, y, idx)[0]
+        return DoubleShortFits.read(beta)
+
+    def quantities(self, cols, idx=slice(None)) -> DoubleShortFits:
+        """``fit``; a vanishing placebo pair raises, so such replicates are
+        dropped."""
+        fits = self.fit(cols, idx)
+        check_placebo_pair(fits.beta_np, self.spec.beta_np_long)
+        return fits
+
+    def gram_quantities(self, cols: ScaledColumns, g):
+        """``quantities`` rows, (batch, 4), from ``g = cols.grams(counts)``;
+        NaN rows as in gram_least_squares. A vanishing placebo pair is a
+        NaN row too, so QR decides it and raises as ``quantities`` does."""
+        q = np.stack(DoubleShortFits.read(
+            gram_least_squares(cols, g, self.design, self.responses)[0]),
+            axis=-1)
+        q[placebo_pair_vanishes(q[:, 3], self.spec.beta_np_long)] = np.nan
+        return q
+
+    def triple(self, q):
+        """(target, placebo, scale) of quantity rows ``q`` (..., 4)."""
+        fits = DoubleShortFits(*np.moveaxis(q, -1, 0))
+        return fits.beta_yd, fits.beta_nd, pair_slope(
+            fits, self.spec.beta_yp_long, self.spec.beta_np_long)
+
+    @staticmethod
+    def anchors(q):
+        """Anchor rows at product 0 and 1 (point identification)."""
+        return [("SOO", 0.0, 0.0), ("Point ID", 1.0, 0.0)], {}
+
+    def metadata(self, q) -> dict:
+        return dict(role=self.spec.role,
+                    direct_effect_name="treatment->placebo_outcome",
+                    alternatives=(), cautions=(),
+                    beta_yp_long=self.spec.beta_yp_long,
+                    beta_np_long=self.spec.beta_np_long)
+
+    @staticmethod
+    def warn_large_k(k: float) -> None:
+        """None: the product parameter has no raw-bias scale."""
 
 
 def point_identify_double_placebo(fits: DoubleShortFits,

@@ -1,10 +1,18 @@
 """Grid evaluation, contours, and bootstrap inference.
 
-Every adjustment here is affine in the sensitivity parameters, so one pass
-over the data yields the handful of coefficients and residual norms that
-determine the whole surface. The bootstrap therefore resamples rows once,
-stores those per-replicate quantities, and reuses them for every grid
-point, anchor row, and line slice.
+A spec reaches the engine as its formula, ``adjust.CaseFormula`` for a
+placebo role or ``double.DoubleFormula`` for the double placebo; ``_bind``
+is the one place that tells them apart. A formula names the ``columns`` it
+reads, evaluates its quantity rows (a role's target, placebo and SF, the
+double placebo's four short coefficients) on rows ``idx`` by QR
+(``quantities``) or for a batch of resamples (``gram_quantities``), and
+maps rows to their ``triple`` (target, placebo, scale). From the triple on
+every spec is the same: the estimate is ``adjust.ovb_estimate``, target -
+k * (placebo - direct) * scale, with a role's SF or the double placebo's
+pair slope as the scale. It is affine in each sensitivity parameter, so
+the bootstrap resamples once, stores the per-replicate quantities, and
+reuses them for every grid point, anchor row and line slice. ``anchors``,
+``metadata`` and ``warn_large_k`` complete the formula.
 
 Full-sample quantities come from one QR per design. Bootstrap replicates
 do not refit rows: every coefficient and residual norm a role reads is a
@@ -34,8 +42,8 @@ never on timing, so reruns with the same BLAS thread count give the same
 output bytes. The generic ``bootstrap()`` runs the same draws through one
 serial loop, ``_replicates``.
 
-The zero contour needs no search. Each engine's ``surface`` gives the
-estimate as a + k * (b + c * direct), zero on the hyperbola
+The zero contour needs no search. ``_surface`` gives the estimate as
+a + k * (b + c * direct), zero on the hyperbola
 k = -a / (b + c * direct), so the contour is the hyperbola's crossings with
 the grid lines in closed form: one polyline per branch, negative k first,
 each in increasing direct, a point repeated where two grid lines meet on it.
@@ -43,41 +51,21 @@ each in increasing direct, a point repeated where two grid lines meet on it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .adjust import (
-    LARGE_K,
-    PlaceboSpec,
-    dispatch_case,
-    ovb_estimate,
-)
-from .double import (
-    DoublePlaceboSpec,
-    DoubleShortFits,
-    check_placebo_pair,
-    double_placebo_estimate,
-    fit_double_shorts,
-    placebo_pair_vanishes,
-    short_design,
-)
+from .adjust import PlaceboSpec, dispatch_case, k_from_m, ovb_estimate
+from .double import DoubleFormula, DoublePlaceboSpec
 from .errors import (
     BootstrapDegenerate,
     ConfigError,
     DataError,
-    NonpositiveScale,
     NumericError,
-    ScaleConfusionWarning,
     TooFewRows,
 )
-from .regression import (
-    Dataset,
-    ScaledColumns,
-    gram_least_squares,
-)
+from .regression import Dataset, ScaledColumns
 
 # A replicate that raises one of these is dropped and counted; a cluster
 # resample can come out with too few rows for the design.
@@ -109,6 +97,10 @@ class AnalysisConfig:
     cluster_col: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.spec, (PlaceboSpec, DoublePlaceboSpec,
+                                      type(None))):
+            raise ConfigError(
+                "spec must be a PlaceboSpec or DoublePlaceboSpec")
         for name in ("k_range", "direct_range"):
             lo, hi = getattr(self, name)
             if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
@@ -122,6 +114,8 @@ class AnalysisConfig:
             raise ConfigError("grid_points_per_axis must be at least 1")
         if self.bootstrap_reps < 2:
             raise ConfigError("bootstrap_reps must be at least 2")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if not 0.0 < self.ci_level < 1.0:
             raise ConfigError("ci_level must sit strictly between 0 and 1")
         if self.freeze_sf and isinstance(self.spec, DoublePlaceboSpec):
@@ -185,107 +179,26 @@ class LineSlice:
 
 def standard_did_k(sf: float) -> float:
     """The k value whose adjustment reproduces standard DID, 1 / SF."""
-    if not np.isfinite(sf) or sf <= 0:
-        raise NonpositiveScale(f"scale factor must be positive, got {sf}")
-    return 1.0 / sf
+    return k_from_m(1.0, sf)
 
 
-class _SingleEngine:
-    """Per-replicate quantities (target, placebo, SF) for a placebo spec."""
-
-    def __init__(self, data: Dataset, spec: PlaceboSpec):
-        self.case = dispatch_case(spec)
-        self.spec = spec
-        names = {spec.outcome_col, spec.treatment_col, spec.placebo_col,
-                 *spec.covariate_cols}
-        self.cols = {name: data[name] for name in names}
-
-    def quantities(self, idx):
-        return self.case.quantities(self.cols, idx)
-
-    def gram_quantities(self, cols: ScaledColumns, g):
-        return self.case.gram_quantities(cols, g)
-
-    @staticmethod
-    def estimate(q, k, direct):
-        """Adjusted estimate; q rows are (target, placebo, sf)."""
-        return ovb_estimate(q[..., 0], q[..., 1], k, direct, q[..., 2])
-
-    @staticmethod
-    def surface(q):
-        """(a, b, c) with ``estimate(q, k, d) = a + k * (b + c * d)``."""
-        target, placebo, sf = q
-        return target, -placebo * sf, sf
+def _bind(data: Dataset, cfg: AnalysisConfig):
+    """The spec's formula and the columns it reads, after its large-k
+    warning; the one place that tells the kinds of spec apart."""
+    if cfg.spec is None:
+        raise ConfigError("config.spec must be a PlaceboSpec or "
+                          "DoublePlaceboSpec")
+    formula = (DoubleFormula(cfg.spec)
+               if isinstance(cfg.spec, DoublePlaceboSpec)
+               else dispatch_case(cfg.spec))
+    cols = {name: data[name] for name in formula.columns}
+    formula.warn_large_k(max(abs(cfg.k_range[0]), abs(cfg.k_range[1])))
+    return formula, cols
 
 
-class _DoubleEngine:
-    """Per-replicate short coefficients for a double-placebo spec."""
-
-    def __init__(self, data: Dataset, spec: DoublePlaceboSpec):
-        self.spec = spec
-        self.names = (spec.outcome_col, spec.treatment_col,
-                      spec.placebo_treatment_col, spec.placebo_outcome_col,
-                      spec.covariate_cols)
-        self.design, self.responses = short_design(*self.names)
-        self.cols = {name: data[name]
-                     for name in {*self.design, *self.responses}}
-
-    def quantities(self, idx):
-        """(yd, yp, nd, np) coefficients from one QR on rows ``idx``.
-
-        Raises DenominatorNearZero where the placebo-pair coefficient
-        equals its assumed direct part, so such replicates are dropped.
-        """
-        fits = fit_double_shorts(self.cols, *self.names, idx)
-        check_placebo_pair(fits.beta_np, self.spec.beta_np_long)
-        return fits
-
-    def gram_quantities(self, cols: ScaledColumns, g):
-        """``quantities`` rows, (batch, 4), from ``g = cols.grams(counts)``;
-        NaN rows as in gram_least_squares. A vanishing placebo pair is a
-        NaN row too, so QR decides it and raises as ``quantities`` does."""
-        q = np.stack(DoubleShortFits.read(
-            gram_least_squares(cols, g, self.design, self.responses)[0]),
-            axis=-1)
-        q[placebo_pair_vanishes(q[:, 3], self.spec.beta_np_long)] = np.nan
-        return q
-
-    def estimate(self, q, k_product, beta_nd_long):
-        """Adjusted estimate; q rows are (yd, yp, nd, np) coefficients."""
-        return double_placebo_estimate(
-            DoubleShortFits(*np.moveaxis(q, -1, 0)), k_product,
-            self.spec.beta_yp_long, beta_nd_long, self.spec.beta_np_long)
-
-    def surface(self, q):
-        """(a, b, c) with ``estimate(q, k, d) = a + k * (b + c * d)``."""
-        yd, yp, nd, np_ = q
-        slope = ((yp - self.spec.beta_yp_long)
-                 / (np_ - self.spec.beta_np_long))
-        return yd, -slope * nd, slope
-
-
-def _build_engine(data: Dataset, cfg: AnalysisConfig):
-    if isinstance(cfg.spec, PlaceboSpec):
-        return _SingleEngine(data, cfg.spec)
-    if isinstance(cfg.spec, DoublePlaceboSpec):
-        return _DoubleEngine(data, cfg.spec)
-    raise ConfigError(
-        "config.spec must be a PlaceboSpec or DoublePlaceboSpec"
-    )
-
-
-def _warn_on_ranges(cfg: AnalysisConfig) -> None:
-    if isinstance(cfg.spec, DoublePlaceboSpec):
-        return
-    largest = max(abs(cfg.k_range[0]), abs(cfg.k_range[1]))
-    if largest > LARGE_K:
-        warnings.warn(
-            f"k range reaches |k| = {largest:g}, beyond {LARGE_K:g}; k is "
-            "scale-free, so ranges this wide usually mean m (raw-bias "
-            "ratio) was intended",
-            ScaleConfusionWarning,
-            stacklevel=3,
-        )
+def _surface(target, placebo, scale):
+    """(a, b, c) such that the estimate at (k, d) is a + k * (b + c * d)."""
+    return target, -placebo * scale, scale
 
 
 def _cluster_index_pool(data: Dataset, cluster_col: str):
@@ -361,8 +274,8 @@ def _replicates(data: Dataset, cfg: AnalysisConfig,
     return _kept(rows, cfg.bootstrap_reps)
 
 
-def _gram_rows(engine, cols: ScaledColumns, g) -> list:
-    """``engine.gram_quantities`` of the Gram stack ``g``, one row per
+def _gram_rows(formula, scaled: ScaledColumns, g) -> list:
+    """``formula.gram_quantities`` of the Gram stack ``g``, one row per
     replicate; a row holding NaN is one the Gram solve cannot vouch for.
 
     Where the stacked Cholesky fails, the stack is split in halves and each
@@ -371,38 +284,39 @@ def _gram_rows(engine, cols: ScaledColumns, g) -> list:
     its batch keeps the Gram path.
     """
     try:
-        return list(engine.gram_quantities(cols, g))
+        return list(formula.gram_quantities(scaled, g))
     except np.linalg.LinAlgError:
         if len(g) == 1:
             return [np.full(1, np.nan)]
         half = len(g) // 2
-        return (_gram_rows(engine, cols, g[:half])
-                + _gram_rows(engine, cols, g[half:]))
+        return (_gram_rows(formula, scaled, g[:half])
+                + _gram_rows(formula, scaled, g[half:]))
 
 
-def _bootstrap_quantities(engine, data: Dataset, cfg: AnalysisConfig,
-                          q_full):
-    """Per-replicate quantity rows and the dropped-replicate count;
-    ``freeze_sf`` pins each row's SF to the full sample's ``q_full``.
+def _bootstrap_quantities(formula, cols, data: Dataset,
+                          cfg: AnalysisConfig, q_full):
+    """Per-replicate quantity rows of ``formula`` on the columns ``cols``
+    and the dropped-replicate count; ``freeze_sf`` pins each row's SF to
+    the full sample's ``q_full``.
 
-    Replicates run in batches of ``cols.batch``, each fitted from one
+    Replicates run in batches of ``scaled.batch``, each fitted from one
     stack of Gram matrices; a row the Gram solve cannot vouch for is
     refitted by QR on the replicate's rows, in replicate order, and
     dropped if that raises one of ``_REPLICATE_FAILURES``.
     """
     members = (None if cfg.cluster_col is None
                else _cluster_index_pool(data, cfg.cluster_col))
-    cols = ScaledColumns(engine.cols, members)
+    scaled = ScaledColumns(cols, members)
     kept = []
-    for start in range(0, cfg.bootstrap_reps, cols.batch):
-        reps = range(start, min(start + cols.batch, cfg.bootstrap_reps))
-        g = cols.grams(_replicate_counts(cfg.seed, reps, cols.units))
-        for rep, row in zip(reps, _gram_rows(engine, cols, g)):
+    for start in range(0, cfg.bootstrap_reps, scaled.batch):
+        reps = range(start, min(start + scaled.batch, cfg.bootstrap_reps))
+        g = scaled.grams(_replicate_counts(cfg.seed, reps, scaled.units))
+        for rep, row in zip(reps, _gram_rows(formula, scaled, g)):
             if not np.isfinite(row).all():
                 idx = _replicate_indices(_replicate_rng(cfg.seed, rep),
                                          data.n_rows, members)
                 try:
-                    row = engine.quantities(idx)
+                    row = formula.quantities(cols, idx)
                 except _REPLICATE_FAILURES:
                     continue
             kept.append(row)
@@ -427,28 +341,11 @@ def _axis_quartiles(bounds: tuple[float, float], g: int) -> np.ndarray:
     return np.unique(lo + fractions * (hi - lo))
 
 
-def _metadata(engine, data: Dataset, cfg: AnalysisConfig, q_full,
+def _metadata(formula, data: Dataset, cfg: AnalysisConfig, q_full,
               failures: int | None = None) -> dict:
     """Run description; ``failures`` is given by the bootstrap runners."""
-    meta = {"n_rows": data.n_rows, "seed": cfg.seed}
-    if isinstance(engine, _SingleEngine):
-        case = engine.case
-        meta.update(
-            role=engine.spec.role,
-            direct_effect_name=case.direct_effect_name,
-            alternatives=case.alternatives,
-            cautions=case.cautions,
-            scale_factor=float(q_full[2]),
-        )
-    else:
-        meta.update(
-            role="double_placebo",
-            direct_effect_name="treatment->placebo_outcome",
-            alternatives=(),
-            cautions=(),
-            beta_yp_long=engine.spec.beta_yp_long,
-            beta_np_long=engine.spec.beta_np_long,
-        )
+    meta = {"n_rows": data.n_rows, "seed": cfg.seed,
+            **formula.metadata(q_full)}
     if failures is not None:
         meta.update(
             bootstrap_reps=cfg.bootstrap_reps,
@@ -470,18 +367,9 @@ def run_table(data: Dataset, cfg: AnalysisConfig) -> ResultTable:
     parameter ranges, i / (g + 1) across each span, so the default g = 3
     gives the quartile points.
     """
-    engine = _build_engine(data, cfg)
-    _warn_on_ranges(cfg)
-    q_full = np.asarray(engine.quantities(slice(None)))
-    if isinstance(engine, _DoubleEngine):
-        anchors = [("SOO", 0.0, 0.0), ("Point ID", 1.0, 0.0)]
-    else:
-        sf_full = float(q_full[2])
-        anchors = [
-            ("SOO", 0.0, 0.0),
-            ("Standard DID", standard_did_k(sf_full), 0.0),
-            ("k=1 DID", 1.0, 0.0),
-        ]
+    formula, cols = _bind(data, cfg)
+    q_full = np.asarray(formula.quantities(cols))
+    anchors, anchor_meta = formula.anchors(q_full)
     g = 3 if cfg.grid_points_per_axis is None else cfg.grid_points_per_axis
     k_values = _axis_quartiles(cfg.k_range, g)
     direct_values = _axis_quartiles(cfg.direct_range, g)
@@ -490,49 +378,39 @@ def run_table(data: Dataset, cfg: AnalysisConfig) -> ResultTable:
         for k in k_values
         for dv in direct_values
     ]
-    q_rows, failures = _bootstrap_quantities(engine, data, cfg, q_full)
+    q_rows, failures = _bootstrap_quantities(formula, cols, data, cfg, q_full)
+    full, reps = formula.triple(q_full), formula.triple(q_rows)
     rows = []
     for label, k, dv in points:
-        est = float(engine.estimate(q_full, k, dv))
-        draws = engine.estimate(q_rows, k, dv)
+        draws = ovb_estimate(*reps, k, dv)
         lo, hi = _ci_bounds(draws, cfg.ci_level)
-        rows.append(TableRow(
-            label=label,
-            k=k,
-            direct=dv,
-            estimate=est,
-            se=float(np.std(draws, ddof=1)),
-            ci_low=float(lo),
-            ci_high=float(hi),
-        ))
-    meta = _metadata(engine, data, cfg, q_full, failures)
-    if isinstance(engine, _SingleEngine):
-        meta.update(standard_did_k=standard_did_k(sf_full))
-    return ResultTable(rows=tuple(rows), metadata=meta)
+        rows.append(TableRow(label, k, dv, float(ovb_estimate(*full, k, dv)),
+                             float(np.std(draws, ddof=1)), float(lo),
+                             float(hi)))
+    meta = _metadata(formula, data, cfg, q_full, failures)
+    return ResultTable(rows=tuple(rows), metadata={**meta, **anchor_meta})
 
 
 def run_contour(data: Dataset, cfg: AnalysisConfig) -> ContourGrid:
     """Estimate surface over the full (k, direct) rectangle.
 
     No bootstrap: the surface is a point-estimate map, with the zero-level
-    set found in closed form from the engine's ``surface`` for overlay
-    plots.
+    set found in closed form from ``_surface`` for overlay plots.
     """
-    engine = _build_engine(data, cfg)
-    _warn_on_ranges(cfg)
-    q_full = np.asarray(engine.quantities(slice(None)))
+    formula, cols = _bind(data, cfg)
+    q_full = np.asarray(formula.quantities(cols))
+    full = formula.triple(q_full)
     g = 201 if cfg.grid_points_per_axis is None else cfg.grid_points_per_axis
     k_values = np.linspace(*cfg.k_range, g)
     direct_values = np.linspace(*cfg.direct_range, g)
-    estimates = engine.estimate(q_full, k_values[:, None],
-                                direct_values[None, :])
-    contour = _zero_contour(k_values, direct_values, *engine.surface(q_full))
     return ContourGrid(
         k_values=k_values,
         direct_values=direct_values,
-        estimates=estimates,
-        zero_contour=tuple(contour),
-        metadata=_metadata(engine, data, cfg, q_full),
+        estimates=ovb_estimate(*full, k_values[:, None],
+                               direct_values[None, :]),
+        zero_contour=tuple(_zero_contour(k_values, direct_values,
+                                         *_surface(*full))),
+        metadata=_metadata(formula, data, cfg, q_full),
     )
 
 
@@ -545,14 +423,12 @@ def run_line(data: Dataset, cfg: AnalysisConfig, varying: str = "k",
     """
     if varying not in ("k", "direct"):
         raise ConfigError("varying must be 'k' or 'direct'")
-    for frac in fixed_percentiles:
-        if not 0.0 <= frac <= 1.0:
-            raise ConfigError("fixed_percentiles must sit in [0, 1]")
+    if not all(0.0 <= frac <= 1.0 for frac in fixed_percentiles):
+        raise ConfigError("fixed_percentiles must sit in [0, 1]")
     if not fixed_percentiles:
         raise ConfigError("at least one fixed percentile is required")
-    engine = _build_engine(data, cfg)
-    _warn_on_ranges(cfg)
-    q_full = np.asarray(engine.quantities(slice(None)))
+    formula, cols = _bind(data, cfg)
+    q_full = np.asarray(formula.quantities(cols))
     g = 201 if cfg.grid_points_per_axis is None else cfg.grid_points_per_axis
     vary_bounds = cfg.k_range if varying == "k" else cfg.direct_range
     fixed_bounds = cfg.direct_range if varying == "k" else cfg.k_range
@@ -561,22 +437,19 @@ def run_line(data: Dataset, cfg: AnalysisConfig, varying: str = "k",
         float(fixed_bounds[0] + f * (fixed_bounds[1] - fixed_bounds[0]))
         for f in fixed_percentiles
     )
-    q_rows, failures = _bootstrap_quantities(engine, data, cfg, q_full)
+    q_rows, failures = _bootstrap_quantities(formula, cols, data, cfg, q_full)
+    full, reps = formula.triple(q_full), formula.triple(q_rows)
     curves = []
     for fv in fixed_values:
-        if varying == "k":
-            est = engine.estimate(q_full, axis, fv)
-            draws = engine.estimate(q_rows[None, :, :], axis[:, None], fv)
-        else:
-            est = engine.estimate(q_full, fv, axis)
-            draws = engine.estimate(q_rows[None, :, :], fv, axis[:, None])
-        lo, hi = _ci_bounds(draws, cfg.ci_level, axis=1)
-        curves.append(np.column_stack([axis, est, lo, hi]))
+        k, dv = (axis[:, None], fv) if varying == "k" else (fv, axis[:, None])
+        lo, hi = _ci_bounds(ovb_estimate(*reps, k, dv), cfg.ci_level, axis=1)
+        curves.append(np.column_stack(
+            [axis, ovb_estimate(*full, k, dv)[:, 0], lo, hi]))
     return LineSlice(
         varying=varying,
         fixed_values=fixed_values,
         curves=tuple(curves),
-        metadata=_metadata(engine, data, cfg, q_full, failures),
+        metadata=_metadata(formula, data, cfg, q_full, failures),
     )
 
 

@@ -11,6 +11,7 @@ import csv
 import json
 import math
 from array import array
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Mapping
 
@@ -35,63 +36,73 @@ TABLE_COLUMNS = ("label", "k", "direct_effect", "estimate", "std_error",
                  "ci_low", "ci_high")
 
 
+@contextmanager
+def _csv_reader(path: Path):
+    """A csv.reader over a UTF-8 file, a leading byte-order mark dropped;
+    IoError where the file cannot be read, ParseError where it is not UTF-8
+    or a field is longer than ``csv.field_size_limit()``."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            yield reader
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def load_csv(path) -> Dataset:
     """Read a numeric CSV (header row, '.' decimals) into a Dataset.
 
     Raises
     ------
     ParseError
-        Structural problems: empty file, ragged rows.
+        Structural problems: empty file, ragged rows, text that is not
+        UTF-8, an oversized field.
     DuplicateHeader
         Repeated column name.
     NonFiniteValue
         A cell that is not a finite number, reported with row and column.
     TooFewRows
         Header only, no data rows.
+    IoError
+        The file cannot be read.
     """
     path = Path(path)
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(f"{path}: file is empty") from None
-            header = [name.strip() for name in header]
-            if any(not name for name in header):
-                raise ParseError(f"{path}: blank column name in header")
-            seen = set()
-            for name in header:
-                if name in seen:
-                    raise DuplicateHeader(
-                        f"{path}: column {name!r} appears twice"
+    with _csv_reader(path) as rows:
+        header = next(rows, None)
+        if header is None:
+            raise ParseError(f"{path}: file is empty")
+        header = [name.strip() for name in header]
+        if any(not name for name in header):
+            raise ParseError(f"{path}: blank column name in header")
+        if len(set(header)) != len(header):
+            name = next(n for i, n in enumerate(header) if n in header[:i])
+            raise DuplicateHeader(f"{path}: column {name!r} appears twice")
+        # Raw doubles, not lists of float objects: a third of the memory, and
+        # no small objects left to fragment the heap between loads.
+        columns = [array("d") for _ in header]
+        for row_number, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}: row {row_number} has {len(row)} fields, "
+                    f"expected {len(header)}"
+                )
+            for col, cell in enumerate(row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise NonFiniteValue(
+                        f"{path}: row {row_number}, column {header[col]!r}: "
+                        f"{cell.strip()!r} is not a finite number"
                     )
-                seen.add(name)
-            # Raw doubles, not lists of float objects: a third of the memory,
-            # and no small objects left to fragment the heap between loads.
-            columns = [array("d") for _ in header]
-            for row_number, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ParseError(
-                        f"{path}: row {row_number} has {len(row)} fields, "
-                        f"expected {len(header)}"
-                    )
-                for col, cell in enumerate(row):
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        value = math.nan
-                    if not math.isfinite(value):
-                        raise NonFiniteValue(
-                            f"{path}: row {row_number}, column "
-                            f"{header[col]!r}: {cell.strip()!r} is not a "
-                            "finite number"
-                        )
-                    columns[col].append(value)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+                columns[col].append(value)
     if not columns[0]:
         raise TooFewRows(f"{path}: no data rows")
     return Dataset({name: vals for name, vals in zip(header, columns)})
@@ -273,7 +284,7 @@ def parse_run_config(path) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -319,28 +330,21 @@ def write_table_csv(table: ResultTable, path) -> Path:
 def read_table_csv(path) -> ResultTable:
     """Read back a table CSV written by write_table_csv."""
     path = Path(path)
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != TABLE_COLUMNS:
+    table = []
+    with _csv_reader(path) as rows:
+        if tuple(next(rows, ())) != TABLE_COLUMNS:
+            raise ParseError(
+                f"{path}: expected header {','.join(TABLE_COLUMNS)}")
+        for row_number, row in enumerate(rows, start=2):
+            if len(row) != len(TABLE_COLUMNS):
+                raise ParseError(f"{path}: malformed row {row_number}")
+            try:
+                table.append(TableRow(row[0], *(float(v) for v in row[1:])))
+            except ValueError:
                 raise ParseError(
-                    f"{path}: expected header {','.join(TABLE_COLUMNS)}"
-                )
-            rows = []
-            for row_number, row in enumerate(reader, start=2):
-                if len(row) != len(TABLE_COLUMNS):
-                    raise ParseError(f"{path}: malformed row {row_number}")
-                try:
-                    rows.append(TableRow(row[0],
-                                         *(float(v) for v in row[1:])))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: non-numeric value in row {row_number}"
-                    ) from None
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    return ResultTable(rows=tuple(rows), metadata={})
+                    f"{path}: non-numeric value in row {row_number}"
+                ) from None
+    return ResultTable(rows=tuple(table), metadata={})
 
 
 def write_contour_csv(grid: ContourGrid, path) -> Path:

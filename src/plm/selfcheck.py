@@ -19,7 +19,8 @@ import numpy as np
 from .adjust import PlaceboSpec, ShortCoefficients, dispatch_case
 from .double import (DoublePlaceboPoint, adjust_double_placebo,
                      fit_double_shorts, point_identify_double_placebo)
-from .errors import MediatorCautionWarning, ScaleConfusionWarning
+from .errors import ConfigError, MediatorCautionWarning, \
+    ScaleConfusionWarning
 from .regression import (Dataset, bias_decomposition_oracle, fit_ols,
                          verify_bias_factor_identity)
 from .simulate import GRAPH_EDGES, SCMRecipe, simulate_scm
@@ -191,6 +192,8 @@ def run_selfcheck(seed: int = 0, draws: int = 25) -> CheckReport:
     Alternates between a purely hidden driver and a two-component driver
     with one component observed.
     """
+    if draws < 1 or seed < 0:
+        raise ConfigError("verify needs draws >= 1 and seed >= 0")
     rec_errors = []
     for base, (graph_case, role, kwargs) in enumerate(SINGLE_CASES):
         for i in range(draws):

@@ -15,6 +15,7 @@ from math import sqrt
 
 import numpy as np
 
+from .adjust import ovb_estimate
 from .errors import ConfigError, NonpositiveScale
 
 
@@ -67,6 +68,6 @@ def adjust_partially_linear(inputs: SemiparamInputs) -> float:
     the linear placebo-outcome adjustment when gamma = 1 and k equals the
     squared linear relative-confounding parameter.
     """
-    gap = inputs.theta_s_n - inputs.theta_l_n
     scale = sqrt(inputs.gamma * inputs.k) * sqrt(inputs.s2_y / inputs.s2_n)
-    return inputs.theta_s_y - inputs.sign_m * scale * gap
+    return ovb_estimate(inputs.theta_s_y, inputs.theta_s_n, scale,
+                        inputs.sign_m, inputs.theta_l_n)

@@ -78,6 +78,8 @@ class SCMRecipe:
             )
         if self.n < 1:
             raise InvalidRecipe("n must be at least 1")
+        if self.seed < 0:
+            raise InvalidRecipe("seed must be non-negative")
         if self.z_dim < 1:
             raise InvalidRecipe("z_dim must be at least 1")
         allowed = GRAPH_EDGES[self.graph_case]

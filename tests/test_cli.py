@@ -6,12 +6,15 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import plm
+from plm.adjust import ROLES
 from plm.cli import cli_main
 from plm.io import load_csv, read_table_csv, write_dataset_csv
 from plm.regression import Dataset
@@ -217,6 +220,154 @@ def test_malformed_config_value_exits_two(tmp_path, capsys, key, value,
     assert cli_main(["table", "--config", str(config)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "table.csv").exists()
+
+
+_FLAGS = ["--outcome", "Y", "--treatment", "D", "--placebo", "P",
+          "--role", "placebo_outcome", "--edge-d-to-p", "--reps", "20"]
+_RUN = {"data_path": "data.csv", "outcome": "Y", "treatment": "D",
+        "placebo": "P", "role": "placebo_outcome", "edges": {"d_to_p": True},
+        "outputs": {"table": "t.csv"}}
+
+
+@pytest.mark.parametrize("files, argv, env_seed, code", [
+    ({"in.csv": b"Y,D,P\n1,2,\xff\n"},
+     ["table", "--data", "in.csv", *_FLAGS, "--out", "t.csv"], None, 3),
+    ({"in.csv": b"Y,D,P\n1,2," + b"1" * 200_000 + b"\n"},
+     ["table", "--data", "in.csv", *_FLAGS, "--out", "t.csv"], None, 3),
+    ({"run.json": b'{"data_path": "data.csv", \xff}'},
+     ["table", "--config", "run.json"], None, 2),
+    ({"did.csv": b"G,Y,N\n1,10,5\n1,14,7\n0,6,4\n0,8,6\n"},
+     ["did", "--data", "did.csv", "--outcome", "Y", "--placebo", "N",
+      "--group", "G", "--out", "missing/did.json"], None, 3),
+    ({}, ["semiparam", "--theta-s-y", "1", "--theta-s-n", "0.5", "--k", "1",
+          "--out", "missing/semi.json"], None, 3),
+    ({}, ["table", "--data", "data.csv", *_FLAGS, "--seed", "-1",
+          "--out", "t.csv"], None, 2),
+    ({"run.json": json.dumps({**_RUN, "bootstrap": {"reps": 20,
+                                                     "seed": -1}}).encode()},
+     ["table", "--config", "run.json"], None, 2),
+    ({}, ["table", "--data", "data.csv", *_FLAGS, "--out", "t.csv"], "-3", 2),
+    ({}, ["simulate", "--case", "a", "--n", "10", "--seed", "-1",
+          "--out", "sim.csv"], None, 2),
+    ({}, ["simulate", "--case", "a", "--n", "10", "--out", "sim.csv"], "-3",
+     2),
+    ({}, ["verify", "--seed", "-5", "--draws", "1"], None, 2),
+    ({}, ["verify", "--draws", "0"], None, 2),
+], ids=["csv-not-utf8", "csv-field-too-long", "config-not-utf8",
+        "did-out-missing-dir", "semiparam-out-missing-dir",
+        "table-negative-seed", "config-negative-seed", "env-negative-seed",
+        "simulate-negative-seed", "simulate-env-negative-seed",
+        "verify-negative-seed", "verify-no-draws"])
+def test_unreadable_file_or_bad_number_exits_with_its_code(
+        tmp_path, monkeypatch, capsys, files, argv, env_seed, code):
+    # Each used to escape cli_main as a traceback.
+    monkeypatch.chdir(tmp_path)
+    _data_csv(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    if env_seed is not None:
+        monkeypatch.setenv("PLM_SEED", env_seed)
+    assert cli_main(argv) == code
+    assert "plm: " in capsys.readouterr().err
+
+
+def test_flag_and_config_forms_share_defaults(tmp_path, capsys):
+    # Neither form sets k, direct, grid, seed or ci_level: both take
+    # RunConfig's defaults and write the same bytes.
+    data_path = _data_csv(tmp_path)
+    flags = tmp_path / "flags.csv"
+    assert cli_main(["table", "--data", str(data_path), *_FLAGS,
+                     "--out", str(flags)]) == 0
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**_RUN, "bootstrap": {"reps": 20},
+                                  "outputs": {"table": "config.csv"}}),
+                      encoding="utf-8")
+    assert cli_main(["table", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert flags.read_bytes() == (tmp_path / "config.csv").read_bytes()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+_NUMBER = st.one_of(st.integers(-3, 3), st.floats(-1e3, 1e3), st.floats())
+# Values near the schema's: names, ranges, small counts, sub-objects.
+_VALUE = st.one_of(
+    _JSON, _NUMBER, st.sampled_from(["Y", "D", "P", "X", "data.csv", ""]),
+    st.lists(_NUMBER, min_size=2, max_size=2),
+    st.fixed_dictionaries({"reps": st.integers(-1, 6),
+                           "seed": st.integers(-2, 5)}),
+    st.dictionaries(st.sampled_from(["d_to_p", "p_to_y", "p_to_d", "y_to_p",
+                                     "x"]), _JSON, max_size=2))
+_RANGE = st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2).map(sorted)
+
+
+@st.composite
+def _configs(draw):
+    """A valid run config, then a few keys replaced or dropped."""
+    y, d, p = draw(st.permutations(["Y", "D", "P"]))
+    config = {
+        "data_path": "data.csv", "outcome": y, "treatment": d,
+        "placebo": p, "role": draw(st.sampled_from(ROLES)),
+        "edges": draw(st.dictionaries(st.sampled_from(["d_to_p", "p_to_y"]),
+                                      st.booleans())),
+        "covariates": draw(st.lists(st.sampled_from(["X", "G"]),
+                                    max_size=1)),
+        "k": draw(_RANGE), "direct": draw(_RANGE),
+        "grid": draw(st.integers(1, 4)),
+        "bootstrap": {"reps": draw(st.integers(2, 6)),
+                      "seed": draw(st.integers(0, 5))},
+        "ci_level": draw(st.floats(0.5, 0.99)),
+    }
+    if draw(st.integers(0, 2)) == 2:
+        config[draw(st.sampled_from([*config, "extra"]))] = draw(_VALUE)
+    if draw(st.integers(0, 5)) == 5:
+        del config[draw(st.sampled_from(sorted(config)))]
+    return config
+
+
+_CELL = st.one_of(st.floats(-1e3, 1e3).map(repr), st.integers(0, 1).map(str))
+_BAD_CELL = st.sampled_from(["", "nan", "inf", "x", "1e309", '"1"'])
+
+
+@st.composite
+def _csv_bytes(draw):
+    """Numeric CSV text with the config's columns, sometimes a bad cell,
+    a ragged row, a repeated name or a byte-order mark; or any bytes."""
+    if draw(st.integers(0, 7)) == 7:
+        return draw(st.binary(max_size=64))
+    header = draw(st.permutations(["Y", "D", "P", *draw(st.lists(
+        st.sampled_from(["X", "G"]), unique=True))]))
+    rows = draw(st.lists(st.lists(_CELL, min_size=len(header),
+                                  max_size=len(header)),
+                         min_size=1, max_size=25))
+    if rows and draw(st.integers(0, 3)) == 3:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(_BAD_CELL)
+    if rows and draw(st.integers(0, 5)) == 5:
+        rows[-1] = rows[-1][:-1]
+    if draw(st.integers(0, 9)) == 9:
+        header = [*header, header[0]]
+    text = ",".join(header) + "\n" + "".join(",".join(row) + "\n"
+                                             for row in rows)
+    return (draw(st.sampled_from(["", "\ufeff"])) + text).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["table", "contour", "line"]),
+       config=_configs(), csv_bytes=_csv_bytes())
+def test_any_config_and_csv_exit_with_a_documented_code(command, config,
+                                                        csv_bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "data.csv").write_bytes(csv_bytes)
+        config = {**config, "outputs": {command: "out.csv"}}
+        (root / "run.json").write_text(json.dumps(config), encoding="utf-8")
+        assert cli_main([command, "--config", str(root / "run.json")]) in (
+            0, 2, 3, 4)
 
 
 def test_line_multiple_fixed_positions(tmp_path, capsys):

@@ -10,7 +10,7 @@ from plm.double import (
     fit_double_shorts,
     point_identify_double_placebo,
 )
-from plm.engine import AnalysisConfig, _build_engine
+from plm.engine import AnalysisConfig, _bind
 from plm.errors import ConfigError, DenominatorNearZero
 from plm.regression import fit_ols
 from plm.selfcheck import double_recovery_error
@@ -115,8 +115,8 @@ def test_fit_double_shorts_matches_direct_fits():
     spec = DoublePlaceboSpec(outcome_col="Y", treatment_col="D",
                              placebo_treatment_col="P",
                              placebo_outcome_col="N")
-    engine = _build_engine(data, AnalysisConfig(spec=spec))
-    assert tuple(engine.quantities(slice(None))) == tuple(fits)
+    formula, cols = _bind(data, AnalysisConfig(spec=spec))
+    assert tuple(formula.quantities(cols, slice(None))) == tuple(fits)
     fit_y = fit_ols(data, "Y", ("D", "P"))
     fit_n = fit_ols(data, "N", ("D", "P"))
     assert fits == pytest.approx(

@@ -7,19 +7,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plm.adjust import _ROLE_TABLE, ROLES, PlaceboSpec, dispatch_case
+from plm.adjust import (
+    _ROLE_TABLE,
+    ROLES,
+    CaseFormula,
+    PlaceboSpec,
+    dispatch_case,
+    ovb_estimate,
+)
 from plm.double import DoublePlaceboSpec, fit_double_shorts, \
     point_identify_double_placebo
 from plm.engine import (
     AnalysisConfig,
-    _SingleEngine,
-    _build_engine,
+    _bind,
     _bootstrap_quantities,
     _cluster_index_pool,
     _gram_rows,
     _replicate_indices,
     _replicate_counts,
     _replicate_rng,
+    _surface,
     _zero_contour,
     bootstrap,
     run_contour,
@@ -252,8 +259,8 @@ def test_contour_saddle_keeps_the_branches_apart(monkeypatch, g):
     # origin. No polyline may cross from one branch to the other through
     # the positive region between them.
     a, b, c = -1e-3, 0.0, 1.0
-    monkeypatch.setattr(_SingleEngine, "quantities",
-                        lambda self, idx: np.array([a, 0.0, 1.0]))
+    monkeypatch.setattr(CaseFormula, "quantities",
+                        lambda self, cols, idx=None: np.array([a, 0.0, 1.0]))
     grid = run_contour(_data(), _cfg(k_range=(-1.0, 1.0),
                                      direct_range=(-1.0, 1.0),
                                      grid_points_per_axis=g))
@@ -274,11 +281,12 @@ def test_surface_reproduces_the_estimate(double):
                                  beta_np_long=-0.2)
     else:
         data, spec = _data(), _spec()
-    engine = _build_engine(data, AnalysisConfig(spec=spec))
-    q = np.asarray(engine.quantities(slice(None)))
-    a, b, c = engine.surface(q)
+    formula, cols = _bind(data, AnalysisConfig(spec=spec))
+    q = np.asarray(formula.quantities(cols, slice(None)))
+    a, b, c = _surface(*formula.triple(q))
     k, d = np.meshgrid(np.linspace(-2.0, 2.0, 9), np.linspace(-1.0, 1.0, 9))
-    assert np.allclose(a + k * (b + c * d), engine.estimate(q, k, d),
+    assert np.allclose(a + k * (b + c * d),
+                       ovb_estimate(*formula.triple(q), k, d),
                        rtol=1e-12, atol=1e-12 * max(1.0, abs(a)))
 
 
@@ -417,6 +425,36 @@ def test_double_placebo_table():
     )
     assert table.metadata["role"] == "double_placebo"
     assert all(row.se > 0 for row in table.rows)
+
+
+@pytest.mark.parametrize("double", [False, True])
+def test_runners_describe_the_formula_in_metadata(double):
+    if double:
+        data = simulate_scm(SCMRecipe(n=300, graph_case="double_a", seed=2))
+        spec = DoublePlaceboSpec(outcome_col="Y", treatment_col="D",
+                                 placebo_treatment_col="P",
+                                 placebo_outcome_col="N", beta_yp_long=0.3,
+                                 beta_np_long=-0.2)
+        formula = dict(role="double_placebo",
+                       direct_effect_name="treatment->placebo_outcome",
+                       alternatives=(), cautions=(), beta_yp_long=0.3,
+                       beta_np_long=-0.2)
+        anchor = {}
+    else:
+        data, spec = _data(), _spec()
+        sf = dispatch_case(spec).sf(data)
+        formula = dict(role="placebo_outcome",
+                       direct_effect_name="treatment->placebo",
+                       alternatives=(), cautions=(), scale_factor=sf)
+        anchor = {"standard_did_k": 1.0 / sf}
+    cfg = AnalysisConfig(spec=spec, bootstrap_reps=20, seed=1,
+                         grid_points_per_axis=3)
+    base = {"n_rows": data.n_rows, "seed": 1, **formula}
+    boot = dict(bootstrap_reps=20, bootstrap_failures=0, ci_level=0.95,
+                freeze_sf=False, cluster_col=None)
+    assert run_contour(data, cfg).metadata == base
+    assert run_line(data, cfg).metadata == {**base, **boot}
+    assert run_table(data, cfg).metadata == {**base, **boot, **anchor}
 
 
 def test_double_placebo_vanishing_pair_is_rejected():
@@ -597,20 +635,20 @@ def _replicate_both_ways(data, role, seed, rep, clusters):
     in for the quantities of a path that raises it. The batched path is the
     engine's: the replicate's row of a Gram batch, refitted by QR where the
     row holds NaN."""
-    engine = _build_engine(data, AnalysisConfig(spec=_role_spec(role)))
+    formula, cols = _bind(data, AnalysisConfig(spec=_role_spec(role)))
     members = _cluster_index_pool(data, "C") if clusters else None
     idx = _replicate_indices(_replicate_rng(seed, rep), data.n_rows, members)
     try:
-        want = np.array(engine.quantities(idx))
+        want = np.array(formula.quantities(cols, idx))
     except (NumericError, TooFewRows) as exc:
         want = type(exc)
-    cols = ScaledColumns(engine.cols, members)
-    got = _gram_rows(engine, cols, cols.grams(
-        _replicate_counts(seed, [rep], cols.units)))[0]
+    scaled = ScaledColumns(cols, members)
+    got = _gram_rows(formula, scaled, scaled.grams(
+        _replicate_counts(seed, [rep], scaled.units)))[0]
     fell_back = not np.isfinite(got).all()
     if fell_back:
         try:
-            got = np.array(engine.quantities(idx))
+            got = np.array(formula.quantities(cols, idx))
         except (NumericError, TooFewRows) as exc:
             got = type(exc)
     return want, got, fell_back, data.take(idx)
@@ -655,7 +693,7 @@ def test_untrusted_gram_replicate_is_refitted_by_qr(role, kwargs, clusters):
     assert np.array_equal(got, want)
 
 
-def _qr_reference(engine, data, cfg):
+def _qr_reference(formula, cols, data, cfg):
     """Kept rows and dropped count of one-at-a-time QR evaluation."""
     members = (None if cfg.cluster_col is None
                else _cluster_index_pool(data, cfg.cluster_col))
@@ -664,7 +702,7 @@ def _qr_reference(engine, data, cfg):
         idx = _replicate_indices(_replicate_rng(cfg.seed, rep), data.n_rows,
                                  members)
         try:
-            rows.append(engine.quantities(idx))
+            rows.append(formula.quantities(cols, idx))
         except (NumericError, TooFewRows):
             continue
     return np.array(rows, dtype=float), cfg.bootstrap_reps - len(rows)
@@ -673,9 +711,9 @@ def _qr_reference(engine, data, cfg):
 def _bootstrap_matches_qr(data, cfg):
     """The engine's kept rows, checked against ``_qr_reference``: the same
     drops, and each row within test_gram_replicates_match_qr's bound."""
-    engine = _build_engine(data, cfg)
-    got, failures = _bootstrap_quantities(engine, data, cfg, None)
-    want, want_failures = _qr_reference(engine, data, cfg)
+    formula, cols = _bind(data, cfg)
+    got, failures = _bootstrap_quantities(formula, cols, data, cfg, None)
+    want, want_failures = _qr_reference(formula, cols, data, cfg)
     assert failures == want_failures
     assert got.shape == want.shape
     scale = np.maximum(np.abs(want), _natural_scales(cfg.spec.role, data))
@@ -684,10 +722,10 @@ def _bootstrap_matches_qr(data, cfg):
 
 
 def _batch_size(data, cfg):
-    engine = _build_engine(data, cfg)
+    _, cols = _bind(data, cfg)
     members = (None if cfg.cluster_col is None
                else _cluster_index_pool(data, cfg.cluster_col))
-    return ScaledColumns(engine.cols, members).batch
+    return ScaledColumns(cols, members).batch
 
 
 def test_bootstrap_one_replicate_past_a_batch(monkeypatch):
@@ -736,19 +774,19 @@ def test_untrusted_replicate_inside_a_batch(monkeypatch, make_data,
     cfg = AnalysisConfig(spec=_role_spec("placebo_treatment", covariates),
                          seed=seed, bootstrap_reps=reps,
                          cluster_col=cluster_col)
-    engine = _build_engine(data, cfg)
+    formula, cols = _bind(data, cfg)
     members = (None if cluster_col is None
                else _cluster_index_pool(data, cluster_col))
-    cols = ScaledColumns(engine.cols, members)
-    rows = _gram_rows(engine, cols, cols.grams(
-        _replicate_counts(seed, range(reps), cols.units)))
+    scaled = ScaledColumns(cols, members)
+    rows = _gram_rows(formula, scaled, scaled.grams(
+        _replicate_counts(seed, range(reps), scaled.units)))
     untrusted = [rep for rep, row in enumerate(rows)
                  if not np.isfinite(row).all()]
     # Batches of ten: some untrusted replicate has trusted neighbours in
     # its own batch.
-    q = cols.zt.shape[0]
+    q = scaled.zt.shape[0]
     monkeypatch.setattr(regression, "BATCH_BYTES",
-                        2 * 8 * (cols.units + q * q) * 10)
+                        2 * 8 * (scaled.units + q * q) * 10)
     assert _batch_size(data, cfg) == 10
     assert any(rep % 10 not in (0, 9) and rep - 1 not in untrusted
                and rep + 1 not in untrusted for rep in untrusted)
@@ -758,7 +796,7 @@ def test_untrusted_replicate_inside_a_batch(monkeypatch, make_data,
                                      members)
             assert idx.size <= 6
             with pytest.raises(TooFewRows):
-                engine.quantities(idx)
+                formula.quantities(cols, idx)
     _bootstrap_matches_qr(data, cfg)
 
 
@@ -796,23 +834,23 @@ def test_gram_path_refuses_too_few_rows():
     # X3: the design block is invertible, but QR raises TooFewRows, so the
     # Gram row must be refused.
     data = _noise_data(6, ("Y", "D", "P", "X1", "X2", "X3"))
-    engine = _build_engine(data, AnalysisConfig(
+    formula, cols = _bind(data, AnalysisConfig(
         spec=_role_spec("placebo_treatment", ("X1", "X2", "X3"))))
-    cols = ScaledColumns(engine.cols)
-    row = _gram_rows(engine, cols, cols.grams(np.ones((1, 6))))[0]
+    scaled = ScaledColumns(cols)
+    row = _gram_rows(formula, scaled, scaled.grams(np.ones((1, 6))))[0]
     assert not np.isfinite(row).all()
     with pytest.raises(TooFewRows):
-        engine.quantities(np.arange(6))
+        formula.quantities(cols, np.arange(6))
 
 
 def test_vanishing_placebo_pair_in_one_replicate_is_dropped():
     # Assume the placebo-pair direct part equals replicate 30's measured
     # coefficient: that replicate's pair vanishes, and QR drops it.
     data = _earnings_data(seed=4, n=200)
-    engine = _build_engine(data, AnalysisConfig(
+    formula, cols = _bind(data, AnalysisConfig(
         spec=_role_spec("double_placebo")))
     idx = _replicate_indices(_replicate_rng(2, 30), data.n_rows, None)
-    beta_np = engine.quantities(idx)[3]
+    beta_np = formula.quantities(cols, idx)[3]
     spec = DoublePlaceboSpec(outcome_col="Y", treatment_col="D",
                              placebo_treatment_col="P",
                              placebo_outcome_col="N",
@@ -833,11 +871,11 @@ def test_cluster_grams_match_row_weighted_grams(sizes):
     data = _earnings_data(seed=9, n=cluster.size)
     data = Dataset({**{name: data[name] for name in data.names},
                     "C": cluster.astype(float)})
-    engine = _build_engine(data, AnalysisConfig(
+    _, cols = _bind(data, AnalysisConfig(
         spec=_role_spec("observed_confounder_1")))
     members = _cluster_index_pool(data, "C")
-    by_cluster = ScaledColumns(engine.cols, members)
-    by_row = ScaledColumns(engine.cols, None)
+    by_cluster = ScaledColumns(cols, members)
+    by_row = ScaledColumns(cols, None)
     reps = range(50)
     got = by_cluster.grams(_replicate_counts(4, reps, by_cluster.units))
     weights = np.array([
@@ -858,14 +896,15 @@ def test_row_bootstrap_memory_stays_within_the_batch_budget():
     cfg = _cfg(spec=_spec(role="placebo_treatment", edge_d_to_p=False,
                           covariate_cols=("X1", "X2")),
                bootstrap_reps=12)
-    engine = _build_engine(data, cfg)
-    stored = (len(engine.cols) + 1) * n * 8  # ScaledColumns.zt
+    formula, cols = _bind(data, cfg)
+    stored = (len(cols) + 1) * n * 8  # ScaledColumns.zt
     # Slack: a replicate's draw and its bincount, a column's temporaries
     # while it is scaled, and 1 MiB for small arrays.
     slack = 4 * n * 8 + 2**20
     tracemalloc.start()
     try:
-        q_rows, failures = _bootstrap_quantities(engine, data, cfg, None)
+        q_rows, failures = _bootstrap_quantities(formula, cols, data, cfg,
+                                                 None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -127,6 +127,13 @@ def test_load_csv_empty_and_header_only(tmp_path):
         load_csv(header_only)
 
 
+def test_load_csv_drops_a_byte_order_mark(tmp_path):
+    # Spreadsheet exports start with one; it is not part of the first name.
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfY,D\n1,2\n3,4\n")
+    assert load_csv(path).names == ("Y", "D")
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(IoError):
         load_csv(tmp_path / "nope.csv")
