@@ -26,28 +26,40 @@ from .selfcheck import run_selfcheck
 from .semiparam import SemiparamInputs, adjust_partially_linear
 from .simulate import GRAPH_EDGES, SCMRecipe, simulate_scm
 
-# Flags that define the analysis itself; they clash with --config, which
-# owns the same information.
-_CONFIG_OWNED = (
-    ("data", "--data"),
-    ("outcome", "--outcome"),
-    ("treatment", "--treatment"),
-    ("placebo", "--placebo"),
-    ("role", "--role"),
-    ("covariates", "--covariates"),
-    ("edge_d_to_p", "--edge-d-to-p"),
-    ("edge_p_to_y", "--edge-p-to-y"),
-    ("edge_p_to_d", "--edge-p-to-d"),
-    ("edge_y_to_p", "--edge-y-to-p"),
-    ("k", "--k"),
-    ("direct", "--direct"),
-    ("grid", "--grid"),
-    ("reps", "--reps"),
-    ("seed", "--seed"),
-    ("ci_level", "--ci-level"),
-    ("out", "--out"),
-    ("svg", "--svg"),
+# The flags that define an analysis: (flag, needed without --config,
+# argparse keywords). A config file holds the same information, so --config
+# clashes with each of them.
+_ANALYSIS_FLAGS = (
+    ("--data", True, dict(metavar="PATH", help="input CSV")),
+    ("--outcome", True, dict(metavar="COL")),
+    ("--treatment", True, dict(metavar="COL")),
+    ("--placebo", True, dict(metavar="COL")),
+    ("--role", True, dict(choices=ROLES)),
+    ("--covariates", False, dict(metavar="COL,COL",
+                                 help="comma separated covariate columns")),
+    ("--edge-d-to-p", False, dict(action="store_true",
+                                  help="treatment affects the placebo")),
+    ("--edge-p-to-y", False, dict(action="store_true",
+                                  help="placebo affects the outcome")),
+    ("--edge-p-to-d", False, dict(action="store_true",
+                                  help="placebo affects the treatment "
+                                       "(observed_confounder_2 only)")),
+    ("--edge-y-to-p", False, dict(action="store_true",
+                                  help="outcome affects the placebo "
+                                       "(post_outcome only)")),
+    ("--k", False, dict(nargs=2, type=float, metavar=("MIN", "MAX"))),
+    ("--direct", False, dict(nargs=2, type=float, metavar=("MIN", "MAX"))),
+    ("--grid", False, dict(type=int)),
+    ("--reps", False, dict(type=int, help="bootstrap replicates")),
+    ("--seed", False, dict(type=int)),
+    ("--ci-level", False, dict(type=float)),
+    ("--out", True, dict(metavar="PATH", help="output file")),
+    ("--svg", False, dict(metavar="PATH", help="also render an SVG")),
 )
+
+
+def _flag_value(args, flag: str):
+    return getattr(args, flag[2:].replace("-", "_"))
 
 
 def _env_seed() -> int | None:
@@ -67,31 +79,8 @@ def _analysis_parent() -> argparse.ArgumentParser:
     data = parent.add_argument_group("analysis (use --config or flags)")
     data.add_argument("--config", metavar="PATH",
                       help="JSON run config; excludes the flags below")
-    data.add_argument("--data", metavar="PATH", help="input CSV")
-    data.add_argument("--outcome", metavar="COL")
-    data.add_argument("--treatment", metavar="COL")
-    data.add_argument("--placebo", metavar="COL")
-    data.add_argument("--role", choices=ROLES)
-    data.add_argument("--covariates", metavar="COL,COL",
-                      help="comma separated covariate columns")
-    data.add_argument("--edge-d-to-p", action="store_true", default=False,
-                      help="treatment affects the placebo")
-    data.add_argument("--edge-p-to-y", action="store_true", default=False,
-                      help="placebo affects the outcome")
-    data.add_argument("--edge-p-to-d", action="store_true", default=False,
-                      help="placebo affects the treatment "
-                           "(observed_confounder_2 only)")
-    data.add_argument("--edge-y-to-p", action="store_true", default=False,
-                      help="outcome affects the placebo (post_outcome only)")
-    data.add_argument("--k", nargs=2, type=float, metavar=("MIN", "MAX"))
-    data.add_argument("--direct", nargs=2, type=float,
-                      metavar=("MIN", "MAX"))
-    data.add_argument("--grid", type=int)
-    data.add_argument("--reps", type=int, help="bootstrap replicates")
-    data.add_argument("--seed", type=int)
-    data.add_argument("--ci-level", type=float)
-    data.add_argument("--out", metavar="PATH", help="output file")
-    data.add_argument("--svg", metavar="PATH", help="also render an SVG")
+    for flag, _, kwargs in _ANALYSIS_FLAGS:
+        data.add_argument(flag, **kwargs)
     run = parent.add_argument_group("execution")
     run.add_argument("--freeze-sf", action="store_true", default=False,
                      help="hold the scale factor at its full-sample value "
@@ -110,26 +99,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parent = _analysis_parent()
 
-    p_table = sub.add_parser(
-        "table", parents=[parent],
-        help="benchmark rows plus a grid of adjusted estimates",
-    )
-    p_table.set_defaults(func=lambda args: _run_analysis("table", args))
-
-    p_contour = sub.add_parser(
-        "contour", parents=[parent],
-        help="estimate surface over the (k, direct) rectangle",
-    )
-    p_contour.set_defaults(func=lambda args: _run_analysis("contour", args))
-
-    p_line = sub.add_parser(
-        "line", parents=[parent],
-        help="one-dimensional slices with bootstrap bands",
-    )
-    p_line.add_argument("--vary", choices=("k", "direct"), default="k")
-    p_line.add_argument("--at", nargs="+", type=float, metavar="FRACTION",
-                        help="fixed-axis positions as range fractions")
-    p_line.set_defaults(func=lambda args: _run_analysis("line", args))
+    analyses = {}
+    for kind, help_text in (
+            ("table", "benchmark rows plus a grid of adjusted estimates"),
+            ("contour", "estimate surface over the (k, direct) rectangle"),
+            ("line", "one-dimensional slices with bootstrap bands")):
+        analyses[kind] = sub.add_parser(kind, parents=[parent],
+                                        help=help_text)
+        analyses[kind].set_defaults(
+            func=functools.partial(_run_analysis, kind))
+    analyses["line"].add_argument("--vary", choices=("k", "direct"),
+                                  default="k")
+    analyses["line"].add_argument(
+        "--at", nargs="+", type=float, metavar="FRACTION",
+        help="fixed-axis positions as range fractions")
 
     p_did = sub.add_parser(
         "did", help="difference-in-differences with a pre-period outcome",
@@ -200,19 +183,9 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _given_config_owned(args) -> list[str]:
-    given = []
-    for dest, flag in _CONFIG_OWNED:
-        value = getattr(args, dest)
-        if value not in (None, False):
-            given.append(flag)
-    return given
-
-
 def _run_config_from_flags(kind: str, args) -> RunConfig:
-    missing = [flag for flag in ("--data", "--outcome", "--treatment",
-                                 "--placebo", "--role", "--out")
-               if getattr(args, flag[2:]) is None]
+    missing = [flag for flag, needed, _ in _ANALYSIS_FLAGS
+               if needed and _flag_value(args, flag) is None]
     if missing:
         raise ConfigError(f"missing {', '.join(missing)} (or use --config)")
     covariates = [c.strip() for c in (args.covariates or "").split(",")
@@ -221,7 +194,7 @@ def _run_config_from_flags(kind: str, args) -> RunConfig:
     outputs = {kind: args.out}
     if args.svg:
         outputs["svg"] = args.svg
-    # Only the settings given: RunConfig holds the defaults.
+    # Only the settings given: AnalysisConfig holds the defaults.
     settings = {"k": args.k, "direct": args.direct, "grid": args.grid,
                 "ci_level": args.ci_level}
     bootstrap = {"reps": args.reps, "seed": args.seed}
@@ -241,7 +214,8 @@ def _run_config_from_flags(kind: str, args) -> RunConfig:
 
 def _run_analysis(kind: str, args) -> int:
     if args.config is not None:
-        clashing = _given_config_owned(args)
+        clashing = [flag for flag, _, _ in _ANALYSIS_FLAGS
+                    if _flag_value(args, flag) not in (None, False)]
         if clashing:
             raise ConfigError(
                 f"--config cannot be combined with {', '.join(clashing)}"

@@ -8,6 +8,7 @@ writers emit deterministic bytes for identical inputs.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from array import array
@@ -17,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .adjust import ROLES, PlaceboSpec
+from .adjust import PlaceboSpec
 from .engine import AnalysisConfig, ContourGrid, LineSlice, ResultTable, \
     TableRow
 from .errors import (
@@ -75,6 +76,8 @@ def load_csv(path) -> Dataset:
         header = next(rows, None)
         if header is None:
             raise ParseError(f"{path}: file is empty")
+        if not header:
+            raise ParseError(f"{path}: first line is blank, not a header")
         header = [name.strip() for name in header]
         if any(not name for name in header):
             raise ParseError(f"{path}: blank column name in header")
@@ -166,11 +169,21 @@ def _as_object(value, name: str) -> dict:
     return dict(value)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_int(value, name: str) -> int:
     """A JSON integer; floats and true/false are refused, not truncated."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{name} must be an integer")
     return value
+
+
+def _as_number(value, name: str) -> float:
+    if not _is_number(value):
+        raise ConfigError(f"{name} must be a number")
+    return float(value)
 
 
 def _as_path(base: Path, value, name: str) -> Path:
@@ -182,25 +195,39 @@ def _as_path(base: Path, value, name: str) -> Path:
 def _as_range(value, name: str) -> tuple[float, float]:
     """A pair of JSON numbers; strings and true/false are refused."""
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float))
-                       and not isinstance(v, bool) for v in value)):
+            or not all(_is_number(v) for v in value)):
         raise ConfigError(f"{name} must be a [low, high] pair of numbers")
     return float(value[0]), float(value[1])
+
+
+# Setting key: (AnalysisConfig field, JSON type check). A key left out takes
+# AnalysisConfig's default, and AnalysisConfig checks the values.
+_SETTINGS = {
+    "k": ("k_range", _as_range),
+    "direct": ("direct_range", _as_range),
+    "grid": ("grid_points_per_axis",
+             lambda value, name: None if value is None
+             else _as_int(value, name)),
+    "bootstrap.reps": ("bootstrap_reps", _as_int),
+    "bootstrap.seed": ("seed", _as_int),
+    "ci_level": ("ci_level", _as_number),
+}
 
 
 class RunConfig:
     """File form of an analysis: data pointer, placebo spec, and settings.
 
-    Mirrors AnalysisConfig plus the paths involved. ``outputs`` maps any of
+    The settings (``k``, ``direct``, ``grid``, ``ci_level`` and the
+    ``bootstrap`` object's ``reps`` and ``seed``) build one AnalysisConfig,
+    whose defaults fill every setting left out. ``outputs`` maps any of
     table/contour/line/svg to destination paths. The two implied-edge flags
     (placebo-to-treatment, outcome-to-placebo) are accepted only alongside
     the roles that define them.
     """
 
     def __init__(self, data_path, outcome, treatment, placebo, role,
-                 edges=None, covariates=(), k=(-2.0, 2.0),
-                 direct=(0.0, 0.0), grid=None, bootstrap=None,
-                 ci_level=0.95, outputs=None, base_dir=None):
+                 edges=None, covariates=(), bootstrap=None, outputs=None,
+                 base_dir=None, **settings):
         base = Path(base_dir) if base_dir is not None else Path(".")
         self.data_path = _as_path(base, data_path, "data_path")
         if not self.data_path.is_file():
@@ -210,10 +237,6 @@ class RunConfig:
         for key, value in edges.items():
             if not isinstance(value, bool):
                 raise ConfigError(f"edges.{key} must be true or false")
-        if role not in ROLES:
-            raise ConfigError(
-                f"unknown role {role!r}; expected one of {ROLES}"
-            )
         if edges.get("p_to_d") and role != "observed_confounder_2":
             raise AmbiguousSpec(
                 "a placebo that causes the treatment is the "
@@ -231,7 +254,7 @@ class RunConfig:
             outcome_col=str(outcome),
             treatment_col=str(treatment),
             placebo_col=str(placebo),
-            role=str(role),
+            role=role,
             edge_d_to_p=edges.get("d_to_p", False),
             edge_p_to_y=edges.get("p_to_y", False),
             covariate_cols=tuple(covariates),
@@ -239,18 +262,14 @@ class RunConfig:
             # choice, so the in-code acknowledgment gate is satisfied here.
             acknowledge_mediator=(role == "mediator"),
         )
-        self.k_range = _as_range(k, "k")
-        self.direct_range = _as_range(direct, "direct")
-        self.grid = None if grid is None else _as_int(grid, "grid")
         bootstrap = _as_object(bootstrap, "bootstrap")
         _reject_unknown(bootstrap, _BOOTSTRAP_KEYS, "bootstrap")
-        self.bootstrap_reps = _as_int(bootstrap.get("reps", 1000),
-                                      "bootstrap.reps")
-        self.seed = _as_int(bootstrap.get("seed", 0), "bootstrap.seed")
-        if not isinstance(ci_level, (int, float)) or isinstance(ci_level,
-                                                                 bool):
-            raise ConfigError("ci_level must be a number")
-        self.ci_level = float(ci_level)
+        given = {**settings,
+                 **{f"bootstrap.{key}": v for key, v in bootstrap.items()}}
+        _reject_unknown(given, _SETTINGS, "config")
+        fields = {field: check(given[key], key)
+                  for key, (field, check) in _SETTINGS.items()
+                  if key in given}
         outputs = _as_object(outputs, "outputs")
         _reject_unknown(outputs, _OUTPUT_KEYS, "outputs")
         self.outputs = {}
@@ -261,29 +280,22 @@ class RunConfig:
                     f"outputs.{key} directory {target.parent} does not exist"
                 )
             self.outputs[key] = target
+        self._analysis = AnalysisConfig(spec=self.spec, **fields)
 
     def analysis_config(self, freeze_sf: bool = False,
                         cluster_col: str | None = None,
                         seed: int | None = None) -> AnalysisConfig:
-        """Build the engine configuration, optionally overriding the seed."""
-        return AnalysisConfig(
-            spec=self.spec,
-            k_range=self.k_range,
-            direct_range=self.direct_range,
-            grid_points_per_axis=self.grid,
-            bootstrap_reps=self.bootstrap_reps,
-            seed=self.seed if seed is None else seed,
-            ci_level=self.ci_level,
-            freeze_sf=freeze_sf,
-            cluster_col=cluster_col,
-        )
+        """The engine configuration, optionally overriding the seed."""
+        return dataclasses.replace(
+            self._analysis, freeze_sf=freeze_sf, cluster_col=cluster_col,
+            seed=self._analysis.seed if seed is None else seed)
 
 
 def parse_run_config(path) -> RunConfig:
     """Load and validate a JSON run config; unknown keys are rejected."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
@@ -423,86 +435,88 @@ def _heat_color(value: float, vmax: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
+def _svg_plot(x_range, y_range, x_label: str, y_label: str,
+              y_tick: str, body) -> str:
+    """One plot page: white ground, the plot frame, both axis labels and
+    the end-value ticks around ``body(to_x, to_y)``, the list of elements
+    drawn in page coordinates. ``y_tick`` formats the y end values."""
+    to_x = _scale(*x_range, _SVG_W - 2 * _MARGIN)
+    to_y_raw = _scale(*y_range, _SVG_H - 2 * _MARGIN)
+
+    def to_y(v):
+        return _SVG_H - to_y_raw(v)
+
+    mid = f'{_MARGIN / 3:.0f} {_SVG_H / 2:.0f}'
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
+        f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
+        f'<rect x="0" y="0" width="{_SVG_W}" height="{_SVG_H}" '
+        'fill="white"/>',
+        *body(to_x, to_y),
+        f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_SVG_W - 2 * _MARGIN}" '
+        f'height="{_SVG_H - 2 * _MARGIN}" fill="none" stroke="black"/>',
+        f'<text x="{_SVG_W / 2:.0f}" y="{_SVG_H - _MARGIN / 3:.0f}" '
+        f'text-anchor="middle" font-size="14">{x_label}</text>',
+        f'<text x="{_MARGIN / 3:.0f}" y="{_SVG_H / 2:.0f}" '
+        f'text-anchor="middle" font-size="14" transform="rotate(-90 {mid})">'
+        f'{y_label}</text>',
+    ]
+    for value, x in zip(x_range, (_MARGIN, _SVG_W - _MARGIN)):
+        parts.append(
+            f'<text x="{x}" y="{_SVG_H - _MARGIN + 18}" '
+            f'text-anchor="middle" font-size="11">{value:g}</text>'
+        )
+    for value, y in zip(y_range, (_SVG_H - _MARGIN, _MARGIN)):
+        parts.append(
+            f'<text x="{_MARGIN - 8}" y="{y + 4}" text-anchor="end" '
+            f'font-size="11">{value:{y_tick}}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
 def render_contour_svg(grid: ContourGrid) -> str:
     """Filled estimate surface with the zero isoline.
 
     Exactly one <path> element per zero-contour polyline; the fill uses
     <rect> cells so path count identifies contour pieces.
     """
-    plot_w = _SVG_W - 2 * _MARGIN
-    plot_h = _SVG_H - 2 * _MARGIN
     kv, dv, z = grid.k_values, grid.direct_values, grid.estimates
-    to_x = _scale(float(kv[0]), float(kv[-1]), plot_w)
-    to_y_raw = _scale(float(dv[0]), float(dv[-1]), plot_h)
 
-    def to_y(v):
-        return _SVG_H - to_y_raw(v)
+    def body(to_x, to_y):
+        vmax = float(np.abs(z).max()) if z.size else 0.0
+        stride_k = max(1, (len(kv) - 1 + 39) // 40) if len(kv) > 1 else 1
+        stride_d = max(1, (len(dv) - 1 + 39) // 40) if len(dv) > 1 else 1
+        parts = ['<g stroke="none">']
+        for i in range(0, max(len(kv) - 1, 1), stride_k):
+            i2 = min(i + stride_k, len(kv) - 1)
+            for j in range(0, max(len(dv) - 1, 1), stride_d):
+                j2 = min(j + stride_d, len(dv) - 1)
+                x = to_x(float(kv[i]))
+                w = max(to_x(float(kv[i2])) - x, 1.0)
+                y = to_y(float(dv[j2]))
+                h = max(to_y(float(dv[j])) - y, 1.0)
+                color = _heat_color(float(z[i, j]), vmax)
+                parts.append(
+                    f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" '
+                    f'height="{h:.2f}" fill="{color}"/>'
+                )
+        parts.append("</g>")
+        for polyline in grid.zero_contour:
+            coords = " L ".join(f"{to_x(float(k)):.2f} {to_y(float(d)):.2f}"
+                                for k, d in polyline)
+            parts.append(f'<path d="M {coords}" fill="none" stroke="black" '
+                         'stroke-width="1.5"/>')
+        return parts
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
-        f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
-        f'<rect x="0" y="0" width="{_SVG_W}" height="{_SVG_H}" '
-        'fill="white"/>',
-    ]
-    vmax = float(np.abs(z).max()) if z.size else 0.0
-    stride_k = max(1, (len(kv) - 1 + 39) // 40) if len(kv) > 1 else 1
-    stride_d = max(1, (len(dv) - 1 + 39) // 40) if len(dv) > 1 else 1
-    parts.append('<g stroke="none">')
-    for i in range(0, max(len(kv) - 1, 1), stride_k):
-        i2 = min(i + stride_k, len(kv) - 1)
-        for j in range(0, max(len(dv) - 1, 1), stride_d):
-            j2 = min(j + stride_d, len(dv) - 1)
-            x = to_x(float(kv[i]))
-            w = max(to_x(float(kv[i2])) - x, 1.0)
-            y = to_y(float(dv[j2]))
-            h = max(to_y(float(dv[j])) - y, 1.0)
-            color = _heat_color(float(z[i, j]), vmax)
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" '
-                f'height="{h:.2f}" fill="{color}"/>'
-            )
-    parts.append("</g>")
-    for polyline in grid.zero_contour:
-        coords = " L ".join(
-            f"{to_x(float(k)):.2f} {to_y(float(d)):.2f}" for k, d in polyline
-        )
-        parts.append(
-            f'<path d="M {coords}" fill="none" stroke="black" '
-            'stroke-width="1.5"/>'
-        )
-    parts.append(
-        f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{plot_w}" '
-        f'height="{plot_h}" fill="none" stroke="black"/>'
-    )
-    label_y = _SVG_H - _MARGIN / 3
-    parts.append(
-        f'<text x="{_SVG_W / 2:.0f}" y="{label_y:.0f}" '
-        'text-anchor="middle" font-size="14">k</text>'
-    )
-    parts.append(
-        f'<text x="{_MARGIN / 3:.0f}" y="{_SVG_H / 2:.0f}" '
-        'text-anchor="middle" font-size="14" transform="rotate(-90 '
-        f'{_MARGIN / 3:.0f} {_SVG_H / 2:.0f})">direct effect</text>'
-    )
-    for value, x in ((kv[0], _MARGIN), (kv[-1], _SVG_W - _MARGIN)):
-        parts.append(
-            f'<text x="{x}" y="{_SVG_H - _MARGIN + 18}" '
-            f'text-anchor="middle" font-size="11">{float(value):g}</text>'
-        )
-    for value, y in ((dv[0], _SVG_H - _MARGIN), (dv[-1], _MARGIN)):
-        parts.append(
-            f'<text x="{_MARGIN - 8}" y="{y + 4}" text-anchor="end" '
-            f'font-size="11">{float(value):g}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_plot((float(kv[0]), float(kv[-1])),
+                     (float(dv[0]), float(dv[-1])), "k", "direct effect", "g",
+                     body)
 
 
 def render_line_svg(line: LineSlice) -> str:
     """Estimate curves with CI ribbons; ribbons are <path>, curves are
     <polyline>."""
-    plot_w = _SVG_W - 2 * _MARGIN
-    plot_h = _SVG_H - 2 * _MARGIN
     x_lo = min(float(c[0, 0]) for c in line.curves)
     x_hi = max(float(c[-1, 0]) for c in line.curves)
     y_lo = min(float(c[:, 2].min()) for c in line.curves)
@@ -512,69 +526,33 @@ def render_line_svg(line: LineSlice) -> str:
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
-    to_x = _scale(x_lo, x_hi, plot_w)
-    to_y_raw = _scale(y_lo, y_hi, plot_h)
 
-    def to_y(v):
-        return _SVG_H - to_y_raw(v)
+    def body(to_x, to_y):
+        parts = []
+        if y_lo < 0 < y_hi:
+            zero_y = to_y(0.0)
+            parts.append(
+                f'<line x1="{_MARGIN}" y1="{zero_y:.2f}" '
+                f'x2="{_SVG_W - _MARGIN}" y2="{zero_y:.2f}" stroke="#999" '
+                'stroke-dasharray="4 3"/>'
+            )
+        for curve in line.curves:
+            upper = [f"{to_x(float(p)):.2f} {to_y(float(hi)):.2f}"
+                     for p, hi in zip(curve[:, 0], curve[:, 3])]
+            lower = [f"{to_x(float(p)):.2f} {to_y(float(lo)):.2f}"
+                     for p, lo in zip(curve[::-1, 0], curve[::-1, 2])]
+            ribbon = " L ".join(upper + lower)
+            parts.append(f'<path d="M {ribbon} Z" fill="#9db8d9" '
+                         'fill-opacity="0.35" stroke="none"/>')
+        for curve in line.curves:
+            pts = " ".join(f"{to_x(float(p)):.2f},{to_y(float(e)):.2f}"
+                           for p, e in zip(curve[:, 0], curve[:, 1]))
+            parts.append(f'<polyline points="{pts}" fill="none" '
+                         'stroke="#1f4e8c" stroke-width="1.5"/>')
+        return parts
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
-        f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
-        f'<rect x="0" y="0" width="{_SVG_W}" height="{_SVG_H}" '
-        'fill="white"/>',
-    ]
-    if y_lo < 0 < y_hi:
-        zero_y = to_y(0.0)
-        parts.append(
-            f'<line x1="{_MARGIN}" y1="{zero_y:.2f}" '
-            f'x2="{_SVG_W - _MARGIN}" y2="{zero_y:.2f}" stroke="#999" '
-            'stroke-dasharray="4 3"/>'
-        )
-    for curve in line.curves:
-        upper = [f"{to_x(float(p)):.2f} {to_y(float(hi)):.2f}"
-                 for p, hi in zip(curve[:, 0], curve[:, 3])]
-        lower = [f"{to_x(float(p)):.2f} {to_y(float(lo)):.2f}"
-                 for p, lo in zip(curve[::-1, 0], curve[::-1, 2])]
-        ribbon = " L ".join(upper + lower)
-        parts.append(
-            f'<path d="M {ribbon} Z" fill="#9db8d9" fill-opacity="0.35" '
-            'stroke="none"/>'
-        )
-    for curve in line.curves:
-        pts = " ".join(
-            f"{to_x(float(p)):.2f},{to_y(float(e)):.2f}"
-            for p, e in zip(curve[:, 0], curve[:, 1])
-        )
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="#1f4e8c" '
-            'stroke-width="1.5"/>'
-        )
-    parts.append(
-        f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{plot_w}" '
-        f'height="{plot_h}" fill="none" stroke="black"/>'
-    )
-    parts.append(
-        f'<text x="{_SVG_W / 2:.0f}" y="{_SVG_H - _MARGIN / 3:.0f}" '
-        f'text-anchor="middle" font-size="14">{line.varying}</text>'
-    )
-    parts.append(
-        f'<text x="{_MARGIN / 3:.0f}" y="{_SVG_H / 2:.0f}" '
-        'text-anchor="middle" font-size="14" transform="rotate(-90 '
-        f'{_MARGIN / 3:.0f} {_SVG_H / 2:.0f})">estimate</text>'
-    )
-    for value, x in ((x_lo, _MARGIN), (x_hi, _SVG_W - _MARGIN)):
-        parts.append(
-            f'<text x="{x}" y="{_SVG_H - _MARGIN + 18}" '
-            f'text-anchor="middle" font-size="11">{value:g}</text>'
-        )
-    for value, y in ((y_lo, _SVG_H - _MARGIN), (y_hi, _MARGIN)):
-        parts.append(
-            f'<text x="{_MARGIN - 8}" y="{y + 4}" text-anchor="end" '
-            f'font-size="11">{value:.4g}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_plot((x_lo, x_hi), (y_lo, y_hi), line.varying, "estimate",
+                     ".4g", body)
 
 
 def emit_outputs(results: Mapping, cfg: RunConfig) -> list[Path]:

@@ -392,17 +392,22 @@ def gram_least_squares(cols: ScaledColumns, g: np.ndarray, regressors,
     return beta, l2
 
 
+def _negligible(l2: float, values: np.ndarray) -> bool:
+    """Whether a residual norm ``l2`` of the column ``values`` is at most
+    NEAR_ZERO times the root-mean-square of ``values`` times sqrt(n): a
+    ratio with that norm would be built on rounding noise."""
+    scale = float(np.sqrt(np.mean(values**2)))
+    return l2 <= NEAR_ZERO * max(scale, 1e-300) * np.sqrt(values.shape[0])
+
+
 def guard_residual_norm(l2: float, values: np.ndarray, variable: str,
                         controls) -> float:
     """Return the residual norm ``l2`` of the column ``values`` if usable.
 
     ``values`` is ``variable`` at the fitted rows and ``controls`` its
-    regressors. Raises DegenerateResidual when ``l2`` is at most NEAR_ZERO
-    times the root-mean-square of ``values`` times sqrt(n): a ratio with
-    that norm would be built on rounding noise.
+    regressors. Raises DegenerateResidual when ``l2`` is negligible.
     """
-    scale = float(np.sqrt(np.mean(values**2)))
-    if l2 <= NEAR_ZERO * max(scale, 1e-300) * np.sqrt(values.shape[0]):
+    if _negligible(l2, values):
         raise DegenerateResidual(
             f"residual of {variable!r} on {list(controls)} has (near) zero "
             "norm; scale factor undefined"
@@ -480,11 +485,13 @@ def partial_corr(data: Dataset, a, b, given) -> float:
     ``a`` and ``b`` may be column names or raw vectors. Computed as the
     cosine of the two residual vectors after partialling out ``given``.
     """
-    ra = _residual_vector(data, a, given)
-    rb = _residual_vector(data, b, given)
+    va, vb = (data[v] if isinstance(v, str) else np.asarray(v)
+              for v in (a, b))
+    ra = _residual_vector(data, va, given)
+    rb = _residual_vector(data, vb, given)
     na = float(np.linalg.norm(ra))
     nb = float(np.linalg.norm(rb))
-    if na <= NEAR_ZERO or nb <= NEAR_ZERO:
+    if _negligible(na, va) or _negligible(nb, vb):
         raise DivisionByNearZero(
             "partial correlation undefined: a residual has (near) zero norm"
         )

@@ -253,11 +253,13 @@ _RUN = {"data_path": "data.csv", "outcome": "Y", "treatment": "D",
      2),
     ({}, ["verify", "--seed", "-5", "--draws", "1"], None, 2),
     ({}, ["verify", "--draws", "0"], None, 2),
+    ({"in.csv": b"\n"},
+     ["table", "--data", "in.csv", *_FLAGS, "--out", "t.csv"], None, 3),
 ], ids=["csv-not-utf8", "csv-field-too-long", "config-not-utf8",
         "did-out-missing-dir", "semiparam-out-missing-dir",
         "table-negative-seed", "config-negative-seed", "env-negative-seed",
         "simulate-negative-seed", "simulate-env-negative-seed",
-        "verify-negative-seed", "verify-no-draws"])
+        "verify-negative-seed", "verify-no-draws", "csv-blank-first-line"])
 def test_unreadable_file_or_bad_number_exits_with_its_code(
         tmp_path, monkeypatch, capsys, files, argv, env_seed, code):
     # Each used to escape cli_main as a traceback.
@@ -271,9 +273,26 @@ def test_unreadable_file_or_bad_number_exits_with_its_code(
     assert "plm: " in capsys.readouterr().err
 
 
+def test_config_with_a_byte_order_mark_runs(tmp_path, capsys):
+    # Windows editors save JSON with a leading byte-order mark.
+    _data_csv(tmp_path)
+    text = json.dumps({**_RUN, "bootstrap": {"reps": 20, "seed": 1}})
+    plain = tmp_path / "plain.json"
+    plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / "marked.json"
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert cli_main(["table", "--config", str(plain)]) == 0
+    first = (tmp_path / "t.csv").read_bytes()
+    (tmp_path / "t.csv").unlink()
+    assert cli_main(["table", "--config", str(marked)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "t.csv").read_bytes() == first
+
+
 def test_flag_and_config_forms_share_defaults(tmp_path, capsys):
     # Neither form sets k, direct, grid, seed or ci_level: both take
-    # RunConfig's defaults and write the same bytes.
+    # AnalysisConfig's defaults, the only copy, and write the same bytes.
     data_path = _data_csv(tmp_path)
     flags = tmp_path / "flags.csv"
     assert cli_main(["table", "--data", str(data_path), *_FLAGS,

@@ -174,16 +174,15 @@ def test_parse_run_config_builds_spec(tmp_path):
     assert cfg.spec.role == "placebo_outcome"
     assert cfg.spec.edge_d_to_p is True
     assert cfg.spec.covariate_cols == ("Z1",)
-    assert cfg.k_range == (-2.0, 2.0)
-    assert cfg.direct_range == (-0.5, 0.5)
-    assert cfg.grid == 15
-    assert cfg.bootstrap_reps == 120
-    assert cfg.seed == 9
-    assert cfg.ci_level == 0.9
     assert cfg.outputs["table"] == (tmp_path / "out" / "table.csv").resolve()
     engine_cfg = cfg.analysis_config()
     assert isinstance(engine_cfg, AnalysisConfig)
+    assert engine_cfg.k_range == (-2.0, 2.0)
+    assert engine_cfg.direct_range == (-0.5, 0.5)
+    assert engine_cfg.grid_points_per_axis == 15
+    assert engine_cfg.bootstrap_reps == 120
     assert engine_cfg.seed == 9
+    assert engine_cfg.ci_level == 0.9
     assert cfg.analysis_config(seed=99).seed == 99
 
 

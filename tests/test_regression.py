@@ -236,3 +236,23 @@ def test_partial_corr_and_cohens_f():
     assert cohens_f(0.6) == pytest.approx(0.6 / np.sqrt(1 - 0.36), rel=1e-12)
     with pytest.raises(DivisionByNearZero):
         cohens_f(1.0)
+
+
+def test_partial_corr_zero_residual_is_relative_to_the_data_scale():
+    # Earnings-scale columns: the residual of A = 3 X1 - 2 X2 on (X1, X2)
+    # is rounding noise far above 1e-12, and its cosine with B means nothing.
+    rng = np.random.default_rng(0)
+    x1, x2, b, noise = 1e4 + 1e4 * rng.standard_normal((4, 200))
+    data = Dataset({"X1": x1, "X2": x2, "A": 3 * x1 - 2 * x2, "B": b,
+                    "A2": 3 * x1 - 2 * x2 + noise})
+    with pytest.raises(DivisionByNearZero):
+        partial_corr(data, "A", "B", ("X1", "X2"))
+    with pytest.raises(DivisionByNearZero):
+        partial_corr(data, "B", "A", ("X1", "X2"))
+    # A real residual at the same scale still gives its correlation.
+    design = np.column_stack([np.ones(200), x1, x2])
+    ra, rb = (y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
+              for y in (data["A2"], b))
+    expected = ra @ rb / (np.linalg.norm(ra) * np.linalg.norm(rb))
+    assert partial_corr(data, "A2", "B", ("X1", "X2")) == pytest.approx(
+        expected, rel=1e-9)
