@@ -203,15 +203,17 @@ def _surface(target, placebo, scale):
 
 def _cluster_index_pool(data: Dataset, cluster_col: str):
     """Row numbers of each cluster, clusters in sorted id order."""
-    _, inverse = np.unique(data[cluster_col], return_inverse=True)
-    n_clusters = int(inverse.max()) + 1
-    if n_clusters < 2:
+    _, inverse, counts = np.unique(data[cluster_col], return_inverse=True,
+                                   return_counts=True)
+    if len(counts) < 2:
         # Every resample would be the full sample: a zero-width interval.
         raise DataError(
             f"cluster column {cluster_col!r} holds one cluster; the cluster "
             "bootstrap needs at least two"
         )
-    return [np.flatnonzero(inverse == c) for c in range(n_clusters)]
+    # A stable sort keeps each cluster's rows in ascending order.
+    order = np.argsort(inverse, kind="stable")
+    return np.split(order, np.cumsum(counts[:-1]))
 
 
 def _replicate_indices(rng, n_rows: int, members) -> np.ndarray:

@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 from array import array
 from contextlib import contextmanager
 from pathlib import Path
@@ -39,13 +40,14 @@ TABLE_COLUMNS = ("label", "k", "direct_effect", "estimate", "std_error",
 
 @contextmanager
 def _csv_reader(path: Path):
-    """A csv.reader over a UTF-8 file, a leading byte-order mark dropped;
-    IoError where the file cannot be read, ParseError where it is not UTF-8
-    or a field is longer than ``csv.field_size_limit()``."""
+    """The open text handle of a UTF-8 file, a leading byte-order mark
+    dropped, and a csv.reader over it; IoError where the file cannot be
+    read, ParseError where it is not UTF-8 or a field is longer than
+    ``csv.field_size_limit()``."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            yield reader
+            yield fh, reader
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -72,7 +74,7 @@ def load_csv(path) -> Dataset:
         The file cannot be read.
     """
     path = Path(path)
-    with _csv_reader(path) as rows:
+    with _csv_reader(path) as (handle, rows):
         header = next(rows, None)
         if header is None:
             raise ParseError(f"{path}: file is empty")
@@ -84,31 +86,73 @@ def load_csv(path) -> Dataset:
         if len(set(header)) != len(header):
             name = next(n for i, n in enumerate(header) if n in header[:i])
             raise DuplicateHeader(f"{path}: column {name!r} appears twice")
-        # Raw doubles, not lists of float objects: a third of the memory, and
-        # no small objects left to fragment the heap between loads.
-        columns = [array("d") for _ in header]
-        for row_number, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: row {row_number} has {len(row)} fields, "
-                    f"expected {len(header)}"
+        values = _parse_rows(path, handle, len(header))
+    if values is not None:
+        columns = values.T
+    else:
+        with _csv_reader(path) as (_, rows):
+            next(rows)
+            columns = _scan_rows(path, header, rows)
+    return Dataset({name: vals for name, vals in zip(header, columns)})
+
+
+def _parse_rows(path: Path, handle, width: int):
+    """The data rows after the header as a (rows, width) array, parsed by
+    NumPy's C reader; None where ``_scan_rows`` must read the file instead.
+
+    ``np.loadtxt`` accepts a subset of the cells ``_scan_rows`` accepts (not
+    quoted cells or ``1_000``) and turns each into the same double as
+    ``float()``. It does not hold rows to the header's width, refuse
+    non-finite values or apply ``csv.field_size_limit()``, so an array
+    that breaks one of those rules, or an empty one, is passed over and
+    the scan words the error.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            values = np.loadtxt(handle, delimiter=",", comments=None,
+                                ndmin=2)
+        except ValueError:
+            return None
+    if (values.shape[0] == 0 or values.shape[1] != width
+            or not np.isfinite(values).all()):
+        return None
+    # A line no longer than the limit holds no field longer than it; a
+    # CR-only file reads as one line here and goes to the scan.
+    with open(path, "rb") as raw:
+        if max(map(len, raw)) > csv.field_size_limit():
+            return None
+    return values
+
+
+def _scan_rows(path: Path, header: list, rows) -> list:
+    """The columns of the csv.reader ``rows`` after the header, cell by
+    cell through ``float()``; the loader's only wording of a data error."""
+    # Raw doubles, not lists of float objects: a third of the memory, and
+    # no small objects left to fragment the heap between loads.
+    columns = [array("d") for _ in header]
+    for row_number, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path}: row {row_number} has {len(row)} fields, "
+                f"expected {len(header)}"
+            )
+        for col, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise NonFiniteValue(
+                    f"{path}: row {row_number}, column {header[col]!r}: "
+                    f"{cell.strip()!r} is not a finite number"
                 )
-            for col, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise NonFiniteValue(
-                        f"{path}: row {row_number}, column {header[col]!r}: "
-                        f"{cell.strip()!r} is not a finite number"
-                    )
-                columns[col].append(value)
+            columns[col].append(value)
     if not columns[0]:
         raise TooFewRows(f"{path}: no data rows")
-    return Dataset({name: vals for name, vals in zip(header, columns)})
+    return columns
 
 
 def check_fixture_manifest(data: Dataset, manifest: Mapping) -> None:
@@ -343,7 +387,7 @@ def read_table_csv(path) -> ResultTable:
     """Read back a table CSV written by write_table_csv."""
     path = Path(path)
     table = []
-    with _csv_reader(path) as rows:
+    with _csv_reader(path) as (_, rows):
         if tuple(next(rows, ())) != TABLE_COLUMNS:
             raise ParseError(
                 f"{path}: expected header {','.join(TABLE_COLUMNS)}")

@@ -234,6 +234,12 @@ _RUN = {"data_path": "data.csv", "outcome": "Y", "treatment": "D",
      ["table", "--data", "in.csv", *_FLAGS, "--out", "t.csv"], None, 3),
     ({"in.csv": b"Y,D,P\n1,2," + b"1" * 200_000 + b"\n"},
      ["table", "--data", "in.csv", *_FLAGS, "--out", "t.csv"], None, 3),
+    # A finite oversized field in data that fit otherwise: a float parser
+    # alone would read it as 0.
+    ({"in.csv": b"Y,D,P\n" + b"".join(
+        b"%d,%d,%d\n" % (i * i % 7, i % 2, i * 3 % 5) for i in range(30))
+      + b"1,1," + b"0" * 200_000 + b"\n"},
+     ["table", "--data", "in.csv", *_FLAGS, "--out", "t.csv"], None, 3),
     ({"run.json": b'{"data_path": "data.csv", \xff}'},
      ["table", "--config", "run.json"], None, 2),
     ({"did.csv": b"G,Y,N\n1,10,5\n1,14,7\n0,6,4\n0,8,6\n"},
@@ -255,8 +261,8 @@ _RUN = {"data_path": "data.csv", "outcome": "Y", "treatment": "D",
     ({}, ["verify", "--draws", "0"], None, 2),
     ({"in.csv": b"\n"},
      ["table", "--data", "in.csv", *_FLAGS, "--out", "t.csv"], None, 3),
-], ids=["csv-not-utf8", "csv-field-too-long", "config-not-utf8",
-        "did-out-missing-dir", "semiparam-out-missing-dir",
+], ids=["csv-not-utf8", "csv-field-too-long", "csv-finite-field-too-long",
+        "config-not-utf8", "did-out-missing-dir", "semiparam-out-missing-dir",
         "table-negative-seed", "config-negative-seed", "env-negative-seed",
         "simulate-negative-seed", "simulate-env-negative-seed",
         "verify-negative-seed", "verify-no-draws", "csv-blank-first-line"])

@@ -45,7 +45,7 @@ from plm.errors import (
     ScaleConfusionWarning,
     TooFewRows,
 )
-from plm import regression
+from plm import engine, regression
 from plm.regression import Dataset, ScaledColumns
 from plm.selfcheck import random_recipe
 from plm.simulate import SCMRecipe, simulate_scm
@@ -545,6 +545,29 @@ def test_short_cluster_replicate_is_dropped():
     assert short > 0
     table = run_table(data, cfg)
     assert table.metadata["bootstrap_failures"] == short
+
+
+def _scanned_cluster_pool(data, cluster_col):
+    """The reference: one boolean scan of the column per cluster id."""
+    column = data[cluster_col]
+    return [np.flatnonzero(column == c) for c in np.unique(column)]
+
+
+def test_cluster_pool_matches_a_scan_per_cluster(monkeypatch):
+    # Ids that are neither contiguous nor sorted by first appearance.
+    rng = np.random.default_rng(11)
+    ids = rng.choice([41.0, -7.0, 1e6, 3.5, 12.0, 40.0], size=240)
+    data = _noise_data(ids.size, ("Y", "D", "P"), C=ids)
+    members = _cluster_index_pool(data, "C")
+    reference = _scanned_cluster_pool(data, "C")
+    assert len(members) == len(reference) == 6
+    for got, want in zip(members, reference):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    cfg = _cfg(bootstrap_reps=60, seed=2, cluster_col="C")
+    table = run_table(data, cfg)
+    monkeypatch.setattr(engine, "_cluster_index_pool", _scanned_cluster_pool)
+    assert run_table(data, cfg) == table
 
 
 def _earnings_data(seed, n, collinearity=1.0, placebo_noise=3000.0,

@@ -1,10 +1,16 @@
 """Tests for CSV loading, run configs, and output writers."""
 
+import csv
 import json
+import math
+import tempfile
+import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plm.engine import AnalysisConfig, ResultTable, TableRow, run_contour, \
     run_line
@@ -122,28 +128,151 @@ def test_load_csv_empty_and_header_only(tmp_path):
     with pytest.raises(ParseError, match="empty"):
         load_csv(empty)
     header_only = tmp_path / "header.csv"
-    header_only.write_text("D,Y\n", encoding="utf-8")
-    with pytest.raises(TooFewRows):
-        load_csv(header_only)
+    for text in ("D,Y\n", "D,Y\n\n\r\n"):
+        header_only.write_text(text, encoding="utf-8")
+        # No "input contained no data" or other warning on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TooFewRows):
+                load_csv(header_only)
 
 
-def test_load_csv_drops_a_byte_order_mark(tmp_path):
+@pytest.mark.parametrize("content, columns", [
+    (b"D,Y\r\n1,2\r\n3,4\r\n", {"D": [1, 3], "Y": [2, 4]}),
+    (b"D,Y\r1,2\r3,4\r", {"D": [1, 3], "Y": [2, 4]}),
+    (b'D,Y\n"1",2\n3,"4"\n', {"D": [1, 3], "Y": [2, 4]}),
+    (b"D,Y\n 1 ,\t2\n3 , 4 \n", {"D": [1, 3], "Y": [2, 4]}),
+    (b"D,Y\n1_000,2\n3,4\n", {"D": [1000, 3], "Y": [2, 4]}),
     # Spreadsheet exports start with one; it is not part of the first name.
-    path = tmp_path / "bom.csv"
-    path.write_bytes(b"\xef\xbb\xbfY,D\n1,2\n3,4\n")
-    assert load_csv(path).names == ("Y", "D")
+    (b'\xef\xbb\xbf"Y",D\n1,2\n3,4\n', {"Y": [1, 3], "D": [2, 4]}),
+    (b"D,Y\n0,1\n\n1,2\n", {"D": [0, 1], "Y": [1, 2]}),
+], ids=["crlf", "cr-only", "quoted-cell", "padded-cells", "underscore-digits",
+        "byte-order-mark", "blank-lines"])
+def test_load_csv_accepts(tmp_path, content, columns):
+    path = tmp_path / "in.csv"
+    path.write_bytes(content)
+    data = load_csv(path)
+    assert data.names == tuple(columns)
+    for name, values in columns.items():
+        assert data[name].tolist() == values
+
+
+@pytest.mark.parametrize("content, error, message", [
+    (b"D,Y\n1,2,\n", ParseError, "row 2 has 3 fields, expected 2"),
+    (b"D,Y\n1,#2\n", NonFiniteValue,
+     "row 2, column 'Y': '#2' is not a finite number"),
+    (b"D,Y\n1,2\n3,4,5\n", ParseError, "row 3 has 3 fields, expected 2"),
+    (b"D,Y\n1,2,3\n", ParseError, "row 2 has 3 fields, expected 2"),
+    (b"D,Y\n1,2\n  \n3,4\n", ParseError, "row 3 has 1 fields, expected 2"),
+    (b"D\n1\n \t\n3\n", NonFiniteValue,
+     "row 3, column 'D': '' is not a finite number"),
+    (b"D,Y\n1,2\nnan,4\n", NonFiniteValue,
+     "row 3, column 'D': 'nan' is not a finite number"),
+    (b"D,Y\n1,-inf\n", NonFiniteValue,
+     "row 2, column 'Y': '-inf' is not a finite number"),
+    (b"D,Y\n1, 1e400\n", NonFiniteValue,
+     "row 2, column 'Y': '1e400' is not a finite number"),
+], ids=["trailing-comma", "hash-in-cell", "wider-row", "every-row-wider",
+        "whitespace-line", "whitespace-line-one-column", "nan", "inf",
+        "overflow"])
+def test_load_csv_rejects(tmp_path, content, error, message):
+    path = tmp_path / "in.csv"
+    path.write_bytes(content)
+    with pytest.raises(error) as raised:
+        load_csv(path)
+    assert str(raised.value) == f"{path}: {message}"
+
+
+def _reference_load(path):
+    """The row-by-row loader the fast parse must agree with: csv.reader
+    cells through float(), names to lists of values."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = [name.strip() for name in next(reader)]
+            columns = [[] for _ in header]
+            for row_number, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(
+                        f"{path}: row {row_number} has {len(row)} fields, "
+                        f"expected {len(header)}")
+                for col, cell in enumerate(row):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        value = math.nan
+                    if not math.isfinite(value):
+                        raise NonFiniteValue(
+                            f"{path}: row {row_number}, column "
+                            f"{header[col]!r}: {cell.strip()!r} is not a "
+                            "finite number")
+                    columns[col].append(value)
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not columns[0]:
+        raise TooFewRows(f"{path}: no data rows")
+    return dict(zip(header, columns))
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map("{:.4e}".format),
+    st.integers(-10**6, 10**6).map(str),
+)
+_ODD_CELL = st.one_of(
+    _NUMBER.map('"{}"'.format),
+    st.tuples(st.sampled_from(["", " ", "\t", "  "]), _NUMBER,
+              st.sampled_from(["", " ", "\t"])).map("".join),
+    st.sampled_from(["nan", "-inf", "1e400", "1_000", "", " ", "x", "#1",
+                     "1 2", '"', "0x1", "\u0661"]),
+)
+
+
+@st.composite
+def _loader_csv(draw):
+    """CSV text over 1-3 columns: clean numeric rows, or rows with quoted,
+    padded, special and junk cells, ragged and blank rows; LF, CRLF or
+    CR-only line endings, mixed in the second kind."""
+    width = draw(st.integers(1, 3))
+    clean = draw(st.booleans())
+    cell = _NUMBER if clean else st.one_of(_NUMBER, _ODD_CELL)
+    lengths = (st.just(width) if clean
+               else st.one_of(st.just(width), st.integers(0, width + 1)))
+    rows = draw(st.lists(lengths.flatmap(
+        lambda n: st.lists(cell, min_size=n, max_size=n)), max_size=12))
+    lines = [",".join(f"c{j}" for j in range(width))]
+    lines += [",".join(row) for row in rows]
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    ending = draw(endings)
+    text = "".join(line + (ending if clean else draw(endings))
+                   for line in lines)
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_loader_csv())
+def test_load_csv_matches_the_row_by_row_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_bytes(text.encode())
+        try:
+            expected = _reference_load(path)
+        except DataError as exc:
+            with pytest.raises(type(exc)) as raised:
+                load_csv(path)
+            assert str(raised.value) == str(exc)
+            return
+        data = load_csv(path)
+    assert data.names == tuple(expected)
+    for name, values in expected.items():
+        assert data[name].tobytes() == np.array(values).tobytes()
 
 
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(IoError):
         load_csv(tmp_path / "nope.csv")
-
-
-def test_load_csv_skips_blank_lines(tmp_path):
-    path = tmp_path / "blank.csv"
-    path.write_text("D,Y\n0,1\n\n1,2\n", encoding="utf-8")
-    data = load_csv(path)
-    assert data.n_rows == 2
 
 
 def test_fixture_manifest_check(tmp_path):
