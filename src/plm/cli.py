@@ -108,10 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
                                         help=help_text)
         analyses[kind].set_defaults(
             func=functools.partial(_run_analysis, kind))
+    # Unset line flags stay off the namespace, so run_line's own defaults
+    # apply (see _run_analysis).
     analyses["line"].add_argument("--vary", choices=("k", "direct"),
-                                  default="k")
+                                  dest="varying", default=argparse.SUPPRESS)
     analyses["line"].add_argument(
         "--at", nargs="+", type=float, metavar="FRACTION",
+        dest="fixed_percentiles", default=argparse.SUPPRESS,
         help="fixed-axis positions as range fractions")
 
     p_did = sub.add_parser(
@@ -237,9 +240,9 @@ def _run_analysis(kind: str, args) -> int:
     elif kind == "contour":
         results["contour"] = run_contour(data, engine_cfg)
     else:
-        fixed = tuple(args.at) if args.at else (0.5,)
-        results["line"] = run_line(data, engine_cfg, varying=args.vary,
-                                   fixed_percentiles=fixed)
+        given = {name: value for name, value in vars(args).items()
+                 if name in ("varying", "fixed_percentiles")}
+        results["line"] = run_line(data, engine_cfg, **given)
     for path in emit_outputs(results, cfg):
         print(path)
     return 0

@@ -93,7 +93,7 @@ def load_csv(path) -> Dataset:
         with _csv_reader(path) as (_, rows):
             next(rows)
             columns = _scan_rows(path, header, rows)
-    return Dataset({name: vals for name, vals in zip(header, columns)})
+    return Dataset._adopt(dict(zip(header, columns)))
 
 
 def _parse_rows(path: Path, handle, width: int):
@@ -404,12 +404,12 @@ def read_table_csv(path) -> ResultTable:
 
 
 def write_contour_csv(grid: ContourGrid, path) -> Path:
+    # Each axis value is formatted once; tolist() gives the Python floats
+    # whose repr _fmt writes.
+    directs = [_fmt(dv) for dv in grid.direct_values]
     lines = ["k,direct,estimate"]
-    for i, k in enumerate(grid.k_values):
-        for j, dv in enumerate(grid.direct_values):
-            lines.append(
-                f"{_fmt(k)},{_fmt(dv)},{_fmt(grid.estimates[i, j])}"
-            )
+    for k, row in zip(map(_fmt, grid.k_values), grid.estimates.tolist()):
+        lines.extend(f"{k},{dv},{z!r}" for dv, z in zip(directs, row))
     return _write_text(Path(path), "\n".join(lines) + "\n")
 
 

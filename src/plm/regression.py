@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     DegenerateResidual,
@@ -67,6 +66,17 @@ class Dataset:
     __slots__ = ("_columns", "n_rows")
 
     def __init__(self, columns):
+        self._keep(columns, copy=True)
+
+    @classmethod
+    def _adopt(cls, columns) -> "Dataset":
+        """A Dataset that keeps the given arrays without copying them; for
+        loaders whose fresh arrays no one else holds."""
+        out = object.__new__(cls)
+        out._keep(columns, copy=False)
+        return out
+
+    def _keep(self, columns, copy: bool) -> None:
         cleaned: dict[str, np.ndarray] = {}
         n_rows = None
         if not columns:
@@ -74,7 +84,7 @@ class Dataset:
         for name, values in dict(columns).items():
             if not isinstance(name, str) or not name:
                 raise ValueError("column names must be non-empty strings")
-            arr = np.asarray(values, dtype=np.float64)
+            arr = (np.array if copy else np.asarray)(values, dtype=np.float64)
             if arr.ndim != 1:
                 raise ValueError(f"column {name!r} is not one-dimensional")
             if n_rows is None:
@@ -88,7 +98,6 @@ class Dataset:
                 raise NonFiniteValue(
                     f"column {name!r} has a non-finite value at row {bad + 1}"
                 )
-            arr = arr.copy()
             arr.setflags(write=False)
             cleaned[name] = arr
         if n_rows is None or n_rows < 1:
@@ -243,7 +252,7 @@ def least_squares(cols, regressors, y, idx=slice(None)):
             f"collinear design on {list(regressors)} "
             f"(min |R_ii| = {diag.min():.3e})"
         )
-    beta = solve_triangular(r, q.T @ y)
+    beta = np.linalg.solve(r, q.T @ y)
     return beta, y - x @ beta, r
 
 
@@ -439,7 +448,7 @@ def fit_ols(data: Dataset, response: str, regressors) -> FitSummary:
     rss = float(resid @ resid)
     dof = data.n_rows - (len(regressors) + 1)
     sigma2 = rss / dof
-    r_inv = solve_triangular(r, np.eye(r.shape[0]))
+    r_inv = np.linalg.inv(r)
     xtx_inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)
     se_all = np.sqrt(sigma2 * xtx_inv_diag)
     return FitSummary(

@@ -412,6 +412,25 @@ def test_line_multiple_fixed_positions(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_line_passes_only_the_flags_given(tmp_path, monkeypatch, capsys):
+    # run_line's signature is the only copy of the line defaults.
+    run_line, calls = plm.cli.run_line, []
+
+    def recording_run_line(data, cfg, **kwargs):
+        calls.append(kwargs)
+        return run_line(data, cfg, **kwargs)
+
+    monkeypatch.setattr(plm.cli, "run_line", recording_run_line)
+    argv = ["line", "--data", str(_data_csv(tmp_path)), "--outcome", "Y",
+            "--treatment", "D", "--placebo", "P", "--role",
+            "placebo_outcome", "--edge-d-to-p", "--grid", "5", "--reps",
+            "20", "--out", str(tmp_path / "line.csv")]
+    assert cli_main(argv) == 0
+    assert cli_main(argv + ["--vary", "direct", "--at", "0.25"]) == 0
+    assert calls == [{}, {"varying": "direct", "fixed_percentiles": [0.25]}]
+    capsys.readouterr()
+
+
 def test_env_seed_override(tmp_path, monkeypatch, capsys):
     data_path = _data_csv(tmp_path)
     out = tmp_path / "t.csv"
@@ -607,6 +626,19 @@ def test_installed_entry_point(tmp_path):
                     reason="plm console script not installed")
 def test_plm_on_path():
     _check_plm_command(shutil.which("plm"))
+
+
+def test_import_loads_no_scipy():
+    # NumPy is the only numeric dependency: a second BLAS would bring its
+    # own thread pool.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, plm, plm.cli; print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True, timeout=60, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_invocation():

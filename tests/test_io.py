@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import tempfile
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plm.engine import AnalysisConfig, ResultTable, TableRow, run_contour, \
-    run_line
+from plm.engine import (AnalysisConfig, ContourGrid, ResultTable, TableRow,
+                        run_contour, run_line)
 from plm.adjust import PlaceboSpec, dispatch_case
 from plm.errors import (
     AmbiguousSpec,
@@ -27,6 +28,7 @@ from plm.errors import (
 )
 from plm.io import (
     RunConfig,
+    _fmt,
     check_fixture_manifest,
     emit_outputs,
     load_csv,
@@ -270,6 +272,27 @@ def test_load_csv_matches_the_row_by_row_reference(text):
         assert data[name].tobytes() == np.array(values).tobytes()
 
 
+@pytest.mark.parametrize("rows, quoted", [(50_000, False), (5_000, True)])
+def test_load_csv_keeps_its_parsed_arrays(tmp_path, rows, quoted):
+    # The Dataset keeps the loader's fresh arrays, so a load peaks near
+    # the size of its result. A quoted cell sends the file to the row scan.
+    values = np.random.default_rng(0).normal(1e4, 3e3, size=(rows, 11))
+    text = [",".join(f"c{j}" for j in range(11))]
+    text += [",".join(map(repr, row)) for row in values.tolist()]
+    if quoted:
+        text[1] = '"' + text[1].replace(",", '",', 1)
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(text) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        data = load_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(data.matrix(data.names), values)
+    assert peak <= 1.5 * values.nbytes, peak
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(IoError):
         load_csv(tmp_path / "nope.csv")
@@ -452,6 +475,21 @@ def test_contour_csv_and_json(tmp_path):
     assert len(payload["zero_contour"]) == len(grid.zero_contour)
     first = np.asarray(payload["zero_contour"][0])
     assert np.array_equal(first, grid.zero_contour[0])
+
+
+def test_contour_csv_bytes_match_the_per_cell_form(tmp_path):
+    k_values = np.arange(-1.0, 1.05, 0.1)
+    direct_values = np.array([-0.0, 0.1, 0.2 + 0.1, 1e-300, -2.5e17])
+    estimates = np.outer(k_values, direct_values) * 3.0
+    estimates[0, :3] = (-0.0, 5e-324, 1e300)
+    grid = ContourGrid(k_values, direct_values, estimates, ())
+    path = write_contour_csv(grid, tmp_path / "contour.csv")
+    expected = ["k,direct,estimate"] + [
+        f"{_fmt(k)},{_fmt(dv)},{_fmt(estimates[i, j])}"
+        for i, k in enumerate(k_values)
+        for j, dv in enumerate(direct_values)
+    ]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
 def test_line_csv_single_and_multi(tmp_path):

@@ -33,6 +33,17 @@ def test_dataset_rejects_ragged_columns():
         Dataset({"a": [1.0, 2.0], "b": [1.0]})
 
 
+def test_dataset_copies_the_callers_arrays():
+    values = np.array([1.0, 2.0, 3.0])
+    strided = np.arange(6.0).reshape(3, 2)[:, 1]
+    data = Dataset({"a": values, "b": strided, "c": [4.0, 5.0, 6.0]})
+    values[0] = 99.0
+    strided[0] = 99.0
+    assert data["a"].tolist() == [1.0, 2.0, 3.0]
+    assert data["b"].tolist() == [1.0, 3.0, 5.0]
+    assert not data["a"].flags.writeable
+
+
 def test_dataset_take_resamples_rows():
     data = Dataset({"a": [1.0, 2.0, 3.0]})
     sub = data.take([2, 0, 2])
