@@ -330,14 +330,13 @@ class CaseFormula:
         fits = []
         for regressors, responses in zip(self.designs, self.responses):
             y = np.column_stack([cols[name][idx] for name in responses])
-            beta, resid, _ = least_squares(cols, regressors, y, idx)
-            fits.append((beta, np.linalg.norm(resid, axis=0), y))
+            fits.append(least_squares(cols, regressors, y, idx))
 
         def norm(i, j):
-            return guard_residual_norm(fits[i][1][j], fits[i][2][:, j],
+            return guard_residual_norm(fits[i][1][j], fits[i][2][j],
                                        self.responses[i][j], self.designs[i])
 
-        return self._assemble([beta for beta, _, _ in fits], norm)
+        return self._assemble([fit[0] for fit in fits], norm)
 
     def gram_quantities(self, cols: ScaledColumns, g):
         """(target, placebo, SF) rows, (batch, 3), from a stack of Gram

@@ -22,30 +22,33 @@ import numpy as np
 
 from .adjust import ovb_estimate
 from .errors import ConfigError, DenominatorNearZero
-from .regression import (NEAR_ZERO, Dataset, ScaledColumns,
+from .regression import (GRAM_TOL, NEAR_ZERO, Dataset, ScaledColumns,
                          gram_least_squares, least_squares)
 
 
 class DoubleShortFits(NamedTuple):
-    """The four observable short coefficients.
+    """The four observable short coefficients, and the unit of beta_np.
 
     beta_yd: D coefficient from Y ~ D + P + X
     beta_yp: P coefficient from Y ~ D + P + X
     beta_nd: D coefficient from N ~ D + P + X
     beta_np: P coefficient from N ~ D + P + X
+    np_unit: sd(N) / sd(P) over the fitted rows, beta_np's natural unit
+             (1 for coefficients given without data)
     """
 
     beta_yd: float
     beta_yp: float
     beta_nd: float
     beta_np: float
+    np_unit: float = 1.0
 
     @classmethod
-    def read(cls, beta):
+    def read(cls, beta, np_unit):
         """From coefficients ``beta[..., coefficient, response]`` of the
         shared-design fits (``DoubleFormula``), one or a stack of them: D
         and P on Y, then on N."""
-        return cls(*beta.T[[0, 0, 1, 1], [1, 2, 1, 2]])
+        return cls(*beta.T[[0, 0, 1, 1], [1, 2, 1, 2]], np_unit)
 
 
 @dataclass(frozen=True)
@@ -114,20 +117,22 @@ def fit_double_shorts(data: Dataset, outcome: str, treatment: str,
         tuple(covariates))).fit(data, idx)
 
 
-def placebo_pair_vanishes(beta_np, beta_np_long):
+def placebo_pair_vanishes(beta_np, beta_np_long, np_unit, tol=NEAR_ZERO):
     """Elementwise: whether ``beta_np - np_long`` counts as zero.
 
-    The gap counts as zero within NEAR_ZERO of max(1, |beta_np|,
-    |np_long|). With no confounding measured between the two placebos the
-    double-placebo formula divides by zero and is undefined.
+    The gap counts as zero within ``tol`` of max(|beta_np|, |np_long|,
+    np_unit). All three scale alike with the units of N and P, so the rule
+    does not depend on them. With no confounding measured between the two
+    placebos the double-placebo formula divides by zero.
     """
-    scale = np.maximum(1.0, np.maximum(np.abs(beta_np), abs(beta_np_long)))
-    return np.abs(beta_np - beta_np_long) <= NEAR_ZERO * scale
+    scale = np.maximum(np.maximum(np.abs(beta_np), abs(beta_np_long)),
+                       np_unit)
+    return np.abs(beta_np - beta_np_long) <= tol * scale
 
 
-def check_placebo_pair(beta_np: float, beta_np_long: float) -> None:
+def check_placebo_pair(fits: DoubleShortFits, beta_np_long: float) -> None:
     """Raise DenominatorNearZero where ``placebo_pair_vanishes``."""
-    if placebo_pair_vanishes(beta_np, beta_np_long):
+    if placebo_pair_vanishes(fits.beta_np, beta_np_long, fits.np_unit):
         raise DenominatorNearZero(
             "measured placebo-pair coefficient equals its assumed direct "
             "part; the double-placebo adjustment is undefined"
@@ -149,7 +154,7 @@ def adjust_double_placebo(fits: DoubleShortFits,
 
     after ``check_placebo_pair`` has ruled out a vanishing denominator.
     """
-    check_placebo_pair(fits.beta_np, point.beta_np_long)
+    check_placebo_pair(fits, point.beta_np_long)
     return ovb_estimate(fits.beta_yd, fits.beta_nd,
                         pair_slope(fits, point.beta_yp_long,
                                    point.beta_np_long),
@@ -159,11 +164,11 @@ def adjust_double_placebo(fits: DoubleShortFits,
 class DoubleFormula:
     """A double-placebo spec as the engine reads it.
 
-    The members of ``adjust.CaseFormula``. A quantity row holds the four
-    short coefficients (yd, yp, nd, np), and ``triple`` maps rows to
-    (beta_yd, beta_nd, pair_slope): k is the product parameter and the
-    direct effect the D-to-N direct link, while ``beta_yp_long`` and
-    ``beta_np_long`` stay fixed at the spec's values.
+    The members of ``adjust.CaseFormula``. A quantity row holds the
+    ``DoubleShortFits``, and ``triple`` maps rows to (beta_yd, beta_nd,
+    pair_slope): k is the product parameter and the direct effect the
+    D-to-N direct link, while ``beta_yp_long`` and ``beta_np_long`` stay
+    fixed at the spec's values.
     """
 
     def __init__(self, spec: DoublePlaceboSpec):
@@ -175,30 +180,38 @@ class DoubleFormula:
 
     def fit(self, cols, idx=slice(None)) -> DoubleShortFits:
         """The four short coefficients from one QR of the shared design
-        D + P + X, with Y and N as its two responses, on rows ``idx``."""
+        D + P + X, with Y and N as its two responses, on rows ``idx``, and
+        np_unit over those rows."""
         y = np.column_stack([cols[name][idx] for name in self.responses])
         beta = least_squares(cols, self.design, y, idx)[0]
-        return DoubleShortFits.read(beta)
+        placebo = cols[self.spec.placebo_treatment_col][idx]
+        return DoubleShortFits.read(beta, y[:, 1].std() / placebo.std())
 
     def quantities(self, cols, idx=slice(None)) -> DoubleShortFits:
         """``fit``; a vanishing placebo pair raises, so such replicates are
         dropped."""
         fits = self.fit(cols, idx)
-        check_placebo_pair(fits.beta_np, self.spec.beta_np_long)
+        check_placebo_pair(fits, self.spec.beta_np_long)
         return fits
 
     def gram_quantities(self, cols: ScaledColumns, g):
-        """``quantities`` rows, (batch, 4), from ``g = cols.grams(counts)``;
-        NaN rows as in gram_least_squares. A vanishing placebo pair is a
-        NaN row too, so QR decides it and raises as ``quantities`` does."""
+        """``quantities`` rows, (batch, 5), from ``g = cols.grams(counts)``;
+        NaN rows as in gram_least_squares. A pair within 1e-8 of vanishing
+        (Gram coefficients are within about 1e-10 of QR's) is a NaN row
+        too, so QR decides it and raises as ``quantities`` does."""
+        sd = cols.spread(g, (self.spec.placebo_treatment_col,
+                             self.spec.placebo_outcome_col))[0]
+        unit = np.divide(sd[:, 1], sd[:, 0], out=np.full(len(g), np.nan),
+                         where=sd[:, 0] > 0)
         q = np.stack(DoubleShortFits.read(
-            gram_least_squares(cols, g, self.design, self.responses)[0]),
-            axis=-1)
-        q[placebo_pair_vanishes(q[:, 3], self.spec.beta_np_long)] = np.nan
+            gram_least_squares(cols, g, self.design, self.responses)[0],
+            unit), axis=-1)
+        q[placebo_pair_vanishes(q[:, 3], self.spec.beta_np_long, unit,
+                                NEAR_ZERO / GRAM_TOL**2)] = np.nan
         return q
 
     def triple(self, q):
-        """(target, placebo, scale) of quantity rows ``q`` (..., 4)."""
+        """(target, placebo, scale) of quantity rows ``q`` (..., 5)."""
         fits = DoubleShortFits(*np.moveaxis(q, -1, 0))
         return fits.beta_yd, fits.beta_nd, pair_slope(
             fits, self.spec.beta_yp_long, self.spec.beta_np_long)

@@ -28,12 +28,13 @@ clusters, against each cluster's sums of them, formed once per run. Each
 design is then solved for the whole batch with one stacked Cholesky and
 solve (``regression.gram_least_squares``). A replicate whose Gram solve
 might not match QR to rounding -- too few rows, a Cholesky pivot ratio at
-or below ``GRAM_TOL``, a rank or residual check of QR's too close to call,
-a norm SF reads lost to cancellation, or a double placebo's vanishing
-placebo pair -- comes back as NaN and is refitted by QR, in replicate
-order, so the same replicates fail, with the same errors, as under QR
-everywhere. Where a batch's stacked Cholesky fails, the batch is split in
-halves until the replicate whose design block is not positive definite is
+or below ``GRAM_TOL``, a column within 1e-8 of constant over the
+resample, a residual check of QR's too close to call, a norm SF reads
+lost to cancellation, or a double placebo's placebo pair near vanishing
+-- comes back as NaN and is refitted by QR, in replicate order, so the
+same replicates fail, with the same errors, as under QR everywhere.
+Where a batch's stacked Cholesky fails, the batch is split in halves
+until the replicate whose design block is not positive definite is
 alone, and that one goes to QR.
 
 Replicate ``rep`` draws its rows from its own ``SeedSequence(spawn_key=rep)``

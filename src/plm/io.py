@@ -152,6 +152,9 @@ def _scan_rows(path: Path, header: list, rows) -> list:
             columns[col].append(value)
     if not columns[0]:
         raise TooFewRows(f"{path}: no data rows")
+    # Exact-size copies, each scan buffer freed before the next is made.
+    for col, scanned in enumerate(columns):
+        columns[col] = np.array(scanned)
     return columns
 
 

@@ -223,45 +223,68 @@ class BiasDecomposition:
         return self.partial_corr * self.cohens_f * self.sd_ratio
 
 
+def _standardize(values, out):
+    """Write ``values`` centred and scaled to unit SD into ``out``; return
+    (mean, SD). A constant column, SD at most RANK_TOL of its root mean
+    square, is written as zeros (SD 1), so it fails any rank check."""
+    mean = values.mean()
+    sd = values.std()
+    if sd <= RANK_TOL * np.hypot(sd, mean):
+        out[...] = 0.0
+        return mean, 1.0
+    np.subtract(values, mean, out=out)
+    out /= sd
+    return mean, sd
+
+
 def least_squares(cols, regressors, y, idx=slice(None)):
-    """QR least squares of ``y`` on an intercept plus the named regressors.
+    """Least squares of ``y`` on an intercept plus the named regressors.
 
     The package's one least-squares kernel. ``cols`` maps names to full
     columns (a Dataset or a plain dict), ``idx`` picks the rows (all of
     them, or a bootstrap resample) and ``y`` holds the response at those
     rows: one vector, or one column per response sharing the design.
-    Returns (beta, residuals, r) with the intercept in ``beta[0]``.
-
-    Raises TooFewRows unless there are more rows than coefficients and
-    RankDeficient when a diagonal of R falls to RANK_TOL of the largest.
+    Returns (beta, l2, y_l2, r): beta with the intercept in ``beta[0]``,
+    each response's residual and own L2 norm, and R of the centred design
+    [1, X - mean], all from one R-only QR of [1, Z, y], Z the regressors
+    standardized over the fitted rows (``_standardize``; Golub & Van Loan,
+    Matrix Computations, 5.3). Raises TooFewRows unless there are more
+    rows than coefficients and RankDeficient when a diagonal of R falls to
+    RANK_TOL of the largest.
     """
-    n = y.shape[0]
-    x = np.empty((n, len(regressors) + 1))
-    x[:, 0] = 1.0
-    for j, name in enumerate(regressors):
-        x[:, j + 1] = cols[name][idx]
-    if n <= x.shape[1]:
+    n, k = y.shape[0], len(regressors) + 1
+    if n <= k:
         raise TooFewRows(
             f"{n} rows cannot support {len(regressors)} regressors plus "
             "intercept"
         )
-    q, r = np.linalg.qr(x)
-    diag = np.abs(np.diag(r))
+    a = np.column_stack([np.ones(n), *(cols[name][idx] for name in regressors),
+                         y])
+    mean, scale = np.zeros(k), np.ones(k)
+    for j in range(1, k):
+        mean[j], scale[j] = _standardize(a[:, j], a[:, j])
+    r = np.linalg.qr(a, mode="r")
+    diag = np.abs(np.diag(r)[:k])
     if diag.min() <= RANK_TOL * diag.max():
         raise RankDeficient(
             f"collinear design on {list(regressors)} "
             f"(min |R_ii| = {diag.min():.3e})"
         )
-    beta = np.linalg.solve(r, q.T @ y)
-    return beta, y - x @ beta, r
+    beta = np.linalg.solve(r[:k, :k], r[:k, k:]) / scale[:, None]
+    beta[0] -= mean @ beta
+    shape = y.shape[1:]
+    return (beta.reshape(k, *shape),
+            np.linalg.norm(r[k:, k:], axis=0).reshape(shape),
+            np.linalg.norm(r[:, k:], axis=0).reshape(shape),
+            r[:k, :k] * scale)
 
 
 class ScaledColumns:
     """An intercept plus named columns, centred and scaled once.
 
-    Each column is centred by its mean and divided by its SD (1 for a
-    constant column) over all rows of ``cols``, so the cross-product matrix
-    of any resample is well scaled whatever the columns' units. A resample
+    Each column is standardized over all rows of ``cols`` by
+    ``_standardize``, as QR's designs are, so the cross-product matrix of
+    any resample is well scaled whatever the columns' units. A resample
     is a vector of counts over units: the rows, or with ``members`` (the
     row numbers of each group) the groups of rows. ``grams(counts)`` gives
     the cross-product (Gram) matrices of a batch of resamples, and no rows
@@ -287,13 +310,7 @@ class ScaledColumns:
         self.zt = np.empty((len(names) + 1, len(cols[names[0]])))
         self.zt[0] = 1.0
         for j, name in enumerate(names, 1):
-            values = cols[name]
-            self.mean[j] = values.mean()
-            sd = values.std()
-            if sd > 0:
-                self.scale[j] = sd
-            np.subtract(values, self.mean[j], out=self.zt[j])
-            self.zt[j] /= self.scale[j]
+            self.mean[j], self.scale[j] = _standardize(cols[name], self.zt[j])
         q, n = self.zt.shape
         self._upper = np.triu_indices(q)
         self._unit_sums = None
@@ -344,6 +361,16 @@ class ScaledColumns:
         g[:, j, i] = flat
         return g
 
+    def spread(self, g: np.ndarray, names):
+        """(SD, RMS), (batch, columns), of the named columns over each
+        resample of ``g = self.grams(counts)``, in the columns' own units."""
+        j = np.array([self.position[name] for name in names])
+        rows = g[:, :1, 0]
+        z_mean = g[:, 0, j] / rows
+        sd = self.scale[j] * np.sqrt(np.maximum(g[:, j, j] / rows - z_mean**2,
+                                                0.0))
+        return sd, np.hypot(sd, self.mean[j] + self.scale[j] * z_mean)
+
 
 def gram_least_squares(cols: ScaledColumns, g: np.ndarray, regressors,
                        responses):
@@ -356,13 +383,18 @@ def gram_least_squares(cols: ScaledColumns, g: np.ndarray, regressors,
     norms sqrt(g[v,v] - g[v,S] beta), (batch, responses).
 
     NaN marks a value that might not match QR to rounding. A resample's
-    betas and norms are NaN where it has too few rows, a pivot ratio of
+    betas and norms are NaN where it has too few rows or a pivot ratio of
     the Cholesky factor of its design block at or below GRAM_TOL
     (cond(g) near 1/GRAM_TOL**2; at GRAM_TOL = 1e-2 the coefficients stay
     within about 1e-10 of QR's, relative to their size or to
-    sd(response) / sd(regressor)), or a raw pivot ratio within a factor
-    1/GRAM_TOL of RANK_TOL (the pivots times the column SDs are QR's
-    |R_ii|). A norm is also NaN unless its ratio to the response's centred
+    sd(response) / sd(regressor)), or a regressor or response whose SD over
+    the resample (``cols.spread``) is at most RANK_TOL / GRAM_TOL of its
+    RMS, so QR's constant-column rule (``_standardize``) decides it. QR's
+    rank rule needs no other mirror: its |R_ii| are these pivots
+    restandardized over the resample's n rows, the intercept's sqrt(n) the
+    largest and each other at least its pivot / sqrt(N) for the N rows of
+    ``cols``, so its ratio stays above GRAM_TOL / sqrt(N), far above
+    RANK_TOL. A norm is also NaN unless its ratio to the response's centred
     norm (the pivot the response would add to the factor) is above
     GRAM_TOL and it is clear of ``guard_residual_norm`` by a factor
     1/GRAM_TOL. Callers refit those resamples with ``least_squares``, which
@@ -375,12 +407,11 @@ def gram_least_squares(cols: ScaledColumns, g: np.ndarray, regressors,
     v = np.array([cols.position[name] for name in responses])
     identity = np.eye(len(s))
     g_ss = g[:, s[:, None], s]
-    trusted = g[:, 0, 0] > len(s)
-    g_ss[~trusted] = identity  # too few rows: keep the stack factorable
+    sd, rms = cols.spread(g, (*regressors, *responses))
+    trusted = (g[:, 0, 0] > len(s)) & (sd > RANK_TOL / GRAM_TOL * rms).all(1)
+    g_ss[~trusted] = identity  # keep the stack factorable
     pivots = np.diagonal(np.linalg.cholesky(g_ss), axis1=1, axis2=2)
-    raw_pivots = pivots * cols.scale[s]
     trusted &= pivots.min(1) > GRAM_TOL * pivots.max(1)
-    trusted &= raw_pivots.min(1) > RANK_TOL / GRAM_TOL * raw_pivots.max(1)
     # NumPy has no stacked triangular solve. On the blocks trusted here
     # (cond below about 1/GRAM_TOL**2) an LU solve is as accurate, and
     # identity blocks keep the others from breaking it down.
@@ -401,22 +432,15 @@ def gram_least_squares(cols: ScaledColumns, g: np.ndarray, regressors,
     return beta, l2
 
 
-def _negligible(l2: float, values: np.ndarray) -> bool:
-    """Whether a residual norm ``l2`` of the column ``values`` is at most
-    NEAR_ZERO times the root-mean-square of ``values`` times sqrt(n): a
-    ratio with that norm would be built on rounding noise."""
-    scale = float(np.sqrt(np.mean(values**2)))
-    return l2 <= NEAR_ZERO * max(scale, 1e-300) * np.sqrt(values.shape[0])
-
-
-def guard_residual_norm(l2: float, values: np.ndarray, variable: str,
+def guard_residual_norm(l2: float, norm: float, variable: str,
                         controls) -> float:
-    """Return the residual norm ``l2`` of the column ``values`` if usable.
+    """Return the residual norm ``l2`` of a column if usable.
 
-    ``values`` is ``variable`` at the fitted rows and ``controls`` its
-    regressors. Raises DegenerateResidual when ``l2`` is negligible.
+    ``norm`` is the L2 norm of ``variable`` at the fitted rows, ``controls``
+    its regressors. Raises DegenerateResidual when ``l2`` is at most
+    NEAR_ZERO of ``norm``: a ratio with it would rest on rounding noise.
     """
-    if _negligible(l2, values):
+    if l2 <= NEAR_ZERO * norm:
         raise DegenerateResidual(
             f"residual of {variable!r} on {list(controls)} has (near) zero "
             "norm; scale factor undefined"
@@ -444,18 +468,17 @@ def fit_ols(data: Dataset, response: str, regressors) -> FitSummary:
     UnknownColumn, TooFewRows, RankDeficient
     """
     regressors = tuple(regressors)
-    beta, resid, r = least_squares(data, regressors, data[response])
-    rss = float(resid @ resid)
+    beta, l2, _, r = least_squares(data, regressors, data[response])
     dof = data.n_rows - (len(regressors) + 1)
-    sigma2 = rss / dof
+    sigma2 = float(l2) ** 2 / dof
     r_inv = np.linalg.inv(r)
     xtx_inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)
     se_all = np.sqrt(sigma2 * xtx_inv_diag)
     return FitSummary(
         coefficients={name: float(b) for name, b in zip(regressors, beta[1:])},
         intercept=float(beta[0]),
-        residuals=resid,
-        residual_l2=float(np.linalg.norm(resid)),
+        residuals=_residual_vector(data, response, regressors, beta),
+        residual_l2=float(l2),
         dof=dof,
         se={name: float(s) for name, s in zip(regressors, se_all[1:])},
         response_name=response,
@@ -482,10 +505,14 @@ def residualize(data: Dataset, variable: str, controls) -> Residualization:
     )
 
 
-def _residual_vector(data: Dataset, variable, controls) -> np.ndarray:
-    """Residual of a column (by name) or raw vector on controls + intercept."""
+def _residual_vector(data: Dataset, variable, controls, beta=None):
+    """Residual of a column (by name) or raw vector on controls + intercept,
+    at coefficients ``beta`` (by default, fitted here)."""
     y = data[variable] if isinstance(variable, str) else np.asarray(variable)
-    return least_squares(data, tuple(controls), y)[1]
+    if beta is None:
+        beta = least_squares(data, controls, y)[0]
+    return y - beta[0] - sum(b * data[name]
+                             for name, b in zip(controls, beta[1:]))
 
 
 def partial_corr(data: Dataset, a, b, given) -> float:
@@ -500,7 +527,8 @@ def partial_corr(data: Dataset, a, b, given) -> float:
     rb = _residual_vector(data, vb, given)
     na = float(np.linalg.norm(ra))
     nb = float(np.linalg.norm(rb))
-    if _negligible(na, va) or _negligible(nb, vb):
+    if (na <= NEAR_ZERO * np.linalg.norm(va)
+            or nb <= NEAR_ZERO * np.linalg.norm(vb)):
         raise DivisionByNearZero(
             "partial correlation undefined: a residual has (near) zero norm"
         )

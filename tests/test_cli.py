@@ -148,6 +148,20 @@ def test_degenerate_placebo_exits_four(tmp_path, capsys):
     assert "degenerac" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jitter", [False, True])
+def test_covariate_constant_up_to_rounding_exits_four(tmp_path, jitter):
+    # One ulp of jitter on half the rows is spread of rounding only.
+    data = simulate_scm(random_recipe("b", seed=1, n=300))
+    w = np.full(data.n_rows, 7.77e-3)
+    if jitter:
+        w[np.random.default_rng(2).random(w.size) < 0.5] += np.spacing(w[0])
+    path = write_dataset_csv(
+        Dataset({**{name: data[name] for name in data.names}, "W": w}),
+        tmp_path / "data.csv")
+    assert cli_main(_table_argv(path, tmp_path / "t.csv",
+                                **{"--covariates": "W"})) == 4
+
+
 def test_too_few_rows_exits_three(tmp_path, capsys):
     # Five rows for the five coefficients of Y ~ D + P + X1 + X2.
     rng = np.random.default_rng(2)

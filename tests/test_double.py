@@ -1,5 +1,6 @@
 """Tests for the double-placebo adjustment and point identification."""
 
+import numpy as np
 import pytest
 
 from plm.double import (
@@ -119,9 +120,10 @@ def test_fit_double_shorts_matches_direct_fits():
     assert tuple(formula.quantities(cols, slice(None))) == tuple(fits)
     fit_y = fit_ols(data, "Y", ("D", "P"))
     fit_n = fit_ols(data, "N", ("D", "P"))
-    assert fits == pytest.approx(
+    assert fits[:4] == pytest.approx(
         (fit_y.coef("D"), fit_y.coef("P"), fit_n.coef("D"),
          fit_n.coef("P")), rel=1e-12, abs=0)
+    assert fits.np_unit == np.std(data["N"]) / np.std(data["P"])
 
 
 def test_spec_validation():

@@ -472,6 +472,56 @@ def test_double_placebo_vanishing_pair_is_rejected():
             runner(data, cfg)
 
 
+def _rescaled(data, name, units):
+    return Dataset({col: data[col] * (units if col == name else 1.0)
+                    for col in data.names})
+
+
+def test_double_placebo_pair_check_does_not_depend_on_units():
+    # At P x 1e13 the P coefficient is 3.3e-14: below NEAR_ZERO, yet no
+    # nearer its assumed direct part (0) than at P x 1.
+    data = simulate_scm(SCMRecipe(n=400, graph_case="double_b", seed=5))
+    spec = DoublePlaceboSpec(outcome_col="Y", treatment_col="D",
+                             placebo_treatment_col="P",
+                             placebo_outcome_col="N")
+    cfg = AnalysisConfig(spec=spec, bootstrap_reps=50, seed=3)
+    results = []
+    for units in (1.0, 1e13):
+        scaled = _rescaled(data, "P", units)
+        fits = fit_double_shorts(scaled, "Y", "D", "P", "N")
+        results.append((point_identify_double_placebo(fits),
+                        run_table(scaled, cfg).rows[:2]))
+    (point, anchors), (point_13, anchors_13) = results
+    assert point_13 == pytest.approx(point, rel=1e-8)
+    for row, row_13 in zip(anchors, anchors_13):
+        assert row.label == row_13.label
+        assert row_13[3:] == pytest.approx(row[3:], rel=1e-8)
+
+
+@pytest.mark.parametrize("units", [1.0, 1e13])
+def test_placebo_pair_vanishing_to_rounding_is_rejected(units):
+    # N = 0.3 + 0.8 D exactly: its P coefficient is rounding (7e-18 at
+    # P x 1), so at the default np_long = 0 the pair vanishes, in any units
+    # of P, on QR's full sample and in every Gram row.
+    data = simulate_scm(SCMRecipe(n=400, graph_case="double_b", seed=5))
+    data = Dataset({**{name: data[name] for name in data.names},
+                    "N": 0.3 + 0.8 * data["D"], "P": data["P"] * units})
+    with pytest.raises(DenominatorNearZero):
+        point_identify_double_placebo(
+            fit_double_shorts(data, "Y", "D", "P", "N"))
+    spec = DoublePlaceboSpec(outcome_col="Y", treatment_col="D",
+                             placebo_treatment_col="P",
+                             placebo_outcome_col="N")
+    cfg = AnalysisConfig(spec=spec, bootstrap_reps=20, seed=4)
+    with pytest.raises(DenominatorNearZero):
+        run_table(data, cfg)
+    formula, cols = _bind(data, cfg)
+    scaled = ScaledColumns(cols)
+    q = formula.gram_quantities(
+        scaled, scaled.grams(_replicate_counts(4, range(20), scaled.units)))
+    assert np.isnan(q).all()
+
+
 def test_mediator_metadata_carries_caution():
     data = _data(graph_case="d")
     spec = PlaceboSpec(outcome_col="Y", treatment_col="D", placebo_col="P",
@@ -641,11 +691,12 @@ def test_bootstrap_replicates_run_no_qr(monkeypatch, role):
 
 
 def _natural_scales(role, data):
-    """sd(response) / sd(regressor) of each coefficient a role reads."""
+    """sd(response) / sd(regressor) of each coefficient a role reads; 0
+    for a ratio of SDs (SF, np_unit), compared relative to its size."""
     sd = {name: np.std(data[name]) for name in data.names}
     if role == "double_placebo":
         pairs = (("Y", "D"), ("Y", "P"), ("N", "D"), ("N", "P"))
-        return np.array([sd[a] / sd[b] for a, b in pairs])
+        return np.array([*(sd[a] / sd[b] for a, b in pairs), 0.0])
     names = {"y": "Y", "d": "D", "p": "P"}
     row = _ROLE_TABLE[role]
     coefficient = [sd[names[response]] / sd[names[column]]
@@ -714,6 +765,41 @@ def test_untrusted_gram_replicate_is_refitted_by_qr(role, kwargs, clusters):
                                                    clusters)
     assert fell_back
     assert np.array_equal(got, want)
+
+
+def test_gram_path_refers_a_resample_constant_to_qr():
+    # x = 1e6 + 5e-4 u has SD 3e-10 of its RMS over all rows, u's spread
+    # cut 20x in the first of two clusters. That cluster drawn twice leaves
+    # x an SD of 2e-11 of its RMS: well scaled for the Gram path, constant
+    # for QR. Within 1e-8 of constant, every resample goes to QR.
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal(400)
+    u[:200] /= 20
+    cols = {"x": 1e6 + 5e-4 * u,
+            "y": 1.0 + 2.04 * u + rng.standard_normal(400)}
+    members = [np.arange(200), np.arange(200, 400)]
+    scaled = ScaledColumns(cols, members)
+    beta, l2 = regression.gram_least_squares(
+        scaled, scaled.grams(np.array([[2, 0], [1, 1]])), ["x"], ["y"])
+    assert np.isnan(beta).all() and np.isnan(l2).all()
+    regression.least_squares(cols, ["x"], cols["y"])
+    idx = np.concatenate([members[0], members[0]])
+    with pytest.raises(regression.RankDeficient):
+        regression.least_squares(cols, ["x"], cols["y"][idx], idx)
+
+
+def test_gram_path_refers_a_near_constant_response_to_qr():
+    # w has SD 1e-11 of its RMS: a zero column once scaled, which QR, not
+    # standardizing its responses, fits to a slope of about 5e-11.
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(400)
+    cols = {"x": x, "w": 5.0 + 5e-11 * (rng.standard_normal(400) + x)}
+    scaled = ScaledColumns(cols)
+    beta, l2 = regression.gram_least_squares(
+        scaled, scaled.grams(np.ones((1, 400))), ["x"], ["w"])
+    assert np.isnan(beta).all() and np.isnan(l2).all()
+    want = regression.least_squares(cols, ["x"], cols["w"])[0]
+    assert want[1] == pytest.approx(5e-11, rel=0.2)
 
 
 def _qr_reference(formula, cols, data, cfg):
@@ -933,3 +1019,40 @@ def test_row_bootstrap_memory_stays_within_the_batch_budget():
         tracemalloc.stop()
     assert (q_rows.shape, failures) == ((12, 3), 0)
     assert peak <= stored + regression.BATCH_BYTES + slack, peak
+
+
+@pytest.mark.parametrize("role, make_data, cluster_col, qr_refits", [
+    # Well conditioned: every replicate from its Gram matrix.
+    ("placebo_treatment", lambda: _earnings_data(seed=3, n=400), None,
+     False),
+    # X2 within 1% of an SD of X1: QR refits some replicates and keeps them.
+    ("double_placebo",
+     lambda: _earnings_data(seed=5, n=60, collinearity=0.01), None, True),
+    # Resamples of only the single-row clusters: the refit raises
+    # TooFewRows before it factors.
+    ("placebo_treatment", _short_clusters, "C", False),
+])
+def test_bootstrap_does_not_depend_on_a_covariates_units(
+        monkeypatch, role, make_data, cluster_col, qr_refits):
+    data = make_data()
+    covariates = ("X1", "X2", "X3") if "X3" in data else ("X1", "X2")
+    cfg = AnalysisConfig(spec=_role_spec(role, covariates), seed=4,
+                         bootstrap_reps=1000, cluster_col=cluster_col)
+    qr = np.linalg.qr
+    calls = []
+
+    def counting_qr(a, *args, **kwargs):
+        calls.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    want = run_table(data, cfg)
+    got = run_table(_rescaled(data, "X1", 1e11), cfg)
+    assert (len(calls) > 2 * _DESIGNS[role]) == qr_refits
+    assert got.metadata["bootstrap_failures"] == \
+        want.metadata["bootstrap_failures"]
+    assert (want.metadata["bootstrap_failures"] > 0) == (cluster_col
+                                                         is not None)
+    for row, want_row in zip(got.rows, want.rows, strict=True):
+        assert row[:3] == want_row[:3]
+        assert row[3:] == pytest.approx(want_row[3:], rel=1e-10)

@@ -129,6 +129,61 @@ def test_fit_errors():
         fit_ols(dup, "y", ["a", "b"])
 
 
+def _slope_data(n=300, seed=1):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    return x, 1.0 + 2.04 * x + rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("units", [1e11, 1e-11])
+def test_slope_and_se_do_not_depend_on_the_regressors_units(units):
+    # The reference is lstsq at unit scale, rescaled: the rank rule and the
+    # fit see standardized columns, so the units change nothing else.
+    x, y = _slope_data()
+    design = np.column_stack([np.ones(x.size), x])
+    beta, rss = np.linalg.lstsq(design, y, rcond=None)[:2]
+    se = np.sqrt(rss[0] / (x.size - 2) / np.sum((x - x.mean()) ** 2))
+    fit = fit_ols(Dataset({"y": y, "x": x * units}), "y", ["x"])
+    assert fit.coef("x") * units == pytest.approx(beta[1], rel=1e-8)
+    assert fit.se["x"] * units == pytest.approx(se, rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [300, 2675])
+@pytest.mark.parametrize("value", [0.1, 1e4 + 0.1, 7.77e-3])
+@pytest.mark.parametrize("jitter", [False, True])
+def test_regressor_constant_up_to_rounding_is_rank_deficient(n, value,
+                                                             jitter):
+    # np.std(np.full(300, 0.1)) is 1.4e-17, not 0. With ``jitter`` half the
+    # rows sit one ulp higher: rounding-level spread that, scaled to unit SD,
+    # would be a full-rank column of noise.
+    x, y = _slope_data(n)
+    w = np.full(n, value)
+    if jitter:
+        w[np.random.default_rng(2).random(n) < 0.5] += np.spacing(value)
+    with pytest.raises(RankDeficient):
+        fit_ols(Dataset({"y": y, "x": x, "w": w}), "y", ["x", "w"])
+
+
+def test_near_constant_regressor_is_refused_only_below_the_rank_rule():
+    # A regressor 1e6 + 1e6 * rho * noise has SD rho of its RMS.
+    rng = np.random.default_rng(4)
+    noise = rng.standard_normal(300)
+    for rho, recovered in ((1e-11, False), (1e-9, True)):
+        x = 1e6 + 1e6 * rho * noise
+        y = 3.0 + 2.04 * noise + rng.standard_normal(300)
+        data = Dataset({"y": y, "x": x})
+        if not recovered:
+            with pytest.raises(RankDeficient):
+                fit_ols(data, "y", ["x"])
+            continue
+        # x - mean(x) is exact, so lstsq on the centred column is the
+        # reference.
+        design = np.column_stack([np.ones(300), x - x.mean()])
+        want = np.linalg.lstsq(design, y, rcond=None)[0][1]
+        assert fit_ols(data, "y", ["x"]).coef("x") == pytest.approx(
+            want, rel=1e-8)
+
+
 def test_residualize_orthogonal_variable_is_centering():
     rng = np.random.default_rng(5)
     c = rng.standard_normal(60)
