@@ -51,40 +51,63 @@ class _Role(NamedTuple):
     written (num, num_controls, den, den_controls) for
     r(num | num_controls) / r(den | den_controls), where r is the norm of
     the residual after OLS on the controls, x, and an intercept.
+
+    ``accepts`` maps each set of declared edges (``d_to_p``, ``p_to_y``)
+    the role's graph allows to the cautions the role carries with it.
+    ``implies`` names the edge the graph itself has (``p_to_d`` or
+    ``y_to_p``), which may be declared or left out.
     """
 
     target: tuple[str, str, str]
     placebo: tuple[str, str, str]
     sf: tuple[tuple[str, str, str, str], ...]
     direct_effect_name: str
+    accepts: dict[frozenset[str], tuple[str, ...]]
+    implies: str = ""
 
+
+_NONE = frozenset()
+_D_TO_P = frozenset({"d_to_p"})
+_P_TO_Y = frozenset({"p_to_y"})
+_BOTH = _D_TO_P | _P_TO_Y
 
 # The only place that knows the roles.
 _ROLE_TABLE = {
     "placebo_outcome": _Role(
         ("y", "d", "d"), ("p", "d", "d"),
         (("y", "d", "p", "d"),),
-        "treatment->placebo"),
+        "treatment->placebo",
+        {_NONE: (), _D_TO_P: (), _BOTH: (
+            "placebo lies on a causal path from treatment to outcome; "
+            "the measured placebo coefficient is part of the total "
+            "effect and the relative-confounding parameter includes "
+            "the mediated channel",)}),
     "placebo_treatment": _Role(
         ("y", "dp", "d"), ("y", "dp", "p"),
         (("p", "d", "d", "p"),),
-        "placebo->outcome"),
+        "placebo->outcome",
+        {_NONE: (), _P_TO_Y: ()}),
     "observed_confounder_1": _Role(
         ("y", "dp", "d"), ("p", "d", "d"),
         (("y", "dp", "d", "p"), ("d", "", "p", "d")),
-        "treatment->placebo"),
+        "treatment->placebo",
+        {_P_TO_Y: ()}),
     "observed_confounder_2": _Role(
         ("y", "dp", "d"), ("d", "p", "p"),
         (("y", "dp", "d", "p"), ("p", "", "d", "p")),
-        "placebo->treatment"),
+        "placebo->treatment",
+        {_NONE: (), _P_TO_Y: ()}, implies="p_to_d"),
     "mediator": _Role(
         ("y", "d", "d"), ("y", "dp", "p"),
         (("p", "d", "d", ""), ("y", "d", "y", "dp")),
-        "placebo->outcome"),
+        "placebo->outcome",
+        {_BOTH: ("mediator case acknowledged: parameters conflate causal "
+                 "and confounding channels",)}),
     "post_outcome": _Role(
         ("y", "d", "d"), ("p", "dy", "y"),
         (("y", "d", "d", ""), ("y", "d", "p", "dy")),
-        "outcome->placebo"),
+        "outcome->placebo",
+        {_NONE: (), _D_TO_P: ()}, implies="y_to_p"),
 }
 
 ROLES = tuple(_ROLE_TABLE)
@@ -94,11 +117,9 @@ ROLES = tuple(_ROLE_TABLE)
 class PlaceboSpec:
     """Declares which column plays the placebo and how it sits in the graph.
 
-    ``edge_d_to_p`` and ``edge_p_to_y`` describe direct causal links from the
-    treatment to the placebo and from the placebo to the outcome. Roles that
-    put the placebo upstream of D (observed_confounder_2) or downstream of Y
-    (post_outcome) imply their own extra edge and only use these two flags
-    for the remaining variants.
+    ``edge_d_to_p`` and ``edge_p_to_y`` declare direct causal links from
+    the treatment to the placebo and from the placebo to the outcome; the
+    role table (``_Role``) holds the sets of them each role accepts.
 
     ``acknowledge_mediator`` must be set to run the mediator case, which is
     discouraged; see ``dispatch_case``.
@@ -131,12 +152,8 @@ class PlaceboSpec:
 class SensitivityPoint:
     """One (k, direct_effect) assumption.
 
-    ``direct_effect`` is the case-specific direct-link coefficient, always in
-    the placebo variable's raw units: the D-to-placebo coefficient for
-    placebo outcomes and observed confounder 1, the placebo-to-Y coefficient
-    for placebo treatments and mediators, the placebo-to-D coefficient for
-    observed confounder 2, and the Y-to-placebo coefficient for post
-    outcomes.
+    ``direct_effect`` is the coefficient of the role's direct link (its
+    ``direct_effect_name``), always in the placebo variable's raw units.
     """
 
     k: float
@@ -180,78 +197,40 @@ def k_from_m(m: float, sf: float) -> float:
     return m / sf
 
 
+def check_edges(role: str, declared) -> dict[str, tuple[str, ...]]:
+    """Every role that accepts the ``declared`` edge names (any of d_to_p,
+    p_to_y, p_to_d, y_to_p), mapped to the cautions it carries with them;
+    AmbiguousSpec, naming those roles, where ``role`` is not one of them."""
+    declared = frozenset(declared)
+    accepting = {}
+    for name, rule in _ROLE_TABLE.items():
+        own = declared - {rule.implies}
+        if own in rule.accepts:
+            accepting[name] = rule.accepts[own]
+    if role not in accepting:
+        raise AmbiguousSpec(
+            f"role {role} does not accept the declared edges "
+            f"({', '.join(sorted(declared)) or 'none'}); roles that "
+            f"accept them: {', '.join(accepting) or 'none'}")
+    return accepting
+
+
 def _role_consistency(spec: PlaceboSpec) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Validate role against edges; return (alternatives, cautions)."""
-    role = spec.role
-    d_to_p, p_to_y = spec.edge_d_to_p, spec.edge_p_to_y
-    if role == "placebo_outcome":
-        if p_to_y and not d_to_p:
-            raise AmbiguousSpec(
-                "a placebo that causes the outcome is not a plain placebo "
-                "outcome; declare role observed_confounder_1 (or "
-                "placebo_treatment with a nonzero direct effect)"
-            )
-        if d_to_p and p_to_y:
-            return ("mediator",), (
-                "placebo lies on a causal path from treatment to outcome; "
-                "the measured placebo coefficient is part of the total "
-                "effect and the relative-confounding parameter includes "
-                "the mediated channel",
-            )
-        return ((), ()) if d_to_p else (("placebo_treatment",), ())
-    if role == "placebo_treatment":
-        if d_to_p:
-            raise AmbiguousSpec(
-                "treatment causes the placebo, so it cannot be treated as a "
-                "placebo treatment; consider placebo_outcome or mediator"
-            )
-        if p_to_y:
-            return ("observed_confounder_1",), ()
-        return ("placebo_outcome",), ()
-    if role == "observed_confounder_1":
-        if d_to_p:
-            raise AmbiguousSpec(
-                "observed_confounder_1 assumes no direct treatment-to-"
-                "placebo edge; with one present use placebo_outcome or "
-                "mediator"
-            )
-        if not p_to_y:
-            raise AmbiguousSpec(
-                "observed_confounder_1 needs the placebo-to-outcome edge; "
-                "without it use placebo_outcome or placebo_treatment"
-            )
-        return ("placebo_treatment",), ()
-    if role == "mediator":
-        if not (d_to_p and p_to_y):
-            raise AmbiguousSpec(
-                "mediator role requires both the treatment-to-placebo and "
-                "placebo-to-outcome edges"
-            )
-        if not spec.acknowledge_mediator:
-            raise UnsupportedCase(
-                "mediator-case adjustment is discouraged and gated; set "
-                "acknowledge_mediator=True to run the total-effect "
-                "adjustment anyway (direct/indirect decomposition is out of "
-                "scope; see the mediation-analysis literature)"
-            )
-        return ("placebo_outcome",), (
-            "mediator case acknowledged: parameters conflate causal and "
-            "confounding channels",
+    accepting = check_edges(spec.role, [
+        edge for edge, given in (("d_to_p", spec.edge_d_to_p),
+                                 ("p_to_y", spec.edge_p_to_y)) if given])
+    if spec.role == "mediator" and not spec.acknowledge_mediator:
+        raise UnsupportedCase(
+            "mediator-case adjustment is discouraged and gated; set "
+            "acknowledge_mediator=True to run the total-effect "
+            "adjustment anyway (direct/indirect decomposition is out of "
+            "scope; see the mediation-analysis literature)"
         )
-    if role == "observed_confounder_2":
-        if d_to_p:
-            raise AmbiguousSpec(
-                "observed_confounder_2 places the placebo upstream of the "
-                "treatment; a treatment-to-placebo edge contradicts that"
-            )
-        return (), ()
-    # post_outcome
-    if p_to_y:
-        raise AmbiguousSpec(
-            "post_outcome places the placebo downstream of the outcome; a "
-            "placebo-to-outcome edge contradicts that"
-        )
-    return (), ()
+    if _ROLE_TABLE[spec.role].implies:
+        return (), accepting[spec.role]
+    return tuple(other for other in accepting if other != spec.role
+                 and not _ROLE_TABLE[other].implies), accepting[spec.role]
 
 
 class CaseFormula:
@@ -420,10 +399,11 @@ class CaseFormula:
 def dispatch_case(spec: PlaceboSpec) -> CaseFormula:
     """Resolve a PlaceboSpec to its case formula.
 
-    The declared role wins whenever several roles fit the declared edges;
-    the other compatible roles are listed in ``alternatives``. Raises
-    AmbiguousSpec when the role contradicts the edges and UnsupportedCase
-    for the gated mediator role without its acknowledgment flag.
+    The declared role wins whenever several roles accept the declared
+    edges; ``alternatives`` lists the others, where neither role implies an
+    edge of its own. Raises AmbiguousSpec when the role does not accept the
+    edges and UnsupportedCase for the gated mediator role without its
+    acknowledgment flag.
     """
     return CaseFormula(spec)
 

@@ -116,7 +116,7 @@ def parallel_trends_gap(means: GroupMeans) -> dict:
 
 def _control_level_gap(means: GroupMeans) -> float:
     gap = means.mean_y_control - means.mean_n_control
-    scale = max(1.0, abs(means.mean_y_control), abs(means.mean_n_control))
+    scale = max(abs(means.mean_y_control), abs(means.mean_n_control))
     if abs(gap) <= NEAR_ZERO * scale:
         raise DenominatorNearZero(
             "control group shows no mean change, the level-stability "
@@ -146,7 +146,7 @@ def w_to_m(w: float, means: GroupMeans, att_n: float = 0.0) -> float:
         raise ConfigError("w must be finite")
     d = dim(means)
     denom = d["dim_N"] - att_n
-    scale = max(1.0, abs(means.mean_n_treated), abs(means.mean_n_control))
+    scale = max(abs(means.mean_n_treated), abs(means.mean_n_control))
     if abs(denom) <= NEAR_ZERO * scale:
         raise DenominatorNearZero(
             "groups share the same adjusted pre-period mean, every m "

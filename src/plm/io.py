@@ -19,11 +19,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .adjust import PlaceboSpec
+from .adjust import PlaceboSpec, check_edges
 from .engine import AnalysisConfig, ContourGrid, LineSlice, ResultTable, \
     TableRow
 from .errors import (
-    AmbiguousSpec,
     ConfigError,
     DataError,
     DuplicateHeader,
@@ -267,9 +266,9 @@ class RunConfig:
     The settings (``k``, ``direct``, ``grid``, ``ci_level`` and the
     ``bootstrap`` object's ``reps`` and ``seed``) build one AnalysisConfig,
     whose defaults fill every setting left out. ``outputs`` maps any of
-    table/contour/line/svg to destination paths. The two implied-edge flags
-    (placebo-to-treatment, outcome-to-placebo) are accepted only alongside
-    the roles that define them.
+    table/contour/line/svg to destination paths. ``edges`` declares any of
+    d_to_p, p_to_y, p_to_d and y_to_p; a set the role does not accept
+    raises AmbiguousSpec here, before any data is read.
     """
 
     def __init__(self, data_path, outcome, treatment, placebo, role,
@@ -284,16 +283,6 @@ class RunConfig:
         for key, value in edges.items():
             if not isinstance(value, bool):
                 raise ConfigError(f"edges.{key} must be true or false")
-        if edges.get("p_to_d") and role != "observed_confounder_2":
-            raise AmbiguousSpec(
-                "a placebo that causes the treatment is the "
-                "observed_confounder_2 role; declare it as such"
-            )
-        if edges.get("y_to_p") and role != "post_outcome":
-            raise AmbiguousSpec(
-                "an outcome that causes the placebo is the post_outcome "
-                "role; declare it as such"
-            )
         if (not isinstance(covariates, (list, tuple))
                 or not all(isinstance(c, str) for c in covariates)):
             raise ConfigError("covariates must be a list of column names")
@@ -309,6 +298,8 @@ class RunConfig:
             # choice, so the in-code acknowledgment gate is satisfied here.
             acknowledge_mediator=(role == "mediator"),
         )
+        check_edges(self.spec.role, [key for key, value in edges.items()
+                                     if value])
         bootstrap = _as_object(bootstrap, "bootstrap")
         _reject_unknown(bootstrap, _BOOTSTRAP_KEYS, "bootstrap")
         given = {**settings,

@@ -585,7 +585,7 @@ def bias_decomposition_oracle(
     rz_dt = _residual_vector(data_with_z, zc, (treatment, *controls))
     rz_ctrl = _residual_vector(data_with_z, zc, controls)
     zc_norm = float(np.linalg.norm(rz_dt))
-    if zc_norm <= NEAR_ZERO * max(1.0, float(np.linalg.norm(zc))):
+    if zc_norm <= NEAR_ZERO * np.linalg.norm(zc):
         # Fitted combination carries no signal: no confounding measured.
         pc = 0.0
         f = 0.0

@@ -25,7 +25,8 @@ from .regression import (Dataset, bias_decomposition_oracle, fit_ols,
                          verify_bias_factor_identity)
 from .simulate import GRAPH_EDGES, SCMRecipe, simulate_scm
 
-# Graph label, placebo role, and the edge flags a user would declare.
+# Graph label, placebo role, and the edge flags a user would declare: one
+# case for each set of declared edges a role accepts.
 SINGLE_CASES: tuple[tuple[str, str, dict], ...] = (
     ("a", "placebo_outcome", {}),
     ("a", "placebo_treatment", {}),
@@ -38,6 +39,7 @@ SINGLE_CASES: tuple[tuple[str, str, dict], ...] = (
     ("f", "observed_confounder_2", {"edge_p_to_y": True}),
     ("g", "post_outcome", {}),
     ("h", "post_outcome", {"edge_d_to_p": True}),
+    ("d", "placebo_outcome", {"edge_d_to_p": True, "edge_p_to_y": True}),
 )
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from plm.adjust import (
+    ROLES,
     PlaceboSpec,
     SensitivityPoint,
     ShortCoefficients,
@@ -206,22 +207,58 @@ def test_spec_validation():
                     role="placebo_outcome")
 
 
-def test_dispatch_edge_consistency():
-    with pytest.raises(AmbiguousSpec):
-        dispatch_case(_spec("placebo_outcome", edge_p_to_y=True))
-    with pytest.raises(AmbiguousSpec):
-        dispatch_case(_spec("placebo_treatment", edge_d_to_p=True))
-    with pytest.raises(AmbiguousSpec):
-        dispatch_case(_spec("observed_confounder_1"))
-    with pytest.raises(AmbiguousSpec):
-        dispatch_case(_spec("observed_confounder_1", edge_p_to_y=True,
-                            edge_d_to_p=True))
-    with pytest.raises(AmbiguousSpec):
-        dispatch_case(_spec("mediator", edge_d_to_p=True))
-    with pytest.raises(AmbiguousSpec):
-        dispatch_case(_spec("observed_confounder_2", edge_d_to_p=True))
-    with pytest.raises(AmbiguousSpec):
-        dispatch_case(_spec("post_outcome", edge_p_to_y=True))
+_MEDIATED = (
+    "placebo lies on a causal path from treatment to outcome; the measured "
+    "placebo coefficient is part of the total effect and the "
+    "relative-confounding parameter includes the mediated channel",)
+_ACKNOWLEDGED = ("mediator case acknowledged: parameters conflate causal "
+                 "and confounding channels",)
+# Each role's accepted (edge_d_to_p, edge_p_to_y) declarations and the
+# (alternatives, cautions) it reports there; any other pair is ambiguous.
+_DISPATCH = {
+    "placebo_outcome": {(False, False): (("placebo_treatment",), ()),
+                        (True, False): ((), ()),
+                        (True, True): (("mediator",), _MEDIATED)},
+    "placebo_treatment": {(False, False): (("placebo_outcome",), ()),
+                          (False, True): (("observed_confounder_1",), ())},
+    "observed_confounder_1": {(False, True): (("placebo_treatment",), ())},
+    "observed_confounder_2": {(False, False): ((), ()),
+                              (False, True): ((), ())},
+    "mediator": {(True, True): (("placebo_outcome",), _ACKNOWLEDGED)},
+    "post_outcome": {(False, False): ((), ()), (True, False): ((), ())},
+}
+
+
+@pytest.mark.parametrize("acknowledge", [False, True])
+@pytest.mark.parametrize("p_to_y", [False, True])
+@pytest.mark.parametrize("d_to_p", [False, True])
+@pytest.mark.parametrize("role", ROLES)
+def test_dispatch_over_every_role_and_edge_set(role, d_to_p, p_to_y,
+                                               acknowledge):
+    spec = _spec(role, edge_d_to_p=d_to_p, edge_p_to_y=p_to_y,
+                 acknowledge_mediator=acknowledge)
+    expected = _DISPATCH[role].get((d_to_p, p_to_y))
+    if expected is None:
+        with pytest.raises(AmbiguousSpec):
+            dispatch_case(spec)
+    elif role == "mediator" and not acknowledge:
+        with pytest.raises(UnsupportedCase):
+            dispatch_case(spec)
+    else:
+        case = dispatch_case(spec)
+        assert (case.alternatives, case.cautions) == expected
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_ambiguous_spec_names_every_accepting_role(role):
+    for edges in {(False, False), (True, False), (False, True),
+                  (True, True)} - set(_DISPATCH[role]):
+        with pytest.raises(AmbiguousSpec) as err:
+            dispatch_case(_spec(role, edge_d_to_p=edges[0],
+                                edge_p_to_y=edges[1]))
+        named = {other for other in ROLES if other in str(err.value)}
+        assert named == {role} | {other for other in ROLES
+                                  if edges in _DISPATCH[other]}
 
 
 def test_mediator_is_gated():
@@ -230,19 +267,6 @@ def test_mediator_is_gated():
     case = _case("mediator", edge_d_to_p=True, edge_p_to_y=True,
                  acknowledge_mediator=True)
     assert case.cautions
-
-
-def test_dispatch_reports_alternatives():
-    assert _case("placebo_outcome").alternatives == ("placebo_treatment",)
-    assert _case("placebo_outcome", edge_d_to_p=True).alternatives == ()
-    both = _case("placebo_outcome", edge_d_to_p=True, edge_p_to_y=True)
-    assert both.alternatives == ("mediator",)
-    assert both.cautions
-    assert _case("placebo_treatment",
-                 edge_p_to_y=True).alternatives == ("observed_confounder_1",)
-    assert _case("observed_confounder_1",
-                 edge_p_to_y=True).alternatives == ("placebo_treatment",)
-    assert _case("observed_confounder_2").alternatives == ()
 
 
 def test_direct_effect_names():

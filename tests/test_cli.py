@@ -148,6 +148,17 @@ def test_degenerate_placebo_exits_four(tmp_path, capsys):
     assert "degenerac" in capsys.readouterr().err
 
 
+def test_contradictory_edges_exit_two_before_the_data_is_read(tmp_path,
+                                                              capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("Y,D,P\nx,y,z\n", encoding="utf-8")
+    code = cli_main(_table_argv(path, tmp_path / "t.csv",
+                                **{"--edge-p-to-d": None}))
+    assert code == 2
+    assert ("edges (d_to_p, p_to_d); roles that accept them: none"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("jitter", [False, True])
 def test_covariate_constant_up_to_rounding_exits_four(tmp_path, jitter):
     # One ulp of jitter on half the rows is spread of rounding only.

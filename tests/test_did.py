@@ -71,6 +71,21 @@ def test_denominator_guards():
         w_to_m(1.0, equal_pre)
 
 
+@pytest.mark.parametrize("scale", [1e-14, 1e14])
+def test_m_w_maps_are_unit_free(scale):
+    unit = GroupMeans(5.0, 3.0, 2.0, 1.0)
+    scaled = GroupMeans(5.0 * scale, 3.0 * scale, 2.0 * scale, 1.0 * scale)
+    for m in (0.0, 0.5, 1.0, 2.0):
+        assert m_to_w(m, scaled) == pytest.approx(m_to_w(m, unit), rel=1e-12)
+        assert w_to_m(m, scaled) == pytest.approx(w_to_m(m, unit), rel=1e-12)
+    with pytest.raises(DenominatorNearZero):
+        m_to_w(1.0, GroupMeans(5.0 * scale, 2.0 * scale, 1.0 * scale,
+                               2.0 * scale))
+    with pytest.raises(DenominatorNearZero):
+        w_to_m(1.0, GroupMeans(5.0 * scale, 3.0 * scale, 2.0 * scale,
+                               2.0 * scale))
+
+
 def test_group_means_from_data():
     data = Dataset(
         {

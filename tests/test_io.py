@@ -415,6 +415,27 @@ def test_run_config_edge_role_consistency(tmp_path):
         parse(edges={"d_to_p": 1})
 
 
+def test_run_config_refuses_contradictory_edges_before_reading_data(
+        tmp_path):
+    # The data file is not numeric: the edge check comes first.
+    (tmp_path / "data.csv").write_text("Y,D,P\nx,y,z\n", encoding="utf-8")
+
+    def parse(**overrides):
+        payload = _config_payload("data.csv", **overrides)
+        return parse_run_config(_write_config(tmp_path, payload))
+
+    with pytest.raises(AmbiguousSpec, match="placebo_treatment, "
+                       "observed_confounder_1, observed_confounder_2$"):
+        parse(edges={"p_to_y": True})
+    with pytest.raises(AmbiguousSpec,
+                       match="roles that accept them: post_outcome$"):
+        parse(edges={"d_to_p": True, "y_to_p": True})
+    with pytest.raises(AmbiguousSpec, match="accept them: none$"):
+        parse(edges={"p_to_d": True, "y_to_p": True},
+              role="observed_confounder_2")
+    assert parse(edges={"d_to_p": True, "p_to_y": True}).spec.edge_p_to_y
+
+
 def test_run_config_mediator_role_is_acknowledged(tmp_path):
     _write_dataset(tmp_path / "data.csv", _sim_data(n=25))
     payload = _config_payload(

@@ -19,6 +19,8 @@ from plm.regression import (
     residualize,
     verify_bias_factor_identity,
 )
+from plm.selfcheck import random_recipe
+from plm.simulate import simulate_scm
 
 
 def test_dataset_rejects_non_finite():
@@ -262,6 +264,18 @@ def test_bias_decomposition_two_z_uses_fitted_combination():
     data = Dataset({"y": y, "d": d, "z1": z1, "z2": z2})
     dec = bias_decomposition_oracle(data, "y", "d", [], ["z1", "z2"])
     assert dec.product == pytest.approx(dec.bias, rel=1e-8)
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1e14])
+def test_bias_decomposition_is_unit_free_in_the_outcome(scale):
+    data = simulate_scm(random_recipe("a", 3, n=300))
+    unit = bias_decomposition_oracle(data, "Y", "D", [], ["Z1"])
+    rescaled = Dataset({name: data[name] * (scale if name == "Y" else 1.0)
+                        for name in data.names})
+    dec = bias_decomposition_oracle(rescaled, "Y", "D", [], ["Z1"])
+    assert dec.product == pytest.approx(dec.bias, rel=1e-8)
+    assert dec.partial_corr == pytest.approx(unit.partial_corr, rel=1e-8)
+    assert dec.cohens_f == pytest.approx(unit.cohens_f, rel=1e-8)
 
 
 def test_identity_residual_small_on_simulated_data():
