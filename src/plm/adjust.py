@@ -237,13 +237,13 @@ class CaseFormula:
     """One taxonomy case, resolved against concrete column names.
 
     ``short_regressions`` lists the (response, regressors) pairs the two
-    coefficients come from. ``quantities(cols, idx)`` evaluates (target,
-    placebo, SF) on rows ``idx`` of a mapping of the named ``columns`` with
-    one QR per design; ``fit_coefficients`` (the ShortCoefficients) and
-    ``sf`` (the positive scale factor) read it on a whole dataset.
-    ``gram_quantities(cols, g)`` evaluates the same triple for a whole
-    batch of resamples from their stacked Gram matrices (``ScaledColumns``)
-    and serves the bootstrap replicates.
+    coefficients come from. ``quantities(frame, idx)`` evaluates (target,
+    placebo, SF) on rows ``idx`` of the frame (``ScaledColumns``) of the
+    named ``columns``, from one QR of its rows; ``fit_coefficients`` (the
+    ShortCoefficients) and ``sf`` (the positive scale factor) read it on a
+    whole dataset. ``gram_quantities(frame, g)`` evaluates the same triple
+    for a whole batch of resamples from their stacked Gram matrices
+    (``ScaledColumns``) and serves the bootstrap replicates.
     ``adjust(coefs, k, direct_effect, sf)`` is the adjusted estimate.
     ``alternatives`` names other roles compatible with the declared edges
     and ``cautions`` carries flags (for example for the mediator case) that
@@ -253,11 +253,12 @@ class CaseFormula:
 
     The plan behind these: ``designs`` holds each distinct regressor tuple
     once and ``responses`` the responses fitted on it, both in order of
-    first use, so a design costs one solve per evaluation: a QR of the
-    rows, or one stacked solve of a batch's Gram blocks. ``target`` and
-    ``placebo`` are (design, response, beta row) indices; ``norms`` lists
-    the (design, response) residuals SF reads and ``sf_ratios`` each
-    ratio's (numerator, denominator) positions in ``norms``.
+    first use, so a design costs one solve per evaluation: a small QR of
+    its columns of the frame's R, or one stacked solve of a batch's Gram
+    blocks. ``target`` and ``placebo`` are (design, response, beta row)
+    indices; ``norms`` lists the (design, response) residuals SF reads and
+    ``sf_ratios`` each ratio's (numerator, denominator) positions in
+    ``norms``.
     """
 
     def __init__(self, spec: PlaceboSpec):
@@ -304,12 +305,14 @@ class CaseFormula:
             (self.responses[i][j], self.designs[i])
             for i, j, _ in (self.target, self.placebo)))
 
-    def quantities(self, cols, idx=slice(None)):
-        """(target, placebo, SF) on rows ``idx``, one QR per design."""
-        fits = []
-        for regressors, responses in zip(self.designs, self.responses):
-            y = np.column_stack([cols[name][idx] for name in responses])
-            fits.append(least_squares(cols, regressors, y, idx))
+    def quantities(self, frame: ScaledColumns, idx=slice(None)):
+        """(target, placebo, SF) on rows ``idx`` of the frame of
+        ``columns``: one QR of the frame's rows and one small QR per
+        design (``least_squares``)."""
+        r = frame.factor(idx)
+        fits = [least_squares(frame, r, regressors, responses)
+                for regressors, responses in zip(self.designs,
+                                                  self.responses)]
 
         def norm(i, j):
             return guard_residual_norm(fits[i][1][j], fits[i][2][j],
@@ -317,15 +320,15 @@ class CaseFormula:
 
         return self._assemble([fit[0] for fit in fits], norm)
 
-    def gram_quantities(self, cols: ScaledColumns, g):
+    def gram_quantities(self, frame: ScaledColumns, g):
         """(target, placebo, SF) rows, (batch, 3), from a stack of Gram
-        matrices ``g = cols.grams(counts)``, no QR.
+        matrices ``g = frame.grams(counts)``, no QR.
 
         A row holds NaN where it might differ from ``quantities`` on that
         resample, including where a norm SF reads is not clear of
         cancellation or of the residual guard (see gram_least_squares).
         """
-        fits = [gram_least_squares(cols, g, regressors, responses)
+        fits = [gram_least_squares(frame, g, regressors, responses)
                 for regressors, responses in zip(self.designs,
                                                  self.responses)]
         return np.stack(self._assemble([beta for beta, _ in fits],
@@ -374,11 +377,12 @@ class CaseFormula:
                 "intended", ScaleConfusionWarning, stacklevel=3)
 
     def fit_coefficients(self, data: Dataset) -> ShortCoefficients:
-        target, placebo, _ = self.quantities(data)
+        target, placebo, _ = self.quantities(ScaledColumns(data,
+                                                           self.columns))
         return ShortCoefficients(target=float(target), placebo=float(placebo))
 
     def sf(self, data: Dataset) -> float:
-        return self.quantities(data)[2]
+        return self.quantities(ScaledColumns(data, self.columns))[2]
 
     def adjust(self, coefs: ShortCoefficients, k: float, direct_effect: float,
                sf: float) -> float:

@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .adjust import ROLES
+from .adjust import _ROLE_TABLE, ROLES
 from .did import DIDAssumption, GroupMeans, att, dim, m_to_w, \
     parallel_trends_gap
 from .engine import run_contour, run_line, run_table
@@ -25,6 +25,14 @@ from .io import _EDGE_KEYS, RunConfig, _write_text, emit_outputs, \
 from .selfcheck import run_selfcheck
 from .semiparam import SemiparamInputs, adjust_partially_linear
 from .simulate import GRAPH_EDGES, SCMRecipe, simulate_scm
+
+
+def _implied_edge_help(text: str, edge: str) -> str:
+    """``text`` naming the roles whose graph has ``edge`` itself."""
+    roles = [role for role, rule in _ROLE_TABLE.items()
+             if rule.implies == edge]
+    return f"{text} ({', '.join(roles)} only)"
+
 
 # The flags that define an analysis: (flag, needed without --config,
 # argparse keywords). A config file holds the same information, so --config
@@ -42,11 +50,13 @@ _ANALYSIS_FLAGS = (
     ("--edge-p-to-y", False, dict(action="store_true",
                                   help="placebo affects the outcome")),
     ("--edge-p-to-d", False, dict(action="store_true",
-                                  help="placebo affects the treatment "
-                                       "(observed_confounder_2 only)")),
+                                  help=_implied_edge_help(
+                                      "placebo affects the treatment",
+                                      "p_to_d"))),
     ("--edge-y-to-p", False, dict(action="store_true",
-                                  help="outcome affects the placebo "
-                                       "(post_outcome only)")),
+                                  help=_implied_edge_help(
+                                      "outcome affects the placebo",
+                                      "y_to_p"))),
     ("--k", False, dict(nargs=2, type=float, metavar=("MIN", "MAX"))),
     ("--direct", False, dict(nargs=2, type=float, metavar=("MIN", "MAX"))),
     ("--grid", False, dict(type=int)),

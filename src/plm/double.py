@@ -112,9 +112,10 @@ def fit_double_shorts(data: Dataset, outcome: str, treatment: str,
                       covariates=(), idx=slice(None)) -> DoubleShortFits:
     """``DoubleFormula.fit`` of these columns on rows ``idx`` (default:
     all). ``data`` maps names to columns: a Dataset or a plain dict."""
-    return DoubleFormula(DoublePlaceboSpec(
+    formula = DoubleFormula(DoublePlaceboSpec(
         outcome, treatment, placebo_treatment, placebo_outcome,
-        tuple(covariates))).fit(data, idx)
+        tuple(covariates)))
+    return formula.fit(ScaledColumns(data, formula.columns), idx)
 
 
 def placebo_pair_vanishes(beta_np, beta_np_long, np_unit, tol=NEAR_ZERO):
@@ -178,33 +179,41 @@ class DoubleFormula:
         self.responses = (spec.outcome_col, spec.placebo_outcome_col)
         self.columns = (*self.design, *self.responses)
 
-    def fit(self, cols, idx=slice(None)) -> DoubleShortFits:
-        """The four short coefficients from one QR of the shared design
-        D + P + X, with Y and N as its two responses, on rows ``idx``, and
-        np_unit over those rows."""
-        y = np.column_stack([cols[name][idx] for name in self.responses])
-        beta = least_squares(cols, self.design, y, idx)[0]
-        placebo = cols[self.spec.placebo_treatment_col][idx]
-        return DoubleShortFits.read(beta, y[:, 1].std() / placebo.std())
+    def fit(self, frame: ScaledColumns, idx=slice(None)) -> DoubleShortFits:
+        """The four short coefficients of the shared design D + P + X, with
+        Y and N as its two responses, on rows ``idx`` (all, the default, or
+        a resample's row numbers) of the frame of ``columns``, and np_unit
+        over those rows: all from one QR of the frame's rows."""
+        r = frame.factor(idx)
+        beta = least_squares(frame, r, self.design, self.responses)[0]
+        j = [frame.position[name] for name in (self.spec.placebo_treatment_col,
+                                               self.spec.placebo_outcome_col)]
+        sd = frame.scale[j]  # over all rows, np.std of each column
+        if not isinstance(idx, slice):
+            # Over a resample's rows: each column's R below the intercept
+            # is its centred norm there.
+            sd = sd * np.linalg.norm(r[1:, j], axis=0)
+        return DoubleShortFits.read(beta, sd[1] / sd[0])
 
-    def quantities(self, cols, idx=slice(None)) -> DoubleShortFits:
+    def quantities(self, frame: ScaledColumns,
+                   idx=slice(None)) -> DoubleShortFits:
         """``fit``; a vanishing placebo pair raises, so such replicates are
         dropped."""
-        fits = self.fit(cols, idx)
+        fits = self.fit(frame, idx)
         check_placebo_pair(fits, self.spec.beta_np_long)
         return fits
 
-    def gram_quantities(self, cols: ScaledColumns, g):
-        """``quantities`` rows, (batch, 5), from ``g = cols.grams(counts)``;
+    def gram_quantities(self, frame: ScaledColumns, g):
+        """``quantities`` rows, (batch, 5), from ``g = frame.grams(counts)``;
         NaN rows as in gram_least_squares. A pair within 1e-8 of vanishing
         (Gram coefficients are within about 1e-10 of QR's) is a NaN row
         too, so QR decides it and raises as ``quantities`` does."""
-        sd = cols.spread(g, (self.spec.placebo_treatment_col,
-                             self.spec.placebo_outcome_col))[0]
+        sd = frame.spread(g, (self.spec.placebo_treatment_col,
+                              self.spec.placebo_outcome_col))[0]
         unit = np.divide(sd[:, 1], sd[:, 0], out=np.full(len(g), np.nan),
                          where=sd[:, 0] > 0)
         q = np.stack(DoubleShortFits.read(
-            gram_least_squares(cols, g, self.design, self.responses)[0],
+            gram_least_squares(frame, g, self.design, self.responses)[0],
             unit), axis=-1)
         q[placebo_pair_vanishes(q[:, 3], self.spec.beta_np_long, unit,
                                 NEAR_ZERO / GRAM_TOL**2)] = np.nan

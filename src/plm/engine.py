@@ -14,16 +14,20 @@ the bootstrap resamples once, stores the per-replicate quantities, and
 reuses them for every grid point, anchor row and line slice. ``anchors``,
 ``metadata`` and ``warn_large_k`` complete the formula.
 
-Full-sample quantities come from one QR per design. Bootstrap replicates
-do not refit rows: every coefficient and residual norm a role reads is a
-function of the cross-product (Gram) matrix of an intercept and the
-columns the engine reads, and a resample is the same as integer counts
-over rows, or over clusters for the cluster bootstrap. So
-``_bootstrap_quantities`` centres and scales the columns once per run
-(``regression.ScaledColumns``) and runs the replicates in batches sized
-by the fixed byte budget ``regression.BATCH_BYTES``. A batch stacks its
-replicates' counts and forms all their Gram matrices with one matrix
-product, against the column-pair products of each row block or, for
+Each run builds one frame, ``regression.ScaledColumns``: an intercept
+and the columns the formula reads, centred and scaled once. Everything
+reads it. The full-sample quantities take one R-only QR of the frame's n
+rows, and each design one small QR of its columns of that R
+(``regression.least_squares``). Bootstrap replicates do not refit rows:
+every coefficient and residual norm a role reads is a function of the
+cross-product (Gram) matrix of the frame's columns, and a resample is the
+same as integer counts over rows, or over clusters for the cluster
+bootstrap. So ``_bootstrap_quantities`` runs the replicates in batches
+bounded by the fixed byte budget ``regression.BATCH_BYTES``: a batch's
+counts are held in one byte a unit (``_replicate_counts`` checks the
+maximum) and widened to float64 one row block at a time. A batch forms
+all its Gram matrices with one matrix product per row block, against the
+column-pair products of that block, formed once per batch, or, for
 clusters, against each cluster's sums of them, formed once per run. Each
 design is then solved for the whole batch with one stacked Cholesky and
 solve (``regression.gram_least_squares``). A replicate whose Gram solve
@@ -31,11 +35,11 @@ might not match QR to rounding -- too few rows, a Cholesky pivot ratio at
 or below ``GRAM_TOL``, a column within 1e-8 of constant over the
 resample, a residual check of QR's too close to call, a norm SF reads
 lost to cancellation, or a double placebo's placebo pair near vanishing
--- comes back as NaN and is refitted by QR, in replicate order, so the
-same replicates fail, with the same errors, as under QR everywhere.
-Where a batch's stacked Cholesky fails, the batch is split in halves
-until the replicate whose design block is not positive definite is
-alone, and that one goes to QR.
+-- comes back as NaN and is refitted by one QR of the frame's rows it
+drew, in replicate order, so the same replicates fail, with the same
+errors, as under QR everywhere. Where a batch's stacked Cholesky fails,
+the batch is split in halves until the replicate whose design block is
+not positive definite is alone, and that one goes to QR.
 
 Replicate ``rep`` draws its rows from its own ``SeedSequence(spawn_key=rep)``
 and batch sizes depend only on the data's shape and the fixed budget,
@@ -71,6 +75,9 @@ from .regression import Dataset, ScaledColumns
 # A replicate that raises one of these is dropped and counted; a cluster
 # resample can come out with too few rows for the design.
 _REPLICATE_FAILURES = (NumericError, TooFewRows)
+
+# The largest count a batch of replicate counts holds in one byte a unit.
+_COUNT_MAX = np.iinfo(np.uint8).max
 
 
 @dataclass(frozen=True)
@@ -184,17 +191,18 @@ def standard_did_k(sf: float) -> float:
 
 
 def _bind(data: Dataset, cfg: AnalysisConfig):
-    """The spec's formula and the columns it reads, after its large-k
-    warning; the one place that tells the kinds of spec apart."""
+    """The spec's formula and the run's frame (``ScaledColumns``) of the
+    columns it reads, after its large-k warning; the one place that tells
+    the kinds of spec apart."""
     if cfg.spec is None:
         raise ConfigError("config.spec must be a PlaceboSpec or "
                           "DoublePlaceboSpec")
     formula = (DoubleFormula(cfg.spec)
                if isinstance(cfg.spec, DoublePlaceboSpec)
                else dispatch_case(cfg.spec))
-    cols = {name: data[name] for name in formula.columns}
+    frame = ScaledColumns(data, formula.columns)
     formula.warn_large_k(max(abs(cfg.k_range[0]), abs(cfg.k_range[1])))
-    return formula, cols
+    return formula, frame
 
 
 def _surface(target, placebo, scale):
@@ -236,11 +244,20 @@ def _replicate_rng(seed: int, rep: int):
 
 def _replicate_counts(seed: int, reps, units: int) -> np.ndarray:
     """(len(reps), units): how often each replicate drew each unit, a row
-    or a cluster, in the draw ``_replicate_indices`` makes."""
-    counts = np.empty((len(reps), units))
+    or a cluster, in the draw ``_replicate_indices`` makes.
+
+    Held as uint8, one byte a unit. A count above ``_COUNT_MAX`` (for more
+    than 255 units, a chance below 1e-500 a unit) is checked for, and its
+    batch is held at the width of ``bincount``'s integers instead.
+    """
+    counts = np.empty((len(reps), units), dtype=np.uint8)
     for i, rep in enumerate(reps):
-        draw = _replicate_rng(seed, rep).integers(0, units, units)
-        counts[i] = np.bincount(draw, minlength=units)
+        drawn = np.bincount(
+            _replicate_rng(seed, rep).integers(0, units, units),
+            minlength=units)
+        if drawn.max() > _COUNT_MAX:
+            counts = counts.astype(drawn.dtype, copy=False)
+        counts[i] = drawn
     return counts
 
 
@@ -296,30 +313,32 @@ def _gram_rows(formula, scaled: ScaledColumns, g) -> list:
                 + _gram_rows(formula, scaled, g[half:]))
 
 
-def _bootstrap_quantities(formula, cols, data: Dataset,
+def _bootstrap_quantities(formula, frame: ScaledColumns, data: Dataset,
                           cfg: AnalysisConfig, q_full):
-    """Per-replicate quantity rows of ``formula`` on the columns ``cols``
+    """Per-replicate quantity rows of ``formula`` on the run's ``frame``
     and the dropped-replicate count; ``freeze_sf`` pins each row's SF to
     the full sample's ``q_full``.
 
-    Replicates run in batches of ``scaled.batch``, each fitted from one
-    stack of Gram matrices; a row the Gram solve cannot vouch for is
-    refitted by QR on the replicate's rows, in replicate order, and
-    dropped if that raises one of ``_REPLICATE_FAILURES``.
+    Replicates run in batches of ``frame.batch``, over rows or, grouped,
+    over clusters, each fitted from one stack of Gram matrices; a row the
+    Gram solve cannot vouch for is refitted by QR of the frame's rows the
+    replicate drew, in replicate order, and dropped if that raises one of
+    ``_REPLICATE_FAILURES``.
     """
-    members = (None if cfg.cluster_col is None
-               else _cluster_index_pool(data, cfg.cluster_col))
-    scaled = ScaledColumns(cols, members)
+    members = None
+    if cfg.cluster_col is not None:
+        members = _cluster_index_pool(data, cfg.cluster_col)
+        frame = frame.grouped(members)
     kept = []
-    for start in range(0, cfg.bootstrap_reps, scaled.batch):
-        reps = range(start, min(start + scaled.batch, cfg.bootstrap_reps))
-        g = scaled.grams(_replicate_counts(cfg.seed, reps, scaled.units))
-        for rep, row in zip(reps, _gram_rows(formula, scaled, g)):
+    for start in range(0, cfg.bootstrap_reps, frame.batch):
+        reps = range(start, min(start + frame.batch, cfg.bootstrap_reps))
+        g = frame.grams(_replicate_counts(cfg.seed, reps, frame.units))
+        for rep, row in zip(reps, _gram_rows(formula, frame, g)):
             if not np.isfinite(row).all():
                 idx = _replicate_indices(_replicate_rng(cfg.seed, rep),
                                          data.n_rows, members)
                 try:
-                    row = formula.quantities(cols, idx)
+                    row = formula.quantities(frame, idx)
                 except _REPLICATE_FAILURES:
                     continue
             kept.append(row)
@@ -370,8 +389,8 @@ def run_table(data: Dataset, cfg: AnalysisConfig) -> ResultTable:
     parameter ranges, i / (g + 1) across each span, so the default g = 3
     gives the quartile points.
     """
-    formula, cols = _bind(data, cfg)
-    q_full = np.asarray(formula.quantities(cols))
+    formula, frame = _bind(data, cfg)
+    q_full = np.asarray(formula.quantities(frame))
     anchors, anchor_meta = formula.anchors(q_full)
     g = 3 if cfg.grid_points_per_axis is None else cfg.grid_points_per_axis
     k_values = _axis_quartiles(cfg.k_range, g)
@@ -381,7 +400,8 @@ def run_table(data: Dataset, cfg: AnalysisConfig) -> ResultTable:
         for k in k_values
         for dv in direct_values
     ]
-    q_rows, failures = _bootstrap_quantities(formula, cols, data, cfg, q_full)
+    q_rows, failures = _bootstrap_quantities(formula, frame, data, cfg,
+                                             q_full)
     full, reps = formula.triple(q_full), formula.triple(q_rows)
     rows = []
     for label, k, dv in points:
@@ -400,8 +420,8 @@ def run_contour(data: Dataset, cfg: AnalysisConfig) -> ContourGrid:
     No bootstrap: the surface is a point-estimate map, with the zero-level
     set found in closed form from ``_surface`` for overlay plots.
     """
-    formula, cols = _bind(data, cfg)
-    q_full = np.asarray(formula.quantities(cols))
+    formula, frame = _bind(data, cfg)
+    q_full = np.asarray(formula.quantities(frame))
     full = formula.triple(q_full)
     g = 201 if cfg.grid_points_per_axis is None else cfg.grid_points_per_axis
     k_values = np.linspace(*cfg.k_range, g)
@@ -430,8 +450,8 @@ def run_line(data: Dataset, cfg: AnalysisConfig, varying: str = "k",
         raise ConfigError("fixed_percentiles must sit in [0, 1]")
     if not fixed_percentiles:
         raise ConfigError("at least one fixed percentile is required")
-    formula, cols = _bind(data, cfg)
-    q_full = np.asarray(formula.quantities(cols))
+    formula, frame = _bind(data, cfg)
+    q_full = np.asarray(formula.quantities(frame))
     g = 201 if cfg.grid_points_per_axis is None else cfg.grid_points_per_axis
     vary_bounds = cfg.k_range if varying == "k" else cfg.direct_range
     fixed_bounds = cfg.direct_range if varying == "k" else cfg.k_range
@@ -440,7 +460,8 @@ def run_line(data: Dataset, cfg: AnalysisConfig, varying: str = "k",
         float(fixed_bounds[0] + f * (fixed_bounds[1] - fixed_bounds[0]))
         for f in fixed_percentiles
     )
-    q_rows, failures = _bootstrap_quantities(formula, cols, data, cfg, q_full)
+    q_rows, failures = _bootstrap_quantities(formula, frame, data, cfg,
+                                             q_full)
     full, reps = formula.triple(q_full), formula.triple(q_rows)
     curves = []
     for fv in fixed_values:

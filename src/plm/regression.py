@@ -18,6 +18,7 @@ Conventions
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,14 @@ GRAM_TOL = 1e-2
 # Bytes a batch of bootstrap resamples may hold beyond the stored columns
 # (see ScaledColumns). Fixed, so batch sizes never depend on timing.
 BATCH_BYTES = 8 << 20
+
+# Floats a resample of a batch holds, in units of q^2 for a frame of q
+# columns: its Gram matrix (q^2), and while a design of k coefficients and
+# v responses is solved (gram_least_squares, k + v <= q) the design block,
+# its Cholesky factor, the right-hand sides, the solution and the
+# coefficients (2 k^2 + 3 k v < 3 q^2) with their vectors, and the fits
+# of the designs solved before it (under q^2).
+_RESAMPLE_FLOATS = 6
 
 
 class Dataset:
@@ -225,82 +234,53 @@ class BiasDecomposition:
 
 def _standardize(values, out):
     """Write ``values`` centred and scaled to unit SD into ``out``; return
-    (mean, SD). A constant column, SD at most RANK_TOL of its root mean
-    square, is written as zeros (SD 1), so it fails any rank check."""
+    (mean, SD). An exactly constant column is written as zeros (SD 1)."""
     mean = values.mean()
     sd = values.std()
-    if sd <= RANK_TOL * np.hypot(sd, mean):
-        out[...] = 0.0
-        return mean, 1.0
     np.subtract(values, mean, out=out)
-    out /= sd
-    return mean, sd
+    if sd > 0:
+        out /= sd
+    return mean, sd if sd > 0 else 1.0
 
 
-def least_squares(cols, regressors, y, idx=slice(None)):
-    """Least squares of ``y`` on an intercept plus the named regressors.
-
-    The package's one least-squares kernel. ``cols`` maps names to full
-    columns (a Dataset or a plain dict), ``idx`` picks the rows (all of
-    them, or a bootstrap resample) and ``y`` holds the response at those
-    rows: one vector, or one column per response sharing the design.
-    Returns (beta, l2, y_l2, r): beta with the intercept in ``beta[0]``,
-    each response's residual and own L2 norm, and R of the centred design
-    [1, X - mean], all from one R-only QR of [1, Z, y], Z the regressors
-    standardized over the fitted rows (``_standardize``; Golub & Van Loan,
-    Matrix Computations, 5.3). Raises TooFewRows unless there are more
-    rows than coefficients and RankDeficient when a diagonal of R falls to
-    RANK_TOL of the largest.
-    """
-    n, k = y.shape[0], len(regressors) + 1
-    if n <= k:
-        raise TooFewRows(
-            f"{n} rows cannot support {len(regressors)} regressors plus "
-            "intercept"
-        )
-    a = np.column_stack([np.ones(n), *(cols[name][idx] for name in regressors),
-                         y])
-    mean, scale = np.zeros(k), np.ones(k)
-    for j in range(1, k):
-        mean[j], scale[j] = _standardize(a[:, j], a[:, j])
-    r = np.linalg.qr(a, mode="r")
-    diag = np.abs(np.diag(r)[:k])
-    if diag.min() <= RANK_TOL * diag.max():
-        raise RankDeficient(
-            f"collinear design on {list(regressors)} "
-            f"(min |R_ii| = {diag.min():.3e})"
-        )
-    beta = np.linalg.solve(r[:k, :k], r[:k, k:]) / scale[:, None]
-    beta[0] -= mean @ beta
-    shape = y.shape[1:]
-    return (beta.reshape(k, *shape),
-            np.linalg.norm(r[k:, k:], axis=0).reshape(shape),
-            np.linalg.norm(r[:, k:], axis=0).reshape(shape),
-            r[:k, :k] * scale)
+def _block_rows(units: int, per_row: int) -> int:
+    """Rows (or groups) of a block when ``per_row`` floats a row fill half
+    of BATCH_BYTES: at least one, at most ``units``."""
+    return max(1, min(units, BATCH_BYTES // 2 // (8 * per_row)))
 
 
 class ScaledColumns:
-    """An intercept plus named columns, centred and scaled once.
+    """A run's frame: an intercept plus the columns ``names`` of ``cols``
+    (a Dataset or a mapping; by default every key of the mapping), each
+    centred and scaled to unit SD once over all rows (``_standardize``),
+    in that order. Every fit of the run reads it, so no design gathers or
+    re-standardizes columns, and a cross-product matrix of any resample is
+    well scaled whatever the columns' units.
 
-    Each column is standardized over all rows of ``cols`` by
-    ``_standardize``, as QR's designs are, so the cross-product matrix of
-    any resample is well scaled whatever the columns' units. A resample
-    is a vector of counts over units: the rows, or with ``members`` (the
-    row numbers of each group) the groups of rows. ``grams(counts)`` gives
-    the cross-product (Gram) matrices of a batch of resamples, and no rows
-    are gathered.
+    ``factor(idx)`` is the frame's one tall QR, on all rows or on a
+    resample's: ``least_squares`` fits each design of the frame's columns
+    from that R with one small QR. ``grams(counts)`` gives the
+    cross-product (Gram) matrices of a batch of resamples, held as counts
+    over ``units``: the rows, or in the frame ``grouped(members)`` returns
+    the groups of rows. No rows are gathered.
 
     Row units: every Gram matrix is ``counts @ P`` for the products P of
     each column pair at each row, formed in row blocks as the product runs.
-    Group units: each group's sums of those products are formed once here,
-    G rows of q(q+1)/2 values held outside the budget, so a resample costs
-    one small product.
-    ``batch`` is the number of resamples whose counts and Gram matrices
-    fit half of BATCH_BYTES; a row block of P fills the other half.
+    Group units: ``grouped`` forms each group's sums of those products
+    once, G rows of q(q+1)/2 values held outside the budget, so a resample
+    costs one small product. ``batch`` is the number of resamples whose
+    counts, one byte per unit (``engine._replicate_counts``), and floats
+    fill half of BATCH_BYTES: a resample's Gram matrix and the temporaries
+    of its designs' solves, at most ``_RESAMPLE_FLOATS`` q^2 in all (q the
+    frame's columns). ``grams`` fills at most the other half with a row
+    block of the pair products and of the counts widened to float64, the
+    latter no larger than the counts. So the pair products are formed once
+    per batch, and a batch is bounded by the byte budget, not by eight
+    bytes a unit.
     """
 
-    def __init__(self, cols, members=None):
-        names = sorted(cols)  # a fixed layout, whatever the mapping's order
+    def __init__(self, cols, names=None):
+        names = list(cols if names is None else names)
         self.position = {name: j for j, name in enumerate(names, 1)}
         self.mean = np.zeros(len(names) + 1)
         self.scale = np.ones(len(names) + 1)
@@ -311,29 +291,49 @@ class ScaledColumns:
         self.zt[0] = 1.0
         for j, name in enumerate(names, 1):
             self.mean[j], self.scale[j] = _standardize(cols[name], self.zt[j])
-        q, n = self.zt.shape
-        self._upper = np.triu_indices(q)
+        self._upper = np.triu_indices(len(self.zt))
+        self.units = self.zt.shape[1]
         self._unit_sums = None
-        self.units = n
-        if members is not None:
-            groups = np.empty(n, dtype=np.intp)
-            for c, rows in enumerate(members):
-                groups[rows] = c
-            self.units = len(members)
-            self._unit_sums = np.zeros((self.units, len(self._upper[0])))
-            for start, pairs in self._pair_blocks():
-                ids = groups[start:start + pairs.shape[1]]
-                for k, products in enumerate(pairs):
-                    self._unit_sums[:, k] += np.bincount(
-                        ids, weights=products, minlength=self.units)
-        self.batch = max(1, BATCH_BYTES // 2 // (8 * (self.units + q * q)))
 
-    def _pair_blocks(self):
-        """(first row, products) of consecutive row blocks; ``products`` is
-        (column pairs, rows), pairs in ``_upper`` order, in one reused
-        buffer of at most half of BATCH_BYTES."""
+    def __len__(self) -> int:
+        """The number of named columns."""
+        return len(self.position)
+
+    def grouped(self, members) -> "ScaledColumns":
+        """This frame, sharing its columns, with the groups of rows as the
+        units a resample counts; ``members`` holds the row numbers of each
+        group. Forms each group's sums of the column-pair products."""
+        groups = np.empty(self.zt.shape[1], dtype=np.intp)
+        for c, rows in enumerate(members):
+            groups[rows] = c
+        sums = np.zeros((len(members), len(self._upper[0])))
+        width = _block_rows(len(groups), sums.shape[1])
+        for start, pairs in self._pair_blocks(width):
+            ids = groups[start:start + pairs.shape[1]]
+            for k, products in enumerate(pairs):
+                sums[:, k] += np.bincount(ids, weights=products,
+                                          minlength=len(members))
+        out = copy.copy(self)
+        out.units, out._unit_sums = len(members), sums
+        return out
+
+    def factor(self, idx=slice(None)) -> np.ndarray:
+        """R of one R-only QR of the frame's rows ``idx``: (min(rows,
+        columns), columns), the columns in frame order."""
+        return np.linalg.qr(self.zt[:, idx].T, mode="r")
+
+    @property
+    def batch(self) -> int:
+        """Resamples per batch over the frame's ``units``."""
+        q = len(self.zt)
+        return max(1, BATCH_BYTES // 2 // (self.units
+                                           + 8 * _RESAMPLE_FLOATS * q * q))
+
+    def _pair_blocks(self, width: int):
+        """(first row, products) of consecutive blocks of ``width`` rows;
+        ``products`` is (column pairs, rows), pairs in ``_upper`` order, in
+        one reused buffer."""
         q, n = self.zt.shape
-        width = max(1, min(n, BATCH_BYTES // 2 // (8 * len(self._upper[0]))))
         buffer = np.empty((len(self._upper[0]), width))
         for start in range(0, n, width):
             stop = min(start + width, n)
@@ -347,15 +347,28 @@ class ScaledColumns:
 
     def grams(self, counts: np.ndarray) -> np.ndarray:
         """Gram matrices (batch, q, q) of the resamples ``counts`` (batch,
-        units): ``Z' diag(w) Z`` with ``w`` each resample's row counts."""
-        if self._unit_sums is not None:
-            flat = counts @ self._unit_sums
+        units), integers of any width: ``Z' diag(w) Z`` with ``w`` each
+        resample's row counts."""
+        batch, units = counts.shape
+        pairs_n = len(self._upper[0])
+        grouped = self._unit_sums is not None
+        # A row block of the counts widened to float64 holds no more bytes
+        # than the batch's counts.
+        width = min(_block_rows(units, batch + (0 if grouped else pairs_n)),
+                     max(1, units // 8))
+        if grouped:
+            blocks = ((start, self._unit_sums[start:start + width].T)
+                      for start in range(0, units, width))
         else:
-            flat = np.zeros((counts.shape[0], len(self._upper[0])))
-            for start, pairs in self._pair_blocks():
-                flat += counts[:, start:start + pairs.shape[1]] @ pairs.T
-        q = self.zt.shape[0]
-        g = np.empty((counts.shape[0], q, q))
+            blocks = self._pair_blocks(width)
+        wide = np.empty((batch, width))
+        flat = np.zeros((batch, pairs_n))
+        for start, pairs in blocks:
+            block = wide[:, :pairs.shape[1]]
+            block[...] = counts[:, start:start + pairs.shape[1]]
+            flat += block @ pairs.T
+        q = len(self.zt)
+        g = np.empty((batch, q, q))
         i, j = self._upper
         g[:, i, j] = flat
         g[:, j, i] = flat
@@ -370,6 +383,62 @@ class ScaledColumns:
         sd = self.scale[j] * np.sqrt(np.maximum(g[:, j, j] / rows - z_mean**2,
                                                 0.0))
         return sd, np.hypot(sd, self.mean[j] + self.scale[j] * z_mean)
+
+
+def least_squares(frame: ScaledColumns, r, regressors, responses):
+    """Least squares of each of ``responses`` on an intercept plus
+    ``regressors``, all columns of ``frame``, on the rows ``r`` factors.
+
+    The package's one least-squares kernel; a lone design is a frame of
+    its own columns. ``r = frame.factor(idx)`` is the R of the frame's rows
+    ``idx`` (all of them, or a resample), and the design's R is that of the
+    small QR of its columns of ``r``: the frame is Q R, so its columns J
+    are Q R[:, J] (Golub & Van Loan, Matrix Computations, 5.2). Returns
+    (beta, l2, y_l2, r_x) in the columns' own units: beta (coefficients,
+    responses) with the intercept in ``beta[0]``, each response's residual
+    norm and own L2 norm, and R of the centred design [1, X - mean].
+
+    Raises TooFewRows unless there are more rows than coefficients, and
+    RankDeficient where a regressor is constant over the rows (SD at most
+    RANK_TOL of its root mean square, or of its root mean square about
+    the frame's centre) or a diagonal of the design's R, each regressor
+    scaled to unit SD over the rows, falls to RANK_TOL of the largest.
+    Responses are never judged constant.
+    """
+    s = np.array([0, *(frame.position[name] for name in regressors)])
+    v = np.array([frame.position[name] for name in responses])
+    k = len(s)
+    # R has min(rows, columns) rows, and a design has fewer coefficients
+    # than the frame has columns, so this compares the rows.
+    if len(r) <= k:
+        raise TooFewRows(
+            f"{len(r)} rows cannot support {len(regressors)} regressors plus "
+            "intercept"
+        )
+    # Over the rows: the intercept's R is sqrt(rows), and a column's mean
+    # and centred norm are its first entry and the rest of its R column.
+    # The frame holds a column about its full-sample mean, so one constant
+    # over the rows shows an SD at rounding of its offset from that mean.
+    z_sd = np.linalg.norm(r[1:, s[1:]], axis=0) / abs(r[0, 0])
+    sd = frame.scale[s[1:]] * z_sd
+    offset = frame.scale[s[1:]] * r[0, s[1:]] / r[0, 0]
+    constant = sd <= RANK_TOL * np.hypot(
+        sd, np.maximum(abs(frame.mean[s[1:]] + offset), abs(offset)))
+    r_d = np.linalg.qr(r[:, np.r_[s, v]], mode="r")
+    diag = np.abs(np.diag(r_d)[:k]) / np.r_[1.0,
+                                             np.where(constant, np.inf, z_sd)]
+    if diag.min() <= RANK_TOL * diag.max():
+        raise RankDeficient(
+            f"collinear design on {list(regressors)} "
+            f"(min |R_ii| = {diag.min():.3e})"
+        )
+    b = np.linalg.solve(r_d[:k, :k], r_d[:k, k:])
+    beta = b * (frame.scale[v] / frame.scale[s][:, None])
+    beta[0] += frame.mean[v] - frame.mean[s] @ beta
+    y_l2 = np.linalg.norm(frame.scale[v] * r[:, v]
+                          + np.outer(r[:, 0], frame.mean[v]), axis=0)
+    return (beta, frame.scale[v] * np.linalg.norm(r_d[k:, k:], axis=0), y_l2,
+            r_d[:k, :k] * frame.scale[s])
 
 
 def gram_least_squares(cols: ScaledColumns, g: np.ndarray, regressors,
@@ -389,8 +458,10 @@ def gram_least_squares(cols: ScaledColumns, g: np.ndarray, regressors,
     within about 1e-10 of QR's, relative to their size or to
     sd(response) / sd(regressor)), or a regressor or response whose SD over
     the resample (``cols.spread``) is at most RANK_TOL / GRAM_TOL of its
-    RMS, so QR's constant-column rule (``_standardize``) decides it. QR's
-    rank rule needs no other mirror: its |R_ii| are these pivots
+    RMS, so QR's constant-column rule (``least_squares``) decides it; a
+    column constant about the frame's centre has a pivot ratio of about
+    its SD over that offset, far below GRAM_TOL. QR's rank rule needs no
+    other mirror: its |R_ii| are these pivots
     restandardized over the resample's n rows, the intercept's sqrt(n) the
     largest and each other at least its pivot / sqrt(N) for the N rows of
     ``cols``, so its ratio stays above GRAM_TOL / sqrt(N), far above
@@ -468,7 +539,7 @@ def fit_ols(data: Dataset, response: str, regressors) -> FitSummary:
     UnknownColumn, TooFewRows, RankDeficient
     """
     regressors = tuple(regressors)
-    beta, l2, _, r = least_squares(data, regressors, data[response])
+    beta, l2, r = _fit_vector(data, regressors, data[response])
     dof = data.n_rows - (len(regressors) + 1)
     sigma2 = float(l2) ** 2 / dof
     r_inv = np.linalg.inv(r)
@@ -505,12 +576,22 @@ def residualize(data: Dataset, variable: str, controls) -> Residualization:
     )
 
 
+def _fit_vector(data: Dataset, regressors, y):
+    """(beta, l2, r_x) of ``least_squares`` of the vector ``y`` on an
+    intercept plus the named columns, from a frame of those columns alone
+    (``y`` keyed None)."""
+    frame = ScaledColumns({**{name: data[name] for name in regressors},
+                           None: y})
+    beta, l2, _, r = least_squares(frame, frame.factor(), regressors, [None])
+    return beta[:, 0], l2[0], r
+
+
 def _residual_vector(data: Dataset, variable, controls, beta=None):
     """Residual of a column (by name) or raw vector on controls + intercept,
     at coefficients ``beta`` (by default, fitted here)."""
     y = data[variable] if isinstance(variable, str) else np.asarray(variable)
     if beta is None:
-        beta = least_squares(data, controls, y)[0]
+        beta = _fit_vector(data, controls, y)[0]
     return y - beta[0] - sum(b * data[name]
                              for name, b in zip(controls, beta[1:]))
 

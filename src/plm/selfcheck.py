@@ -21,8 +21,8 @@ from .double import (DoublePlaceboPoint, adjust_double_placebo,
                      fit_double_shorts, point_identify_double_placebo)
 from .errors import ConfigError, MediatorCautionWarning, \
     ScaleConfusionWarning
-from .regression import (Dataset, bias_decomposition_oracle, fit_ols,
-                         verify_bias_factor_identity)
+from .regression import (Dataset, ScaledColumns, bias_decomposition_oracle,
+                         fit_ols, verify_bias_factor_identity)
 from .simulate import GRAPH_EDGES, SCMRecipe, simulate_scm
 
 # Graph label, placebo role, and the edge flags a user would declare: one
@@ -141,7 +141,8 @@ def recovery_error(graph_case: str, role: str, spec_kwargs: dict,
         warnings.simplefilter("ignore", MediatorCautionWarning)
         warnings.simplefilter("ignore", ScaleConfusionWarning)
         case = dispatch_case(spec)
-        short_target, placebo, sf = case.quantities(data)
+        short_target, placebo, sf = case.quantities(
+            ScaledColumns(data, case.columns))
         target, direct, bias_t, bias_p = _oracle_quantities(role, data, x, z)
         k_exact = bias_t / (bias_p * sf)
         adjusted = case.adjust(ShortCoefficients(float(short_target),

@@ -15,6 +15,7 @@ from plm.adjust import (
     m_from_k,
     scale_factor,
 )
+from plm.double import DoublePlaceboSpec, fit_double_shorts
 from plm.engine import AnalysisConfig, run_table
 from plm.errors import (
     AmbiguousSpec,
@@ -301,16 +302,25 @@ def _earnings_data(n=400, seed=12):
     return Dataset({"Y": y, "D": d, "P": p, "AGE": age, "EDUC": educ})
 
 
+def _lstsq_fit(data, response, regressors):
+    """Slopes and residual norm of one design by numpy lstsq, on the
+    regressors centred and scaled to unit SD so that the reference is
+    accurate to rounding whatever their units."""
+    z = [(data[name] - data[name].mean()) / data[name].std()
+         for name in regressors]
+    design = np.column_stack([np.ones(data.n_rows), *z])
+    beta = np.linalg.lstsq(design, data[response], rcond=None)[0]
+    resid = data[response] - design @ beta
+    slopes = {name: b / data[name].std()
+              for name, b in zip(regressors, beta[1:])}
+    return slopes, np.linalg.norm(resid)
+
+
 def _lstsq_reference(role, data, x):
     """(target, placebo, SF) from numpy lstsq fits, written out per role."""
 
     def fit(response, regressors):
-        regressors = (*regressors, *x)
-        design = np.column_stack([np.ones(data.n_rows)]
-                                 + [data[name] for name in regressors])
-        beta = np.linalg.lstsq(design, data[response], rcond=None)[0]
-        resid = data[response] - design @ beta
-        return dict(zip(regressors, beta[1:])), np.linalg.norm(resid)
+        return _lstsq_fit(data, response, (*regressors, *x))
 
     def coef(response, regressors, column):
         return fit(response, regressors)[0][column]
@@ -340,18 +350,42 @@ def _lstsq_reference(role, data, x):
 @pytest.mark.parametrize("role", sorted(ROLE_KWARGS))
 def test_role_paths_match_lstsq_reference(role):
     # The case formula and the bootstrap engine must both reproduce an
-    # independent least-squares reference on earnings-scale data.
+    # independent least-squares reference, one lstsq per design, on
+    # earnings-scale data.
     data = _earnings_data()
     x = ("AGE", "EDUC")
     target, placebo, sf = _lstsq_reference(role, data, x)
     spec = _spec(role, covariate_cols=x, **ROLE_KWARGS[role])
     case = _case(role, covariate_cols=x, **ROLE_KWARGS[role])
     coefs = case.fit_coefficients(data)
-    assert coefs.target == pytest.approx(target, rel=1e-8)
-    assert coefs.placebo == pytest.approx(placebo, rel=1e-8)
-    assert case.sf(data) == pytest.approx(sf, rel=1e-8)
+    assert coefs.target == pytest.approx(target, rel=1e-10)
+    assert coefs.placebo == pytest.approx(placebo, rel=1e-10)
+    assert case.sf(data) == pytest.approx(sf, rel=1e-10)
     table = run_table(data, AnalysisConfig(spec=spec, bootstrap_reps=20,
                                            seed=1))
     soo = next(row for row in table.rows if row.label == "SOO")
-    assert soo.estimate == pytest.approx(target, rel=1e-8)
-    assert table.metadata["scale_factor"] == pytest.approx(sf, rel=1e-8)
+    assert soo.estimate == pytest.approx(target, rel=1e-10)
+    assert table.metadata["scale_factor"] == pytest.approx(sf, rel=1e-10)
+
+
+def test_double_placebo_matches_lstsq_reference():
+    # The double placebo's shared design, with N a second earnings-scale
+    # placebo outcome.
+    data = _earnings_data()
+    rng = np.random.default_rng(5)
+    n = 8000.0 + 0.4 * data["P"] + 900.0 * rng.normal(size=data.n_rows)
+    data = Dataset({**{name: data[name] for name in data.names}, "N": n})
+    x = ("AGE", "EDUC")
+    on_y = _lstsq_fit(data, "Y", ("D", "P", *x))[0]
+    on_n = _lstsq_fit(data, "N", ("D", "P", *x))[0]
+    want = (on_y["D"], on_y["P"], on_n["D"], on_n["P"],
+            np.std(data["N"]) / np.std(data["P"]))
+    fits = fit_double_shorts(data, "Y", "D", "P", "N", x)
+    assert tuple(fits) == pytest.approx(want, rel=1e-10)
+    spec = DoublePlaceboSpec(outcome_col="Y", treatment_col="D",
+                             placebo_treatment_col="P",
+                             placebo_outcome_col="N", covariate_cols=x)
+    table = run_table(data, AnalysisConfig(spec=spec, bootstrap_reps=20,
+                                           seed=1))
+    soo = next(row for row in table.rows if row.label == "SOO")
+    assert soo.estimate == pytest.approx(on_y["D"], rel=1e-10)

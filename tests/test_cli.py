@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import plm
-from plm.adjust import ROLES
-from plm.cli import cli_main
+from plm.adjust import _ROLE_TABLE, ROLES
+from plm.cli import _ANALYSIS_FLAGS, cli_main
 from plm.io import load_csv, read_table_csv, write_dataset_csv
 from plm.regression import Dataset
 from plm.selfcheck import random_recipe
@@ -157,6 +157,17 @@ def test_contradictory_edges_exit_two_before_the_data_is_read(tmp_path,
     assert code == 2
     assert ("edges (d_to_p, p_to_d); roles that accept them: none"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("edge", ["p_to_d", "y_to_p"])
+def test_implied_edge_help_names_the_roles_that_imply_it(edge):
+    flag = "--edge-" + edge.replace("_", "-")
+    text = next(kwargs["help"] for name, _, kwargs in _ANALYSIS_FLAGS
+                if name == flag)
+    implying = {role for role, rule in _ROLE_TABLE.items()
+                if rule.implies == edge}
+    assert implying
+    assert {role for role in ROLES if role in text} == implying
 
 
 @pytest.mark.parametrize("jitter", [False, True])

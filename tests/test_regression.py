@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plm.errors import (
+    DegenerateResidual,
     DivisionByNearZero,
     NonFiniteValue,
     RankDeficient,
@@ -12,9 +13,12 @@ from plm.errors import (
 )
 from plm.regression import (
     Dataset,
+    ScaledColumns,
     bias_decomposition_oracle,
     cohens_f,
     fit_ols,
+    guard_residual_norm,
+    least_squares,
     partial_corr,
     residualize,
     verify_bias_factor_identity,
@@ -184,6 +188,68 @@ def test_near_constant_regressor_is_refused_only_below_the_rank_rule():
         want = np.linalg.lstsq(design, y, rcond=None)[0][1]
         assert fit_ols(data, "y", ["x"]).coef("x") == pytest.approx(
             want, rel=1e-8)
+
+
+def _lstsq(columns, response, regressors):
+    """(slopes, residual norm) by numpy lstsq on centred regressors."""
+    design = np.column_stack([np.ones(len(columns[response]))]
+                             + [columns[name] - columns[name].mean()
+                                for name in regressors])
+    beta, rss = np.linalg.lstsq(design, columns[response], rcond=None)[:2]
+    return beta[1:], np.sqrt(rss[0])
+
+
+def test_near_constant_response_keeps_its_slope():
+    # w has SD 1e-11 of its RMS: constant as a regressor, but as a response
+    # it keeps QR's slope of about 5e-11, in a run's frame as in fit_ols.
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(400)
+    cols = {"x": x, "w": 5.0 + 5e-11 * (rng.standard_normal(400) + x)}
+    # w - 5 is exact, so lstsq on it is the reference.
+    want = _lstsq({"x": x, "w": cols["w"] - 5.0}, "w", ["x"])[0][0]
+    assert want == pytest.approx(5e-11, rel=0.2)
+    frame = ScaledColumns(cols)
+    r = frame.factor()
+    beta = least_squares(frame, r, ["x"], ["w"])[0]
+    assert beta[1, 0] == pytest.approx(want, rel=1e-8)
+    assert fit_ols(Dataset(cols), "w", ["x"]).coef("x") == pytest.approx(
+        want, rel=1e-8)
+    with pytest.raises(RankDeficient):
+        least_squares(frame, r, ["w"], ["x"])
+
+
+def test_designs_of_one_frame_ignore_the_columns_they_exclude():
+    # One frame holds a constant column c and x3 = x1 + x2 exactly: the
+    # designs that leave them out fit as lstsq does, and the designs that
+    # take them in are refused, as a frame of their own columns refuses them.
+    rng = np.random.default_rng(8)
+    x1 = 25.0 + 7.0 * rng.standard_normal(300)
+    x2 = 1e4 + 3000.0 * rng.standard_normal(300)
+    y = 1e4 + 60.0 * x1 + 0.3 * x2 + 4000.0 * rng.standard_normal(300)
+    cols = {"y": y, "x1": x1, "c": np.full(300, 7.77e-3), "x2": x2,
+            "x3": x1 + x2, "e": 2.0 + 3.0 * x1 - x2}
+    frame = ScaledColumns(cols)
+    r = frame.factor()
+    for design in (["x1"], ["x2"], ["x1", "x2"]):
+        beta, l2, y_l2, _ = least_squares(frame, r, design, ["y"])
+        slopes, norm = _lstsq(cols, "y", design)
+        assert beta[1:, 0] == pytest.approx(slopes, rel=1e-10)
+        assert l2[0] == pytest.approx(norm, rel=1e-10)
+        assert y_l2[0] == pytest.approx(np.linalg.norm(cols["y"]), rel=1e-12)
+    for design in (["c"], ["x1", "c"], ["x1", "x2", "x3"]):
+        with pytest.raises(RankDeficient):
+            least_squares(frame, r, design, ["y"])
+        with pytest.raises(RankDeficient):
+            fit_ols(Dataset(cols), "y", design)
+    # An exact combination as a response: a residual of rounding only.
+    _, l2, y_l2, _ = least_squares(frame, r, ["x1", "x2"], ["e"])
+    with pytest.raises(DegenerateResidual):
+        guard_residual_norm(l2[0], y_l2[0], "e", ["x1", "x2"])
+    # Three rows for the three coefficients of y ~ x1 + x2.
+    with pytest.raises(TooFewRows):
+        least_squares(frame, frame.factor(np.arange(3)), ["x1", "x2"],
+                      ["y"])
+    least_squares(frame, frame.factor(np.arange(4)), ["x1", "x2"], ["y"])
 
 
 def test_residualize_orthogonal_variable_is_centering():
