@@ -17,20 +17,21 @@ reuses them for every grid point, anchor row and line slice. ``anchors``,
 Each run builds one frame, ``regression.ScaledColumns``: an intercept
 and the columns the formula reads, centred and scaled once. Everything
 reads it. The full-sample quantities take one R-only QR of the frame's n
-rows, and each design one small QR of its columns of that R
-(``regression.least_squares``). Bootstrap replicates do not refit rows:
-every coefficient and residual norm a role reads is a function of the
-cross-product (Gram) matrix of the frame's columns, and a resample is the
-same as integer counts over rows, or over clusters for the cluster
-bootstrap. So ``_bootstrap_quantities`` runs the replicates in batches
-bounded by the fixed byte budget ``regression.BATCH_BYTES``: a batch's
-counts are held in one byte a unit (``_replicate_counts`` checks the
-maximum) and widened to float64 one row block at a time. A batch forms
-all its Gram matrices with one matrix product per row block, against the
-column-pair products of that block, formed once per batch, or, for
-clusters, against each cluster's sums of them, formed once per run. Each
-design is then solved for the whole batch with one stacked Cholesky and
-solve (``regression.gram_least_squares``). A replicate whose Gram solve
+rows, factored in row blocks, and each design one small QR of its columns
+of that R (``regression.least_squares``). Bootstrap replicates do not
+refit rows: every coefficient and residual norm a role reads is a
+function of the cross-product (Gram) matrix of the frame's columns, and a
+resample is the same as integer counts over rows, or over clusters for
+the cluster bootstrap. So ``_bootstrap_quantities`` runs the replicates
+in batches bounded by the fixed byte budget ``regression.BATCH_BYTES``:
+a batch's counts are held in one byte a unit (``_replicate_counts``
+checks the maximum) and widened to float64 one row block at a time. A
+batch forms all its Gram matrices from the counts of each row block times
+the column-pair products of that block, formed once per batch, or, for
+clusters, each cluster's sums of them, formed once per run; the products
+are cut into pieces OpenBLAS runs on the calling thread. Each design is
+then solved for the whole batch with one stacked Cholesky and solve
+(``regression.gram_least_squares``). A replicate whose Gram solve
 might not match QR to rounding -- too few rows, a Cholesky pivot ratio at
 or below ``GRAM_TOL``, a column within 1e-8 of constant over the
 resample, a residual check of QR's too close to call, a norm SF reads
@@ -43,9 +44,10 @@ not positive definite is alone, and that one goes to QR.
 
 Replicate ``rep`` draws its rows from its own ``SeedSequence(spawn_key=rep)``
 and batch sizes depend only on the data's shape and the fixed budget,
-never on timing, so reruns with the same BLAS thread count give the same
-output bytes. The generic ``bootstrap()`` runs the same draws through one
-serial loop, ``_replicates``.
+never on timing, and every product the frame hands OpenBLAS is small
+enough to run on the calling thread, so reruns with any BLAS thread count
+give the same output bytes. The generic ``bootstrap()`` runs the same
+draws through one serial loop, ``_replicates``.
 
 The zero contour needs no search. ``_surface`` gives the estimate as
 a + k * (b + c * direct), zero on the hyperbola

@@ -45,6 +45,16 @@ GRAM_TOL = 1e-2
 # (see ScaledColumns). Fixed, so batch sizes never depend on timing.
 BATCH_BYTES = 8 << 20
 
+# OpenBLAS runs a matrix-vector product or rank-1 update (dgemv, dger) of
+# at most _GEMV_ENTRIES entries, and a matrix product (dgemm) of at most
+# _GEMM_PRODUCTS multiply-adds, on the calling thread. The frame's QR and
+# Gram products (ScaledColumns.factor, .grams) are cut into pieces that
+# size, so a run never wakes a BLAS worker and no sum's order depends on
+# the BLAS thread count.
+_GEMV_ENTRIES = 8192
+_GEMM_PRODUCTS = 1 << 18
+_GEMM_RESAMPLES = 16
+
 # Floats a resample of a batch holds, in units of q^2 for a frame of q
 # columns: its Gram matrix (q^2), and while a design of k coefficients and
 # v responses is solved (gram_least_squares, k + v <= q) the design block,
@@ -249,6 +259,44 @@ def _block_rows(units: int, per_row: int) -> int:
     return max(1, min(units, BATCH_BYTES // 2 // (8 * per_row)))
 
 
+def _step_rows(resamples: int, pairs: int) -> int:
+    """Rows of a product of ``resamples`` rows of counts and ``pairs``
+    columns that OpenBLAS runs on the calling thread; a lone resample's
+    product is a dgemv."""
+    return max(1, (_GEMM_PRODUCTS // resamples if resamples > 1
+                   else _GEMV_ENTRIES) // pairs)
+
+
+def _qr_block(q: int) -> int:
+    """Rows of a block of ``_blocked_r`` for q columns: rows x q at most
+    _GEMV_ENTRIES, since LAPACK's Householder QR of q <= 32 columns is all
+    dgemv and dger, and at least 2q."""
+    return max(2 * q, _GEMV_ENTRIES // q)
+
+
+def _blocked_r(take, rows: int, q: int) -> np.ndarray:
+    """R, (min(rows, q), q), of a QR of the (rows, q) matrix whose rows
+    lo:hi are ``take(lo, hi)``, by TSQR (Demmel, Grigori, Hoemmen & Langou,
+    SIAM J. Sci. Comput. 34(1), 2012).
+
+    Blocks of ``_qr_block(q)`` rows are factored by stacked R-only QRs,
+    half of BATCH_BYTES of rows at a time, so no copy of the whole matrix
+    is made. Their Rs, with the rows left over, are factored the same way
+    until one block remains. R is that of one QR up to the signs of its
+    rows.
+    """
+    block = _qr_block(q)
+    while rows > block:
+        full = rows - rows % block
+        step = block * max(1, _block_rows(full, q) // block)
+        rs = [np.linalg.qr(take(lo, min(lo + step, full))
+                           .reshape(-1, block, q), mode="r").reshape(-1, q)
+              for lo in range(0, full, step)]
+        stacked = np.concatenate([*rs, take(full, rows)])
+        take, rows = (lambda lo, hi, a=stacked: a[lo:hi]), len(stacked)
+    return np.linalg.qr(take(0, rows), mode="r")
+
+
 class ScaledColumns:
     """A run's frame: an intercept plus the columns ``names`` of ``cols``
     (a Dataset or a mapping; by default every key of the mapping), each
@@ -258,14 +306,16 @@ class ScaledColumns:
     well scaled whatever the columns' units.
 
     ``factor(idx)`` is the frame's one tall QR, on all rows or on a
-    resample's: ``least_squares`` fits each design of the frame's columns
-    from that R with one small QR. ``grams(counts)`` gives the
-    cross-product (Gram) matrices of a batch of resamples, held as counts
-    over ``units``: the rows, or in the frame ``grouped(members)`` returns
-    the groups of rows. No rows are gathered.
+    resample's, factored in row blocks (``_blocked_r``): ``least_squares``
+    fits each design of the frame's columns from that R with one small QR.
+    ``grams(counts)`` gives the cross-product (Gram) matrices of a batch
+    of resamples, held as counts over ``units``: the rows, or in the frame
+    ``grouped(members)`` returns the groups of rows. No rows are gathered.
 
     Row units: every Gram matrix is ``counts @ P`` for the products P of
-    each column pair at each row, formed in row blocks as the product runs.
+    each column pair at each row, formed in row blocks as the product runs
+    and multiplied in sub-products small enough for OpenBLAS to keep on
+    the calling thread (``_step_rows``).
     Group units: ``grouped`` forms each group's sums of those products
     once, G rows of q(q+1)/2 values held outside the budget, so a resample
     costs one small product. ``batch`` is the number of resamples whose
@@ -318,9 +368,15 @@ class ScaledColumns:
         return out
 
     def factor(self, idx=slice(None)) -> np.ndarray:
-        """R of one R-only QR of the frame's rows ``idx``: (min(rows,
-        columns), columns), the columns in frame order."""
-        return np.linalg.qr(self.zt[:, idx].T, mode="r")
+        """R of a QR of the frame's rows ``idx`` (``_blocked_r``): (min(rows,
+        columns), columns), the columns in frame order. A resample's rows
+        are gathered as they are factored."""
+        if isinstance(idx, slice):
+            rows = self.zt[:, idx].T
+            return _blocked_r(lambda lo, hi: rows[lo:hi], len(rows),
+                              len(self.zt))
+        return _blocked_r(lambda lo, hi: self.zt[:, idx[lo:hi]].T, len(idx),
+                          len(self.zt))
 
     @property
     def batch(self) -> int:
@@ -363,10 +419,24 @@ class ScaledColumns:
             blocks = self._pair_blocks(width)
         wide = np.empty((batch, width))
         flat = np.zeros((batch, pairs_n))
+        # Every sub-product stays on the calling thread: the resamples in
+        # groups of _GEMM_RESAMPLES, one stacked product (a dgemm per
+        # group) per step of rows, and the rest together.
+        whole = batch - batch % _GEMM_RESAMPLES
+        parts = [(out, rows, _step_rows(out.shape[-2], pairs_n))
+                 for out, rows in (
+                     (flat[:whole].reshape(-1, _GEMM_RESAMPLES, pairs_n),
+                      slice(whole)),
+                     (flat[whole:], slice(whole, None)))
+                 if out.size]
         for start, pairs in blocks:
             block = wide[:, :pairs.shape[1]]
             block[...] = counts[:, start:start + pairs.shape[1]]
-            flat += block @ pairs.T
+            for out, rows, step in parts:
+                for c in range(0, block.shape[1], step):
+                    out += np.matmul(
+                        block[rows, c:c + step].reshape(*out.shape[:-1], -1),
+                        pairs[:, c:c + step].T)
         q = len(self.zt)
         g = np.empty((batch, q, q))
         i, j = self._upper

@@ -639,6 +639,112 @@ def _check_plm_command(command):
     assert proc.returncode == 2, proc.stderr
 
 
+# Run in a child process, whose BLAS thread count is set before numpy
+# loads: each plm command in argv[1] (JSON, name to argv) once, between
+# readings, each after a settle of argv[2] seconds, of how often each
+# thread but the main one has gone to sleep (voluntary context switches;
+# None without /proc).
+_THREAD_PROBE = """
+import json, os, sys, threading, time
+from plm.cli import cli_main
+
+def sleeps():
+    if not os.path.isdir("/proc/self/task"):
+        return None
+    out = {}
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != threading.get_native_id():
+            with open(f"/proc/self/task/{tid}/status") as fh:
+                out[tid] = int(fh.read().split("voluntary_ctxt_switches:")
+                               [1].split()[0])
+    return out
+
+growth = {}
+settle = float(sys.argv[2])
+for name, argv in json.loads(sys.argv[1]).items():
+    time.sleep(settle)
+    before = sleeps()
+    assert cli_main(argv) == 0, name
+    time.sleep(settle)
+    after = sleeps()
+    if before is not None:
+        growth[name] = max([after[t] - v for t, v in before.items()
+                            if t in after], default=0)
+print(json.dumps({"threads": None if before is None else len(before),
+                  "growth": growth}))
+"""
+
+
+@pytest.fixture(scope="module")
+def blas_thread_runs(tmp_path_factory):
+    """(output files by name, probe report) of ``plm table`` with row and
+    cluster bootstrap, ``plm line`` and ``plm contour`` on n = 20 000
+    earnings-scale rows, at OPENBLAS_NUM_THREADS 1 and 2. A size at which
+    two threads would split the sums of a whole-frame QR or Gram product:
+    at a few thousand rows OpenBLAS splits them without reordering."""
+    root = tmp_path_factory.mktemp("blas_threads")
+    rng = np.random.default_rng(12)
+    n = 20_000
+    z = rng.standard_normal(n)
+    x = 25.0 + 7.0 * rng.standard_normal((4, n))
+    d = (0.8 * z + rng.standard_normal(n) > 0.3).astype(float)
+    p = 1e4 + 400.0 * d + 50.0 * x[0] + 3000.0 * rng.standard_normal(n)
+    y = (1e4 + 1000.0 * d + 2500.0 * z + 60.0 * x[1] + 0.3 * p
+         + 4000.0 * rng.standard_normal(n))
+    data_path = write_dataset_csv(
+        Dataset({"Y": y, "D": d, "P": p, "X1": x[0], "X2": x[1], "X3": x[2],
+                 "X4": x[3], "C": rng.integers(0, 60, n)}), root / "data.csv")
+    runs = {}
+    for threads in (1, 2):
+        out = root / str(threads)
+        out.mkdir()
+        base = ["--data", str(data_path), "--outcome", "Y", "--treatment",
+                "D", "--placebo", "P", "--role", "placebo_outcome",
+                "--edge-d-to-p", "--covariates", "X1,X2,X3,X4",
+                "--direct", "-100", "100", "--seed", "5"]
+        commands = {
+            "table": ["table", *base, "--reps", "400",
+                      "--out", str(out / "table.csv")],
+            "table --cluster": ["table", *base, "--reps", "400", "--cluster",
+                                "C", "--out", str(out / "cluster.csv")],
+            "line": ["line", *base, "--reps", "200", "--grid", "21",
+                     "--out", str(out / "line.csv")],
+            "contour": ["contour", *base, "--grid", "41",
+                        "--out", str(out / "contour.csv")],
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE, json.dumps(commands),
+             "0.5" if threads > 1 else "0"],
+            capture_output=True, text=True, timeout=300,
+            env={**_child_env(), "OPENBLAS_NUM_THREADS": str(threads)})
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = ({path.name: path.read_bytes()
+                          for path in sorted(out.iterdir())},
+                         json.loads(proc.stdout.splitlines()[-1]))
+    return runs
+
+
+def test_output_bytes_do_not_depend_on_the_blas_thread_count(
+        blas_thread_runs):
+    # Every product plm hands OpenBLAS is one it runs on the calling
+    # thread, so no sum is split differently with more threads.
+    files = blas_thread_runs[1][0]
+    assert sorted(files) == ["cluster.csv", "contour.csv", "contour.json",
+                             "line.csv", "table.csv"]
+    assert blas_thread_runs[2][0] == files
+
+
+def test_runs_never_wake_a_blas_worker(blas_thread_runs):
+    report = blas_thread_runs[2][1]
+    if report["threads"] is None:
+        pytest.skip("no /proc/self/task to read thread switches from")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("fewer than 2 CPUs: OpenBLAS starts no worker thread")
+    assert report["threads"] >= 1  # OpenBLAS's worker
+    assert report["growth"] == dict.fromkeys(
+        ["table", "table --cluster", "line", "contour"], 0)
+
+
 def test_installed_entry_point(tmp_path):
     # The console script an install creates, written here the way
     # installers write it, so the declared entry is checked without one.

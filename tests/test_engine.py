@@ -676,16 +676,35 @@ def _counting_qr(monkeypatch):
     return calls
 
 
+def _counting_factor(monkeypatch):
+    """The number of rows every ScaledColumns.factor call factors."""
+    factor = ScaledColumns.factor
+    calls = []
+
+    def counting_factor(frame, idx=slice(None)):
+        calls.append(len(frame.zt[0, idx]))
+        return factor(frame, idx)
+
+    monkeypatch.setattr(ScaledColumns, "factor", counting_factor)
+    return calls
+
+
 @pytest.mark.parametrize("role", [*ROLES, "double_placebo"])
 def test_bootstrap_replicates_run_no_qr(monkeypatch, role):
     # On well-conditioned data every replicate is fitted from its weighted
     # Gram matrix: the run factors its n-row frame once, for the full
     # sample, and each design takes one small QR of that R, whatever the
-    # reps.
-    data = _earnings_data(seed=3, n=400)
-    q = len(_bind(data, AnalysisConfig(spec=_role_spec(role)))[1]) + 1
+    # reps. The frame's factor is blocked: one stacked QR of equal row
+    # blocks that cover the n rows once but for fewer than a block left
+    # over, then one QR of their Rs and those rows (at n = 400 one block
+    # holds every row). No QR factors more than a block's rows.
     calls = _counting_qr(monkeypatch)
-    for reps in (20, 200):
+    for n, reps in ((400, 20), (400, 200), (3000, 20), (3000, 200)):
+        data = _earnings_data(seed=3, n=n)
+        q = len(_bind(data, AnalysisConfig(spec=_role_spec(role)))[1]) + 1
+        block = regression._qr_block(q)
+        tall = ([(n, q)] if n <= block
+                else [(n // block, block, q), (n // block * q + n % block, q)])
         calls.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MediatorCautionWarning)
@@ -693,8 +712,10 @@ def test_bootstrap_replicates_run_no_qr(monkeypatch, role):
                                                    bootstrap_reps=reps,
                                                    seed=1))
         assert table.metadata["bootstrap_failures"] == 0
-        assert calls[0] == (data.n_rows, q)
-        assert [shape[0] for shape in calls[1:]] == [q] * _DESIGNS[role]
+        assert all(shape[-2] <= block for shape in calls)
+        assert calls[:len(tall)] == tall
+        assert [shape[0] for shape in calls[len(tall):]] == \
+            [q] * _DESIGNS[role]
 
 
 def _natural_scales(role, data):
@@ -1151,11 +1172,11 @@ def test_bootstrap_does_not_depend_on_a_covariates_units(
     covariates = ("X1", "X2", "X3") if "X3" in data else ("X1", "X2")
     cfg = AnalysisConfig(spec=_role_spec(role, covariates), seed=4,
                          bootstrap_reps=1000, cluster_col=cluster_col)
-    calls = _counting_qr(monkeypatch)
+    calls = _counting_factor(monkeypatch)
     want = run_table(data, cfg)
     got = run_table(_rescaled(data, "X1", 1e11), cfg)
     # One factorization of the n-row frame per run, and one per refit.
-    tall = [shape for shape in calls if shape[0] == data.n_rows]
+    tall = [rows for rows in calls if rows == data.n_rows]
     assert (len(tall) > 2) == qr_refits
     assert got.metadata["bootstrap_failures"] == \
         want.metadata["bootstrap_failures"]

@@ -1,8 +1,11 @@
 """Core OLS, residualization, and bias decomposition checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from plm import regression
 from plm.errors import (
     DegenerateResidual,
     DivisionByNearZero,
@@ -250,6 +253,73 @@ def test_designs_of_one_frame_ignore_the_columns_they_exclude():
         least_squares(frame, frame.factor(np.arange(3)), ["x1", "x2"],
                       ["y"])
     least_squares(frame, frame.factor(np.arange(4)), ["x1", "x2"], ["y"])
+
+
+def _mixed_scale_frame(rows, q=10, seed=0):
+    """A frame of q - 1 columns (q with the intercept) in units from 1 to
+    1e8, each with its own offset."""
+    rng = np.random.default_rng(seed)
+    return ScaledColumns({f"x{j}": 10.0 ** j * rng.standard_normal(rows) + j
+                          for j in range(q - 1)})
+
+
+def _assert_same_r(r, rows):
+    """``r`` is R of np.linalg.qr of ``rows`` up to the signs of its rows,
+    to 1e-13 of each column's norm."""
+    want = np.linalg.qr(rows, mode="r")
+    assert r.shape == want.shape
+    signs = np.sign(np.diag(r)) * np.sign(np.diag(want))
+    tol = 1e-13 * np.linalg.norm(rows, axis=0)
+    assert (np.abs(r * signs[:, None] - want) <= tol).all()
+
+
+def test_blocked_factor_matches_one_qr():
+    q = 10
+    block = regression._qr_block(q)
+    assert block * q <= 8192 and block >= 2 * q
+    frame = _mixed_scale_frame(100_000, q)
+    for rows in (1, q - 1, q, block - 1, block, block + 1, 3 * block + 7,
+                 100_000):
+        _assert_same_r(frame.factor(slice(rows)), frame.zt[:, :rows].T)
+    _assert_same_r(frame.factor(), frame.zt.T)
+    # A resample's rows, some drawn more than once.
+    idx = np.random.default_rng(1).integers(0, 100_000, 3 * block + 7)
+    idx[:40] = idx[40]
+    _assert_same_r(frame.factor(idx), frame.zt[:, idx].T)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 16, 17, 40])
+def test_gram_sub_products_match_one_product(batch):
+    # Groups of 16 resamples, the rest together (a lone one's product is a
+    # dgemv), each over steps of a few hundred rows: the sums reorder, the
+    # Gram matrices stay those of one product to rounding.
+    frame = _mixed_scale_frame(5000)
+    counts = np.random.default_rng(batch).integers(0, 4, (batch, 5000),
+                                                   dtype=np.uint8)
+    want = np.einsum("bu,iu,ju->bij", counts.astype(float), frame.zt,
+                     frame.zt)
+    diag = np.sqrt(np.diagonal(want, axis1=1, axis2=2))
+    scale = diag[:, :, None] * diag[:, None, :]
+    assert np.all(np.abs(frame.grams(counts) - want) <= 1e-12 * scale)
+
+
+def test_blocked_factor_makes_no_copy_of_the_frame():
+    # One np.linalg.qr of the rows copies all of them (a resample's rows
+    # twice, gathered and then copied). The blocked factor reads the frame
+    # in place, half of BATCH_BYTES of rows at a time, and gathers a
+    # resample's rows as it goes.
+    rows, q = 200_000, 10
+    frame = _mixed_scale_frame(rows, q)
+    copy = rows * q * 8
+    for idx, bound in ((slice(None), copy / 3),
+                       (np.arange(rows)[::-1], 0.75 * copy)):
+        tracemalloc.start()
+        try:
+            frame.factor(idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, copy)
 
 
 def test_residualize_orthogonal_variable_is_centering():
