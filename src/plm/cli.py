@@ -13,14 +13,13 @@ import functools
 import json
 import os
 import sys
-from pathlib import Path
 
 from .adjust import _ROLE_TABLE, ROLES
 from .did import DIDAssumption, GroupMeans, att, dim, m_to_w, \
     parallel_trends_gap
 from .engine import run_contour, run_line, run_table
 from .errors import ConfigError, DataError, NumericError, PlmError
-from .io import _EDGE_KEYS, RunConfig, _write_text, emit_outputs, \
+from .io import _EDGE_KEYS, RunConfig, _write_chunks, emit_outputs, \
     load_csv, parse_run_config, write_dataset_csv
 from .selfcheck import run_selfcheck
 from .semiparam import SemiparamInputs, adjust_partially_linear
@@ -64,7 +63,8 @@ _ANALYSIS_FLAGS = (
     ("--seed", False, dict(type=int)),
     ("--ci-level", False, dict(type=float)),
     ("--out", True, dict(metavar="PATH", help="output file")),
-    ("--svg", False, dict(metavar="PATH", help="also render an SVG")),
+    ("--svg", False, dict(metavar="PATH",
+                          help="also render an SVG (contour and line only)")),
 )
 
 
@@ -206,6 +206,9 @@ def _run_config_from_flags(kind: str, args) -> RunConfig:
     edges = {key: True for key in _EDGE_KEYS if getattr(args, f"edge_{key}")}
     outputs = {kind: args.out}
     if args.svg:
+        if kind == "table":
+            raise ConfigError("--svg is for contour and line; table draws "
+                              "no SVG")
         outputs["svg"] = args.svg
     # Only the settings given: AnalysisConfig holds the defaults.
     settings = {"k": args.k, "direct": args.direct, "grid": args.grid,
@@ -263,7 +266,7 @@ def _emit_json(payload: dict, out: str | None) -> None:
     if out is None:
         print(text)
     else:
-        _write_text(Path(out), text + "\n")
+        _write_chunks(out, (text, "\n"))
         print(out)
 
 

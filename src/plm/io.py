@@ -183,13 +183,23 @@ def check_fixture_manifest(data: Dataset, manifest: Mapping) -> None:
             )
 
 
+# Rows per chunk of write_dataset_csv: a chunk of 8 columns is about 0.6
+# MiB of text, whatever the row count.
+_ROW_BLOCK = 4096
+
+
 def write_dataset_csv(data: Dataset, path) -> Path:
     """Write a Dataset as numeric CSV that load_csv reads back exactly."""
-    lines = [",".join(data.names)]
-    matrix = data.matrix(data.names)
-    for row in matrix:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return _write_text(Path(path), "\n".join(lines) + "\n")
+    columns = [data[name] for name in data.names]
+
+    def blocks():
+        yield ",".join(data.names) + "\n"
+        for start in range(0, data.n_rows, _ROW_BLOCK):
+            cells = [map(repr, col[start:start + _ROW_BLOCK].tolist())
+                     for col in columns]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    return _write_chunks(path, blocks())
 
 
 _EDGE_KEYS = ("d_to_p", "p_to_y", "p_to_d", "y_to_p")
@@ -354,16 +364,22 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_text(path: Path, text: str) -> Path:
+def _write_chunks(path, chunks) -> Path:
+    """Write the text ``chunks``, in order, into ``path`` opened once: the
+    one write path of every output. A writer yields row blocks, so what it
+    holds does not grow with the file. IoError (exit 3) where the path
+    cannot be opened or written."""
+    path = Path(path)
     try:
-        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     return path
 
 
 def write_table_csv(table: ResultTable, path) -> Path:
-    rows = [",".join(TABLE_COLUMNS)]
+    rows = [",".join(TABLE_COLUMNS) + "\n"]
     for row in table.rows:
         rows.append(",".join([
             row.label,
@@ -373,8 +389,8 @@ def write_table_csv(table: ResultTable, path) -> Path:
             _fmt(row.se),
             _fmt(row.ci_low),
             _fmt(row.ci_high),
-        ]))
-    return _write_text(Path(path), "\n".join(rows) + "\n")
+        ]) + "\n")
+    return _write_chunks(path, rows)
 
 
 def read_table_csv(path) -> ResultTable:
@@ -399,12 +415,16 @@ def read_table_csv(path) -> ResultTable:
 
 def write_contour_csv(grid: ContourGrid, path) -> Path:
     # Each axis value is formatted once; tolist() gives the Python floats
-    # whose repr _fmt writes.
+    # whose repr _fmt writes. One chunk per k value.
     directs = [_fmt(dv) for dv in grid.direct_values]
-    lines = ["k,direct,estimate"]
-    for k, row in zip(map(_fmt, grid.k_values), grid.estimates.tolist()):
-        lines.extend(f"{k},{dv},{z!r}" for dv, z in zip(directs, row))
-    return _write_text(Path(path), "\n".join(lines) + "\n")
+
+    def rows():
+        yield "k,direct,estimate\n"
+        for k, row in zip(map(_fmt, grid.k_values), grid.estimates):
+            yield "".join([f"{k},{dv},{z!r}\n"
+                           for dv, z in zip(directs, row.tolist())])
+
+    return _write_chunks(path, rows())
 
 
 def _json_ready(value):
@@ -426,8 +446,8 @@ def write_contour_json(grid: ContourGrid, path) -> Path:
         "zero_contour": [_json_ready(p) for p in grid.zero_contour],
         "metadata": _json_ready(grid.metadata),
     }
-    text = json.dumps(payload, sort_keys=True, indent=1)
-    return _write_text(Path(path), text + "\n")
+    return _write_chunks(path, (json.dumps(payload, sort_keys=True, indent=1),
+                                "\n"))
 
 
 def write_line_csvs(line: LineSlice, path) -> list[Path]:
@@ -443,12 +463,12 @@ def write_line_csvs(line: LineSlice, path) -> list[Path]:
                 f"{path.stem}_{index + 1}{path.suffix or '.csv'}"
             )
         fixed_name = "fixed_direct" if line.varying == "k" else "fixed_k"
-        lines = [f"{line.varying},estimate,ci_low,ci_high,{fixed_name}"]
+        lines = [f"{line.varying},estimate,ci_low,ci_high,{fixed_name}\n"]
         for param, est, lo, hi in curve:
             lines.append(",".join(
                 [_fmt(param), _fmt(est), _fmt(lo), _fmt(hi), _fmt(fixed)]
-            ))
-        written.append(_write_text(target, "\n".join(lines) + "\n"))
+            ) + "\n")
+        written.append(_write_chunks(target, lines))
     return written
 
 
@@ -617,11 +637,9 @@ def emit_outputs(results: Mapping, cfg: RunConfig) -> list[Path]:
         written.extend(write_line_csvs(line, cfg.outputs["line"]))
     if "svg" in cfg.outputs:
         if contour is not None:
-            written.append(
-                _write_text(cfg.outputs["svg"], render_contour_svg(contour))
-            )
+            written.append(_write_chunks(cfg.outputs["svg"],
+                                         (render_contour_svg(contour),)))
         elif line is not None:
-            written.append(
-                _write_text(cfg.outputs["svg"], render_line_svg(line))
-            )
+            written.append(_write_chunks(cfg.outputs["svg"],
+                                         (render_line_svg(line),)))
     return written

@@ -84,6 +84,23 @@ def test_retired_workers_flag_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_table_refuses_the_svg_flag(tmp_path, capsys):
+    # table draws no SVG; the flag used to be taken and nothing written.
+    data_path = _data_csv(tmp_path)
+    out, svg = tmp_path / "t.csv", tmp_path / "t.svg"
+    assert cli_main(_table_argv(data_path, out, **{"--svg": svg})) == 2
+    assert "--svg" in capsys.readouterr().err
+    assert not out.exists() and not svg.exists()
+    # A config shared with contour and line may still name an SVG.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**_RUN, "bootstrap": {"reps": 20},
+                                  "outputs": {"table": "t.csv",
+                                              "svg": "t.svg"}}),
+                      encoding="utf-8")
+    assert cli_main(["table", "--config", str(config)]) == 0
+    assert out.exists() and not svg.exists()
+
+
 def test_single_cluster_exits_three(tmp_path, capsys):
     data = simulate_scm(random_recipe("b", seed=1, n=250))
     columns = {name: data[name] for name in data.names}
@@ -297,22 +314,40 @@ _RUN = {"data_path": "data.csv", "outcome": "Y", "treatment": "D",
     ({}, ["verify", "--draws", "0"], None, 2),
     ({"in.csv": b"\n"},
      ["table", "--data", "in.csv", *_FLAGS, "--out", "t.csv"], None, 3),
+    # An output path that is a directory (None: make it one).
+    ({"outdir": None},
+     ["contour", "--data", "data.csv", *_FLAGS, "--grid", "5",
+      "--out", "outdir"], None, 3),
+    ({"outdir": None},
+     ["line", "--data", "data.csv", *_FLAGS, "--out", "outdir"], None, 3),
+    ({"outdir": None},
+     ["table", "--data", "data.csv", *_FLAGS, "--out", "outdir"], None, 3),
+    ({"outdir": None},
+     ["simulate", "--case", "a", "--n", "10", "--out", "outdir"], None, 3),
 ], ids=["csv-not-utf8", "csv-field-too-long", "csv-finite-field-too-long",
         "config-not-utf8", "did-out-missing-dir", "semiparam-out-missing-dir",
         "table-negative-seed", "config-negative-seed", "env-negative-seed",
         "simulate-negative-seed", "simulate-env-negative-seed",
-        "verify-negative-seed", "verify-no-draws", "csv-blank-first-line"])
+        "verify-negative-seed", "verify-no-draws", "csv-blank-first-line",
+        "contour-out-is-dir", "line-out-is-dir", "table-out-is-dir",
+        "simulate-out-is-dir"])
 def test_unreadable_file_or_bad_number_exits_with_its_code(
         tmp_path, monkeypatch, capsys, files, argv, env_seed, code):
     # Each used to escape cli_main as a traceback.
     monkeypatch.chdir(tmp_path)
     _data_csv(tmp_path)
     for name, content in files.items():
-        (tmp_path / name).write_bytes(content)
+        if content is None:
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_bytes(content)
     if env_seed is not None:
         monkeypatch.setenv("PLM_SEED", env_seed)
     assert cli_main(argv) == code
-    assert "plm: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "plm: " in err
+    if "outdir" in files:
+        assert "cannot write " in err and "outdir" in err
 
 
 def test_config_with_a_byte_order_mark_runs(tmp_path, capsys):

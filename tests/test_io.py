@@ -38,9 +38,11 @@ from plm.io import (
     render_line_svg,
     write_contour_csv,
     write_contour_json,
+    write_dataset_csv,
     write_line_csvs,
     write_table_csv,
 )
+from plm.regression import Dataset
 from plm.selfcheck import random_recipe
 from plm.simulate import simulate_scm
 
@@ -48,6 +50,8 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def _write_dataset(path, data):
+    # The per-row form, whole file in one string: the reference that
+    # write_dataset_csv's row blocks must match byte for byte.
     lines = [",".join(data.names)]
     matrix = data.matrix(data.names)
     for row in matrix:
@@ -529,6 +533,62 @@ def test_contour_csv_bytes_match_the_per_cell_form(tmp_path):
         for j, dv in enumerate(direct_values)
     ]
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def _traced_write(write, *args):
+    """Peak bytes that tracemalloc sees while ``write(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _contour_grid(k_rows, directs=401):
+    rng = np.random.default_rng(k_rows)
+    return ContourGrid(np.linspace(-2.0, 2.0, k_rows),
+                       np.linspace(-1.0, 1.0, directs),
+                       rng.standard_normal((k_rows, directs)), ())
+
+
+def test_contour_csv_writer_peak_is_at_most_1_mib(tmp_path):
+    # 1601 x 401 is a 24 MiB file; it is written one k row at a time.
+    grid = _contour_grid(1601)
+    peak = _traced_write(write_contour_csv, grid, tmp_path / "contour.csv")
+    assert peak <= 2**20
+    assert (tmp_path / "contour.csv").stat().st_size > 20 * 2**20
+
+
+def test_contour_csv_writer_peak_does_not_grow_with_k_rows(tmp_path):
+    path = tmp_path / "contour.csv"
+    small = _traced_write(write_contour_csv, _contour_grid(101, 41), path)
+    large = _traced_write(write_contour_csv, _contour_grid(1601, 41), path)
+    # 16 times the rows, 2.5 MiB more text; one k row is about 1.6 KiB.
+    assert large <= small + 16 * 2**10
+
+
+# Around the writer's blocks of 4096 rows.
+@pytest.mark.parametrize("n", [1, 4095, 4096, 8193])
+def test_dataset_csv_bytes_match_the_per_row_form(tmp_path, n):
+    values = np.random.default_rng(n).standard_normal((n, 3)) * [1.0, 1e-300,
+                                                                 1e17]
+    values[0] = (-0.0, 5e-324, 0.1 + 0.2)
+    data = Dataset({"Y": values[:, 0], "D": values[:, 1], "P": values[:, 2]})
+    path = write_dataset_csv(data, tmp_path / "data.csv")
+    expected = _write_dataset(tmp_path / "expected.csv", data)
+    assert path.read_bytes() == expected.read_bytes()
+    loaded = load_csv(path)
+    assert np.array_equal(loaded.matrix(loaded.names), values)
+
+
+def test_dataset_csv_writer_peak_is_at_most_1_mib(tmp_path):
+    # About 8 MiB of text at n = 200k; a block of rows is about 0.2 MiB.
+    n = 200_000
+    columns = np.random.default_rng(0).standard_normal((2, n))
+    data = Dataset(dict(zip(("Y", "D"), columns)))
+    peak = _traced_write(write_dataset_csv, data, tmp_path / "data.csv")
+    assert peak <= 2**20
 
 
 def test_line_csv_single_and_multi(tmp_path):
