@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from .adjust import _ROLE_TABLE, ROLES
@@ -84,6 +85,15 @@ def _env_seed() -> int | None:
         ) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "-1e-3" as a value, as argparse reads "-1": no plm option
+    starts with "-" and a digit. Its subparsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _analysis_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     data = parent.add_argument_group("analysis (use --config or flags)")
@@ -101,7 +111,7 @@ def _analysis_parent() -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plm",
         description="Sensitivity analysis for linear treatment effects "
                     "using imperfect placebos.",

@@ -36,18 +36,19 @@ might not match QR to rounding -- too few rows, a Cholesky pivot ratio at
 or below ``GRAM_TOL``, a column within 1e-8 of constant over the
 resample, a residual check of QR's too close to call, a norm SF reads
 lost to cancellation, or a double placebo's placebo pair near vanishing
--- comes back as NaN and is refitted by one QR of the frame's rows it
-drew, in replicate order, so the same replicates fail, with the same
-errors, as under QR everywhere. Where a batch's stacked Cholesky fails,
-the batch is split in halves until the replicate whose design block is
-not positive definite is alone, and that one goes to QR.
+-- comes back as NaN and is refitted by one QR of the frame's rows its
+counts name, in replicate order, so the same replicates fail, with the
+same errors, as under QR everywhere. Where a batch's stacked Cholesky
+fails, the batch is split in halves until the replicate whose design
+block is not positive definite is alone, and that one goes to QR.
 
-Replicate ``rep`` draws its rows from its own ``SeedSequence(spawn_key=rep)``
-and batch sizes depend only on the data's shape and the fixed budget,
-never on timing, and every product the frame hands OpenBLAS is small
-enough to run on the calling thread, so reruns with any BLAS thread count
-give the same output bytes. The generic ``bootstrap()`` runs the same
-draws through one serial loop, ``_replicates``.
+A replicate is its counts (``_replicate_counts``), one draw from its own
+``SeedSequence(entropy=seed, spawn_key=(rep,))``; the rows a QR refit or
+the generic ``bootstrap()`` reads come from them, in row order
+(``_replicate_rows``). Batch sizes depend only on the data's shape and
+the fixed budget, never on timing, and every product the frame hands
+OpenBLAS is small enough to run on the calling thread, so reruns with any
+BLAS thread count give the same output bytes.
 
 The zero contour needs no search. ``_surface`` gives the estimate as
 a + k * (b + c * direct), zero on the hyperbola
@@ -212,41 +213,22 @@ def _surface(target, placebo, scale):
     return target, -placebo * scale, scale
 
 
-def _cluster_index_pool(data: Dataset, cluster_col: str):
-    """Row numbers of each cluster, clusters in sorted id order."""
-    _, inverse, counts = np.unique(data[cluster_col], return_inverse=True,
-                                   return_counts=True)
-    if len(counts) < 2:
+def _cluster_ids(data: Dataset, cluster_col: str) -> np.ndarray:
+    """Each row's cluster number, clusters numbered in sorted id order."""
+    clusters, ids = np.unique(data[cluster_col], return_inverse=True)
+    if len(clusters) < 2:
         # Every resample would be the full sample: a zero-width interval.
         raise DataError(
             f"cluster column {cluster_col!r} holds one cluster; the cluster "
             "bootstrap needs at least two"
         )
-    # A stable sort keeps each cluster's rows in ascending order.
-    order = np.argsort(inverse, kind="stable")
-    return np.split(order, np.cumsum(counts[:-1]))
-
-
-def _replicate_indices(rng, n_rows: int, members) -> np.ndarray:
-    """A replicate's rows: its first draw picks rows, or whole clusters
-    (``members``), with replacement; ``_replicate_counts`` counts the same
-    draw."""
-    if members is None:
-        return rng.integers(0, n_rows, n_rows)
-    n_clusters = len(members)
-    chosen = rng.integers(0, n_clusters, n_clusters)
-    return np.concatenate([members[c] for c in chosen])
-
-
-def _replicate_rng(seed: int, rep: int):
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
-    )
+    return ids
 
 
 def _replicate_counts(seed: int, reps, units: int) -> np.ndarray:
-    """(len(reps), units): how often each replicate drew each unit, a row
-    or a cluster, in the draw ``_replicate_indices`` makes.
+    """(len(reps), units): how often replicate ``rep`` drew each unit, a
+    row or a cluster, drawing ``units`` of them with replacement from its
+    own ``SeedSequence(entropy=seed, spawn_key=(rep,))``.
 
     Held as uint8, one byte a unit. A count above ``_COUNT_MAX`` (for more
     than 255 units, a chance below 1e-500 a unit) is checked for, and its
@@ -254,13 +236,21 @@ def _replicate_counts(seed: int, reps, units: int) -> np.ndarray:
     """
     counts = np.empty((len(reps), units), dtype=np.uint8)
     for i, rep in enumerate(reps):
-        drawn = np.bincount(
-            _replicate_rng(seed, rep).integers(0, units, units),
-            minlength=units)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
+        drawn = np.bincount(rng.integers(0, units, units), minlength=units)
         if drawn.max() > _COUNT_MAX:
             counts = counts.astype(drawn.dtype, copy=False)
         counts[i] = drawn
     return counts
+
+
+def _replicate_rows(counts: np.ndarray, groups=None) -> np.ndarray:
+    """A replicate's rows, in row order, from its ``counts`` over units:
+    the rows, or the clusters numbered by ``groups`` (``_cluster_ids``)."""
+    if groups is not None:
+        counts = counts[groups]
+    return np.repeat(np.arange(len(counts)), counts)
 
 
 def _kept(rows, reps: int):
@@ -273,27 +263,6 @@ def _kept(rows, reps: int):
             "is too close to degenerate for resampling inference"
         )
     return np.array(rows, dtype=float), failures
-
-
-def _replicates(data: Dataset, cfg: AnalysisConfig,
-                fit: Callable[[np.ndarray], object]):
-    """``fit(idx)`` of every bootstrap replicate that does not fail.
-
-    Returns the array of results, one row per kept replicate in replicate
-    order, and the number of replicates dropped because ``fit`` raised one
-    of ``_REPLICATE_FAILURES`` (see ``_kept``).
-    """
-    members = (None if cfg.cluster_col is None
-               else _cluster_index_pool(data, cfg.cluster_col))
-    rows = []
-    for rep in range(cfg.bootstrap_reps):
-        idx = _replicate_indices(_replicate_rng(cfg.seed, rep), data.n_rows,
-                                 members)
-        try:
-            rows.append(fit(idx))
-        except _REPLICATE_FAILURES:
-            continue
-    return _kept(rows, cfg.bootstrap_reps)
 
 
 def _gram_rows(formula, scaled: ScaledColumns, g) -> list:
@@ -323,24 +292,24 @@ def _bootstrap_quantities(formula, frame: ScaledColumns, data: Dataset,
 
     Replicates run in batches of ``frame.batch``, over rows or, grouped,
     over clusters, each fitted from one stack of Gram matrices; a row the
-    Gram solve cannot vouch for is refitted by QR of the frame's rows the
-    replicate drew, in replicate order, and dropped if that raises one of
-    ``_REPLICATE_FAILURES``.
+    Gram solve cannot vouch for is refitted by QR of the frame's rows its
+    counts name (``_replicate_rows``), in replicate order, and dropped if
+    that raises one of ``_REPLICATE_FAILURES``.
     """
-    members = None
+    groups = None
     if cfg.cluster_col is not None:
-        members = _cluster_index_pool(data, cfg.cluster_col)
-        frame = frame.grouped(members)
+        groups = _cluster_ids(data, cfg.cluster_col)
+        frame = frame.grouped(groups)
     kept = []
     for start in range(0, cfg.bootstrap_reps, frame.batch):
         reps = range(start, min(start + frame.batch, cfg.bootstrap_reps))
-        g = frame.grams(_replicate_counts(cfg.seed, reps, frame.units))
-        for rep, row in zip(reps, _gram_rows(formula, frame, g)):
+        counts = _replicate_counts(cfg.seed, reps, frame.units)
+        for drawn, row in zip(counts,
+                              _gram_rows(formula, frame, frame.grams(counts))):
             if not np.isfinite(row).all():
-                idx = _replicate_indices(_replicate_rng(cfg.seed, rep),
-                                         data.n_rows, members)
                 try:
-                    row = formula.quantities(frame, idx)
+                    row = formula.quantities(frame,
+                                             _replicate_rows(drawn, groups))
                 except _REPLICATE_FAILURES:
                     continue
             kept.append(row)
@@ -484,10 +453,22 @@ def bootstrap(data: Dataset, cfg: AnalysisConfig,
     """Generic row (or cluster) bootstrap of a scalar statistic.
 
     Returns {"se": float, "ci": (low, high)} with a percentile interval at
-    ``cfg.ci_level``. Replicates where the statistic raises a numeric
-    error count as failures, tolerated up to 1 percent.
+    ``cfg.ci_level``. Each replicate's statistic reads the rows its counts
+    name (``_replicate_rows``); replicates where it raises a numeric error
+    count as failures, tolerated up to 1 percent (``_kept``).
     """
-    draws, _ = _replicates(data, cfg, lambda idx: statistic(data.take(idx)))
+    groups = (None if cfg.cluster_col is None
+              else _cluster_ids(data, cfg.cluster_col))
+    units = data.n_rows if groups is None else int(groups.max()) + 1
+    draws = []
+    for rep in range(cfg.bootstrap_reps):
+        rows = _replicate_rows(_replicate_counts(cfg.seed, (rep,), units)[0],
+                               groups)
+        try:
+            draws.append(statistic(data.take(rows)))
+        except _REPLICATE_FAILURES:
+            continue
+    draws, _ = _kept(draws, cfg.bootstrap_reps)
     lo, hi = _ci_bounds(draws, cfg.ci_level)
     return {"se": float(np.std(draws, ddof=1)),
             "ci": (float(lo), float(hi))}
@@ -498,9 +479,10 @@ def _zero_contour(k_values, direct_values, a, b, c):
 
     The crossings of every grid line with k = -a / (b + c * direct) that
     fall inside the rectangle; a line with no crossing (an asymptote, or
-    k = 0) divides by zero and its non-finite value is dropped.
+    k = 0) divides by zero, a subnormal k can overflow, and the non-finite
+    value is dropped.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         k = np.concatenate([-a / (b + c * direct_values), k_values])
         d = np.concatenate([direct_values, -(a / k_values + b) / c])
     inside = ((k_values[0] <= k) & (k <= k_values[-1])

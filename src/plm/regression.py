@@ -310,7 +310,7 @@ class ScaledColumns:
     fits each design of the frame's columns from that R with one small QR.
     ``grams(counts)`` gives the cross-product (Gram) matrices of a batch
     of resamples, held as counts over ``units``: the rows, or in the frame
-    ``grouped(members)`` returns the groups of rows. No rows are gathered.
+    ``grouped(groups)`` returns the groups of rows. No rows are gathered.
 
     Row units: every Gram matrix is ``counts @ P`` for the products P of
     each column pair at each row, formed in row blocks as the product runs
@@ -349,22 +349,21 @@ class ScaledColumns:
         """The number of named columns."""
         return len(self.position)
 
-    def grouped(self, members) -> "ScaledColumns":
-        """This frame, sharing its columns, with the groups of rows as the
-        units a resample counts; ``members`` holds the row numbers of each
-        group. Forms each group's sums of the column-pair products."""
-        groups = np.empty(self.zt.shape[1], dtype=np.intp)
-        for c, rows in enumerate(members):
-            groups[rows] = c
-        sums = np.zeros((len(members), len(self._upper[0])))
+    def grouped(self, groups) -> "ScaledColumns":
+        """This frame, sharing its columns, with groups of rows as the units
+        a resample counts; ``groups`` holds each row's group number, every
+        number from 0 to the largest used. Forms each group's sums of the
+        column-pair products."""
+        units = int(groups.max()) + 1
+        sums = np.zeros((units, len(self._upper[0])))
         width = _block_rows(len(groups), sums.shape[1])
         for start, pairs in self._pair_blocks(width):
             ids = groups[start:start + pairs.shape[1]]
             for k, products in enumerate(pairs):
                 sums[:, k] += np.bincount(ids, weights=products,
-                                          minlength=len(members))
+                                          minlength=units)
         out = copy.copy(self)
-        out.units, out._unit_sums = len(members), sums
+        out.units, out._unit_sums = units, sums
         return out
 
     def factor(self, idx=slice(None)) -> np.ndarray:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import plm
 from plm.adjust import _ROLE_TABLE, ROLES
@@ -455,6 +455,13 @@ def _csv_bytes(draw):
 @settings(max_examples=100, deadline=None)
 @given(command=st.sampled_from(["table", "contour", "line"]),
        config=_configs(), csv_bytes=_csv_bytes())
+# A subnormal k: a / k overflows while the zero contour is traced.
+@example(command="contour", config={
+    "data_path": "data.csv", "outcome": "Y", "treatment": "D",
+    "placebo": "P", "role": "placebo_outcome", "edges": {},
+    "covariates": [], "k": [-2.2250738585e-313, 0.0], "direct": [0.0, 0.0],
+    "grid": 1, "bootstrap": {"reps": 2, "seed": 0}, "ci_level": 0.9},
+    csv_bytes=b"Y,X,G,D,P\n0,0,0,0,1\n0,0,0,1,0\n1,0,0,0,0\n")
 def test_any_config_and_csv_exit_with_a_documented_code(command, config,
                                                         csv_bytes):
     with tempfile.TemporaryDirectory() as tmp:
@@ -560,6 +567,62 @@ def test_semiparam_json(tmp_path, capsys):
     assert cli_main(["semiparam", "--theta-s-y", "2", "--theta-s-n", "1",
                      "--k", "-1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, exponent, plain", [
+    (["contour", "--data", "data.csv", *_FLAGS, "--grid", "5"],
+     ["--k", "-1e-3", "1", "--direct", "-1e4", "1e4"],
+     ["--k", "-0.001", "1", "--direct", "-10000", "10000"]),
+    (["table", "--data", "data.csv", *_FLAGS],
+     ["--k", "-2E0", "-1.5e-1", "--direct", "-3e-1", "2e-1"],
+     ["--k", "-2", "-0.15", "--direct", "-0.3", "0.2"]),
+    (["did", "--data", "did.csv", "--outcome", "Y", "--placebo", "N",
+      "--group", "G"],
+     ["--att-n", "-2.5e-1"], ["--att-n", "-0.25"]),
+    (["semiparam", "--k", "4", "--s2-y", "9", "--s2-n", "4"],
+     ["--theta-s-y", "-2e0", "--theta-s-n", "-1e-1", "--theta-l-n", "-5E-2"],
+     ["--theta-s-y", "-2", "--theta-s-n", "-0.1", "--theta-l-n", "-0.05"]),
+], ids=["contour", "table", "did", "semiparam"])
+def test_negative_numbers_in_exponent_form_are_values(
+        tmp_path, monkeypatch, capsys, argv, exponent, plain):
+    # argparse alone reads "-1e-3" as an unknown option.
+    monkeypatch.chdir(tmp_path)
+    _data_csv(tmp_path)
+    (tmp_path / "did.csv").write_text(
+        "G,Y,N\n1,10,5\n1,14,7\n0,6,4\n0,8,6\n", encoding="utf-8")
+    outputs = []
+    for name, numbers in (("exponent", exponent), ("plain", plain)):
+        assert cli_main([*argv, *numbers, "--out", name]) == 0
+        outputs.append((tmp_path / name).read_bytes())
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    rng = np.random.default_rng(5)
+    n = 400
+    age = rng.normal(35.0, 8.0, n)
+    education = rng.normal(12.0, 2.0, n)
+    u = rng.normal(size=n)
+    trained = (0.05 * (age - 35.0) + u + rng.normal(size=n) > 0).astype(float)
+    pre = 2e4 + 100.0 * age + 500.0 * education + 3e3 * u \
+        + rng.normal(0.0, 2e3, n)
+    post = pre + 1500.0 * trained + 2e3 * u + rng.normal(0.0, 2e3, n)
+    write_dataset_csv(Dataset({
+        "earnings_post": post, "trained": trained, "earnings_pre": pre,
+        "age": age, "education": education}), tmp_path / "study.csv")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    # The adjusted estimate at k = 1, then three anchor rows and a grid of
+    # three k values at one direct value; the third anchor is k = 1.
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 1 + 3 + 3
+    assert printed[3].startswith("k=1 DID 1.0 ")
+    assert float(printed[0]) == pytest.approx(float(printed[3].split()[-3]))
 
 
 def test_simulate_reproduces_recipe(tmp_path, capsys):

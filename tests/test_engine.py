@@ -21,11 +21,10 @@ from plm.engine import (
     AnalysisConfig,
     _bind,
     _bootstrap_quantities,
-    _cluster_index_pool,
+    _cluster_ids,
     _gram_rows,
-    _replicate_indices,
     _replicate_counts,
-    _replicate_rng,
+    _replicate_rows,
     _surface,
     _zero_contour,
     bootstrap,
@@ -584,21 +583,25 @@ def test_short_cluster_replicate_is_dropped():
     spec = _spec(role="placebo_treatment", edge_d_to_p=False,
                  covariate_cols=("X1", "X2", "X3"))
     cfg = _cfg(spec=spec, bootstrap_reps=1000, seed=4, cluster_col="C")
-    members = _cluster_index_pool(data, "C")
+    groups = _cluster_ids(data, "C")
     short = sum(
-        _replicate_indices(_replicate_rng(cfg.seed, rep), data.n_rows,
-                           members).size <= 6
-        for rep in range(cfg.bootstrap_reps)
+        _replicate_rows(counts, groups).size <= 6
+        for counts in _counts(data, groups, cfg.seed,
+                              range(cfg.bootstrap_reps))
     )
     assert short > 0
     table = run_table(data, cfg)
     assert table.metadata["bootstrap_failures"] == short
 
 
-def _scanned_cluster_pool(data, cluster_col):
-    """The reference: one boolean scan of the column per cluster id."""
+def _scanned_cluster_ids(data, cluster_col):
+    """The reference: one boolean scan of the column per cluster id, the
+    ids in sorted order."""
     column = data[cluster_col]
-    return [np.flatnonzero(column == c) for c in np.unique(column)]
+    ids = np.full(column.size, -1, dtype=np.intp)
+    for c, value in enumerate(sorted(set(column.tolist()))):
+        ids[column == value] = c
+    return ids
 
 
 def test_cluster_pool_matches_a_scan_per_cluster(monkeypatch):
@@ -606,15 +609,22 @@ def test_cluster_pool_matches_a_scan_per_cluster(monkeypatch):
     rng = np.random.default_rng(11)
     ids = rng.choice([41.0, -7.0, 1e6, 3.5, 12.0, 40.0], size=240)
     data = _noise_data(ids.size, ("Y", "D", "P"), C=ids)
-    members = _cluster_index_pool(data, "C")
-    reference = _scanned_cluster_pool(data, "C")
-    assert len(members) == len(reference) == 6
-    for got, want in zip(members, reference):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    groups = _cluster_ids(data, "C")
+    want = _scanned_cluster_ids(data, "C")
+    assert groups.dtype == want.dtype
+    assert np.array_equal(groups, want)
+    # Each cluster's sums of the column-pair products: the Gram matrix of
+    # that cluster alone, against the rows of its scan.
     cfg = _cfg(bootstrap_reps=60, seed=2, cluster_col="C")
+    frame = _bind(data, cfg)[1]
+    got = frame.grouped(groups).grams(np.eye(6, dtype=np.uint8))
+    scans = frame.grams(np.array([want == c for c in range(6)],
+                                 dtype=np.uint8))
+    diag = np.sqrt(np.diagonal(scans, axis1=1, axis2=2))
+    scale = diag[:, :, None] * diag[:, None, :]
+    assert np.all(np.abs(got - scans) <= 1e-12 * scale)
     table = run_table(data, cfg)
-    monkeypatch.setattr(engine, "_cluster_index_pool", _scanned_cluster_pool)
+    monkeypatch.setattr(engine, "_cluster_ids", _scanned_cluster_ids)
     assert run_table(data, cfg) == table
 
 
@@ -738,14 +748,14 @@ def _replicate_both_ways(data, role, seed, rep, clusters):
     engine's: the replicate's row of a Gram batch, refitted by QR where the
     row holds NaN."""
     formula, frame = _bind(data, AnalysisConfig(spec=_role_spec(role)))
-    members = _cluster_index_pool(data, "C") if clusters else None
-    idx = _replicate_indices(_replicate_rng(seed, rep), data.n_rows, members)
+    groups = _cluster_ids(data, "C") if clusters else None
+    idx = _replicate_rows(_counts(data, groups, seed, [rep])[0], groups)
     try:
         want = np.array(formula.quantities(frame, idx))
     except (NumericError, TooFewRows) as exc:
         want = type(exc)
     got = _gram_rows(formula, frame,
-                     _grams(frame, members, seed, [rep]))[0]
+                     _grams(frame, groups, seed, [rep]))[0]
     fell_back = not np.isfinite(got).all()
     if fell_back:
         try:
@@ -804,14 +814,14 @@ def test_gram_path_refers_a_resample_constant_to_qr():
     u[:200] /= 20
     cols = {"x": 1e6 + 5e-4 * u,
             "y": 1.0 + 2.04 * u + rng.standard_normal(400)}
-    members = [np.arange(200), np.arange(200, 400)]
+    groups = np.repeat([0, 1], 200)
     frame = ScaledColumns(cols)
     beta, l2 = regression.gram_least_squares(
-        frame, frame.grouped(members).grams(np.array([[2, 0], [1, 1]])),
+        frame, frame.grouped(groups).grams(np.array([[2, 0], [1, 1]])),
         ["x"], ["y"])
     assert np.isnan(beta).all() and np.isnan(l2).all()
     regression.least_squares(frame, frame.factor(), ["x"], ["y"])
-    idx = np.concatenate([members[0], members[0]])
+    idx = _replicate_rows(np.array([2, 0]), groups)
     with pytest.raises(regression.RankDeficient):
         regression.least_squares(frame, frame.factor(idx), ["x"], ["y"])
 
@@ -832,14 +842,13 @@ def test_gram_path_refers_a_near_constant_response_to_qr():
 
 def _qr_reference(formula, cols, data, cfg):
     """Kept rows and dropped count of one-at-a-time QR evaluation."""
-    members = (None if cfg.cluster_col is None
-               else _cluster_index_pool(data, cfg.cluster_col))
+    groups = (None if cfg.cluster_col is None
+              else _cluster_ids(data, cfg.cluster_col))
     rows = []
-    for rep in range(cfg.bootstrap_reps):
-        idx = _replicate_indices(_replicate_rng(cfg.seed, rep), data.n_rows,
-                                 members)
+    for counts in _counts(data, groups, cfg.seed, range(cfg.bootstrap_reps)):
         try:
-            rows.append(formula.quantities(cols, idx))
+            rows.append(formula.quantities(cols,
+                                           _replicate_rows(counts, groups)))
         except (NumericError, TooFewRows):
             continue
     return np.array(rows, dtype=float), cfg.bootstrap_reps - len(rows)
@@ -864,17 +873,24 @@ def _resampled(data, cfg):
     frame = _bind(data, cfg)[1]
     if cfg.cluster_col is None:
         return frame
-    return frame.grouped(_cluster_index_pool(data, cfg.cluster_col))
+    return frame.grouped(_cluster_ids(data, cfg.cluster_col))
 
 
 def _batch_size(data, cfg):
     return _resampled(data, cfg).batch
 
 
-def _grams(frame, members, seed, reps):
+def _counts(data, groups, seed, reps):
+    """The engine's counts of replicates ``reps`` over the rows, or over
+    the clusters ``groups`` numbers."""
+    units = data.n_rows if groups is None else groups.max() + 1
+    return _replicate_counts(seed, reps, units)
+
+
+def _grams(frame, groups, seed, reps):
     """The engine's Gram stack of replicates ``reps``."""
-    if members is not None:
-        frame = frame.grouped(members)
+    if groups is not None:
+        frame = frame.grouped(groups)
     return frame.grams(_replicate_counts(seed, reps, frame.units))
 
 
@@ -970,6 +986,53 @@ def test_counts_past_the_count_width_leave_the_rows(monkeypatch,
     assert np.array_equal(got[0], want[0])
 
 
+def _drawn_counts(seed, rep, units):
+    """The draw, written out: replicate ``rep`` draws ``units`` units with
+    replacement from its own seed stream, and counts them."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
+    return np.bincount(rng.integers(0, units, units), minlength=units)
+
+
+@pytest.mark.parametrize("seed, reps, units", [
+    (0, range(4), 1),
+    (0, range(3), 2),
+    (7, [0, 999, 4], 300),
+    (2**32 - 1, [12345], 2675),
+    (123_456_789_012, [1, 0], 50_000),
+])
+def test_replicate_counts_are_the_documented_draw(seed, reps, units):
+    counts = _replicate_counts(seed, reps, units)
+    assert counts.shape == (len(reps), units)
+    for row, rep in zip(counts, reps):
+        assert np.array_equal(row, _drawn_counts(seed, rep, units))
+
+
+@pytest.mark.parametrize("cluster_col", [None, "C"])
+def test_bootstrap_rows_are_the_draw_in_row_order(cluster_col):
+    # Each replicate's rows, in row order, each as often as the draw
+    # counted it, or its cluster: the units are the clusters in sorted id
+    # order, whatever order the rows list them in.
+    cluster = [40.0, -7.0, 40.0, 3.5, 1e6, -7.0, 3.5, 3.5]
+    data = Dataset({"R": np.arange(8.0), "C": np.array(cluster)})
+    seen = []
+
+    def record(d):
+        seen.append(d["R"])
+        return float(len(seen))
+
+    bootstrap(data, AnalysisConfig(bootstrap_reps=20, seed=3,
+                                   cluster_col=cluster_col), record)
+    unit = {value: c for c, value in enumerate(sorted(set(cluster)))}
+    for rep, rows in enumerate(seen):
+        if cluster_col is None:
+            times = _drawn_counts(3, rep, 8)
+        else:
+            drawn = _drawn_counts(3, rep, len(unit))
+            times = [drawn[unit[value]] for value in cluster]
+        assert np.array_equal(rows, np.repeat(np.arange(8.0), times))
+
+
 def _short_clusters():
     # The data of test_short_cluster_replicate_is_dropped.
     cluster = np.repeat(np.arange(6.0), (1, 1, 30, 30, 30, 30))
@@ -993,10 +1056,10 @@ def test_untrusted_replicate_inside_a_batch(monkeypatch, make_data,
                          seed=seed, bootstrap_reps=reps,
                          cluster_col=cluster_col)
     formula, frame = _bind(data, cfg)
-    members = (None if cluster_col is None
-               else _cluster_index_pool(data, cluster_col))
+    groups = (None if cluster_col is None
+              else _cluster_ids(data, cluster_col))
     rows = _gram_rows(formula, frame,
-                      _grams(frame, members, seed, range(reps)))
+                      _grams(frame, groups, seed, range(reps)))
     untrusted = [rep for rep, row in enumerate(rows)
                  if not np.isfinite(row).all()]
     # Batches of ten: some untrusted replicate has trusted neighbours in
@@ -1007,9 +1070,8 @@ def test_untrusted_replicate_inside_a_batch(monkeypatch, make_data,
     assert any(rep % 10 not in (0, 9) and rep - 1 not in untrusted
                and rep + 1 not in untrusted for rep in untrusted)
     if cluster_col is not None:
-        for rep in untrusted:
-            idx = _replicate_indices(_replicate_rng(seed, rep), data.n_rows,
-                                     members)
+        counts = _counts(data, groups, seed, untrusted)
+        for idx in (_replicate_rows(c, groups) for c in counts):
             assert idx.size <= 6
             with pytest.raises(TooFewRows):
                 formula.quantities(frame, idx)
@@ -1024,10 +1086,10 @@ def test_batch_whose_stacked_cholesky_raises(monkeypatch):
     data = _earnings_data(seed=7, n=300, clusters=15)
     cfg = AnalysisConfig(spec=_role_spec("placebo_outcome"), seed=3,
                          bootstrap_reps=64, cluster_col="C")
-    members = _cluster_index_pool(data, "C")
-    sizes = [_replicate_indices(_replicate_rng(cfg.seed, rep), data.n_rows,
-                                members).size
-             for rep in range(cfg.bootstrap_reps)]
+    groups = _cluster_ids(data, "C")
+    sizes = [_replicate_rows(counts, groups).size
+             for counts in _counts(data, groups, cfg.seed,
+                                   range(cfg.bootstrap_reps))]
     marked = np.array(sizes) == sizes[20]
     cholesky = np.linalg.cholesky
     raised = []
@@ -1065,7 +1127,7 @@ def test_vanishing_placebo_pair_in_one_replicate_is_dropped():
     data = _earnings_data(seed=4, n=200)
     formula, cols = _bind(data, AnalysisConfig(
         spec=_role_spec("double_placebo")))
-    idx = _replicate_indices(_replicate_rng(2, 30), data.n_rows, None)
+    idx = _replicate_rows(_counts(data, None, 2, [30])[0])
     beta_np = formula.quantities(cols, idx)[3]
     spec = DoublePlaceboSpec(outcome_col="Y", treatment_col="D",
                              placebo_treatment_col="P",
@@ -1089,14 +1151,10 @@ def test_cluster_grams_match_row_weighted_grams(sizes):
                     "C": cluster.astype(float)})
     _, frame = _bind(data, AnalysisConfig(
         spec=_role_spec("observed_confounder_1")))
-    members = _cluster_index_pool(data, "C")
+    groups = _cluster_ids(data, "C")
     reps = range(50)
-    got = _grams(frame, members, 4, reps)
-    weights = np.array([
-        np.bincount(_replicate_indices(_replicate_rng(4, rep), data.n_rows,
-                                       members), minlength=data.n_rows)
-        for rep in reps])
-    want = frame.grams(weights)
+    got = _grams(frame, groups, 4, reps)
+    want = frame.grams(_counts(data, groups, 4, reps)[:, groups])
     diag = np.sqrt(np.diagonal(want, axis1=1, axis2=2))
     scale = diag[:, :, None] * diag[:, None, :]
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
