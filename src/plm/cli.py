@@ -1,9 +1,10 @@
 """Command line interface.
 
 Subcommands: table, contour, line, did, semiparam, simulate, verify.
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-degeneracy. The PLM_SEED environment variable overrides the configured
-bootstrap seed for table/contour/line runs.
+Exit codes: 0 success, 2 configuration error (or a request too large for
+memory), 3 data error, 4 numeric degeneracy. The PLM_SEED environment
+variable overrides the configured bootstrap seed for table/contour/line
+runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .did import DIDAssumption, GroupMeans, att, dim, m_to_w, \
     parallel_trends_gap
 from .engine import run_contour, run_line, run_table
 from .errors import ConfigError, DataError, NumericError, PlmError
-from .io import _EDGE_KEYS, RunConfig, _write_chunks, emit_outputs, \
+from .io import REQUIRED_KEYS, RunConfig, _write_chunks, emit_outputs, \
     load_csv, parse_run_config, write_dataset_csv
 from .selfcheck import run_selfcheck
 from .semiparam import SemiparamInputs, adjust_partially_linear
@@ -34,43 +35,51 @@ def _implied_edge_help(text: str, edge: str) -> str:
     return f"{text} ({', '.join(roles)} only)"
 
 
-# The flags that define an analysis: (flag, needed without --config,
-# argparse keywords). A config file holds the same information, so --config
-# clashes with each of them.
+def _column_list(text: str) -> list[str]:
+    return [c.strip() for c in text.split(",") if c.strip()]
+
+
+# The flags that define an analysis: (flag, the config key it sets, argparse
+# keywords); "{kind}" is the subcommand. A config file holds the same keys,
+# so --config clashes with each of them.
 _ANALYSIS_FLAGS = (
-    ("--data", True, dict(metavar="PATH", help="input CSV")),
-    ("--outcome", True, dict(metavar="COL")),
-    ("--treatment", True, dict(metavar="COL")),
-    ("--placebo", True, dict(metavar="COL")),
-    ("--role", True, dict(choices=ROLES)),
-    ("--covariates", False, dict(metavar="COL,COL",
-                                 help="comma separated covariate columns")),
-    ("--edge-d-to-p", False, dict(action="store_true",
-                                  help="treatment affects the placebo")),
-    ("--edge-p-to-y", False, dict(action="store_true",
-                                  help="placebo affects the outcome")),
-    ("--edge-p-to-d", False, dict(action="store_true",
-                                  help=_implied_edge_help(
-                                      "placebo affects the treatment",
-                                      "p_to_d"))),
-    ("--edge-y-to-p", False, dict(action="store_true",
-                                  help=_implied_edge_help(
-                                      "outcome affects the placebo",
-                                      "y_to_p"))),
-    ("--k", False, dict(nargs=2, type=float, metavar=("MIN", "MAX"))),
-    ("--direct", False, dict(nargs=2, type=float, metavar=("MIN", "MAX"))),
-    ("--grid", False, dict(type=int)),
-    ("--reps", False, dict(type=int, help="bootstrap replicates")),
-    ("--seed", False, dict(type=int)),
-    ("--ci-level", False, dict(type=float)),
-    ("--out", True, dict(metavar="PATH", help="output file")),
-    ("--svg", False, dict(metavar="PATH",
-                          help="also render an SVG (contour and line only)")),
+    ("--data", "data_path", dict(metavar="PATH", help="input CSV")),
+    ("--outcome", "outcome", dict(metavar="COL")),
+    ("--treatment", "treatment", dict(metavar="COL")),
+    ("--placebo", "placebo", dict(metavar="COL")),
+    ("--role", "role", dict(choices=ROLES)),
+    ("--covariates", "covariates", dict(
+        type=_column_list, metavar="COL,COL",
+        help="comma separated covariate columns")),
+    ("--edge-d-to-p", "edges.d_to_p", dict(
+        action="store_true", help="treatment affects the placebo")),
+    ("--edge-p-to-y", "edges.p_to_y", dict(
+        action="store_true", help="placebo affects the outcome")),
+    ("--edge-p-to-d", "edges.p_to_d", dict(
+        action="store_true",
+        help=_implied_edge_help("placebo affects the treatment", "p_to_d"))),
+    ("--edge-y-to-p", "edges.y_to_p", dict(
+        action="store_true",
+        help=_implied_edge_help("outcome affects the placebo", "y_to_p"))),
+    ("--k", "k", dict(nargs=2, type=float, metavar=("MIN", "MAX"))),
+    ("--direct", "direct", dict(nargs=2, type=float, metavar=("MIN", "MAX"))),
+    ("--grid", "grid", dict(type=int)),
+    ("--reps", "bootstrap.reps", dict(type=int, help="bootstrap replicates")),
+    ("--seed", "bootstrap.seed", dict(type=int)),
+    ("--ci-level", "ci_level", dict(type=float)),
+    ("--out", "outputs.{kind}", dict(metavar="PATH", help="output file")),
+    ("--svg", "outputs.svg", dict(
+        metavar="PATH", help="also render an SVG (contour and line only)")),
 )
 
 
 def _flag_value(args, flag: str):
     return getattr(args, flag[2:].replace("-", "_"))
+
+
+def _given(value) -> bool:
+    """An unset flag holds None, an unset switch False; 0 is a value."""
+    return value is not None and value is not False
 
 
 def _env_seed() -> int | None:
@@ -128,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
                                         help=help_text)
         analyses[kind].set_defaults(
             func=functools.partial(_run_analysis, kind))
-    # Unset line flags stay off the namespace, so run_line's own defaults
-    # apply (see _run_analysis).
+    # Unset line, semiparam and verify flags stay off the namespace, so the
+    # library's own defaults apply.
     analyses["line"].add_argument("--vary", choices=("k", "direct"),
                                   dest="varying", default=argparse.SUPPRESS)
     analyses["line"].add_argument(
@@ -164,10 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_semi.add_argument("--theta-l-n", type=float, default=0.0,
                         help="assumed true effect on the placebo")
     p_semi.add_argument("--k", type=float, required=True)
-    p_semi.add_argument("--gamma", type=float, default=1.0)
-    p_semi.add_argument("--s2-y", type=float, default=1.0)
-    p_semi.add_argument("--s2-n", type=float, default=1.0)
-    p_semi.add_argument("--sign-m", type=int, choices=(-1, 1), default=1)
+    p_semi.add_argument("--gamma", type=float, default=argparse.SUPPRESS)
+    p_semi.add_argument("--s2-y", type=float, default=argparse.SUPPRESS)
+    p_semi.add_argument("--s2-n", type=float, default=argparse.SUPPRESS)
+    p_semi.add_argument("--sign-m", type=int, choices=(-1, 1),
+                        default=argparse.SUPPRESS)
     p_semi.add_argument("--out", metavar="PATH")
     p_semi.set_defaults(func=_run_semiparam)
 
@@ -192,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="run randomized internal consistency checks",
     )
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--draws", type=int, default=25)
+    p_verify.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p_verify.add_argument("--draws", type=int, default=argparse.SUPPRESS)
     p_verify.set_defaults(func=_run_verify)
 
     return parser
@@ -207,41 +217,30 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _run_config_from_flags(kind: str, args) -> RunConfig:
-    missing = [flag for flag, needed, _ in _ANALYSIS_FLAGS
-               if needed and _flag_value(args, flag) is None]
+    """The mapping a config file would hold, built from the given flags."""
+    raw, missing = {}, []
+    for flag, key, _ in _ANALYSIS_FLAGS:
+        key = key.format(kind=kind)
+        value = _flag_value(args, flag)
+        if not _given(value):
+            if key in (*REQUIRED_KEYS, f"outputs.{kind}"):
+                missing.append(flag)
+        elif "." in key:
+            group, name = key.split(".")
+            raw.setdefault(group, {})[name] = value
+        else:
+            raw[key] = value
     if missing:
         raise ConfigError(f"missing {', '.join(missing)} (or use --config)")
-    covariates = [c.strip() for c in (args.covariates or "").split(",")
-                  if c.strip()]
-    edges = {key: True for key in _EDGE_KEYS if getattr(args, f"edge_{key}")}
-    outputs = {kind: args.out}
-    if args.svg:
-        if kind == "table":
-            raise ConfigError("--svg is for contour and line; table draws "
-                              "no SVG")
-        outputs["svg"] = args.svg
-    # Only the settings given: AnalysisConfig holds the defaults.
-    settings = {"k": args.k, "direct": args.direct, "grid": args.grid,
-                "ci_level": args.ci_level}
-    bootstrap = {"reps": args.reps, "seed": args.seed}
-    return RunConfig(
-        data_path=args.data,
-        outcome=args.outcome,
-        treatment=args.treatment,
-        placebo=args.placebo,
-        role=args.role,
-        edges=edges,
-        covariates=covariates,
-        bootstrap={key: v for key, v in bootstrap.items() if v is not None},
-        outputs=outputs,
-        **{key: v for key, v in settings.items() if v is not None},
-    )
+    if kind == "table" and "svg" in raw["outputs"]:
+        raise ConfigError("--svg is for contour and line; table draws no SVG")
+    return RunConfig(**raw)
 
 
 def _run_analysis(kind: str, args) -> int:
     if args.config is not None:
         clashing = [flag for flag, _, _ in _ANALYSIS_FLAGS
-                    if _flag_value(args, flag) not in (None, False)]
+                    if _given(_flag_value(args, flag))]
         if clashing:
             raise ConfigError(
                 f"--config cannot be combined with {', '.join(clashing)}"
@@ -257,18 +256,19 @@ def _run_analysis(kind: str, args) -> int:
         seed=_env_seed(),
     )
     data = load_csv(cfg.data_path)
-    results = {}
-    if kind == "table":
-        results["table"] = run_table(data, engine_cfg)
-    elif kind == "contour":
-        results["contour"] = run_contour(data, engine_cfg)
-    else:
-        given = {name: value for name, value in vars(args).items()
-                 if name in ("varying", "fixed_percentiles")}
-        results["line"] = run_line(data, engine_cfg, **given)
-    for path in emit_outputs(results, cfg):
+    runner = {"table": run_table, "contour": run_contour,
+              "line": run_line}[kind]
+    given = {name: value for name, value in vars(args).items()
+             if name in ("varying", "fixed_percentiles")}
+    for path in emit_outputs({kind: runner(data, engine_cfg, **given)}, cfg):
         print(path)
     return 0
+
+
+def _library_kwargs(args) -> dict:
+    """The options given to a subcommand, under the library's names."""
+    return {name: value for name, value in vars(args).items()
+            if name not in ("command", "func", "out")}
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -296,16 +296,7 @@ def _run_did(args) -> int:
 
 
 def _run_semiparam(args) -> int:
-    inputs = SemiparamInputs(
-        theta_s_y=args.theta_s_y,
-        theta_s_n=args.theta_s_n,
-        theta_l_n=args.theta_l_n,
-        k=args.k,
-        gamma=args.gamma,
-        s2_y=args.s2_y,
-        s2_n=args.s2_n,
-        sign_m=args.sign_m,
-    )
+    inputs = SemiparamInputs(**_library_kwargs(args))
     _emit_json({"estimate": adjust_partially_linear(inputs)}, args.out)
     return 0
 
@@ -344,7 +335,7 @@ def _run_simulate(args) -> int:
 
 
 def _run_verify(args) -> int:
-    report = run_selfcheck(seed=args.seed, draws=args.draws)
+    report = run_selfcheck(**_library_kwargs(args))
     print(f"draws per case: {report.draws}")
     print(f"single-placebo recovery, max abs error: "
           f"{report.max_recovery_error:.3e}")
@@ -379,6 +370,12 @@ def cli_main(argv=None) -> int:
         return 4
     except PlmError as exc:
         print(f"plm: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # A grid or replicate count too large for this machine.
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"plm: configuration error: the request does not fit in "
+              f"memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -202,6 +202,7 @@ def write_dataset_csv(data: Dataset, path) -> Path:
     return _write_chunks(path, blocks())
 
 
+REQUIRED_KEYS = ("data_path", "outcome", "treatment", "placebo", "role")
 _EDGE_KEYS = ("d_to_p", "p_to_y", "p_to_d", "y_to_p")
 _BOOTSTRAP_KEYS = ("reps", "seed")
 _OUTPUT_KEYS = ("table", "contour", "line", "svg")
@@ -353,8 +354,7 @@ def parse_run_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "config")
-    missing = [key for key in ("data_path", "outcome", "treatment",
-                               "placebo", "role") if key not in raw]
+    missing = [key for key in REQUIRED_KEYS if key not in raw]
     if missing:
         raise ConfigError(f"config {path} lacks required keys: {missing}")
     return RunConfig(base_dir=path.parent, **raw)

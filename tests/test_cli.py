@@ -16,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 import plm
 from plm.adjust import _ROLE_TABLE, ROLES
 from plm.cli import _ANALYSIS_FLAGS, cli_main
-from plm.io import load_csv, read_table_csv, write_dataset_csv
+from plm.io import load_csv, parse_run_config, read_table_csv, \
+    write_dataset_csv
 from plm.regression import Dataset
 from plm.selfcheck import random_recipe
 from plm.simulate import SCMRecipe, simulate_scm
@@ -120,6 +121,81 @@ def test_config_clashes_with_flags(tmp_path, capsys):
                      "--data", str(data_path)])
     assert code == 2
     assert "--data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--reps", "--grid", "--ci-level"])
+def test_config_clashes_with_zero_valued_flags(tmp_path, capsys, flag):
+    # A flag given as 0 used to pass the clash check, and the config's value
+    # was used in its place.
+    _data_csv(tmp_path)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**_RUN, "bootstrap": {"reps": 20}}),
+                      encoding="utf-8")
+    assert cli_main(["table", "--config", str(config), flag, "0"]) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_flags_and_config_file_build_the_same_run(tmp_path, monkeypatch):
+    # Every analysis flag with a non-default value, against a config file
+    # holding the same keys; one role cannot take all four edges.
+    monkeypatch.chdir(tmp_path)
+    _data_csv(tmp_path)
+    used = set()
+    for role, edges in (("placebo_outcome", ("d_to_p", "p_to_y")),
+                        ("observed_confounder_2", ("p_to_d", "p_to_y")),
+                        ("post_outcome", ("d_to_p", "y_to_p"))):
+        argv = ["contour", "--data", "data.csv", "--outcome", "Y",
+                "--treatment", "D", "--placebo", "P", "--role", role,
+                "--covariates", "Z1",
+                *("--edge-" + edge.replace("_", "-") for edge in edges),
+                "--k", "-1", "3", "--direct", "-0.5", "0.5", "--grid", "7",
+                "--reps", "50", "--seed", "9", "--ci-level", "0.9",
+                "--out", "c.csv", "--svg", "c.svg"]
+        Path("run.json").write_text(json.dumps({
+            "data_path": "data.csv", "outcome": "Y", "treatment": "D",
+            "placebo": "P", "role": role, "covariates": ["Z1"],
+            "edges": {edge: True for edge in edges},
+            "k": [-1, 3], "direct": [-0.5, 0.5], "grid": 7,
+            "bootstrap": {"reps": 50, "seed": 9}, "ci_level": 0.9,
+            "outputs": {"contour": "c.csv", "svg": "c.svg"},
+        }), encoding="utf-8")
+        flags = plm.cli._run_config_from_flags(
+            "contour", plm.cli._parser().parse_args(argv))
+        config = parse_run_config("run.json")
+        assert flags.spec == config.spec
+        assert flags.analysis_config() == config.analysis_config()
+        assert flags.outputs == config.outputs
+        used.update(arg for arg in argv if arg.startswith("--"))
+    assert used == {flag for flag, _, _ in _ANALYSIS_FLAGS}
+
+
+@pytest.mark.parametrize("kind", ["table", "contour", "line"])
+def test_every_analysis_flag_sets_a_config_key(kind):
+    nested = {"edges": plm.io._EDGE_KEYS,
+              "bootstrap": plm.io._BOOTSTRAP_KEYS,
+              "outputs": plm.io._OUTPUT_KEYS}
+    for flag, key, _ in _ANALYSIS_FLAGS:
+        group, _, name = key.format(kind=kind).partition(".")
+        assert group in plm.io._TOP_KEYS, flag
+        assert not name or name in nested[group], flag
+
+
+def test_out_of_memory_exits_two_with_one_line(tmp_path, monkeypatch,
+                                               capsys):
+    # Stands in for a grid too large to allocate; nothing is allocated.
+    def no_room(data, cfg, **kwargs):
+        raise MemoryError("Unable to allocate 671. GiB for an array")
+
+    monkeypatch.setattr(plm.cli, "run_contour", no_room)
+    out = tmp_path / "big.csv"
+    argv = ["contour", "--data", str(_data_csv(tmp_path)), *_FLAGS,
+            "--grid", "300000", "--out", str(out)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "does not fit in memory" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_flag_form_missing_pieces(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for the grid/contour/line runners and the bootstrap."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -47,7 +48,8 @@ from plm.errors import (
 from plm import engine, regression
 from plm.regression import Dataset, ScaledColumns
 from plm.selfcheck import random_recipe
-from plm.simulate import SCMRecipe, simulate_scm
+from plm.simulate import SCMRecipe, population_regression, \
+    recipe_covariance, simulate_scm
 
 
 def _data(seed=1, n=300, graph_case="b"):
@@ -1243,3 +1245,63 @@ def test_bootstrap_does_not_depend_on_a_covariates_units(
     for row, want_row in zip(got.rows, want.rows, strict=True):
         assert row[:3] == want_row[:3]
         assert row[3:] == pytest.approx(want_row[3:], rel=1e-10)
+
+
+# Each role's target and placebo coefficient, as (response, regressors,
+# column) of its short regressions, and its SF as the (response,
+# regressors) pair whose residual SDs it divides. The long regressions add
+# the confounder Z1.
+_POPULATION_ROLES = {
+    "placebo_outcome": (("Y", ("D",), "D"), ("P", ("D",), "D"),
+                        (("Y", ("D",)), ("P", ("D",)))),
+    "placebo_treatment": (("Y", ("D", "P"), "D"), ("Y", ("D", "P"), "P"),
+                          (("P", ("D",)), ("D", ("P",)))),
+}
+
+
+def _population_point(recipe, role):
+    """The population target and the (k, direct) that reach it."""
+    names, sigma = recipe_covariance(recipe)
+    at = {name: i for i, name in enumerate(names)}
+
+    def coef(response, regressors, column):
+        return population_regression(names, sigma, response,
+                                     regressors)[column]
+
+    def residual_sd(response, regressors):
+        beta = population_regression(names, sigma, response, regressors)
+        return np.sqrt(sigma[at[response], at[response]] - sum(
+            b * sigma[at[name], at[response]] for name, b in beta.items()))
+
+    target, placebo, (num, den) = _POPULATION_ROLES[role]
+    long_target = coef(target[0], (*target[1], "Z1"), target[2])
+    direct = coef(placebo[0], (*placebo[1], "Z1"), placebo[2])
+    sf = residual_sd(*num) / residual_sd(*den)
+    k = (coef(*target) - long_target) / ((coef(*placebo) - direct) * sf)
+    return long_target, k, direct
+
+
+@pytest.mark.parametrize("role", ["placebo_outcome", "placebo_treatment"])
+def test_adjusted_estimate_ci_covers_the_population_target(role):
+    # Acceptance 10's form for an adjusted estimate, a ratio through SF:
+    # 200 datasets from one recipe, each row-bootstrap CI taken at the
+    # population (k, direct). The bound, at least 186 of 200 at nominal 95%,
+    # was set before the first run.
+    recipe = random_recipe("a", seed=0, n=400)
+    target, k, direct = _population_point(recipe, role)
+    spec = PlaceboSpec(outcome_col="Y", treatment_col="D", placebo_col="P",
+                       role=role)
+    covered = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in range(200):
+            data = simulate_scm(dataclasses.replace(recipe,
+                                                    seed=100_000 + r))
+            cfg = AnalysisConfig(spec=spec, k_range=(k, k),
+                                 direct_range=(direct, direct),
+                                 grid_points_per_axis=1, bootstrap_reps=400,
+                                 seed=r)
+            (row,) = [row for row in run_table(data, cfg).rows
+                      if row.label == "Grid"]
+            covered += row.ci_low <= target <= row.ci_high
+    assert covered >= 186, f"coverage {covered}/200 below 93%"
