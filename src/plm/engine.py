@@ -9,10 +9,12 @@ double placebo's four short coefficients) on rows ``idx`` by QR
 maps rows to their ``triple`` (target, placebo, scale). From the triple on
 every spec is the same: the estimate is ``adjust.ovb_estimate``, target -
 k * (placebo - direct) * scale, with a role's SF or the double placebo's
-pair slope as the scale. It is affine in each sensitivity parameter, so
-the bootstrap resamples once, stores the per-replicate quantities, and
-reuses them for every grid point, anchor row and line slice. ``anchors``,
-``metadata`` and ``warn_large_k`` complete the formula.
+pair slope as the scale. ``anchors``, ``metadata`` and ``warn_large_k``
+complete the formula. Every runner fits once (``_fit``): bind, full-sample
+quantities, bootstrap (table and line), triples and metadata. The estimate
+is affine in each sensitivity parameter, so the replicates' triples serve
+every point: ``_evaluate`` gives each table row and line point its estimate,
+SE and percentile interval, at most ``BATCH_BYTES`` of draws at a time.
 
 Each run builds one frame, ``regression.ScaledColumns``: an intercept
 and the columns the formula reads, centred and scaled once. Everything
@@ -59,6 +61,7 @@ each in increasing direct, a point repeated where two grid lines meet on it.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -73,7 +76,7 @@ from .errors import (
     NumericError,
     TooFewRows,
 )
-from .regression import Dataset, ScaledColumns
+from .regression import BATCH_BYTES, Dataset, ScaledColumns
 
 # A replicate that raises one of these is dropped and counted; a cluster
 # resample can come out with too few rows for the design.
@@ -195,17 +198,14 @@ def standard_did_k(sf: float) -> float:
 
 def _bind(data: Dataset, cfg: AnalysisConfig):
     """The spec's formula and the run's frame (``ScaledColumns``) of the
-    columns it reads, after its large-k warning; the one place that tells
-    the kinds of spec apart."""
+    columns it reads; the one place that tells the kinds of spec apart."""
     if cfg.spec is None:
         raise ConfigError("config.spec must be a PlaceboSpec or "
                           "DoublePlaceboSpec")
     formula = (DoubleFormula(cfg.spec)
                if isinstance(cfg.spec, DoublePlaceboSpec)
                else dispatch_case(cfg.spec))
-    frame = ScaledColumns(data, formula.columns)
-    formula.warn_large_k(max(abs(cfg.k_range[0]), abs(cfg.k_range[1])))
-    return formula, frame
+    return formula, ScaledColumns(data, formula.columns)
 
 
 def _surface(target, placebo, scale):
@@ -319,14 +319,6 @@ def _bootstrap_quantities(formula, frame: ScaledColumns, data: Dataset,
     return q_rows, failures
 
 
-def _ci_bounds(values: np.ndarray, ci_level: float, axis=None):
-    alpha = 1.0 - ci_level
-    lo, hi = np.percentile(values,
-                           [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)],
-                           axis=axis)
-    return lo, hi
-
-
 def _axis_quartiles(bounds: tuple[float, float], g: int) -> np.ndarray:
     """g interior range quantiles, i / (g + 1) of the way across."""
     lo, hi = bounds
@@ -334,20 +326,52 @@ def _axis_quartiles(bounds: tuple[float, float], g: int) -> np.ndarray:
     return np.unique(lo + fractions * (hi - lo))
 
 
-def _metadata(formula, data: Dataset, cfg: AnalysisConfig, q_full,
-              failures: int | None = None) -> dict:
-    """Run description; ``failures`` is given by the bootstrap runners."""
+def _fit(data: Dataset, cfg: AnalysisConfig, resample: bool):
+    """Every runner's one fit: the (target, placebo, scale) triple of the
+    full sample and, if ``resample``, of the kept replicates (else None), the
+    metadata, the formula and ``q_full``. The large-k warning is issued again
+    here, so that it names the line that called the runner."""
+    formula, frame = _bind(data, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        formula.warn_large_k(max(map(abs, cfg.k_range)))
+    for warning in caught:
+        warnings.warn(warning.message, stacklevel=3)
+    q_full = np.asarray(formula.quantities(frame))
     meta = {"n_rows": data.n_rows, "seed": cfg.seed,
             **formula.metadata(q_full)}
-    if failures is not None:
-        meta.update(
-            bootstrap_reps=cfg.bootstrap_reps,
-            bootstrap_failures=failures,
-            ci_level=cfg.ci_level,
-            freeze_sf=cfg.freeze_sf,
-            cluster_col=cfg.cluster_col,
-        )
-    return meta
+    reps = None
+    if resample:
+        q_rows, failures = _bootstrap_quantities(formula, frame, data, cfg,
+                                                 q_full)
+        reps = formula.triple(q_rows)
+        meta.update(bootstrap_reps=cfg.bootstrap_reps,
+                    bootstrap_failures=failures, ci_level=cfg.ci_level,
+                    freeze_sf=cfg.freeze_sf, cluster_col=cfg.cluster_col)
+    return formula.triple(q_full), reps, meta, formula, q_full
+
+
+def _spread(draws: np.ndarray, ci_level: float):
+    """Standard error (ddof 1) and percentile interval at ``ci_level`` of
+    ``draws`` along their last axis."""
+    alpha = 1.0 - ci_level
+    lo, hi = np.percentile(draws,
+                           [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)],
+                           axis=-1)
+    return np.std(draws, axis=-1, ddof=1), lo, hi
+
+
+def _evaluate(full, reps, k: np.ndarray, direct: np.ndarray,
+              ci_level: float):
+    """Estimate, SE, CI low and CI high at the points (k[i], direct[i]),
+    forming the replicates' draws at most BATCH_BYTES at a time."""
+    se, lo, hi = np.empty((3, len(k)))
+    block = max(1, BATCH_BYTES // (8 * len(reps[0])))
+    for start in range(0, len(k), block):
+        at = slice(start, start + block)
+        se[at], lo[at], hi[at] = _spread(
+            ovb_estimate(*reps, k[at, None], direct[at, None]), ci_level)
+    return ovb_estimate(*full, k, direct), se, lo, hi
 
 
 def run_table(data: Dataset, cfg: AnalysisConfig) -> ResultTable:
@@ -360,29 +384,21 @@ def run_table(data: Dataset, cfg: AnalysisConfig) -> ResultTable:
     parameter ranges, i / (g + 1) across each span, so the default g = 3
     gives the quartile points.
     """
-    formula, frame = _bind(data, cfg)
-    q_full = np.asarray(formula.quantities(frame))
-    anchors, anchor_meta = formula.anchors(q_full)
     g = 3 if cfg.grid_points_per_axis is None else cfg.grid_points_per_axis
     k_values = _axis_quartiles(cfg.k_range, g)
     direct_values = _axis_quartiles(cfg.direct_range, g)
-    points = anchors + [
-        ("Grid", float(k), float(dv))
-        for k in k_values
-        for dv in direct_values
-    ]
-    q_rows, failures = _bootstrap_quantities(formula, frame, data, cfg,
-                                             q_full)
-    full, reps = formula.triple(q_full), formula.triple(q_rows)
-    rows = []
-    for label, k, dv in points:
-        draws = ovb_estimate(*reps, k, dv)
-        lo, hi = _ci_bounds(draws, cfg.ci_level)
-        rows.append(TableRow(label, k, dv, float(ovb_estimate(*full, k, dv)),
-                             float(np.std(draws, ddof=1)), float(lo),
-                             float(hi)))
-    meta = _metadata(formula, data, cfg, q_full, failures)
-    return ResultTable(rows=tuple(rows), metadata={**meta, **anchor_meta})
+    # Built before the fit, so a grid too large to hold fails at once.
+    grid_k = np.repeat(k_values, len(direct_values))
+    grid_direct = np.tile(direct_values, len(k_values))
+    full, reps, meta, formula, q_full = _fit(data, cfg, resample=True)
+    anchors, anchor_meta = formula.anchors(q_full)
+    labels, anchor_k, anchor_direct = zip(*anchors)
+    k = np.concatenate([anchor_k, grid_k])
+    direct = np.concatenate([anchor_direct, grid_direct])
+    values = _evaluate(full, reps, k, direct, cfg.ci_level)
+    rows = tuple(map(TableRow, labels + ("Grid",) * len(grid_k),
+                     *(column.tolist() for column in (k, direct, *values))))
+    return ResultTable(rows=rows, metadata={**meta, **anchor_meta})
 
 
 def run_contour(data: Dataset, cfg: AnalysisConfig) -> ContourGrid:
@@ -391,21 +407,16 @@ def run_contour(data: Dataset, cfg: AnalysisConfig) -> ContourGrid:
     No bootstrap: the surface is a point-estimate map, with the zero-level
     set found in closed form from ``_surface`` for overlay plots.
     """
-    formula, frame = _bind(data, cfg)
-    q_full = np.asarray(formula.quantities(frame))
-    full = formula.triple(q_full)
+    full, _, meta, *_ = _fit(data, cfg, resample=False)
     g = 201 if cfg.grid_points_per_axis is None else cfg.grid_points_per_axis
     k_values = np.linspace(*cfg.k_range, g)
     direct_values = np.linspace(*cfg.direct_range, g)
-    return ContourGrid(
-        k_values=k_values,
-        direct_values=direct_values,
-        estimates=ovb_estimate(*full, k_values[:, None],
-                               direct_values[None, :]),
-        zero_contour=tuple(_zero_contour(k_values, direct_values,
-                                         *_surface(*full))),
-        metadata=_metadata(formula, data, cfg, q_full),
-    )
+    return ContourGrid(k_values=k_values, direct_values=direct_values,
+                       estimates=ovb_estimate(*full, k_values[:, None],
+                                              direct_values[None, :]),
+                       zero_contour=tuple(_zero_contour(
+                           k_values, direct_values, *_surface(*full))),
+                       metadata=meta)
 
 
 def run_line(data: Dataset, cfg: AnalysisConfig, varying: str = "k",
@@ -421,31 +432,21 @@ def run_line(data: Dataset, cfg: AnalysisConfig, varying: str = "k",
         raise ConfigError("fixed_percentiles must sit in [0, 1]")
     if not fixed_percentiles:
         raise ConfigError("at least one fixed percentile is required")
-    formula, frame = _bind(data, cfg)
-    q_full = np.asarray(formula.quantities(frame))
     g = 201 if cfg.grid_points_per_axis is None else cfg.grid_points_per_axis
-    vary_bounds = cfg.k_range if varying == "k" else cfg.direct_range
-    fixed_bounds = cfg.direct_range if varying == "k" else cfg.k_range
+    bounds = (cfg.k_range, cfg.direct_range)
+    vary_bounds, (lo, hi) = bounds if varying == "k" else bounds[::-1]
     axis = np.linspace(*vary_bounds, g)
-    fixed_values = tuple(
-        float(fixed_bounds[0] + f * (fixed_bounds[1] - fixed_bounds[0]))
-        for f in fixed_percentiles
-    )
-    q_rows, failures = _bootstrap_quantities(formula, frame, data, cfg,
-                                             q_full)
-    full, reps = formula.triple(q_full), formula.triple(q_rows)
+    fixed_values = tuple(float(lo + f * (hi - lo)) for f in fixed_percentiles)
+    full, reps, meta, *_ = _fit(data, cfg, resample=True)
     curves = []
     for fv in fixed_values:
-        k, dv = (axis[:, None], fv) if varying == "k" else (fv, axis[:, None])
-        lo, hi = _ci_bounds(ovb_estimate(*reps, k, dv), cfg.ci_level, axis=1)
-        curves.append(np.column_stack(
-            [axis, ovb_estimate(*full, k, dv)[:, 0], lo, hi]))
-    return LineSlice(
-        varying=varying,
-        fixed_values=fixed_values,
-        curves=tuple(curves),
-        metadata=_metadata(formula, data, cfg, q_full, failures),
-    )
+        fixed = np.full(g, fv)
+        k, dv = (axis, fixed) if varying == "k" else (fixed, axis)
+        estimate, _, ci_low, ci_high = _evaluate(full, reps, k, dv,
+                                                 cfg.ci_level)
+        curves.append(np.column_stack([axis, estimate, ci_low, ci_high]))
+    return LineSlice(varying=varying, fixed_values=fixed_values,
+                     curves=tuple(curves), metadata=meta)
 
 
 def bootstrap(data: Dataset, cfg: AnalysisConfig,
@@ -468,10 +469,8 @@ def bootstrap(data: Dataset, cfg: AnalysisConfig,
             draws.append(statistic(data.take(rows)))
         except _REPLICATE_FAILURES:
             continue
-    draws, _ = _kept(draws, cfg.bootstrap_reps)
-    lo, hi = _ci_bounds(draws, cfg.ci_level)
-    return {"se": float(np.std(draws, ddof=1)),
-            "ci": (float(lo), float(hi))}
+    se, lo, hi = _spread(_kept(draws, cfg.bootstrap_reps)[0], cfg.ci_level)
+    return {"se": float(se), "ci": (float(lo), float(hi))}
 
 
 def _zero_contour(k_values, direct_values, a, b, c):

@@ -1,8 +1,12 @@
 """Tests for the grid/contour/line runners and the bootstrap."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,47 @@ def test_table_grid_rows_sit_at_range_quartiles():
                                  grid_points_per_axis=4))
     ks = sorted({row.k for row in wider.rows if row.label == "Grid"})
     assert ks == pytest.approx([0.2, 0.4, 0.6, 0.8], abs=1e-12)
+
+
+# A child process that caps its own address space at 4 GiB, whatever the
+# machine's overcommit policy, and refuses to fit, then asks for a table
+# whose 300000 x 300000 grid takes 671 GiB a coordinate.
+_IMPOSSIBLE_GRID = """
+import resource
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+import numpy as np
+from plm import engine
+from plm.adjust import PlaceboSpec
+from plm.regression import Dataset
+
+def refuse(*args):
+    raise AssertionError("the table was fitted")
+
+engine._bind = refuse
+spec = PlaceboSpec(outcome_col="Y", treatment_col="D", placebo_col="P",
+                   role="placebo_outcome", edge_d_to_p=True)
+data = Dataset({name: np.arange(10.0) ** i
+                for i, name in enumerate("YDP", 1)})
+try:
+    engine.run_table(data, engine.AnalysisConfig(
+        spec=spec, grid_points_per_axis=300000, direct_range=(-1.0, 1.0)))
+except MemoryError:
+    print("MemoryError")
+"""
+
+
+def test_an_impossible_table_grid_is_refused_before_any_fit():
+    pytest.importorskip("resource")
+    source = str(Path(engine.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _IMPOSSIBLE_GRID],
+                          capture_output=True, text=True, timeout=60,
+                          env=env)
+    assert proc.stdout.strip() == "MemoryError", proc.stderr
 
 
 def test_degenerate_direct_range_collapses_grid():
@@ -538,6 +583,16 @@ def test_wide_k_range_warns():
     with pytest.warns(ScaleConfusionWarning):
         run_contour(data, _cfg(k_range=(0.0, 50.0),
                                grid_points_per_axis=5))
+
+
+@pytest.mark.parametrize("runner", [run_table, run_contour, run_line])
+def test_large_k_warning_names_the_callers_line(runner):
+    # As CaseFormula.adjust's does: the warning points at this file, not
+    # into the engine.
+    with pytest.warns(ScaleConfusionWarning) as record:
+        runner(_data(), _cfg(k_range=(0.0, 50.0), grid_points_per_axis=5,
+                             bootstrap_reps=20))
+    assert record[0].filename == __file__
 
 
 def test_config_validation():
@@ -1035,6 +1090,58 @@ def test_bootstrap_rows_are_the_draw_in_row_order(cluster_col):
         assert np.array_equal(rows, np.repeat(np.arange(8.0), times))
 
 
+def _per_point(full, reps, k, direct, ci_level):
+    """Estimate, SE, CI low and CI high at (k, direct) one point at a time:
+    1-D ``np.std`` and ``np.percentile`` of the replicates' draws."""
+    draws = ovb_estimate(*reps, k, direct)
+    alpha = 1.0 - ci_level
+    lo, hi = np.percentile(draws, [100.0 * alpha / 2.0,
+                                   100.0 * (1.0 - alpha / 2.0)])
+    return [float(ovb_estimate(*full, k, direct)),
+            float(np.std(draws, ddof=1)), float(lo), float(hi)]
+
+
+# 9000 replicates run past numpy's 8192-element ufunc buffer.
+@pytest.mark.parametrize("reps", [2, 1000, 9000])
+@pytest.mark.parametrize("cluster_col", [None, "C"])
+@pytest.mark.parametrize("role", ["observed_confounder_1", "double_placebo"])
+def test_table_and_line_equal_a_per_point_evaluation(role, cluster_col,
+                                                     reps):
+    data = _earnings_data(seed=4, n=200, clusters=40)
+    cfg = AnalysisConfig(spec=_role_spec(role), k_range=(-1.5, 2.5),
+                         direct_range=(-0.5, 1.0), grid_points_per_axis=4,
+                         bootstrap_reps=reps, seed=7, cluster_col=cluster_col)
+    formula, frame = _bind(data, cfg)
+    q_full = np.asarray(formula.quantities(frame))
+    full = formula.triple(q_full)
+    triples = formula.triple(
+        _bootstrap_quantities(formula, frame, data, cfg, q_full)[0])
+    for row in run_table(data, cfg).rows:
+        assert [row.estimate, row.se, row.ci_low, row.ci_high] == \
+            _per_point(full, triples, row.k, row.direct, cfg.ci_level)
+    for varying in ("k", "direct"):
+        line = run_line(data, cfg, varying, (0.0, 0.7))
+        for fixed, curve in zip(line.fixed_values, line.curves):
+            for value, estimate, ci_low, ci_high in curve.tolist():
+                k, direct = ((value, fixed) if varying == "k"
+                             else (fixed, value))
+                want = _per_point(full, triples, k, direct, cfg.ci_level)
+                assert [estimate, ci_low, ci_high] == [want[0], *want[2:]]
+
+
+def test_evaluation_does_not_depend_on_the_block_size(monkeypatch):
+    # The draws of one point at a time give what one block of all does.
+    data = _data()
+    cfg = _cfg(direct_range=(-1.0, 1.0), grid_points_per_axis=5)
+    want = run_table(data, cfg), run_line(data, cfg, "direct", (0.2, 0.9))
+    monkeypatch.setattr(engine, "BATCH_BYTES", 8 * cfg.bootstrap_reps)
+    table, line = run_table(data, cfg), run_line(data, cfg, "direct",
+                                                 (0.2, 0.9))
+    assert table == want[0]
+    assert all(np.array_equal(got, curve)
+               for got, curve in zip(line.curves, want[1].curves))
+
+
 def _short_clusters():
     # The data of test_short_cluster_replicate_is_dropped.
     cluster = np.repeat(np.arange(6.0), (1, 1, 30, 30, 30, 30))
@@ -1281,16 +1388,22 @@ def _population_point(recipe, role):
     return long_target, k, direct
 
 
-@pytest.mark.parametrize("role", ["placebo_outcome", "placebo_treatment"])
-def test_adjusted_estimate_ci_covers_the_population_target(role):
+@pytest.mark.parametrize("role, graph, edges", [
+    ("placebo_outcome", "a", {}),
+    ("placebo_treatment", "a", {}),
+    # Graph b's edge D -> P makes the population direct effect non-zero.
+    ("placebo_outcome", "b", {"edge_d_to_p": True}),
+], ids=["placebo_outcome", "placebo_treatment", "placebo_outcome-graph_b"])
+def test_adjusted_estimate_ci_covers_the_population_target(role, graph,
+                                                           edges):
     # Acceptance 10's form for an adjusted estimate, a ratio through SF:
     # 200 datasets from one recipe, each row-bootstrap CI taken at the
     # population (k, direct). The bound, at least 186 of 200 at nominal 95%,
     # was set before the first run.
-    recipe = random_recipe("a", seed=0, n=400)
+    recipe = random_recipe(graph, seed=0, n=400)
     target, k, direct = _population_point(recipe, role)
     spec = PlaceboSpec(outcome_col="Y", treatment_col="D", placebo_col="P",
-                       role=role)
+                       role=role, **edges)
     covered = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
