@@ -28,6 +28,7 @@ from .adjust import (
     k_from_m,
     m_from_k,
     scale_factor,
+    standard_did_k,
 )
 from .did import (
     DIDAssumption,
@@ -56,7 +57,6 @@ from .engine import (
     run_contour,
     run_line,
     run_table,
-    standard_did_k,
 )
 from .errors import (
     AmbiguousSpec,

@@ -197,6 +197,11 @@ def k_from_m(m: float, sf: float) -> float:
     return m / sf
 
 
+def standard_did_k(sf: float) -> float:
+    """The k value whose adjustment reproduces standard DID, 1 / SF."""
+    return k_from_m(1.0, sf)
+
+
 def check_edges(role: str, declared) -> dict[str, tuple[str, ...]]:
     """Every role that accepts the ``declared`` edge names (any of d_to_p,
     p_to_y, p_to_d, y_to_p), mapped to the cautions it carries with them;
@@ -356,7 +361,7 @@ class CaseFormula:
         """A table's anchor rows (label, k, direct) at the full-sample
         quantities ``q``, and the metadata that names them: k = 0, the k
         that reproduces standard DID (1 / SF), and k = 1."""
-        did_k = k_from_m(1.0, float(q[2]))
+        did_k = standard_did_k(float(q[2]))
         return ([("SOO", 0.0, 0.0), ("Standard DID", did_k, 0.0),
                  ("k=1 DID", 1.0, 0.0)], {"standard_did_k": did_k})
 
@@ -368,13 +373,14 @@ class CaseFormula:
                     scale_factor=float(q[2]))
 
     @staticmethod
-    def warn_large_k(k: float) -> None:
-        """ScaleConfusionWarning where |k| exceeds LARGE_K."""
+    def warn_large_k(k: float, stacklevel: int) -> None:
+        """ScaleConfusionWarning where |k| exceeds LARGE_K, warned at
+        ``stacklevel`` as ``warnings.warn`` counts it from here."""
         if abs(k) > LARGE_K:
             warnings.warn(
                 f"|k| = {abs(k):.3g} exceeds {LARGE_K:g}; k is scale-free, "
                 "so values this large usually mean m (raw-bias ratio) was "
-                "intended", ScaleConfusionWarning, stacklevel=3)
+                "intended", ScaleConfusionWarning, stacklevel=stacklevel)
 
     def fit_coefficients(self, data: Dataset) -> ShortCoefficients:
         target, placebo, _ = self.quantities(ScaledColumns(data,
@@ -396,7 +402,7 @@ class CaseFormula:
                 stacklevel=2,
             )
         _check_sf(sf)
-        self.warn_large_k(k)
+        self.warn_large_k(k, stacklevel=3)
         return ovb_estimate(coefs.target, coefs.placebo, sf, k, direct_effect)
 
 

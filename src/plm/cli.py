@@ -2,7 +2,8 @@
 
 Subcommands: table, contour, line, did, semiparam, simulate, verify.
 Exit codes: 0 success, 2 configuration error (or a request too large for
-memory), 3 data error, 4 numeric degeneracy. The PLM_SEED environment
+memory), 3 data error, 4 numeric degeneracy. Warnings print on one line
+each, as ``plm: warning: <message>``. The PLM_SEED environment
 variable overrides the configured bootstrap seed for table/contour/line
 runs.
 """
@@ -15,6 +16,7 @@ import json
 import os
 import re
 import sys
+import warnings
 
 from .adjust import _ROLE_TABLE, ROLES
 from .did import DIDAssumption, GroupMeans, att, dim, m_to_w, \
@@ -380,6 +382,9 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
+    # Each warning on one line, in the form of the errors above. Set here,
+    # not in cli_main, so an in-process caller keeps its own formatter.
+    warnings.formatwarning = lambda message, *_: f"plm: warning: {message}\n"
     sys.exit(cli_main())
 
 

@@ -238,7 +238,7 @@ class DoubleFormula:
                     beta_np_long=self.spec.beta_np_long)
 
     @staticmethod
-    def warn_large_k(k: float) -> None:
+    def warn_large_k(k: float, stacklevel: int) -> None:
         """None: the product parameter has no raw-bias scale."""
 
 

@@ -34,15 +34,14 @@ clusters, each cluster's sums of them, formed once per run; the products
 are cut into pieces OpenBLAS runs on the calling thread. Each design is
 then solved for the whole batch with one stacked Cholesky and solve
 (``regression.gram_least_squares``). A replicate whose Gram solve
-might not match QR to rounding -- too few rows, a Cholesky pivot ratio at
-or below ``GRAM_TOL``, a column within 1e-8 of constant over the
-resample, a residual check of QR's too close to call, a norm SF reads
-lost to cancellation, or a double placebo's placebo pair near vanishing
--- comes back as NaN and is refitted by one QR of the frame's rows its
+might not match QR to rounding -- too few rows, a design block that is
+not positive definite or has a Cholesky pivot ratio at or below
+``GRAM_TOL``, a column within 1e-8 of constant over the resample, a
+residual check of QR's too close to call, a norm SF reads lost to
+cancellation, or a double placebo's placebo pair near vanishing -- comes
+back as NaN and is refitted by one QR of the frame's rows its
 counts name, in replicate order, so the same replicates fail, with the
-same errors, as under QR everywhere. Where a batch's stacked Cholesky
-fails, the batch is split in halves until the replicate whose design
-block is not positive definite is alone, and that one goes to QR.
+same errors, as under QR everywhere.
 
 A replicate is its counts (``_replicate_counts``), one draw from its own
 ``SeedSequence(entropy=seed, spawn_key=(rep,))``; the rows a QR refit or
@@ -61,13 +60,13 @@ each in increasing direct, a point repeated where two grid lines meet on it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .adjust import PlaceboSpec, dispatch_case, k_from_m, ovb_estimate
+from .adjust import PlaceboSpec, dispatch_case, ovb_estimate
+from .adjust import standard_did_k  # noqa: F401, re-exported
 from .double import DoubleFormula, DoublePlaceboSpec
 from .errors import (
     BootstrapDegenerate,
@@ -191,11 +190,6 @@ class LineSlice:
     metadata: dict = field(default_factory=dict)
 
 
-def standard_did_k(sf: float) -> float:
-    """The k value whose adjustment reproduces standard DID, 1 / SF."""
-    return k_from_m(1.0, sf)
-
-
 def _bind(data: Dataset, cfg: AnalysisConfig):
     """The spec's formula and the run's frame (``ScaledColumns``) of the
     columns it reads; the one place that tells the kinds of spec apart."""
@@ -265,25 +259,6 @@ def _kept(rows, reps: int):
     return np.array(rows, dtype=float), failures
 
 
-def _gram_rows(formula, scaled: ScaledColumns, g) -> list:
-    """``formula.gram_quantities`` of the Gram stack ``g``, one row per
-    replicate; a row holding NaN is one the Gram solve cannot vouch for.
-
-    Where the stacked Cholesky fails, the stack is split in halves and each
-    retried, so one replicate whose design block is not positive definite
-    costs a few small retries and ends alone as a NaN row, and the rest of
-    its batch keeps the Gram path.
-    """
-    try:
-        return list(formula.gram_quantities(scaled, g))
-    except np.linalg.LinAlgError:
-        if len(g) == 1:
-            return [np.full(1, np.nan)]
-        half = len(g) // 2
-        return (_gram_rows(formula, scaled, g[:half])
-                + _gram_rows(formula, scaled, g[half:]))
-
-
 def _bootstrap_quantities(formula, frame: ScaledColumns, data: Dataset,
                           cfg: AnalysisConfig, q_full):
     """Per-replicate quantity rows of ``formula`` on the run's ``frame``
@@ -304,8 +279,8 @@ def _bootstrap_quantities(formula, frame: ScaledColumns, data: Dataset,
     for start in range(0, cfg.bootstrap_reps, frame.batch):
         reps = range(start, min(start + frame.batch, cfg.bootstrap_reps))
         counts = _replicate_counts(cfg.seed, reps, frame.units)
-        for drawn, row in zip(counts,
-                              _gram_rows(formula, frame, frame.grams(counts))):
+        for drawn, row in zip(counts, formula.gram_quantities(
+                frame, frame.grams(counts))):
             if not np.isfinite(row).all():
                 try:
                     row = formula.quantities(frame,
@@ -329,14 +304,10 @@ def _axis_quartiles(bounds: tuple[float, float], g: int) -> np.ndarray:
 def _fit(data: Dataset, cfg: AnalysisConfig, resample: bool):
     """Every runner's one fit: the (target, placebo, scale) triple of the
     full sample and, if ``resample``, of the kept replicates (else None), the
-    metadata, the formula and ``q_full``. The large-k warning is issued again
-    here, so that it names the line that called the runner."""
+    metadata, the formula and ``q_full``. The large-k warning names the line
+    that called the runner."""
     formula, frame = _bind(data, cfg)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        formula.warn_large_k(max(map(abs, cfg.k_range)))
-    for warning in caught:
-        warnings.warn(warning.message, stacklevel=3)
+    formula.warn_large_k(max(map(abs, cfg.k_range)), stacklevel=4)
     q_full = np.asarray(formula.quantities(frame))
     meta = {"n_rows": data.n_rows, "seed": cfg.seed,
             **formula.metadata(q_full)}

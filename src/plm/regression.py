@@ -18,6 +18,7 @@ Conventions
 
 from __future__ import annotations
 
+import contextlib
 import copy
 from dataclasses import dataclass
 
@@ -540,8 +541,9 @@ def gram_least_squares(cols: ScaledColumns, g: np.ndarray, regressors,
     1/GRAM_TOL. Callers refit those resamples with ``least_squares``, which
     raises what it always did.
 
-    Raises numpy.linalg.LinAlgError when the stacked Cholesky fails: some
-    design block with enough rows is not numerically positive definite.
+    Never raises for finite ``g``: where the stacked Cholesky fails, each
+    block is factored alone, and one that is not numerically positive
+    definite gets pivots of 0, so it is NaN like any other refused block.
     """
     s = np.array([0, *(cols.position[name] for name in regressors)])
     v = np.array([cols.position[name] for name in responses])
@@ -550,7 +552,16 @@ def gram_least_squares(cols: ScaledColumns, g: np.ndarray, regressors,
     sd, rms = cols.spread(g, (*regressors, *responses))
     trusted = (g[:, 0, 0] > len(s)) & (sd > RANK_TOL / GRAM_TOL * rms).all(1)
     g_ss[~trusted] = identity  # keep the stack factorable
-    pivots = np.diagonal(np.linalg.cholesky(g_ss), axis1=1, axis2=2)
+    try:
+        factor = np.linalg.cholesky(g_ss)
+    except np.linalg.LinAlgError:
+        # Block by block: one that is not positive definite keeps pivots
+        # of 0, which the ratio below refuses.
+        factor = np.zeros_like(g_ss)
+        for i in range(len(g_ss)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                factor[i] = np.linalg.cholesky(g_ss[i:i + 1])
+    pivots = np.diagonal(factor, axis1=1, axis2=2)
     trusted &= pivots.min(1) > GRAM_TOL * pivots.max(1)
     # NumPy has no stacked triangular solve. On the blocks trusted here
     # (cond below about 1/GRAM_TOL**2) an LU solve is as accurate, and

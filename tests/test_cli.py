@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import plm
 from plm.adjust import _ROLE_TABLE, ROLES
 from plm.cli import _ANALYSIS_FLAGS, cli_main
+from plm.errors import ScaleConfusionWarning
 from plm.io import load_csv, parse_run_config, read_table_csv, \
     write_dataset_csv
 from plm.regression import Dataset
@@ -766,6 +768,25 @@ def test_back_to_back_runs_match_fresh_processes(tmp_path, monkeypatch,
         stdout, stderr = capsys.readouterr()
         assert (code, stdout, stderr,
                 out.read_bytes() if out.exists() else None) == want
+
+
+def test_a_warning_prints_on_one_line(tmp_path):
+    # The plm command prints a warning as one "plm: warning:" line, the
+    # form of its errors; cli_main in a process leaves Python's formatter.
+    argv = _table_argv(_data_csv(tmp_path), tmp_path / "warn.csv") + [
+        "--k", "-30", "30"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "plm.cli", *argv],
+        capture_output=True, text=True, timeout=300, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == (
+        "plm: warning: |k| = 30 exceeds 10; k is scale-free, so values this "
+        "large usually mean m (raw-bias ratio) was intended\n")
+    formatter = warnings.formatwarning
+    with pytest.warns(ScaleConfusionWarning):
+        assert cli_main(argv) == 0
+    assert warnings.formatwarning is formatter
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

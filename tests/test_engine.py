@@ -27,7 +27,6 @@ from plm.engine import (
     _bind,
     _bootstrap_quantities,
     _cluster_ids,
-    _gram_rows,
     _replicate_counts,
     _replicate_rows,
     _surface,
@@ -811,8 +810,8 @@ def _replicate_both_ways(data, role, seed, rep, clusters):
         want = np.array(formula.quantities(frame, idx))
     except (NumericError, TooFewRows) as exc:
         want = type(exc)
-    got = _gram_rows(formula, frame,
-                     _grams(frame, groups, seed, [rep]))[0]
+    got = formula.gram_quantities(frame,
+                                  _grams(frame, groups, seed, [rep]))[0]
     fell_back = not np.isfinite(got).all()
     if fell_back:
         try:
@@ -895,6 +894,29 @@ def test_gram_path_refers_a_near_constant_response_to_qr():
     assert np.isnan(beta).all() and np.isnan(l2).all()
     want = regression.least_squares(frame, frame.factor(), ["x"], ["w"])[0]
     assert want[1, 0] == pytest.approx(5e-11, rel=0.2)
+
+
+def test_gram_path_refuses_a_block_that_is_not_positive_definite():
+    # Four rows, in the frame's units, on which x2 equals x1: the design
+    # block [[4, 0, 0], [0, 4, 4], [0, 4, 4]] is exactly singular, and
+    # every step of its Cholesky is exact, so the stacked Cholesky raises.
+    rng = np.random.default_rng(5)
+    frame = ScaledColumns({name: rng.normal(size=40)
+                           for name in ("x1", "x2", "y")})
+    z = np.array([[1.0, 1, 1, 1], [1, -1, -1, -1], [1, 1, 1, -1],
+                  [1, -1, -1, 1]])
+    singular = z.T @ z
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(singular[None, :3, :3])
+    g = frame.grams(rng.integers(0, 3, size=(2, 40)))
+    beta, l2 = regression.gram_least_squares(
+        frame, np.stack([g[0], singular, g[1]]), ["x1", "x2"], ["y"])
+    assert np.isnan(beta[1]).all() and np.isnan(l2[1]).all()
+    want_beta, want_l2 = regression.gram_least_squares(frame, g,
+                                                       ["x1", "x2"], ["y"])
+    assert np.isfinite(want_beta).all() and np.isfinite(want_l2).all()
+    assert np.array_equal(beta[[0, 2]], want_beta)
+    assert np.array_equal(l2[[0, 2]], want_l2)
 
 
 def _qr_reference(formula, cols, data, cfg):
@@ -1167,8 +1189,8 @@ def test_untrusted_replicate_inside_a_batch(monkeypatch, make_data,
     formula, frame = _bind(data, cfg)
     groups = (None if cluster_col is None
               else _cluster_ids(data, cluster_col))
-    rows = _gram_rows(formula, frame,
-                      _grams(frame, groups, seed, range(reps)))
+    rows = formula.gram_quantities(frame,
+                                   _grams(frame, groups, seed, range(reps)))
     untrusted = [rep for rep, row in enumerate(rows)
                  if not np.isfinite(row).all()]
     # Batches of ten: some untrusted replicate has trusted neighbours in
@@ -1189,9 +1211,9 @@ def test_untrusted_replicate_inside_a_batch(monkeypatch, make_data,
 
 def test_batch_whose_stacked_cholesky_raises(monkeypatch):
     # Make the stacked Cholesky raise for any stack holding a resample of
-    # one chosen row count: the stack is split until each such resample is
-    # alone and refitted by QR, and the rest of the batch keeps the Gram
-    # path.
+    # one chosen row count: the kernel factors the blocks one at a time,
+    # refuses each such resample, which is refitted by QR, and the rest of
+    # the batch keeps the Gram path.
     data = _earnings_data(seed=7, n=300, clusters=15)
     cfg = AnalysisConfig(spec=_role_spec("placebo_outcome"), seed=3,
                          bootstrap_reps=64, cluster_col="C")
@@ -1216,6 +1238,35 @@ def test_batch_whose_stacked_cholesky_raises(monkeypatch):
     assert not np.array_equal(got[~marked], want[~marked])
 
 
+def test_resamples_that_are_not_positive_definite(monkeypatch):
+    # Seven clusters, and X1 and X2 constant within each: a resample of
+    # two distinct clusters gives X1 and X2 two values each, so with the
+    # intercept its design block is singular up to rounding. The stacked
+    # Cholesky of its batch raises; that resample is refused, and QR drops
+    # it.
+    data = _earnings_data(seed=7, n=300, clusters=7)
+    x = 25.0 + 7.0 * np.random.default_rng(7).normal(size=(2, 7))
+    cluster = data["C"].astype(int)
+    data = Dataset({**{name: data[name] for name in data.names},
+                    "X1": x[0][cluster], "X2": x[1][cluster]})
+    cfg = AnalysisConfig(spec=_role_spec("placebo_outcome"), seed=1,
+                         bootstrap_reps=200, cluster_col="C")
+    cholesky = np.linalg.cholesky
+    raised = []
+
+    def counting_cholesky(a, *args, **kwargs):
+        try:
+            return cholesky(a, *args, **kwargs)
+        except np.linalg.LinAlgError:
+            raised.append(len(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    got, _ = _bootstrap_matches_qr(data, cfg)
+    assert max(raised) > 1
+    assert len(got) == cfg.bootstrap_reps - 1
+
+
 def test_gram_path_refuses_too_few_rows():
     # Six distinct rows for the six coefficients of Y ~ D + P + X1 + X2 +
     # X3: the design block is invertible, but QR raises TooFewRows, so the
@@ -1223,8 +1274,8 @@ def test_gram_path_refuses_too_few_rows():
     data = _noise_data(6, ("Y", "D", "P", "X1", "X2", "X3"))
     formula, frame = _bind(data, AnalysisConfig(
         spec=_role_spec("placebo_treatment", ("X1", "X2", "X3"))))
-    row = _gram_rows(formula, frame,
-                     frame.grams(np.ones((1, 6), dtype=int)))[0]
+    row = formula.gram_quantities(frame,
+                                  frame.grams(np.ones((1, 6), dtype=int)))[0]
     assert not np.isfinite(row).all()
     with pytest.raises(TooFewRows):
         formula.quantities(frame, np.arange(6))
