@@ -330,8 +330,8 @@ class CaseFormula:
         matrices ``g = frame.grams(counts)``, no QR.
 
         A row holds NaN where it might differ from ``quantities`` on that
-        resample, including where a norm SF reads is not clear of
-        cancellation or of the residual guard (see gram_least_squares).
+        resample, including where a norm SF reads is lost to cancellation
+        (see gram_least_squares).
         """
         fits = [gram_least_squares(frame, g, regressors, responses)
                 for regressors, responses in zip(self.designs,

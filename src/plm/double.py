@@ -109,13 +109,13 @@ class DoublePlaceboSpec:
 
 def fit_double_shorts(data: Dataset, outcome: str, treatment: str,
                       placebo_treatment: str, placebo_outcome: str,
-                      covariates=(), idx=slice(None)) -> DoubleShortFits:
-    """``DoubleFormula.fit`` of these columns on rows ``idx`` (default:
-    all). ``data`` maps names to columns: a Dataset or a plain dict."""
+                      covariates=()) -> DoubleShortFits:
+    """``DoubleFormula.fit`` of these columns on all rows. ``data`` maps
+    names to columns: a Dataset or a plain dict."""
     formula = DoubleFormula(DoublePlaceboSpec(
         outcome, treatment, placebo_treatment, placebo_outcome,
         tuple(covariates)))
-    return formula.fit(ScaledColumns(data, formula.columns), idx)
+    return formula.fit(ScaledColumns(data, formula.columns))
 
 
 def placebo_pair_vanishes(beta_np, beta_np_long, np_unit, tol=NEAR_ZERO):
@@ -205,9 +205,9 @@ class DoubleFormula:
 
     def gram_quantities(self, frame: ScaledColumns, g):
         """``quantities`` rows, (batch, 5), from ``g = frame.grams(counts)``;
-        NaN rows as in gram_least_squares. A pair within 1e-8 of vanishing
-        (Gram coefficients are within about 1e-10 of QR's) is a NaN row
-        too, so QR decides it and raises as ``quantities`` does."""
+        NaN rows as in gram_least_squares, whose reason 6 is a pair within
+        1e-8 of vanishing, far beyond its reason 4's 1e-10 of QR's: QR
+        decides it and raises as ``quantities`` does."""
         sd = frame.spread(g, (self.spec.placebo_treatment_col,
                               self.spec.placebo_outcome_col))[0]
         unit = np.divide(sd[:, 1], sd[:, 0], out=np.full(len(g), np.nan),

@@ -34,14 +34,10 @@ clusters, each cluster's sums of them, formed once per run; the products
 are cut into pieces OpenBLAS runs on the calling thread. Each design is
 then solved for the whole batch with one stacked Cholesky and solve
 (``regression.gram_least_squares``). A replicate whose Gram solve
-might not match QR to rounding -- too few rows, a design block that is
-not positive definite or has a Cholesky pivot ratio at or below
-``GRAM_TOL``, a column within 1e-8 of constant over the resample, a
-residual check of QR's too close to call, a norm SF reads lost to
-cancellation, or a double placebo's placebo pair near vanishing -- comes
-back as NaN and is refitted by one QR of the frame's rows its
-counts name, in replicate order, so the same replicates fail, with the
-same errors, as under QR everywhere.
+might not match QR to rounding, for one of the six reasons that kernel
+lists, comes back as NaN and is refitted by one QR of the frame's rows
+its counts name, in replicate order, so the same replicates fail, with
+the same errors, as under QR everywhere.
 
 A replicate is its counts (``_replicate_counts``), one draw from its own
 ``SeedSequence(entropy=seed, spawn_key=(rep,))``; the rows a QR refit or

@@ -521,29 +521,30 @@ def gram_least_squares(cols: ScaledColumns, g: np.ndarray, regressors,
     resample laid out as ``least_squares`` lays it out, and the residual
     norms sqrt(g[v,v] - g[v,S] beta), (batch, responses).
 
-    NaN marks a value that might not match QR to rounding. A resample's
-    betas and norms are NaN where it has too few rows or a pivot ratio of
-    the Cholesky factor of its design block at or below GRAM_TOL
-    (cond(g) near 1/GRAM_TOL**2; at GRAM_TOL = 1e-2 the coefficients stay
-    within about 1e-10 of QR's, relative to their size or to
-    sd(response) / sd(regressor)), or a regressor or response whose SD over
-    the resample (``cols.spread``) is at most RANK_TOL / GRAM_TOL of its
-    RMS, so QR's constant-column rule (``least_squares``) decides it; a
-    column constant about the frame's centre has a pivot ratio of about
-    its SD over that offset, far below GRAM_TOL. QR's rank rule needs no
-    other mirror: its |R_ii| are these pivots
-    restandardized over the resample's n rows, the intercept's sqrt(n) the
-    largest and each other at least its pivot / sqrt(N) for the N rows of
-    ``cols``, so its ratio stays above GRAM_TOL / sqrt(N), far above
-    RANK_TOL. A norm is also NaN unless its ratio to the response's centred
-    norm (the pivot the response would add to the factor) is above
-    GRAM_TOL and it is clear of ``guard_residual_norm`` by a factor
-    1/GRAM_TOL. Callers refit those resamples with ``least_squares``, which
-    raises what it always did.
+    NaN marks a value that might not match QR to rounding; callers refit
+    its resample with ``least_squares``, which raises what it always did.
+    These are the six reasons to refer a resample to QR (the fifth refers
+    a norm only):
 
-    Never raises for finite ``g``: where the stacked Cholesky fails, each
-    block is factored alone, and one that is not numerically positive
-    definite gets pivots of 0, so it is NaN like any other refused block.
+    1. too few rows: no more than coefficients;
+    2. a near-constant column: a regressor or response whose SD over the
+       resample (``cols.spread``) is at most RANK_TOL / GRAM_TOL = 1e-8 of
+       its RMS, so QR's constant-column rule decides it (a column constant
+       about the frame's centre has a pivot ratio far below GRAM_TOL);
+    3. a block not positive definite: where the stacked Cholesky fails,
+       each block is factored alone and one that fails gets pivots of 0,
+       so no finite ``g`` raises;
+    4. a Cholesky pivot ratio of the design block at or below GRAM_TOL
+       (cond near 1/GRAM_TOL**2). Above it the coefficients are within
+       about 1e-10 of QR's, relative to their size or to sd(response) /
+       sd(regressor), and QR's |R_ii| ratio stays above GRAM_TOL / sqrt(N)
+       for the N rows of ``cols``, far above RANK_TOL;
+    5. a norm lost to cancellation: at most GRAM_TOL of the response's
+       norm about the frame's centre. Past reason 2 a norm above that is
+       above GRAM_TOL * 1e-8 of the response's L2 norm, so it clears
+       ``guard_residual_norm`` by 1/GRAM_TOL;
+    6. a double placebo's pair within 1e-8 of vanishing
+       (``DoubleFormula.gram_quantities``), so QR's check decides it.
     """
     s = np.array([0, *(cols.position[name] for name in regressors)])
     v = np.array([cols.position[name] for name in responses])
@@ -571,10 +572,7 @@ def gram_least_squares(cols: ScaledColumns, g: np.ndarray, regressors,
     b = np.linalg.solve(g_ss, g_sv)
     g_vv = g[:, v, v]
     r2 = g_vv - np.einsum("mij,mij->mj", g_sv, b)
-    m = cols.mean[v] / cols.scale[v]
-    uncentred = g_vv + 2.0 * m * g[:, 0, v] + m * m * g[:, 0, :1]
-    exact = (trusted[:, None] & (r2 > GRAM_TOL**2 * g_vv)
-             & (r2 > (NEAR_ZERO / GRAM_TOL) ** 2 * uncentred))
+    exact = trusted[:, None] & (r2 > GRAM_TOL**2 * g_vv)
     l2 = np.where(exact, cols.scale[v] * np.sqrt(np.maximum(r2, 0.0)),
                   np.nan)
     beta = b * (cols.scale[v] / cols.scale[s][:, None])

@@ -42,6 +42,9 @@ SINGLE_CASES: tuple[tuple[str, str, dict], ...] = (
     ("d", "placebo_outcome", {"edge_d_to_p": True, "edge_p_to_y": True}),
 )
 
+# The bound ``plm verify`` holds each worst-case error to.
+CHECK_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -54,9 +57,9 @@ class CheckReport:
 
     @property
     def ok(self) -> bool:
-        return (self.max_recovery_error <= 1e-8
-                and self.max_double_error <= 1e-8
-                and self.max_identity_residual <= 1e-8)
+        return all(error <= CHECK_TOL for error in (
+            self.max_recovery_error, self.max_double_error,
+            self.max_identity_residual))
 
 
 def random_recipe(graph_case: str, seed: int, n: int = 160,

@@ -15,13 +15,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import plm
+from plm import cli
 from plm.adjust import _ROLE_TABLE, ROLES
 from plm.cli import _ANALYSIS_FLAGS, cli_main
 from plm.errors import ScaleConfusionWarning
 from plm.io import load_csv, parse_run_config, read_table_csv, \
     write_dataset_csv
 from plm.regression import Dataset
-from plm.selfcheck import random_recipe
+from plm.selfcheck import CHECK_TOL, CheckReport, random_recipe
 from plm.simulate import SCMRecipe, simulate_scm
 
 
@@ -726,7 +727,47 @@ def test_simulate_rejects_bad_recipe(tmp_path, capsys):
                      "--coef", "q->r=1", "--out", str(out)]) == 2
     assert cli_main(["simulate", "--case", "a", "--n", "20",
                      "--coef", "z->y", "--out", str(out)]) == 2
+    for coef in ("z->y=half", "z->y=0.5,x"):
+        assert cli_main(["simulate", "--case", "a", "--n", "20", "--z-dim",
+                         "2", "--coef", coef, "--out", str(out)]) == 2
+        assert (f"--coef value is not numeric: {coef!r}"
+                in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_simulate_reads_a_vector_coefficient(tmp_path, capsys):
+    # The form README shows: one value per confounder of a z of two.
+    out = tmp_path / "sim.csv"
+    assert cli_main(["simulate", "--case", "a", "--n", "40", "--seed", "2",
+                     "--z-dim", "2", "--coef", "z->y=0.5,0.2",
+                     "--out", str(out)]) == 0
     capsys.readouterr()
+    loaded = load_csv(out)
+    expected = simulate_scm(SCMRecipe(
+        n=40, graph_case="a", coefficients={"z->y": (0.5, 0.2)}, z_dim=2,
+        seed=2))
+    assert loaded.names == expected.names
+    assert np.array_equal(loaded.matrix(loaded.names),
+                          expected.matrix(expected.names))
+
+
+def test_blank_column_name_exits_three(tmp_path, capsys):
+    path = tmp_path / "blank.csv"
+    path.write_text("Y,,P\n1,0,2\n2,1,3\n", encoding="utf-8")
+    assert cli_main(_table_argv(path, tmp_path / "t.csv")) == 3
+    assert f"{path}: blank column name in header" in capsys.readouterr().err
+
+
+def test_verify_exits_four_when_a_check_fails(monkeypatch, capsys):
+    # README's exit codes: a failed check is a numeric failure.
+    report = CheckReport(draws=1, max_recovery_error=0.0,
+                         max_double_error=2 * CHECK_TOL,
+                         max_identity_residual=0.0)
+    monkeypatch.setattr(cli, "run_selfcheck", lambda **kwargs: report)
+    assert cli_main(["verify", "--draws", "1"]) == 4
+    captured = capsys.readouterr()
+    assert "CHECKS FAILED" in captured.err
+    assert "all checks passed" not in captured.out
 
 
 def test_verify_reports_and_passes(capsys):
@@ -735,7 +776,7 @@ def test_verify_reports_and_passes(capsys):
     assert "single-placebo recovery" in out
     assert "double-placebo recovery" in out
     assert "bias factorization" in out
-    assert "all checks passed" in out
+    assert "all checks passed (tolerance 1e-8)" in out
 
 
 def test_help_and_missing_subcommand(capsys):

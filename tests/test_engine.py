@@ -1,6 +1,7 @@
 """Tests for the grid/contour/line runners and the bootstrap."""
 
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -240,6 +241,40 @@ def test_single_cluster_is_a_data_error():
     with pytest.raises(DataError, match="one cluster"):
         bootstrap(data, AnalysisConfig(cluster_col="C"),
                   lambda d: float(d["Y"].mean()))
+
+
+def _failing_mean(failing):
+    """The mean of Y, raising a NumericError on the replicates ``failing``:
+    ``bootstrap`` calls it once a replicate, in replicate order."""
+    reps = itertools.count()
+
+    def statistic(d):
+        if next(reps) in failing:
+            raise NonpositiveScale("refused")
+        return float(d["Y"].mean())
+    return statistic
+
+
+def test_bootstrap_drops_a_replicate_whose_statistic_raises():
+    # Replicate 7 alone raises: it is dropped, and the SE and interval are
+    # those of the other 199 replicates' means.
+    data = Dataset({"Y": np.random.default_rng(4).normal(size=50)})
+    out = bootstrap(data, AnalysisConfig(bootstrap_reps=200, seed=2),
+                    _failing_mean({7}))
+    kept = np.delete([data["Y"][_replicate_rows(counts)].mean()
+                      for counts in _counts(data, None, 2, range(200))], 7)
+    assert out["se"] == pytest.approx(np.std(kept, ddof=1), rel=1e-12)
+    assert out["ci"] == pytest.approx(np.percentile(kept, [2.5, 97.5]),
+                                      rel=1e-12)
+
+
+def test_bootstrap_raises_past_one_percent_dropped():
+    # Two of 200 replicates raising is 1 percent, kept; three is more.
+    data = Dataset({"Y": np.random.default_rng(4).normal(size=50)})
+    cfg = AnalysisConfig(bootstrap_reps=200, seed=2)
+    bootstrap(data, cfg, _failing_mean({0, 1}))
+    with pytest.raises(BootstrapDegenerate, match="3 of 200"):
+        bootstrap(data, cfg, _failing_mean({0, 1, 2}))
 
 
 def test_bootstrap_degenerate_raises():
@@ -829,8 +864,37 @@ def _replicate_both_ways(data, role, seed, rep, clusters):
        clusters=st.sampled_from([0, 15]), rep=st.integers(0, 10_000))
 def test_gram_replicates_match_qr(seed, n, log_collinearity,
                                   log_placebo_noise, role, clusters, rep):
-    data = _earnings_data(seed, n, 10.0**log_collinearity,
-                          10.0**log_placebo_noise, clusters)
+    _assert_replicate_matches_qr(
+        _earnings_data(seed, n, 10.0**log_collinearity,
+                       10.0**log_placebo_noise, clusters),
+        role, seed, rep, clusters)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(30, 400),
+       log_mean=st.floats(0.0, 12.0), log_outcome_sd=st.floats(-8.0, -3.0),
+       log_placebo_sd=st.floats(-8.0, -3.0),
+       role=st.sampled_from([*ROLES, "double_placebo"]),
+       clusters=st.sampled_from([0, 15]), rep=st.integers(0, 10_000))
+def test_gram_replicates_of_nearly_constant_columns_match_qr(
+        seed, n, log_mean, log_outcome_sd, log_placebo_sd, role, clusters,
+        rep):
+    # The outcome and placebos with SDs of 1e-8 to 1e-3 of means of 1 to
+    # 1e12: the band of the near-constant column rule, where a norm is
+    # nearest the residual guard.
+    data = _earnings_data(seed, n, clusters=clusters)
+    sd = {"Y": 10.0**log_outcome_sd, "P": 10.0**log_placebo_sd,
+          "N": 10.0**log_placebo_sd}
+    data = Dataset({name: 10.0**log_mean * (1.0 + sd[name] * (
+        data[name] - data[name].mean()) / data[name].std())
+        if name in sd else data[name] for name in data.names})
+    _assert_replicate_matches_qr(data, role, seed, rep, clusters)
+
+
+def _assert_replicate_matches_qr(data, role, seed, rep, clusters):
+    """One replicate's batched quantities equal QR's exactly where it was
+    refitted, and are within 1e-9 of each value's natural scale where
+    not."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MediatorCautionWarning)
         want, got, fell_back, rows = _replicate_both_ways(
@@ -1265,6 +1329,36 @@ def test_resamples_that_are_not_positive_definite(monkeypatch):
     got, _ = _bootstrap_matches_qr(data, cfg)
     assert max(raised) > 1
     assert len(got) == cfg.bootstrap_reps - 1
+
+
+def test_double_placebo_resamples_of_one_cluster(monkeypatch):
+    # A cluster-level placebo treatment over five clusters of 12 rows. Six
+    # of 2000 resamples draw one cluster, so P is constant over them: its
+    # SD there is 0, which np_unit must not divide by, and their design
+    # blocks are singular, which must not break the batch's one stacked
+    # Cholesky. The Gram path refers them to QR, which drops them.
+    rng = np.random.default_rng(0)
+    cluster = np.repeat(np.arange(5), 12)
+    p = rng.normal(size=5)[cluster]
+    d = rng.normal(size=60)
+    data = Dataset({"Y": d + 0.5 * p + rng.normal(size=60), "D": d, "P": p,
+                    "N": 0.3 * d + 0.7 * p + rng.normal(size=60),
+                    "C": cluster.astype(float)})
+    cfg = AnalysisConfig(spec=_role_spec("double_placebo", ()),
+                         bootstrap_reps=2000, seed=0, cluster_col="C")
+    cholesky = np.linalg.cholesky
+    stacks = []
+
+    def counting_cholesky(a, *args, **kwargs):
+        stacks.append(len(a))
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        table = run_table(data, cfg)
+    assert table.metadata["bootstrap_failures"] == 6
+    assert stacks == [cfg.bootstrap_reps]
 
 
 def test_gram_path_refuses_too_few_rows():

@@ -493,6 +493,14 @@ def test_table_csv_round_trip(tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n", encoding="utf-8")
         read_table_csv(bad)
+    header = text.splitlines()[0]
+    for row, message in (("Grid,1,0,2,0.5,1", "malformed row 2"),
+                         ("Grid,1,0,2,0.5,low,3",
+                          "non-numeric value in row 2")):
+        bad.write_text(f"{header}\n{row}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as raised:
+            read_table_csv(bad)
+        assert str(raised.value) == f"{bad}: {message}"
 
 
 def test_contour_csv_and_json(tmp_path):
