@@ -25,7 +25,7 @@ from .engine import run_contour, run_line, run_table
 from .errors import ConfigError, DataError, NumericError, PlmError
 from .io import REQUIRED_KEYS, RunConfig, _write_chunks, emit_outputs, \
     load_csv, parse_run_config, write_dataset_csv
-from .selfcheck import CHECK_TOL, run_selfcheck
+from .selfcheck import CHECK_TOL_TEXT, run_selfcheck
 from .semiparam import SemiparamInputs, adjust_partially_linear
 from .simulate import GRAPH_EDGES, SCMRecipe, simulate_scm
 
@@ -346,8 +346,7 @@ def _run_verify(args) -> int:
     print(f"bias factorization, max abs residual: "
           f"{report.max_identity_residual:.3e}")
     if report.ok:
-        tol = f"{CHECK_TOL:.0e}".replace("e-0", "e-")
-        print(f"all checks passed (tolerance {tol})")
+        print(f"all checks passed (tolerance {CHECK_TOL_TEXT})")
         return 0
     print("CHECKS FAILED", file=sys.stderr)
     return 4

@@ -42,8 +42,9 @@ SINGLE_CASES: tuple[tuple[str, str, dict], ...] = (
     ("d", "placebo_outcome", {"edge_d_to_p": True, "edge_p_to_y": True}),
 )
 
-# The bound ``plm verify`` holds each worst-case error to.
-CHECK_TOL = 1e-8
+# The bound ``plm verify`` holds each worst-case error to, as it prints it.
+CHECK_TOL_TEXT = "1e-8"
+CHECK_TOL = float(CHECK_TOL_TEXT)
 
 
 @dataclass(frozen=True)

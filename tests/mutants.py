@@ -1,12 +1,11 @@
 """Mutants of plm that the test suite must kill.
 
-    python tests/mutants.py [NAME ...]
+    python tests/mutants.py
 
 A mutant is one exact replacement of text in one file, with the test ids
-that must fail on it. For each mutant (all, or those named) the script
-copies ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md`` into a
-temporary directory, applies the replacement there and runs only the
-mutant's ids. A mutant whose ids all pass survives. First the ids run on
+that must fail on it. For each mutant the script copies ``src/``,
+``tests/``, ``pyproject.toml`` and ``README.md`` into a temporary
+directory, applies the replacement there and runs only the mutant's ids. A mutant whose ids all pass survives. First the ids run on
 an unmutated copy, where each must pass, so a mistyped id or a failing
 test cannot pass for a kill. Every mutant's text must occur exactly once
 in its file. The script prints one line per mutant and exits 1 if any
@@ -163,13 +162,8 @@ def _mutated(where: Path, mutant: Mutant) -> bool:
     return True
 
 
-def main(names) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
-    ids = sorted({test for mutant in chosen for test in mutant.kills})
+def main() -> int:
+    ids = sorted({test for mutant in MUTANTS for test in mutant.kills})
     with tempfile.TemporaryDirectory() as tmp:
         _copy(Path(tmp))
         if not _passes(Path(tmp), ids):
@@ -177,13 +171,13 @@ def main(names) -> int:
                   file=sys.stderr)
             return 1
     bad = []
-    for mutant in chosen:
+    for mutant in MUTANTS:
         with tempfile.TemporaryDirectory() as tmp:
             where = Path(tmp)
             _copy(where)
             if not _mutated(where, mutant):
                 verdict = "does not apply"
-            elif not mutant.kills or _passes(where, mutant.kills):
+            elif _passes(where, mutant.kills):
                 verdict = "SURVIVED"
             else:
                 verdict = "killed"
@@ -191,12 +185,12 @@ def main(names) -> int:
         if verdict != "killed":
             bad.append(mutant.name)
     if bad:
-        print(f"{len(bad)} of {len(chosen)} mutants not killed: "
+        print(f"{len(bad)} of {len(MUTANTS)} mutants not killed: "
               + "; ".join(bad))
         return 1
-    print(f"all {len(chosen)} mutants killed")
+    print(f"all {len(MUTANTS)} mutants killed")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
