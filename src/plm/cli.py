@@ -219,24 +219,20 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _run_config_from_flags(kind: str, args) -> RunConfig:
-    """The mapping a config file would hold, built from the given flags."""
-    raw, missing = {}, []
+    """The config keys the given flags set, as a config file sets them."""
+    settings, missing = {}, []
     for flag, key, _ in _ANALYSIS_FLAGS:
         key = key.format(kind=kind)
         value = _flag_value(args, flag)
-        if not _given(value):
-            if key in (*REQUIRED_KEYS, f"outputs.{kind}"):
-                missing.append(flag)
-        elif "." in key:
-            group, name = key.split(".")
-            raw.setdefault(group, {})[name] = value
-        else:
-            raw[key] = value
+        if _given(value):
+            settings[key] = value
+        elif key in (*REQUIRED_KEYS, f"outputs.{kind}"):
+            missing.append(flag)
     if missing:
         raise ConfigError(f"missing {', '.join(missing)} (or use --config)")
-    if kind == "table" and "svg" in raw["outputs"]:
+    if kind == "table" and "outputs.svg" in settings:
         raise ConfigError("--svg is for contour and line; table draws no SVG")
-    return RunConfig(**raw)
+    return RunConfig(settings)
 
 
 def _run_analysis(kind: str, args) -> int:

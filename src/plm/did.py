@@ -134,6 +134,8 @@ def m_to_w(m: float, means: GroupMeans, att_n: float = 0.0) -> float:
     """
     if not np.isfinite(m):
         raise ConfigError("m must be finite")
+    if not np.isfinite(att_n):
+        raise ConfigError("att_n must be finite")
     d = dim(means)
     numerator = (means.mean_y_control + m * (d["dim_N"] - att_n)
                  - means.mean_n_treated)
@@ -144,6 +146,8 @@ def w_to_m(w: float, means: GroupMeans, att_n: float = 0.0) -> float:
     """Bias ratio m implied by a mixing weight w (inverse of m_to_w)."""
     if not np.isfinite(w):
         raise ConfigError("w must be finite")
+    if not np.isfinite(att_n):
+        raise ConfigError("att_n must be finite")
     d = dim(means)
     denom = d["dim_N"] - att_n
     scale = max(abs(means.mean_n_treated), abs(means.mean_n_control))

@@ -202,134 +202,129 @@ def write_dataset_csv(data: Dataset, path) -> Path:
     return _write_chunks(path, blocks())
 
 
-REQUIRED_KEYS = ("data_path", "outcome", "treatment", "placebo", "role")
-_EDGE_KEYS = ("d_to_p", "p_to_y", "p_to_d", "y_to_p")
-_BOOTSTRAP_KEYS = ("reps", "seed")
-_OUTPUT_KEYS = ("table", "contour", "line", "svg")
-_TOP_KEYS = ("data_path", "outcome", "treatment", "placebo", "role",
-             "edges", "covariates", "k", "direct", "grid", "bootstrap",
-             "ci_level", "outputs")
-
-
-def _reject_unknown(mapping: Mapping, allowed, where: str) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {unknown}")
-
-
-def _as_object(value, name: str) -> dict:
-    """A JSON object (absent: empty) as a dict."""
-    if value is None:
-        return {}
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{name} must be a JSON object")
-    return dict(value)
+def _is_int(value) -> bool:
+    """A JSON integer: floats and true/false are refused, not truncated."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, float) or _is_int(value)
 
 
-def _as_int(value, name: str) -> int:
-    """A JSON integer; floats and true/false are refused, not truncated."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be an integer")
-    return value
+def _check(what: str, test, convert=None):
+    """The check of a config key: ConfigError naming the key and ``what``
+    its value must be where ``test(value)`` fails; else the value, through
+    ``convert(value, base_dir)`` where given."""
+    def check(value, name: str, base: Path):
+        if not test(value):
+            raise ConfigError(f"{name} must be {what}")
+        return value if convert is None else convert(value, base)
+    return check
 
 
-def _as_number(value, name: str) -> float:
-    if not _is_number(value):
-        raise ConfigError(f"{name} must be a number")
-    return float(value)
+_COLUMN = _check("a column name", lambda value: isinstance(value, str))
+_BOOL = _check("true or false", lambda value: isinstance(value, bool))
+_INT = _check("an integer", _is_int)
+_RANGE = _check("a [low, high] pair of numbers",
+                lambda value: isinstance(value, (list, tuple))
+                and len(value) == 2 and all(map(_is_number, value)),
+                lambda value, base: (float(value[0]), float(value[1])))
+_PATH = _check("a path", lambda value: isinstance(value, (str, Path)),
+               lambda value, base: (base / value).resolve())
 
-
-def _as_path(base: Path, value, name: str) -> Path:
-    if not isinstance(value, (str, Path)):
-        raise ConfigError(f"{name} must be a path")
-    return (base / value).resolve()
-
-
-def _as_range(value, name: str) -> tuple[float, float]:
-    """A pair of JSON numbers; strings and true/false are refused."""
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(_is_number(v) for v in value)):
-        raise ConfigError(f"{name} must be a [low, high] pair of numbers")
-    return float(value[0]), float(value[1])
-
-
-# Setting key: (AnalysisConfig field, JSON type check). A key left out takes
+# Every key a run config may hold, under its dotted name ("bootstrap.reps"
+# is {"bootstrap": {"reps": ...}} in a file): (check of its JSON value, the
+# AnalysisConfig field it sets or None). A setting left out takes
 # AnalysisConfig's default, and AnalysisConfig checks the values.
-_SETTINGS = {
-    "k": ("k_range", _as_range),
-    "direct": ("direct_range", _as_range),
-    "grid": ("grid_points_per_axis",
-             lambda value, name: None if value is None
-             else _as_int(value, name)),
-    "bootstrap.reps": ("bootstrap_reps", _as_int),
-    "bootstrap.seed": ("seed", _as_int),
-    "ci_level": ("ci_level", _as_number),
+_KEYS = {
+    "data_path": (_PATH, None),
+    "outcome": (_COLUMN, None),
+    "treatment": (_COLUMN, None),
+    "placebo": (_COLUMN, None),
+    # PlaceboSpec refuses a value that is not one of the roles.
+    "role": (lambda value, name, base: value, None),
+    "covariates": (_check("a list of column names",
+                          lambda value: isinstance(value, (list, tuple))
+                          and all(isinstance(c, str) for c in value)), None),
+    "edges.d_to_p": (_BOOL, None),
+    "edges.p_to_y": (_BOOL, None),
+    "edges.p_to_d": (_BOOL, None),
+    "edges.y_to_p": (_BOOL, None),
+    "k": (_RANGE, "k_range"),
+    "direct": (_RANGE, "direct_range"),
+    "grid": (_check("an integer",
+                    lambda value: value is None or _is_int(value)),
+             "grid_points_per_axis"),
+    "bootstrap.reps": (_INT, "bootstrap_reps"),
+    "bootstrap.seed": (_INT, "seed"),
+    "ci_level": (_check("a number", _is_number), "ci_level"),
+    "outputs.table": (_PATH, None),
+    "outputs.contour": (_PATH, None),
+    "outputs.line": (_PATH, None),
+    "outputs.svg": (_PATH, None),
 }
+REQUIRED_KEYS = ("data_path", "outcome", "treatment", "placebo", "role")
+# The objects of a config file, each spread into dotted keys.
+_GROUPS = frozenset(key.split(".")[0] for key in _KEYS if "." in key)
+
+
+def _refuse_unknown(keys) -> None:
+    if keys:
+        raise ConfigError(f"unknown config keys: {sorted(keys)}")
+
+
+def _group(given: Mapping, name: str) -> dict:
+    """The keys of ``given`` in group ``name``, without the group's name."""
+    prefix = name + "."
+    return {key[len(prefix):]: value for key, value in given.items()
+            if key.startswith(prefix)}
 
 
 class RunConfig:
-    """File form of an analysis: data pointer, placebo spec, and settings.
-
-    The settings (``k``, ``direct``, ``grid``, ``ci_level`` and the
-    ``bootstrap`` object's ``reps`` and ``seed``) build one AnalysisConfig,
-    whose defaults fill every setting left out. ``outputs`` maps any of
-    table/contour/line/svg to destination paths. ``edges`` declares any of
-    d_to_p, p_to_y, p_to_d and y_to_p; a set the role does not accept
-    raises AmbiguousSpec here, before any data is read.
+    """An analysis from ``settings``, a mapping of the dotted keys of
+    ``_KEYS``: the form ``parse_run_config`` makes of a file and the ``plm``
+    flags set. Relative paths resolve against ``base_dir``; ``source``
+    names the settings where a required key is missing. The settings build
+    one AnalysisConfig, whose defaults fill every setting left out; edges a
+    role does not accept raise AmbiguousSpec here, before any data is read.
     """
 
-    def __init__(self, data_path, outcome, treatment, placebo, role,
-                 edges=None, covariates=(), bootstrap=None, outputs=None,
-                 base_dir=None, **settings):
+    def __init__(self, settings: Mapping, base_dir=None,
+                 source: str = "config"):
+        _refuse_unknown(set(settings) - set(_KEYS))
+        missing = [key for key in REQUIRED_KEYS if key not in settings]
+        if missing:
+            raise ConfigError(f"{source} lacks required keys: {missing}")
         base = Path(base_dir) if base_dir is not None else Path(".")
-        self.data_path = _as_path(base, data_path, "data_path")
+        given = {key: check(settings[key], key, base)
+                 for key, (check, _) in _KEYS.items() if key in settings}
+        self.data_path = given["data_path"]
         if not self.data_path.is_file():
             raise ConfigError(f"data_path {self.data_path} does not exist")
-        edges = _as_object(edges, "edges")
-        _reject_unknown(edges, _EDGE_KEYS, "edges")
-        for key, value in edges.items():
-            if not isinstance(value, bool):
-                raise ConfigError(f"edges.{key} must be true or false")
-        if (not isinstance(covariates, (list, tuple))
-                or not all(isinstance(c, str) for c in covariates)):
-            raise ConfigError("covariates must be a list of column names")
+        edges = _group(given, "edges")
         self.spec = PlaceboSpec(
-            outcome_col=str(outcome),
-            treatment_col=str(treatment),
-            placebo_col=str(placebo),
-            role=role,
+            outcome_col=given["outcome"],
+            treatment_col=given["treatment"],
+            placebo_col=given["placebo"],
+            role=given["role"],
             edge_d_to_p=edges.get("d_to_p", False),
             edge_p_to_y=edges.get("p_to_y", False),
-            covariate_cols=tuple(covariates),
+            covariate_cols=given.get("covariates", ()),
             # Writing role: mediator in a config file is already an explicit
             # choice, so the in-code acknowledgment gate is satisfied here.
-            acknowledge_mediator=(role == "mediator"),
+            acknowledge_mediator=(given["role"] == "mediator"),
         )
         check_edges(self.spec.role, [key for key, value in edges.items()
                                      if value])
-        bootstrap = _as_object(bootstrap, "bootstrap")
-        _reject_unknown(bootstrap, _BOOTSTRAP_KEYS, "bootstrap")
-        given = {**settings,
-                 **{f"bootstrap.{key}": v for key, v in bootstrap.items()}}
-        _reject_unknown(given, _SETTINGS, "config")
-        fields = {field: check(given[key], key)
-                  for key, (field, check) in _SETTINGS.items()
-                  if key in given}
-        outputs = _as_object(outputs, "outputs")
-        _reject_unknown(outputs, _OUTPUT_KEYS, "outputs")
-        self.outputs = {}
-        for key, value in outputs.items():
-            target = _as_path(base, value, f"outputs.{key}")
+        self.outputs = _group(given, "outputs")
+        for key, target in self.outputs.items():
             if not target.parent.is_dir():
-                raise ConfigError(
-                    f"outputs.{key} directory {target.parent} does not exist"
-                )
-            self.outputs[key] = target
-        self._analysis = AnalysisConfig(spec=self.spec, **fields)
+                raise ConfigError(f"outputs.{key} directory {target.parent} "
+                                  "does not exist")
+        self._analysis = AnalysisConfig(
+            spec=self.spec, **{field: given[key]
+                               for key, (_, field) in _KEYS.items()
+                               if field is not None and key in given})
 
     def analysis_config(self, freeze_sf: bool = False,
                         cluster_col: str | None = None,
@@ -341,7 +336,8 @@ class RunConfig:
 
 
 def parse_run_config(path) -> RunConfig:
-    """Load and validate a JSON run config; unknown keys are rejected."""
+    """Load and validate a JSON run config: its objects spread into the
+    dotted keys RunConfig reads, where a dotted top-level key is unknown."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
@@ -353,11 +349,16 @@ def parse_run_config(path) -> RunConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
-    missing = [key for key in REQUIRED_KEYS if key not in raw]
-    if missing:
-        raise ConfigError(f"config {path} lacks required keys: {missing}")
-    return RunConfig(base_dir=path.parent, **raw)
+    _refuse_unknown([key for key in raw if "." in key])
+    settings = {}
+    for key, value in raw.items():
+        if key not in _GROUPS:
+            settings[key] = value
+        elif isinstance(value, Mapping):
+            settings.update((f"{key}.{name}", v) for name, v in value.items())
+        elif value is not None:
+            raise ConfigError(f"{key} must be a JSON object")
+    return RunConfig(settings, path.parent, source=f"config {path}")
 
 
 def _fmt(value) -> str:

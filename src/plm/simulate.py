@@ -83,12 +83,15 @@ class SCMRecipe:
         if self.z_dim < 1:
             raise InvalidRecipe("z_dim must be at least 1")
         allowed = GRAPH_EDGES[self.graph_case]
-        for edge in self.coefficients:
+        for edge, value in self.coefficients.items():
             if edge not in allowed:
                 raise InvalidRecipe(
                     f"edge {edge!r} is not part of graph "
                     f"{self.graph_case!r} (allowed: {sorted(allowed)})"
                 )
+            if not np.isfinite(np.asarray(value, dtype=np.float64)).all():
+                raise InvalidRecipe(
+                    f"edge {edge!r} coefficients must be finite, got {value}")
         object.__setattr__(self, "coefficients", dict(self.coefficients))
         nodes = ("z", *_NODE_ORDER[self.graph_case])
         if isinstance(self.noise_sd, Mapping):

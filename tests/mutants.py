@@ -38,7 +38,11 @@ class Mutant(NamedTuple):
 
 _REGRESSION = "src/plm/regression.py"
 _DOUBLE = "src/plm/double.py"
+_IO = "src/plm/io.py"
 _ENGINE_TESTS = "tests/test_engine.py::"
+_IO_TESTS = "tests/test_io.py::"
+_WRONG_TYPE = ("tests/test_cli.py::test_a_wrong_json_type_exits_two_before_the"
+               "_data_is_read")
 
 MUTANTS = (
     # gram_least_squares' six reasons to refer a resample to QR.
@@ -129,6 +133,57 @@ MUTANTS = (
            ("tests/test_regression.py::test_gram_sub_products_match_one_"
             "product[17]",
             _ENGINE_TESTS + "test_bootstrap_one_replicate_past_a_batch")),
+    # The run-config schema: one mutant per kind of check.
+    Mutant("config string check", _IO,
+           '_check("a column name", lambda value: isinstance(value, str))',
+           '_check("a column name", lambda value: True)',
+           (_WRONG_TYPE + "[outcome-null]", _WRONG_TYPE + "[placebo-bool]")),
+    Mutant("config boolean check", _IO,
+           '_check("true or false", lambda value: isinstance(value, bool))',
+           '_check("true or false", lambda value: True)',
+           (_IO_TESTS + "test_run_config_edge_role_consistency",
+            _WRONG_TYPE + "[edges.d_to_p-number]")),
+    Mutant("config integer check", _IO,
+           '_INT = _check("an integer", _is_int)',
+           '_INT = _check("an integer", _is_number)',
+           ("tests/test_cli.py::test_malformed_config_value_exits_two"
+            "[bootstrap-value4-bootstrap.seed]",
+            "tests/test_cli.py::test_malformed_config_value_exits_two"
+            "[bootstrap-value5-bootstrap.reps]")),
+    Mutant("config number check", _IO,
+           '(_check("a number", _is_number), "ci_level")',
+           '(_check("a number", lambda value: True), "ci_level")',
+           ("tests/test_cli.py::test_malformed_config_value_exits_two"
+            "[ci_level-x-ci_level]", _WRONG_TYPE + "[ci_level-bool]")),
+    Mutant("config range check", _IO,
+           "and len(value) == 2 and all(map(_is_number, value)),",
+           "and len(value) == 2,",
+           ("tests/test_cli.py::test_malformed_config_value_exits_two"
+            "[k-value8-k must be]",
+            "tests/test_cli.py::test_malformed_config_value_exits_two"
+            "[direct-value10-direct must be]")),
+    Mutant("config path check", _IO,
+           '_check("a path", lambda value: isinstance(value, (str, Path)),',
+           '_check("a path", lambda value: True,',
+           ("tests/test_cli.py::test_malformed_config_value_exits_two"
+            "[outputs-value3-outputs.table]", _WRONG_TYPE + "[data_path-null]")),
+    Mutant("config output directory check", _IO,
+           "            if not target.parent.is_dir():",
+           "            if False:",
+           (_IO_TESTS + "test_run_config_malformed_inputs",)),
+    Mutant("config unknown key check", _IO,
+           "_refuse_unknown(set(settings) - set(_KEYS))",
+           "_refuse_unknown(())",
+           (_IO_TESTS + "test_run_config_rejects_unknown_keys[mutate0]",
+            _IO_TESTS + "test_run_config_rejects_unknown_keys[mutate5]")),
+    Mutant("config required key check", _IO,
+           "missing = [key for key in REQUIRED_KEYS if key not in settings]",
+           "missing = []",
+           (_IO_TESTS + "test_run_config_requires_core_fields",)),
+    Mutant("config file accepts a top-level dotted key", _IO,
+           '_refuse_unknown([key for key in raw if "." in key])',
+           "_refuse_unknown([])",
+           (_IO_TESTS + "test_run_config_rejects_unknown_keys[mutate4]",)),
 )
 
 

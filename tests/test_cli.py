@@ -175,13 +175,8 @@ def test_flags_and_config_file_build_the_same_run(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["table", "contour", "line"])
 def test_every_analysis_flag_sets_a_config_key(kind):
-    nested = {"edges": plm.io._EDGE_KEYS,
-              "bootstrap": plm.io._BOOTSTRAP_KEYS,
-              "outputs": plm.io._OUTPUT_KEYS}
     for flag, key, _ in _ANALYSIS_FLAGS:
-        group, _, name = key.format(kind=kind).partition(".")
-        assert group in plm.io._TOP_KEYS, flag
-        assert not name or name in nested[group], flag
+        assert key.format(kind=kind) in plm.io._KEYS, flag
 
 
 def test_out_of_memory_exits_two_with_one_line(tmp_path, monkeypatch,
@@ -351,6 +346,45 @@ def test_malformed_config_value_exits_two(tmp_path, capsys, key, value,
     config.write_text(json.dumps(raw), encoding="utf-8")
     assert cli_main(["table", "--config", str(config)]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "table.csv").exists()
+
+
+# The JSON types each key of a run config accepts; any other is a
+# configuration error.
+_ACCEPTS = {
+    "data_path": "string", "outcome": "string", "treatment": "string",
+    "placebo": "string", "role": "string", "covariates": "list",
+    "edges": "object null", "edges.d_to_p": "bool", "edges.p_to_y": "bool",
+    "edges.p_to_d": "bool", "edges.y_to_p": "bool", "k": "list",
+    "direct": "list", "grid": "number null", "bootstrap": "object null",
+    "bootstrap.reps": "number", "bootstrap.seed": "number",
+    "ci_level": "number", "outputs": "object", "outputs.table": "string",
+}
+_OF_TYPE = {"null": None, "number": 7, "list": [], "bool": True,
+            "string": "x"}
+
+
+@pytest.mark.parametrize("key, kind", [
+    (key, kind) for key, accepts in _ACCEPTS.items()
+    for kind in _OF_TYPE if kind not in accepts.split()])
+def test_a_wrong_json_type_exits_two_before_the_data_is_read(
+        tmp_path, capsys, key, kind):
+    # The data file is not a CSV, so reading it would exit 3. A column
+    # name of the wrong type used to be read as its str() and exit 3.
+    (tmp_path / "data.csv").write_bytes(b"\xff\x00 not a csv\n")
+    raw = {
+        "data_path": "data.csv", "outcome": "Y", "treatment": "D",
+        "placebo": "P", "role": "placebo_outcome", "covariates": ["X"],
+        "edges": {"d_to_p": True}, "k": [-1, 1], "direct": [0, 0],
+        "grid": 3, "bootstrap": {"reps": 20, "seed": 1}, "ci_level": 0.9,
+        "outputs": {"table": "table.csv"},
+    }
+    group, _, name = key.rpartition(".")
+    (raw[group] if group else raw)[name] = _OF_TYPE[kind]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli_main(["table", "--config", str(config)]) == 2
+    assert key in capsys.readouterr().err
     assert not (tmp_path / "table.csv").exists()
 
 
@@ -704,6 +738,23 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
     assert float(printed[0]) == pytest.approx(float(printed[3].split()[-3]))
 
 
+def test_readme_config_example_parses(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    monkeypatch.chdir(tmp_path)
+    Path("run.json").write_text(json.dumps(example), encoding="utf-8")
+    write_dataset_csv(Dataset({name: np.arange(5.0) for name in (
+        "earnings_post", "trained", "earnings_pre", "age", "education")}),
+        tmp_path / example["data_path"])
+    config = parse_run_config("run.json")
+    assert config.spec.covariate_cols == tuple(example["covariates"])
+    assert set(config.outputs) == set(example["outputs"])
+    assert config.analysis_config().bootstrap_reps \
+        == example["bootstrap"]["reps"]
+
+
 def test_simulate_reproduces_recipe(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     code = cli_main(["simulate", "--case", "a", "--n", "50", "--seed", "4",
@@ -732,6 +783,19 @@ def test_simulate_rejects_bad_recipe(tmp_path, capsys):
                          "2", "--coef", coef, "--out", str(out)]) == 2
         assert (f"--coef value is not numeric: {coef!r}"
                 in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("coef", ["z->y=inf", "z->y=nan", "d->y=-inf",
+                                  "z->y=0.5,nan"])
+def test_simulate_refuses_a_non_finite_coefficient(tmp_path, capsys, coef):
+    # Each used to exit 3 on the non-finite column it drew.
+    out = tmp_path / "sim.csv"
+    assert cli_main(["simulate", "--case", "a", "--n", "50", "--z-dim", "2",
+                     "--coef", coef, "--out", str(out)]) == 2
+    edge = coef.partition("=")[0]
+    assert (f"edge {edge!r} coefficients must be finite"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -62,6 +62,14 @@ def test_m_w_round_trip_with_pre_period_effect():
         assert w_to_m(w, MEANS, att_n=0.7) == pytest.approx(m, abs=1e-12)
 
 
+@pytest.mark.parametrize("att_n", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mapping", [m_to_w, w_to_m])
+def test_m_w_maps_refuse_a_non_finite_att_n(mapping, att_n):
+    # As DIDAssumption does for att(); m_to_w returned nan and w_to_m -0.0.
+    with pytest.raises(ConfigError, match="att_n must be finite"):
+        mapping(1.0, GroupMeans(5.0, 3.0, 2.0, 1.0), att_n=att_n)
+
+
 def test_denominator_guards():
     flat_control = GroupMeans(10.0, 4.0, 5.0, 4.0)
     with pytest.raises(DenominatorNearZero):

@@ -376,12 +376,28 @@ def test_run_config_paths_resolve_against_config_dir(tmp_path):
     {"edges": {"d_to_p": True, "q_to_r": True}},
     {"bootstrap": {"reps": 10, "chains": 2}},
     {"outputs": {"pdf": "x.pdf"}},
+    # The flat form of a nested key is not a file key.
+    {"bootstrap.reps": 10},
+    {"base_dir": "elsewhere"},
 ])
 def test_run_config_rejects_unknown_keys(tmp_path, mutate):
     _write_dataset(tmp_path / "data.csv", _sim_data(n=25))
     payload = _config_payload("data.csv", **mutate)
     with pytest.raises(ConfigError, match="unknown"):
         parse_run_config(_write_config(tmp_path, payload))
+
+
+@pytest.mark.parametrize("mutate, key", [
+    ({"typo_key": 1}, "typo_key"),
+    ({"edges": {"d_to_p": True, "q_to_r": True}}, "edges.q_to_r"),
+    ({"bootstrap.reps": 10}, "bootstrap.reps"),
+])
+def test_unknown_key_is_named_by_its_dotted_name(tmp_path, mutate, key):
+    _write_dataset(tmp_path / "data.csv", _sim_data(n=25))
+    payload = _config_payload("data.csv", **mutate)
+    with pytest.raises(ConfigError) as raised:
+        parse_run_config(_write_config(tmp_path, payload))
+    assert str(raised.value) == f"unknown config keys: {[key]}"
 
 
 def test_run_config_requires_core_fields(tmp_path):

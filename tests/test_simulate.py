@@ -135,3 +135,14 @@ def test_z_edge_broadcast_and_length_check():
 def test_invalid_recipes(kwargs, match):
     with pytest.raises(InvalidRecipe, match=match):
         SCMRecipe(**kwargs)
+
+
+@pytest.mark.parametrize("edge, value", [
+    ("z->y", float("inf")), ("z->y", float("nan")), ("d->y", float("-inf")),
+    ("z->d", (0.5, float("nan"))),
+])
+def test_non_finite_coefficient_is_an_invalid_recipe(edge, value):
+    # Each used to draw a column of non-finite values.
+    with pytest.raises(InvalidRecipe, match=f"edge '{edge}' coefficients "
+                       "must be finite"):
+        SCMRecipe(n=10, graph_case="a", z_dim=2, coefficients={edge: value})
