@@ -428,27 +428,22 @@ def write_contour_csv(grid: ContourGrid, path) -> Path:
     return _write_chunks(path, rows())
 
 
-def _json_ready(value):
+def _json_default(value):
+    """An array as a list and a numpy scalar as its Python value, for
+    ``json.dumps``."""
     if isinstance(value, np.ndarray):
-        return [_json_ready(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (np.floating, np.integer)):
+        return value.tolist()
+    if isinstance(value, np.generic):
         return value.item()
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def write_contour_json(grid: ContourGrid, path) -> Path:
-    payload = {
-        "k_values": _json_ready(grid.k_values),
-        "direct_values": _json_ready(grid.direct_values),
-        "zero_contour": [_json_ready(p) for p in grid.zero_contour],
-        "metadata": _json_ready(grid.metadata),
-    }
-    return _write_chunks(path, (json.dumps(payload, sort_keys=True, indent=1),
-                                "\n"))
+    payload = {"k_values": grid.k_values,
+               "direct_values": grid.direct_values,
+               "zero_contour": grid.zero_contour, "metadata": grid.metadata}
+    return _write_chunks(path, (json.dumps(payload, sort_keys=True, indent=1,
+                                           default=_json_default), "\n"))
 
 
 def write_line_csvs(line: LineSlice, path) -> list[Path]:

@@ -654,34 +654,41 @@ def residualize(data: Dataset, variable: str, controls) -> Residualization:
     )
 
 
+def _column(data: Dataset, v) -> np.ndarray:
+    """The column of ``data`` named ``v``, or ``v`` itself as a vector."""
+    return data[v] if isinstance(v, str) else np.asarray(v)
+
+
 def _fit_vector(data: Dataset, regressors, y):
     """(beta, l2, r_x) of ``least_squares`` of the vector ``y`` on an
-    intercept plus the named columns, from a frame of those columns alone
-    (``y`` keyed None)."""
-    frame = ScaledColumns({**{name: data[name] for name in regressors},
-                           None: y})
-    beta, l2, _, r = least_squares(frame, frame.factor(), regressors, [None])
+    intercept plus ``regressors`` (``_column``s), from a frame of those
+    columns alone: a name keyed by itself, a vector by its position and
+    ``y`` by None."""
+    keys = [v if isinstance(v, str) else j for j, v in enumerate(regressors)]
+    frame = ScaledColumns({**{key: _column(data, v)
+                              for key, v in zip(keys, regressors)}, None: y})
+    beta, l2, _, r = least_squares(frame, frame.factor(), keys, [None])
     return beta[:, 0], l2[0], r
 
 
 def _residual_vector(data: Dataset, variable, controls, beta=None):
-    """Residual of a column (by name) or raw vector on controls + intercept,
-    at coefficients ``beta`` (by default, fitted here)."""
-    y = data[variable] if isinstance(variable, str) else np.asarray(variable)
+    """Residual of ``variable`` on ``controls`` + intercept, all
+    ``_column``s, at coefficients ``beta`` (by default, fitted here)."""
+    y = _column(data, variable)
     if beta is None:
         beta = _fit_vector(data, controls, y)[0]
-    return y - beta[0] - sum(b * data[name]
-                             for name, b in zip(controls, beta[1:]))
+    return y - beta[0] - sum(b * _column(data, v)
+                             for v, b in zip(controls, beta[1:]))
 
 
 def partial_corr(data: Dataset, a, b, given) -> float:
     """Partial correlation of ``a`` and ``b`` given the ``given`` columns.
 
-    ``a`` and ``b`` may be column names or raw vectors. Computed as the
-    cosine of the two residual vectors after partialling out ``given``.
+    Each of ``a``, ``b`` and ``given`` may be a column name or a raw
+    vector. Computed as the cosine of the two residual vectors after
+    partialling out ``given``.
     """
-    va, vb = (data[v] if isinstance(v, str) else np.asarray(v)
-              for v in (a, b))
+    va, vb = _column(data, a), _column(data, b)
     ra = _residual_vector(data, va, given)
     rb = _residual_vector(data, vb, given)
     na = float(np.linalg.norm(ra))
@@ -790,13 +797,7 @@ def verify_bias_factor_identity(
     r_yd_x = partial_corr(data_with_z, response, treatment, controls)
     r_yz_dx = partial_corr(data_with_z, response, zc, (treatment, *controls))
     r_dz_x = partial_corr(data_with_z, treatment, zc, controls)
-    zc_name = "_zc"
-    while zc_name in data_with_z:
-        zc_name += "_"
-    merged = Dataset(
-        {zc_name: zc, **{name: data_with_z[name] for name in data_with_z.names}}
-    )
-    r_yd_zx = partial_corr(merged, response, treatment, (zc_name, *controls))
+    r_yd_zx = partial_corr(data_with_z, response, treatment, (zc, *controls))
     f_yd_x = cohens_f(r_yd_x)
     f_dz_x = cohens_f(r_dz_x)
     f_yz_dx = cohens_f(r_yz_dx)

@@ -7,6 +7,10 @@ the clean coefficient to floating-point accuracy. These routines run that
 round trip for randomized structural models, plus the decomposition
 identity that ties the bias factors together. They back the ``verify``
 command and the test suite.
+
+Two tables state what the checks read: ``simulate._GRAPHS`` the graphs
+the models are drawn from, and ``_ORACLE`` each role's full regressions,
+written apart from the role table the formulas read.
 """
 
 from __future__ import annotations
@@ -86,44 +90,33 @@ def random_recipe(graph_case: str, seed: int, n: int = 160,
                      z_dim=z_dim, noise_sd=noise, seed=int(rng.integers(2**31)))
 
 
+# Each role's two regressions on the simulated columns, written
+# independently of ``adjust._ROLE_TABLE`` so that the recovery round trip
+# checks that table: the target's and the direct effect's, each as
+# (response, regressors, coefficient). Their long fits add Z, then X.
+_ORACLE = {
+    "placebo_outcome": (("Y", "D", "D"), ("P", "D", "D")),
+    "placebo_treatment": (("Y", "DP", "D"), ("Y", "DP", "P")),
+    "observed_confounder_1": (("Y", "DP", "D"), ("P", "D", "D")),
+    "mediator": (("Y", "D", "D"), ("Y", "DP", "P")),
+    "observed_confounder_2": (("Y", "DP", "D"), ("D", "P", "P")),
+    "post_outcome": (("Y", "D", "D"), ("P", "YD", "Y")),
+}
+
+
 def _oracle_quantities(role: str, data: Dataset, x: tuple[str, ...],
                        z: tuple[str, ...]):
-    """Clean coefficient, true direct effect, and the two exact biases."""
-    oracle = bias_decomposition_oracle
-    if role == "placebo_outcome":
-        target = fit_ols(data, "Y", ("D", *z, *x)).coef("D")
-        direct = fit_ols(data, "P", ("D", *z, *x)).coef("D")
-        bias_t = oracle(data, "Y", "D", x, z)
-        bias_p = oracle(data, "P", "D", x, z)
-    elif role == "placebo_treatment":
-        long_fit = fit_ols(data, "Y", ("D", "P", *z, *x))
-        target = long_fit.coef("D")
-        direct = long_fit.coef("P")
-        bias_t = oracle(data, "Y", "D", ("P", *x), z)
-        bias_p = oracle(data, "Y", "P", ("D", *x), z)
-    elif role == "observed_confounder_1":
-        target = fit_ols(data, "Y", ("D", "P", *z, *x)).coef("D")
-        direct = fit_ols(data, "P", ("D", *z, *x)).coef("D")
-        bias_t = oracle(data, "Y", "D", ("P", *x), z)
-        bias_p = oracle(data, "P", "D", x, z)
-    elif role == "mediator":
-        target = fit_ols(data, "Y", ("D", *z, *x)).coef("D")
-        direct = fit_ols(data, "Y", ("D", "P", *z, *x)).coef("P")
-        bias_t = oracle(data, "Y", "D", x, z)
-        bias_p = oracle(data, "Y", "P", ("D", *x), z)
-    elif role == "observed_confounder_2":
-        target = fit_ols(data, "Y", ("D", "P", *z, *x)).coef("D")
-        direct = fit_ols(data, "D", ("P", *z, *x)).coef("P")
-        bias_t = oracle(data, "Y", "D", ("P", *x), z)
-        bias_p = oracle(data, "D", "P", x, z)
-    elif role == "post_outcome":
-        target = fit_ols(data, "Y", ("D", *z, *x)).coef("D")
-        direct = fit_ols(data, "P", ("Y", "D", *z, *x)).coef("Y")
-        bias_t = oracle(data, "Y", "D", x, z)
-        bias_p = oracle(data, "P", "Y", ("D", *x), z)
-    else:
-        raise ValueError(f"no oracle for role {role!r}")
-    return target, direct, bias_t.product, bias_p.product
+    """Clean coefficient, true direct effect, and the two exact biases:
+    each ``_ORACLE`` regression's long-fit coefficient, and its
+    ``bias_decomposition_oracle`` with the coefficient's column as the
+    treatment and the other regressors, then X, as controls."""
+    regressions = _ORACLE[role]
+    longs = [fit_ols(data, response, (*regressors, *z, *x)).coef(column)
+             for response, regressors, column in regressions]
+    biases = [bias_decomposition_oracle(
+        data, response, column, (*regressors.replace(column, ""), *x),
+        z).product for response, regressors, column in regressions]
+    return (*longs, *biases)
 
 
 def recovery_error(graph_case: str, role: str, spec_kwargs: dict,
@@ -182,7 +175,7 @@ def double_recovery_error(graph_case: str, seed: int, n: int = 200,
                         / (fits.beta_np - longs["beta_np_long"])))
         adjusted = adjust_double_placebo(
             fits, DoublePlaceboPoint(k_product=k_product, **longs))
-    return abs(adjusted - target) / max(1.0, abs(target))
+    return float(abs(adjusted - target) / max(1.0, abs(target)))
 
 
 def identity_residual(seed: int, n: int = 400, z_dim: int = 1) -> float:

@@ -17,39 +17,26 @@ import numpy as np
 from .errors import InvalidRecipe
 from .regression import Dataset
 
-# Edges present in each supported graph. Node letters: z (confounders),
-# d (treatment), y (outcome), p (single placebo), n (second placebo for the
-# double-placebo graphs, used as the placebo outcome).
-_BASE = frozenset({"z->d", "z->y", "z->p", "d->y"})
+# Each supported graph: its observed nodes in causal order, and its edges
+# that do not start at z; every graph also has an edge from z to each node
+# (GRAPH_EDGES holds all of them). Nodes: z (confounders), d (treatment),
+# y (outcome), p (single placebo), n (the double-placebo graphs' placebo
+# outcome). A node's column is its letter in upper case.
+_GRAPHS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "a": ("dpy", ("d->y",)),
+    "b": ("dpy", ("d->y", "d->p")),
+    "c": ("dpy", ("d->y", "p->y")),
+    "d": ("dpy", ("d->y", "d->p", "p->y")),
+    "e": ("pdy", ("d->y", "p->d")),
+    "f": ("pdy", ("d->y", "p->d", "p->y")),
+    "g": ("dyp", ("d->y", "y->p")),
+    "h": ("dyp", ("d->y", "d->p", "y->p")),
+    "double_a": ("pdny", ("d->y",)),
+    "double_b": ("pdny", ("d->y", "d->n", "p->y")),
+}
 GRAPH_EDGES: dict[str, frozenset[str]] = {
-    "a": _BASE,
-    "b": _BASE | {"d->p"},
-    "c": _BASE | {"p->y"},
-    "d": _BASE | {"d->p", "p->y"},
-    "e": _BASE | {"p->d"},
-    "f": _BASE | {"p->d", "p->y"},
-    "g": _BASE | {"y->p"},
-    "h": _BASE | {"d->p", "y->p"},
-    "double_a": frozenset({"z->p", "z->d", "z->n", "z->y", "d->y"}),
-    "double_b": frozenset(
-        {"z->p", "z->d", "z->n", "z->y", "d->y", "d->n", "p->y"}
-    ),
-}
-
-_NODE_ORDER: dict[str, tuple[str, ...]] = {
-    "a": ("d", "p", "y"),
-    "b": ("d", "p", "y"),
-    "c": ("d", "p", "y"),
-    "d": ("d", "p", "y"),
-    "e": ("p", "d", "y"),
-    "f": ("p", "d", "y"),
-    "g": ("d", "y", "p"),
-    "h": ("d", "y", "p"),
-    "double_a": ("p", "d", "n", "y"),
-    "double_b": ("p", "d", "n", "y"),
-}
-
-_COLUMN_NAMES = {"d": "D", "p": "P", "y": "Y", "n": "N"}
+    case: frozenset({*(f"z->{node}" for node in nodes), *edges})
+    for case, (nodes, edges) in _GRAPHS.items()}
 
 
 @dataclass(frozen=True)
@@ -93,7 +80,7 @@ class SCMRecipe:
                 raise InvalidRecipe(
                     f"edge {edge!r} coefficients must be finite, got {value}")
         object.__setattr__(self, "coefficients", dict(self.coefficients))
-        nodes = ("z", *_NODE_ORDER[self.graph_case])
+        nodes = {"z", *_GRAPHS[self.graph_case][0]}
         if isinstance(self.noise_sd, Mapping):
             for node, sd in self.noise_sd.items():
                 if node not in nodes:
@@ -134,8 +121,7 @@ class SCMRecipe:
 
 def _scalar_names(recipe: SCMRecipe) -> tuple[str, ...]:
     z_names = tuple(f"Z{i + 1}" for i in range(recipe.z_dim))
-    rest = tuple(_COLUMN_NAMES[n] for n in _NODE_ORDER[recipe.graph_case])
-    return z_names + rest
+    return z_names + tuple(_GRAPHS[recipe.graph_case][0].upper())
 
 
 def _structural_matrices(recipe: SCMRecipe):
@@ -148,16 +134,14 @@ def _structural_matrices(recipe: SCMRecipe):
     for edge in sorted(edges):
         src, dst = edge.split("->")
         weights = recipe.edge_weights(edge)
-        dst_i = index[_COLUMN_NAMES[dst]]
+        dst_i = index[dst.upper()]
         if src == "z":
             for j, w in enumerate(weights):
                 b[dst_i, index[f"Z{j + 1}"]] = w
         else:
-            b[dst_i, index[_COLUMN_NAMES[src]]] = float(weights[0])
-    sds = np.empty(m)
-    for name, i in index.items():
-        node = "z" if name.startswith("Z") else name.lower()
-        sds[i] = recipe.node_sd(node)
+            b[dst_i, index[src.upper()]] = float(weights[0])
+    sds = np.array([recipe.node_sd("z" if name.startswith("Z")
+                                   else name.lower()) for name in names])
     return names, b, sds
 
 

@@ -39,10 +39,18 @@ class Mutant(NamedTuple):
 _REGRESSION = "src/plm/regression.py"
 _DOUBLE = "src/plm/double.py"
 _IO = "src/plm/io.py"
+_ENGINE = "src/plm/engine.py"
 _ENGINE_TESTS = "tests/test_engine.py::"
 _IO_TESTS = "tests/test_io.py::"
 _WRONG_TYPE = ("tests/test_cli.py::test_a_wrong_json_type_exits_two_before_the"
                "_data_is_read")
+_DEFINED = ("tests/test_definition.py::test_runners_equal_their_definition"
+            "[unit-a-placebo_outcome]",
+            "tests/test_definition.py::test_runners_equal_their_definition"
+            "[few_clusters-double_b-double_placebo]")
+_RECOVERY = ("tests/test_selfcheck.py::test_selfcheck_passes_on_small_run",
+             "tests/test_acceptance.py::test_acceptance_05_recovery_identity"
+             "_suite")
 
 MUTANTS = (
     # gram_least_squares' six reasons to refer a resample to QR.
@@ -133,6 +141,34 @@ MUTANTS = (
            ("tests/test_regression.py::test_gram_sub_products_match_one_"
             "product[17]",
             _ENGINE_TESTS + "test_bootstrap_one_replicate_past_a_batch")),
+    # The steps of a table's or line's evaluation, each killed by the
+    # runners' check against their definition.
+    Mutant("SE without Bessel's correction", _ENGINE,
+           "np.std(draws, axis=-1, ddof=1)",
+           "np.std(draws, axis=-1, ddof=0)", _DEFINED),
+    Mutant("lower percentile bound", _ENGINE,
+           "[100.0 * alpha / 2.0, 100.0",
+           "[100.0 * alpha, 100.0", _DEFINED),
+    Mutant("upper percentile bound", _ENGINE,
+           "100.0 * (1.0 - alpha / 2.0)]",
+           "100.0 * (1.0 - alpha)]", _DEFINED),
+    Mutant("evaluation without its last partial block", _ENGINE,
+           "for start in range(0, len(k), block):",
+           "for start in range(0, len(k) - block + 1, block):", _DEFINED),
+    # The validation tables: each states a fact the recovery checks read.
+    Mutant("oracle with a wrong direct-effect regression",
+           "src/plm/selfcheck.py",
+           '"placebo_treatment": (("Y", "DP", "D"), ("Y", "DP", "P")),',
+           '"placebo_treatment": (("Y", "DP", "D"), ("P", "D", "D")),',
+           _RECOVERY),
+    Mutant("graph b without its edge d -> p", "src/plm/simulate.py",
+           '"b": ("dpy", ("d->y", "d->p")),',
+           '"b": ("dpy", ("d->y",)),',
+           ("tests/test_selfcheck.py::test_single_cases_run_on_the_graph"
+            "_their_edges_describe",)),
+    Mutant("role table with a wrong regressor string", "src/plm/adjust.py",
+           '("y", "dp", "d"), ("y", "dp", "p"),',
+           '("y", "d", "d"), ("y", "dp", "p"),', _RECOVERY),
     # The run-config schema: one mutant per kind of check.
     Mutant("config string check", _IO,
            '_check("a column name", lambda value: isinstance(value, str))',

@@ -1,6 +1,7 @@
 """Tests for the grid/contour/line runners and the bootstrap."""
 
 import dataclasses
+import hashlib
 import itertools
 import os
 import subprocess
@@ -1149,6 +1150,30 @@ def test_replicate_counts_are_the_documented_draw(seed, reps, units):
     assert counts.shape == (len(reps), units)
     for row, rep in zip(counts, reps):
         assert np.array_equal(row, _drawn_counts(seed, rep, units))
+
+
+# The draw as literals, taken with numpy 2.4.6: each replicate's first
+# eight counts, and a SHA-256 of the uint8 count rows. A numpy whose
+# Generator stream moved would pass the test above and fail this one.
+@pytest.mark.parametrize("seed, reps, units, first, digest", [
+    (7, [0, 999, 4], 300,
+     [[0, 1, 2, 0, 2, 0, 1, 1], [0, 1, 1, 0, 1, 3, 0, 0],
+      [2, 3, 1, 1, 1, 3, 0, 1]],
+     "c01906e86efd42d15d2b4f14c2d4d2f122db2b92909126f6ce62f616671bdbb6"),
+    (2**32 - 1, [12345], 2675, [[2, 0, 1, 0, 1, 1, 0, 1]],
+     "62d093377609d5c3db7efd2f7816b24c6c7cb3d05effdde4f019c73e6edcddc0"),
+    (123_456_789_012, [1, 0], 50_000,
+     [[0, 1, 1, 1, 1, 3, 2, 3], [2, 0, 1, 1, 1, 1, 0, 3]],
+     "c050f2d175a1da3f80e261fd6764cdf77370880862884a163369330e828d1190"),
+    (5, [3, 70], 100_003,
+     [[2, 1, 0, 2, 0, 0, 1, 2], [2, 2, 1, 0, 2, 0, 1, 3]],
+     "0461fb3362d8058cd2241fff402dd9dedae5c1ef08fd158df4441e48f6d7df01"),
+])
+def test_replicate_counts_are_pinned(seed, reps, units, first, digest):
+    counts = _replicate_counts(seed, reps, units)
+    assert counts.dtype == np.uint8
+    assert counts[:, :8].tolist() == first
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("cluster_col", [None, "C"])

@@ -441,6 +441,29 @@ def test_identity_raises_when_z_unrelated_to_treatment():
         verify_bias_factor_identity(data, "y", "d", [], ["z"])
 
 
+def test_identity_gives_the_confounder_combination_by_value(monkeypatch):
+    # The fitted combination of Z enters the last partial correlation as a
+    # vector: no copy of the data set is made to give it a column name.
+    data = _single_z_scm(500, 26)
+    want = verify_bias_factor_identity(data, "y", "d", [], ["z"])
+
+    def no_copy(columns):
+        raise AssertionError("the data set was copied")
+
+    monkeypatch.setattr(regression, "Dataset", no_copy)
+    assert verify_bias_factor_identity(data, "y", "d", [], ["z"]) == want
+
+
+def test_partial_corr_takes_a_vector_wherever_it_takes_a_name():
+    data = simulate_scm(random_recipe("a", 3, n=200, z_dim=2))
+    want = partial_corr(data, "Y", "D", ("Z1", "Z2"))
+    for a, b, given in (("Y", "D", (data["Z1"], "Z2")),
+                        ("Y", "D", ("Z1", data["Z2"].copy())),
+                        (data["Y"], "D", ("Z1", "Z2")),
+                        ("Y", data["D"], (data["Z1"], data["Z2"]))):
+        assert partial_corr(data, a, b, given) == want
+
+
 def test_partial_corr_and_cohens_f():
     rng = np.random.default_rng(13)
     a = rng.standard_normal(3000)

@@ -3,6 +3,7 @@
 from plm.adjust import _ROLE_TABLE
 from plm.selfcheck import (SINGLE_CASES, CheckReport, identity_residual,
                            run_selfcheck)
+from plm.simulate import GRAPH_EDGES, SCMRecipe, simulate_scm
 
 
 def test_selfcheck_passes_on_small_run():
@@ -12,6 +13,14 @@ def test_selfcheck_passes_on_small_run():
     assert report.max_recovery_error <= 1e-8
     assert report.max_double_error <= 1e-8
     assert report.max_identity_residual <= 1e-8
+
+
+def test_report_holds_python_floats():
+    report = run_selfcheck(seed=0, draws=1)
+    for error in (report.max_recovery_error, report.max_double_error,
+                  report.max_identity_residual):
+        assert type(error) is float
+    assert "np." not in repr(report)
 
 
 def test_identity_residual_multivariate_driver():
@@ -32,3 +41,25 @@ def test_single_cases_cover_every_accepted_edge_set():
                 for edges in rule.accepts}
     assert len(declared) == len(set(declared))
     assert set(declared) == accepted
+
+
+def test_single_cases_run_on_the_graph_their_edges_describe():
+    # A case's graph has exactly the edges between observed nodes that its
+    # spec declares, the one its role implies, and d -> y; each runs from
+    # an earlier column of the simulated data to a later one.
+    edge_names = {"d_to_p": "d->p", "p_to_y": "p->y", "p_to_d": "p->d",
+                  "y_to_p": "y->p"}
+    for graph, role, kwargs in SINGLE_CASES:
+        declared = [name for name in ("d_to_p", "p_to_y")
+                    if kwargs.get(f"edge_{name}")]
+        implied = [_ROLE_TABLE[role].implies] if _ROLE_TABLE[role].implies \
+            else []
+        observed = {edge for edge in GRAPH_EDGES[graph]
+                    if not edge.startswith("z->")}
+        assert observed == {"d->y", *(edge_names[name]
+                                      for name in declared + implied)}
+    for graph, edges in GRAPH_EDGES.items():
+        names = simulate_scm(SCMRecipe(n=1, graph_case=graph)).names
+        for edge in edges:
+            src, dst = edge.upper().split("->")
+            assert src == "Z" or names.index(src) < names.index(dst)
