@@ -122,7 +122,7 @@ class PlaceboSpec:
     role table (``_Role``) holds the sets of them each role accepts.
 
     ``acknowledge_mediator`` must be set to run the mediator case, which is
-    discouraged; see ``dispatch_case``.
+    discouraged; see ``CaseFormula``.
     """
 
     outcome_col: str
@@ -261,9 +261,14 @@ class CaseFormula:
     first use, so a design costs one solve per evaluation: a small QR of
     its columns of the frame's R, or one stacked solve of a batch's Gram
     blocks. ``target`` and ``placebo`` are (design, response, beta row)
-    indices; ``norms`` lists the (design, response) residuals SF reads and
-    ``sf_ratios`` each ratio's (numerator, denominator) positions in
-    ``norms``.
+    indices; ``sf_ratios`` holds, for each ratio of ``_Role.sf``, the
+    (design, response) positions of its numerator and denominator.
+
+    The declared role wins whenever several roles accept the declared
+    edges; ``alternatives`` lists the others, where neither role implies an
+    edge of its own. Raises AmbiguousSpec when the role does not accept the
+    edges and UnsupportedCase for the gated mediator role without its
+    acknowledgment flag.
     """
 
     def __init__(self, spec: PlaceboSpec):
@@ -277,7 +282,6 @@ class CaseFormula:
         self.columns = (*names.values(), *x)
         designs: list[tuple[str, ...]] = []
         responses: list[list[str]] = []
-        norms: list[tuple[int, int]] = []
 
         def locate(response, regressors):
             regressors = (*(names[c] for c in regressors), *x)
@@ -293,17 +297,10 @@ class CaseFormula:
             i, j = locate(response, regressors)
             return i, j, 1 + designs[i].index(names[column])
 
-        def norm(variable, controls):
-            key = locate(variable, controls)
-            if key not in norms:
-                norms.append(key)
-            return norms.index(key)
-
         self.target = coefficient(*role.target)
         self.placebo = coefficient(*role.placebo)
-        self.sf_ratios = tuple((norm(num, num_c), norm(den, den_c))
+        self.sf_ratios = tuple((locate(num, num_c), locate(den, den_c))
                                for num, num_c, den, den_c in role.sf)
-        self.norms = tuple(norms)
         self.designs = tuple(designs)
         self.responses = tuple(map(tuple, responses))
         self.short_regressions = tuple(dict.fromkeys(
@@ -344,10 +341,9 @@ class CaseFormula:
         """(target, placebo, SF) from each design's betas, one resample's
         or a stack's; ``norm(i, j)`` is the checked residual norm of
         response j on design i."""
-        norms = [norm(i, j) for i, j in self.norms]
         sf = 1.0
         for num, den in self.sf_ratios:
-            sf *= norms[num] / norms[den]
+            sf *= norm(*num) / norm(*den)
         (ti, tj, tr), (pi, pj, pr) = self.target, self.placebo
         return betas[ti][..., tr, tj], betas[pi][..., pr, pj], sf
 
@@ -406,16 +402,9 @@ class CaseFormula:
         return ovb_estimate(coefs.target, coefs.placebo, sf, k, direct_effect)
 
 
-def dispatch_case(spec: PlaceboSpec) -> CaseFormula:
-    """Resolve a PlaceboSpec to its case formula.
+# Resolve a PlaceboSpec to its case formula.
+dispatch_case = CaseFormula
 
-    The declared role wins whenever several roles accept the declared
-    edges; ``alternatives`` lists the others, where neither role implies an
-    edge of its own. Raises AmbiguousSpec when the role does not accept the
-    edges and UnsupportedCase for the gated mediator role without its
-    acknowledgment flag.
-    """
-    return CaseFormula(spec)
 
 def scale_factor(case: CaseFormula, data: Dataset) -> float:
     """Evaluate the case's scale factor on a dataset."""

@@ -56,6 +56,7 @@ each in increasing direct, a point repeated where two grid lines meet on it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -73,8 +74,8 @@ from .errors import (
 )
 from .regression import BATCH_BYTES, Dataset, ScaledColumns
 
-# A replicate that raises one of these is dropped and counted; a cluster
-# resample can come out with too few rows for the design.
+# A replicate that raises one of these is dropped and counted by its class;
+# a cluster resample can come out with too few rows for the design.
 _REPLICATE_FAILURES = (NumericError, TooFewRows)
 
 # The largest count a batch of replicate counts holds in one byte a unit.
@@ -243,14 +244,17 @@ def _replicate_rows(counts: np.ndarray, groups=None) -> np.ndarray:
     return np.repeat(np.arange(len(counts)), counts)
 
 
-def _kept(rows, reps: int):
+def _kept(rows, reps: int, causes: Counter):
     """The kept replicates' rows as an array and the number dropped; more
-    than 1 percent dropped raises BootstrapDegenerate."""
+    than 1 percent dropped raises BootstrapDegenerate, naming the count of
+    each exception class in ``causes`` that dropped them."""
     failures = reps - len(rows)
     if failures > 0.01 * reps:
+        named = ", ".join(f"{name}: {count}"
+                          for name, count in sorted(causes.items()))
         raise BootstrapDegenerate(
-            f"{failures} of {reps} bootstrap replicates failed; the design "
-            "is too close to degenerate for resampling inference"
+            f"{failures} of {reps} bootstrap replicates failed ({named}); "
+            "the design is too close to degenerate for resampling inference"
         )
     return np.array(rows, dtype=float), failures
 
@@ -271,7 +275,7 @@ def _bootstrap_quantities(formula, frame: ScaledColumns, data: Dataset,
     if cfg.cluster_col is not None:
         groups = _cluster_ids(data, cfg.cluster_col)
         frame = frame.grouped(groups)
-    kept = []
+    kept, causes = [], Counter()
     for start in range(0, cfg.bootstrap_reps, frame.batch):
         reps = range(start, min(start + frame.batch, cfg.bootstrap_reps))
         counts = _replicate_counts(cfg.seed, reps, frame.units)
@@ -281,10 +285,11 @@ def _bootstrap_quantities(formula, frame: ScaledColumns, data: Dataset,
                 try:
                     row = formula.quantities(frame,
                                              _replicate_rows(drawn, groups))
-                except _REPLICATE_FAILURES:
+                except _REPLICATE_FAILURES as exc:
+                    causes[type(exc).__name__] += 1
                     continue
             kept.append(row)
-    q_rows, failures = _kept(kept, cfg.bootstrap_reps)
+    q_rows, failures = _kept(kept, cfg.bootstrap_reps, causes)
     if cfg.freeze_sf:
         q_rows[:, 2] = q_full[2]
     return q_rows, failures
@@ -428,15 +433,16 @@ def bootstrap(data: Dataset, cfg: AnalysisConfig,
     groups = (None if cfg.cluster_col is None
               else _cluster_ids(data, cfg.cluster_col))
     units = data.n_rows if groups is None else int(groups.max()) + 1
-    draws = []
+    draws, causes = [], Counter()
     for rep in range(cfg.bootstrap_reps):
         rows = _replicate_rows(_replicate_counts(cfg.seed, (rep,), units)[0],
                                groups)
         try:
             draws.append(statistic(data.take(rows)))
-        except _REPLICATE_FAILURES:
-            continue
-    se, lo, hi = _spread(_kept(draws, cfg.bootstrap_reps)[0], cfg.ci_level)
+        except _REPLICATE_FAILURES as exc:
+            causes[type(exc).__name__] += 1
+    se, lo, hi = _spread(_kept(draws, cfg.bootstrap_reps, causes)[0],
+                         cfg.ci_level)
     return {"se": float(se), "ci": (float(lo), float(hi))}
 
 

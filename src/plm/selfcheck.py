@@ -10,7 +10,8 @@ command and the test suite.
 
 Two tables state what the checks read: ``simulate._GRAPHS`` the graphs
 the models are drawn from, and ``_ORACLE`` each role's full regressions,
-written apart from the role table the formulas read.
+written apart from the role table the formulas read. The cases are
+derived from the role table and the graphs (``SINGLE_CASES``).
 """
 
 from __future__ import annotations
@@ -20,31 +21,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjust import PlaceboSpec, ShortCoefficients, dispatch_case
+from .adjust import _ROLE_TABLE, PlaceboSpec, ShortCoefficients, \
+    dispatch_case
 from .double import (DoublePlaceboPoint, adjust_double_placebo,
                      fit_double_shorts, point_identify_double_placebo)
 from .errors import ConfigError, MediatorCautionWarning, \
     ScaleConfusionWarning
 from .regression import (Dataset, ScaledColumns, bias_decomposition_oracle,
                          fit_ols, verify_bias_factor_identity)
-from .simulate import GRAPH_EDGES, SCMRecipe, simulate_scm
+from .simulate import _GRAPHS, GRAPH_EDGES, SCMRecipe, simulate_scm
 
-# Graph label, placebo role, and the edge flags a user would declare: one
-# case for each set of declared edges a role accepts.
-SINGLE_CASES: tuple[tuple[str, str, dict], ...] = (
-    ("a", "placebo_outcome", {}),
-    ("a", "placebo_treatment", {}),
-    ("b", "placebo_outcome", {"edge_d_to_p": True}),
-    ("c", "placebo_treatment", {"edge_p_to_y": True}),
-    ("c", "observed_confounder_1", {"edge_p_to_y": True}),
-    ("d", "mediator", {"edge_d_to_p": True, "edge_p_to_y": True,
-                       "acknowledge_mediator": True}),
-    ("e", "observed_confounder_2", {}),
-    ("f", "observed_confounder_2", {"edge_p_to_y": True}),
-    ("g", "post_outcome", {}),
-    ("h", "post_outcome", {"edge_d_to_p": True}),
-    ("d", "placebo_outcome", {"edge_d_to_p": True, "edge_p_to_y": True}),
-)
+# The three-node graph of each set of edges besides z's.
+_GRAPH_OF = {frozenset(edges): graph
+             for graph, (nodes, edges) in _GRAPHS.items() if len(nodes) == 3}
+
+# Graph label, placebo role, and the PlaceboSpec flags: one case for each
+# set of declared edges a role accepts, on the graph of d -> y, those edges
+# and the one the role implies.
+SINGLE_CASES: tuple[tuple[str, str, dict], ...] = tuple(
+    (_GRAPH_OF[frozenset({"d->y", *(edge.replace("_to_", "->") for edge in
+                                    (*declared, rule.implies) if edge)})],
+     role, {**{f"edge_{edge}": True for edge in sorted(declared)},
+            "acknowledge_mediator": True})
+    for role, rule in _ROLE_TABLE.items() for declared in rule.accepts)
 
 # The bound ``plm verify`` holds each worst-case error to, as it prints it.
 CHECK_TOL_TEXT = "1e-8"

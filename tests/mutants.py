@@ -169,6 +169,44 @@ MUTANTS = (
     Mutant("role table with a wrong regressor string", "src/plm/adjust.py",
            '("y", "dp", "d"), ("y", "dp", "p"),',
            '("y", "d", "d"), ("y", "dp", "p"),', _RECOVERY),
+    Mutant("placebo_outcome's SF ratio upside down", "src/plm/adjust.py",
+           '        (("y", "d", "p", "d"),),\n',
+           '        (("p", "d", "y", "d"),),\n',
+           ("tests/test_adjust.py::test_placebo_outcome_hand_example",
+            "tests/test_adjust.py::test_role_paths_match_lstsq_reference"
+            "[placebo_outcome]", *_RECOVERY)),
+    Mutant("self-check cases on graphs without the implied edge",
+           "src/plm/selfcheck.py",
+           "(*declared, rule.implies) if edge",
+           "declared if edge",
+           ("tests/test_selfcheck.py::test_single_cases_run_on_the_graph"
+            "_their_edges_describe",
+            "tests/test_selfcheck.py::test_every_three_node_graph_serves"
+            "_a_case")),
+    # The package's tolerances and the width of a replicate's counts.
+    Mutant("rank rule looser", _REGRESSION,
+           "RANK_TOL = 1e-10", "RANK_TOL = 1e-13",
+           ("tests/test_regression.py::test_near_constant_regressor_is_refused"
+            "_only_below_the_rank_rule",
+            _ENGINE_TESTS
+            + "test_gram_path_refers_a_near_constant_response_to_qr")),
+    Mutant("near zero looser", _REGRESSION,
+           "NEAR_ZERO = 1e-12", "NEAR_ZERO = 1e-15",
+           ("tests/test_adjust.py::test_scale_factor_refuses_a_residual_only"
+            "_at_rounding_scale[1e-13-True]",)),
+    Mutant("near zero stricter", _REGRESSION,
+           "NEAR_ZERO = 1e-12", "NEAR_ZERO = 1e-9",
+           ("tests/test_adjust.py::test_scale_factor_refuses_a_residual_only"
+            "_at_rounding_scale[1e-11-False]",)),
+    Mutant("Gram path trusted further", _REGRESSION,
+           "GRAM_TOL = 1e-2", "GRAM_TOL = 1e-4",
+           (_ENGINE_TESTS + "test_gram_replicates_match_qr",
+            _ENGINE_TESTS + "test_untrusted_gram_replicate_is_refitted_by_qr"
+            "[placebo_treatment-kwargs0-0]")),
+    Mutant("counts one byte wide up to two bytes' limit", _ENGINE,
+           "_COUNT_MAX = np.iinfo(np.uint8).max",
+           "_COUNT_MAX = np.iinfo(np.uint16).max",
+           (_ENGINE_TESTS + "test_a_count_past_one_byte_is_held_exactly",)),
     # The run-config schema: one mutant per kind of check.
     Mutant("config string check", _IO,
            '_check("a column name", lambda value: isinstance(value, str))',

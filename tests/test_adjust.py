@@ -174,6 +174,27 @@ def test_degenerate_placebo_residual():
         case.sf(data)
 
 
+@pytest.mark.parametrize("size, refused", [(1e-13, True), (1e-11, False)])
+def test_scale_factor_refuses_a_residual_only_at_rounding_scale(size,
+                                                                 refused):
+    # P is exactly linear in D but for a residual of ``size`` times its
+    # norm: NEAR_ZERO (1e-12) is where that residual is rounding noise.
+    rng = np.random.default_rng(3)
+    d = rng.normal(size=200)
+    fitted = 5.0 + 2.0 * d
+    basis = np.column_stack([np.ones(200), d])
+    noise = rng.normal(size=200)
+    noise -= basis @ np.linalg.lstsq(basis, noise, rcond=None)[0]
+    p = fitted + size * np.linalg.norm(fitted) / np.linalg.norm(noise) * noise
+    data = Dataset({"Y": rng.normal(size=200) + d, "D": d, "P": p})
+    case = _case("placebo_outcome", edge_d_to_p=True)
+    if refused:
+        with pytest.raises(DegenerateResidual):
+            case.sf(data)
+    else:
+        assert case.sf(data) > 0
+
+
 def test_mediator_warns_every_call():
     case = _case("mediator", edge_d_to_p=True, edge_p_to_y=True,
                  acknowledge_mediator=True)

@@ -233,9 +233,17 @@ def test_a_degenerate_bootstrap_raises_on_every_path(monkeypatch, graph,
     data = Dataset(cols)
     spec = _spec(graph, role, edges, ("X1", "X2", "X3"))
     cfg = _config(spec, "C", 11)
-    assert _replicates(data, cfg, _definition(spec)[0]) is \
-        BootstrapDegenerate
+    statistic = _definition(spec)[0]
+    assert _replicates(data, cfg, statistic) is BootstrapDegenerate
     assert _run(data, cfg, "k") is BootstrapDegenerate
+    # Each names the cause: the three dropped resamples hold two clusters
+    # or fewer, so the cluster-level covariates are collinear with the
+    # intercept.
+    message = r"^3 of 100 bootstrap replicates failed \(RankDeficient: 3\); "
+    for run in (run_table, lambda *args: run_line(*args, "k", (0.0, 0.7)),
+                lambda *args: bootstrap(*args, statistic)):
+        with pytest.raises(BootstrapDegenerate, match=message):
+            run(data, cfg)
     _small_budget(monkeypatch, 6, len(cols))
     assert _run(data, cfg, "direct") is BootstrapDegenerate
 

@@ -1130,6 +1130,20 @@ def test_counts_past_the_count_width_leave_the_rows(monkeypatch,
     assert np.array_equal(got[0], want[0])
 
 
+def test_a_count_past_one_byte_is_held_exactly(monkeypatch):
+    # A stream that draws unit 0 every time, which no seed gives in
+    # practice: 300 draws of one unit, past the one-byte count.
+    class Zeros:
+        def integers(self, low, high, size):
+            return np.zeros(size, dtype=np.int64)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Zeros())
+    counts = _replicate_counts(0, range(2), 300)
+    assert counts[:, 0].tolist() == [300, 300]
+    assert counts[:, 1:].max() == 0
+    assert len(_replicate_rows(counts[1])) == 300
+
+
 def _drawn_counts(seed, rep, units):
     """The draw, written out: replicate ``rep`` draws ``units`` units with
     replacement from its own seed stream, and counts them."""

@@ -3,7 +3,7 @@
 from plm.adjust import _ROLE_TABLE
 from plm.selfcheck import (SINGLE_CASES, CheckReport, identity_residual,
                            run_selfcheck)
-from plm.simulate import GRAPH_EDGES, SCMRecipe, simulate_scm
+from plm.simulate import _GRAPHS, GRAPH_EDGES, SCMRecipe, simulate_scm
 
 
 def test_selfcheck_passes_on_small_run():
@@ -63,3 +63,10 @@ def test_single_cases_run_on_the_graph_their_edges_describe():
         for edge in edges:
             src, dst = edge.upper().split("->")
             assert src == "Z" or names.index(src) < names.index(dst)
+
+
+def test_every_three_node_graph_serves_a_case():
+    # A graph that no case runs on would drop out of ``plm verify``.
+    three_node = {graph for graph, (nodes, _) in _GRAPHS.items()
+                  if len(nodes) == 3}
+    assert {graph for graph, _, _ in SINGLE_CASES} == three_node
