@@ -35,15 +35,26 @@ from .simulate import _GRAPHS, GRAPH_EDGES, SCMRecipe, simulate_scm
 _GRAPH_OF = {frozenset(edges): graph
              for graph, (nodes, edges) in _GRAPHS.items() if len(nodes) == 3}
 
+# The place of each (graph, role) case: ``run_selfcheck`` draws case i's
+# seeds from seed + 1000 * i, so this order fixes what ``plm verify`` prints.
+_CASE_ORDER = (
+    ("a", "placebo_outcome"), ("a", "placebo_treatment"),
+    ("b", "placebo_outcome"), ("c", "placebo_treatment"),
+    ("c", "observed_confounder_1"), ("d", "mediator"),
+    ("e", "observed_confounder_2"), ("f", "observed_confounder_2"),
+    ("g", "post_outcome"), ("h", "post_outcome"), ("d", "placebo_outcome"),
+)
+
 # Graph label, placebo role, and the PlaceboSpec flags: one case for each
 # set of declared edges a role accepts, on the graph of d -> y, those edges
 # and the one the role implies.
-SINGLE_CASES: tuple[tuple[str, str, dict], ...] = tuple(
+SINGLE_CASES: tuple[tuple[str, str, dict], ...] = tuple(sorted((
     (_GRAPH_OF[frozenset({"d->y", *(edge.replace("_to_", "->") for edge in
                                     (*declared, rule.implies) if edge)})],
      role, {**{f"edge_{edge}": True for edge in sorted(declared)},
             "acknowledge_mediator": True})
-    for role, rule in _ROLE_TABLE.items() for declared in rule.accepts)
+    for role, rule in _ROLE_TABLE.items() for declared in rule.accepts),
+    key=lambda case: _CASE_ORDER.index(case[:2])))
 
 # The bound ``plm verify`` holds each worst-case error to, as it prints it.
 CHECK_TOL_TEXT = "1e-8"

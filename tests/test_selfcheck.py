@@ -1,8 +1,8 @@
 """Tests for the randomized self-check harness itself."""
 
 from plm.adjust import _ROLE_TABLE
-from plm.selfcheck import (SINGLE_CASES, CheckReport, identity_residual,
-                           run_selfcheck)
+from plm.selfcheck import (_CASE_ORDER, SINGLE_CASES, CheckReport,
+                           identity_residual, run_selfcheck)
 from plm.simulate import _GRAPHS, GRAPH_EDGES, SCMRecipe, simulate_scm
 
 
@@ -70,3 +70,8 @@ def test_every_three_node_graph_serves_a_case():
     three_node = {graph for graph, (nodes, _) in _GRAPHS.items()
                   if len(nodes) == 3}
     assert {graph for graph, _, _ in SINGLE_CASES} == three_node
+
+
+def test_single_cases_keep_their_seed_order():
+    # Each case's place fixes the seeds ``plm verify`` draws for it.
+    assert [case[:2] for case in SINGLE_CASES] == list(_CASE_ORDER)
