@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
@@ -23,8 +22,8 @@ from .did import DIDAssumption, GroupMeans, att, dim, m_to_w, \
     parallel_trends_gap
 from .engine import run_contour, run_line, run_table
 from .errors import ConfigError, DataError, NumericError, PlmError
-from .io import REQUIRED_KEYS, RunConfig, _write_chunks, emit_outputs, \
-    load_csv, parse_run_config, write_dataset_csv
+from .io import REQUIRED_KEYS, RunConfig, emit_outputs, json_text, \
+    load_csv, parse_run_config, write_dataset_csv, write_json
 from .selfcheck import CHECK_TOL_TEXT, run_selfcheck
 from .semiparam import SemiparamInputs, adjust_partially_linear
 from .simulate import GRAPH_EDGES, SCMRecipe, simulate_scm
@@ -270,11 +269,10 @@ def _library_kwargs(args) -> dict:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=1, sort_keys=True)
     if out is None:
-        print(text)
+        print(json_text(payload))
     else:
-        _write_chunks(out, (text, "\n"))
+        write_json(payload, out)
         print(out)
 
 

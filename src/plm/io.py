@@ -1,8 +1,10 @@
 """CSV ingestion, JSON run configs, and output writers.
 
-Numbers are serialized as shortest round-trip decimals (Python's repr), so
-emitted files reproduce in-memory values exactly when read back. All
-writers emit deterministic bytes for identical inputs.
+Every CSV output goes through ``_write_csv``, a block of rows at a time,
+and writes each float as its shortest round-trip decimal (Python's repr),
+so emitted files reproduce in-memory values exactly when read back. Every
+JSON output is the text of ``json_text``. All writers emit deterministic
+bytes for identical inputs.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import warnings
 from array import array
 from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping
 
@@ -183,23 +186,11 @@ def check_fixture_manifest(data: Dataset, manifest: Mapping) -> None:
             )
 
 
-# Rows per chunk of write_dataset_csv: a chunk of 8 columns is about 0.6
-# MiB of text, whatever the row count.
-_ROW_BLOCK = 4096
-
-
 def write_dataset_csv(data: Dataset, path) -> Path:
     """Write a Dataset as numeric CSV that load_csv reads back exactly."""
-    columns = [data[name] for name in data.names]
-
-    def blocks():
-        yield ",".join(data.names) + "\n"
-        for start in range(0, data.n_rows, _ROW_BLOCK):
-            cells = [map(repr, col[start:start + _ROW_BLOCK].tolist())
-                     for col in columns]
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
-
-    return _write_chunks(path, blocks())
+    return _write_csv(path, data.names,
+                      ([_cells(data[name][rows]) for name in data.names]
+                       for rows in _row_blocks(data.n_rows)))
 
 
 def _is_int(value) -> bool:
@@ -361,15 +352,10 @@ def parse_run_config(path) -> RunConfig:
     return RunConfig(settings, path.parent, source=f"config {path}")
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
 def _write_chunks(path, chunks) -> Path:
     """Write the text ``chunks``, in order, into ``path`` opened once: the
-    one write path of every output. A writer yields row blocks, so what it
-    holds does not grow with the file. IoError (exit 3) where the path
-    cannot be opened or written."""
+    one write path of every output. IoError (exit 3) where the path cannot
+    be opened or written."""
     path = Path(path)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -379,19 +365,37 @@ def _write_chunks(path, chunks) -> Path:
     return path
 
 
+# Rows per block of a CSV writer: a block of 8 columns is about 0.6 MiB
+# of text, whatever the row count.
+_ROW_BLOCK = 4096
+
+
+def _row_blocks(n_rows: int):
+    """Slices of at most ``_ROW_BLOCK`` rows that cover ``range(n_rows)``."""
+    return (slice(i, i + _ROW_BLOCK) for i in range(0, n_rows, _ROW_BLOCK))
+
+
+def _cells(values):
+    """The text of each float of ``values``: its shortest round-trip
+    decimal, the one number format of every CSV output."""
+    return map(repr, np.asarray(values, dtype=float).tolist())
+
+
+def _write_csv(path, header, blocks) -> Path:
+    """The one CSV writer: the ``header`` row, then the rows of each of
+    ``blocks``, a list of columns of cell text that ends with its shortest
+    column. Bounded blocks keep what a writer holds from growing."""
+    def chunks():
+        yield ",".join(header) + "\n"
+        for columns in blocks:
+            yield "\n".join(map(",".join, zip(*columns))) + "\n"
+    return _write_chunks(path, chunks())
+
+
 def write_table_csv(table: ResultTable, path) -> Path:
-    rows = [",".join(TABLE_COLUMNS) + "\n"]
-    for row in table.rows:
-        rows.append(",".join([
-            row.label,
-            _fmt(row.k),
-            _fmt(row.direct),
-            _fmt(row.estimate),
-            _fmt(row.se),
-            _fmt(row.ci_low),
-            _fmt(row.ci_high),
-        ]) + "\n")
-    return _write_chunks(path, rows)
+    blocks = (zip(*table.rows[rows]) for rows in _row_blocks(len(table.rows)))
+    return _write_csv(path, TABLE_COLUMNS, ([labels, *map(_cells, numbers)]
+                                            for labels, *numbers in blocks))
 
 
 def read_table_csv(path) -> ResultTable:
@@ -415,22 +419,17 @@ def read_table_csv(path) -> ResultTable:
 
 
 def write_contour_csv(grid: ContourGrid, path) -> Path:
-    # Each axis value is formatted once; tolist() gives the Python floats
-    # whose repr _fmt writes. One chunk per k value.
-    directs = [_fmt(dv) for dv in grid.direct_values]
-
-    def rows():
-        yield "k,direct,estimate\n"
-        for k, row in zip(map(_fmt, grid.k_values), grid.estimates):
-            yield "".join([f"{k},{dv},{z!r}\n"
-                           for dv, z in zip(directs, row.tolist())])
-
-    return _write_chunks(path, rows())
+    """One block per k row: its k text, the direct texts (formatted once)
+    and its estimates; each k is formatted with its row, not all at once."""
+    directs = list(_cells(grid.direct_values))
+    return _write_csv(path, ("k", "direct", "estimate"), (
+        [repeat(k_text), directs, _cells(row)]
+        for (k_text,), row in zip(map(_cells, grid.k_values[:, None]),
+                                  grid.estimates)))
 
 
 def _json_default(value):
-    """An array as a list and a numpy scalar as its Python value, for
-    ``json.dumps``."""
+    """An array as a list and a numpy scalar as its Python value."""
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, np.generic):
@@ -438,33 +437,38 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+def json_text(payload) -> str:
+    """The text of every JSON output: sorted keys, one-space indent,
+    arrays as lists and numpy scalars as their Python values."""
+    return json.dumps(payload, sort_keys=True, indent=1,
+                      default=_json_default)
+
+
+def write_json(payload, path) -> Path:
+    return _write_chunks(path, (json_text(payload), "\n"))
+
+
 def write_contour_json(grid: ContourGrid, path) -> Path:
-    payload = {"k_values": grid.k_values,
-               "direct_values": grid.direct_values,
-               "zero_contour": grid.zero_contour, "metadata": grid.metadata}
-    return _write_chunks(path, (json.dumps(payload, sort_keys=True, indent=1,
-                                           default=_json_default), "\n"))
+    return write_json({"k_values": grid.k_values,
+                       "direct_values": grid.direct_values,
+                       "zero_contour": grid.zero_contour,
+                       "metadata": grid.metadata}, path)
 
 
 def write_line_csvs(line: LineSlice, path) -> list[Path]:
     """One CSV per curve; a single curve goes to the path itself."""
     path = Path(path)
+    fixed_name = "fixed_direct" if line.varying == "k" else "fixed_k"
+    header = (line.varying, "estimate", "ci_low", "ci_high", fixed_name)
     written = []
     for index, (fixed, curve) in enumerate(zip(line.fixed_values,
                                                line.curves)):
-        if len(line.curves) == 1:
-            target = path
-        else:
-            target = path.with_name(
-                f"{path.stem}_{index + 1}{path.suffix or '.csv'}"
-            )
-        fixed_name = "fixed_direct" if line.varying == "k" else "fixed_k"
-        lines = [f"{line.varying},estimate,ci_low,ci_high,{fixed_name}\n"]
-        for param, est, lo, hi in curve:
-            lines.append(",".join(
-                [_fmt(param), _fmt(est), _fmt(lo), _fmt(hi), _fmt(fixed)]
-            ) + "\n")
-        written.append(_write_chunks(target, lines))
+        target = path if len(line.curves) == 1 else path.with_name(
+            f"{path.stem}_{index + 1}{path.suffix or '.csv'}")
+        fixed_text, = _cells((fixed,))
+        written.append(_write_csv(target, header, (
+            [*map(_cells, curve[rows].T), repeat(fixed_text)]
+            for rows in _row_blocks(len(curve)))))
     return written
 
 
@@ -539,8 +543,8 @@ def render_contour_svg(grid: ContourGrid) -> str:
 
     def body(to_x, to_y):
         vmax = float(np.abs(z).max()) if z.size else 0.0
-        stride_k = max(1, (len(kv) - 1 + 39) // 40) if len(kv) > 1 else 1
-        stride_d = max(1, (len(dv) - 1 + 39) // 40) if len(dv) > 1 else 1
+        stride_k = max(1, (len(kv) - 1 + 39) // 40)
+        stride_d = max(1, (len(dv) - 1 + 39) // 40)
         parts = ['<g stroke="none">']
         for i in range(0, max(len(kv) - 1, 1), stride_k):
             i2 = min(i + stride_k, len(kv) - 1)
@@ -631,11 +635,8 @@ def emit_outputs(results: Mapping, cfg: RunConfig) -> list[Path]:
     line = results.get("line")
     if line is not None and "line" in cfg.outputs:
         written.extend(write_line_csvs(line, cfg.outputs["line"]))
-    if "svg" in cfg.outputs:
-        if contour is not None:
-            written.append(_write_chunks(cfg.outputs["svg"],
-                                         (render_contour_svg(contour),)))
-        elif line is not None:
-            written.append(_write_chunks(cfg.outputs["svg"],
-                                         (render_line_svg(line),)))
+    if "svg" in cfg.outputs and (contour is not None or line is not None):
+        svg = (render_contour_svg(contour) if contour is not None
+               else render_line_svg(line))
+        written.append(_write_chunks(cfg.outputs["svg"], (svg,)))
     return written

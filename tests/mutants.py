@@ -40,8 +40,11 @@ _REGRESSION = "src/plm/regression.py"
 _DOUBLE = "src/plm/double.py"
 _IO = "src/plm/io.py"
 _ENGINE = "src/plm/engine.py"
+_ADJUST = "src/plm/adjust.py"
 _ENGINE_TESTS = "tests/test_engine.py::"
 _IO_TESTS = "tests/test_io.py::"
+_DISPATCH = "tests/test_adjust.py::test_dispatch_over_every_role_and_edge_set"
+_NAMED = "tests/test_adjust.py::test_ambiguous_spec_names_every_accepting_role"
 _WRONG_TYPE = ("tests/test_cli.py::test_a_wrong_json_type_exits_two_before_the"
                "_data_is_read")
 _DEFINED = ("tests/test_definition.py::test_runners_equal_their_definition"
@@ -120,14 +123,50 @@ MUTANTS = (
             "_only_below_the_rank_rule",
             "tests/test_cli.py::test_covariate_constant_up_to_rounding_exits"
             "_four[True]")),
-    Mutant("observed_confounder_2 without its implied edge",
-           "src/plm/adjust.py",
+    # The edge rules of the role table: each role's accepted edge sets and
+    # implied edge, against test_adjust's own table of dispatch outcomes.
+    Mutant("placebo_outcome refuses d -> p alone", _ADJUST,
+           "{_NONE: (), _D_TO_P: (), _BOTH: (",
+           "{_NONE: (), _BOTH: (",
+           (_DISPATCH + "[placebo_outcome-True-False-False]",
+            _NAMED + "[placebo_treatment]")),
+    Mutant("placebo_treatment accepts d -> p", _ADJUST,
+           '"placebo->outcome",\n        {_NONE: (), _P_TO_Y: ()}),',
+           '"placebo->outcome",\n        {_NONE: (), _D_TO_P: (), '
+           '_P_TO_Y: ()}),',
+           (_DISPATCH + "[placebo_treatment-True-False-False]",
+            _NAMED + "[placebo_treatment]")),
+    Mutant("observed_confounder_1 accepts no declared edge", _ADJUST,
+           "{_P_TO_Y: ()}),",
+           "{_NONE: (), _P_TO_Y: ()}),",
+           (_DISPATCH + "[observed_confounder_1-False-False-False]",
+            _NAMED + "[observed_confounder_1]")),
+    Mutant("observed_confounder_2 refuses no declared edge", _ADJUST,
+           '{_NONE: (), _P_TO_Y: ()}, implies="p_to_d"),',
+           '{_P_TO_Y: ()}, implies="p_to_d"),',
+           (_DISPATCH + "[observed_confounder_2-False-False-False]",
+            _NAMED + "[observed_confounder_1]")),
+    Mutant("observed_confounder_2 without its implied edge", _ADJUST,
            '{_NONE: (), _P_TO_Y: ()}, implies="p_to_d"),',
            "{_NONE: (), _P_TO_Y: ()}),",
-           ("tests/test_adjust.py::test_dispatch_over_every_role_and_edge_set"
-            "[observed_confounder_2-False-False-False]",
+           (_DISPATCH + "[observed_confounder_2-False-False-False]",
             "tests/test_cli.py::test_implied_edge_help_names_the_roles_that"
             "_imply_it[p_to_d]")),
+    Mutant("mediator accepts d -> p alone", _ADJUST,
+           '{_BOTH: ("mediator case',
+           '{_D_TO_P: (), _BOTH: ("mediator case',
+           (_DISPATCH + "[mediator-True-False-True]", _NAMED + "[mediator]")),
+    Mutant("post_outcome refuses d -> p", _ADJUST,
+           '{_NONE: (), _D_TO_P: ()}, implies="y_to_p"),',
+           '{_NONE: ()}, implies="y_to_p"),',
+           (_DISPATCH + "[post_outcome-True-False-False]",
+            _NAMED + "[placebo_treatment]")),
+    Mutant("post_outcome without its implied edge", _ADJUST,
+           '{_NONE: (), _D_TO_P: ()}, implies="y_to_p"),',
+           "{_NONE: (), _D_TO_P: ()}),",
+           (_DISPATCH + "[post_outcome-False-False-False]",
+            "tests/test_cli.py::test_implied_edge_help_names_the_roles_that"
+            "_imply_it[y_to_p]")),
     Mutant("TSQR without the remainder rows", _REGRESSION,
            "np.concatenate([*rs, take(full, rows)])",
            "np.concatenate(rs)",
@@ -166,10 +205,10 @@ MUTANTS = (
            '"b": ("dpy", ("d->y",)),',
            ("tests/test_selfcheck.py::test_single_cases_run_on_the_graph"
             "_their_edges_describe",)),
-    Mutant("role table with a wrong regressor string", "src/plm/adjust.py",
+    Mutant("role table with a wrong regressor string", _ADJUST,
            '("y", "dp", "d"), ("y", "dp", "p"),',
            '("y", "d", "d"), ("y", "dp", "p"),', _RECOVERY),
-    Mutant("placebo_outcome's SF ratio upside down", "src/plm/adjust.py",
+    Mutant("placebo_outcome's SF ratio upside down", _ADJUST,
            '        (("y", "d", "p", "d"),),\n',
            '        (("p", "d", "y", "d"),),\n',
            ("tests/test_adjust.py::test_placebo_outcome_hand_example",
@@ -254,6 +293,13 @@ MUTANTS = (
            "missing = [key for key in REQUIRED_KEYS if key not in settings]",
            "missing = []",
            (_IO_TESTS + "test_run_config_requires_core_fields",)),
+    # The one CSV writer's blocks of rows.
+    Mutant("row blocks one row short", _IO,
+           "slice(i, i + _ROW_BLOCK)",
+           "slice(i, i + _ROW_BLOCK - 1)",
+           (_IO_TESTS + "test_dataset_csv_bytes_match_the_per_row_form[4096]",
+            _IO_TESTS + "test_table_and_line_csv_writers_stream_the_per_row"
+            "_form[line]")),
     Mutant("config file accepts a top-level dotted key", _IO,
            '_refuse_unknown([key for key in raw if "." in key])',
            "_refuse_unknown([])",

@@ -15,10 +15,12 @@ CI width, with equal ``bootstrap_failures``, or raise the same error: at
 the default byte budget and at one small enough for several replicate
 batches and evaluation blocks, each with a short last one. ``run_contour``
 must match ``adjust`` on the full sample at its grid points. The bound
-was set before the first run.
+was set before the first run. Stress inputs (n = p + 2, units of 1e+-11,
+4, 5 and 7 clusters with cluster-level covariates) run a few specs each.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -61,23 +63,56 @@ def _earnings(graph):
     return cols
 
 
-def _few_clusters(graph):
-    """``_unit`` in 6 clusters of 40 rows, with two cluster-level
-    covariates X2 and X3: a resample of two distinct clusters or fewer
-    makes them collinear with the intercept."""
+def _clusters(graph, groups=6):
+    """``_unit`` in ``groups`` clusters of (nearly) equal size, with two
+    cluster-level covariates X2 and X3: a resample of two distinct
+    clusters or fewer makes them collinear with the intercept."""
     cols = _unit(graph)
-    cols["C"] = np.repeat(np.arange(6), 40)
+    cols["C"] = np.arange(240) * groups // 240
     rng = np.random.default_rng(5)
-    cols["X2"], cols["X3"] = rng.normal(size=(2, 6))[:, cols["C"]]
+    cols["X2"], cols["X3"] = rng.normal(size=(2, groups))[:, cols["C"]]
     return cols
 
 
-# Each input with the cluster column it resamples by (None for rows). Of
-# the 100 resamples of 6 clusters at seed 13, one holds two clusters or
-# fewer and is dropped; at seed 11 three do, and the bootstrap raises.
-_INPUTS = {"unit": (_unit, None), "earnings": (_earnings, "C"),
-           "few_clusters": (_few_clusters, "C")}
-_SEED = {"unit": 11, "earnings": 11, "few_clusters": 13}
+def _tight(graph):
+    """``_unit`` cut to n = p + 2 rows, p the frame's columns: an intercept
+    and every column but C."""
+    cols = _unit(graph)
+    return {name: col[:len(cols) + 2] for name, col in cols.items()}
+
+
+def _units(graph):
+    """``_unit`` with the outcome and placebos in units of 1e11, the
+    treatment and X1 in units of 1e-11."""
+    cols = _unit(graph)
+    for name, unit in (("Y", 1e11), ("P", 1e11), ("N", 1e11), ("D", 1e-11),
+                       ("X1", 1e-11)):
+        if name in cols:
+            cols[name] = unit * cols[name]
+    return cols
+
+
+# Each input: its builder, the cluster column it resamples by (None for
+# rows), the seed, and how many of the 100 replicates every path drops, or
+# the error every path raises. Of the resamples of 6 clusters at seed 13,
+# one holds two clusters or fewer and is dropped; at seed 11 three do, and
+# the bootstrap raises. So does every bootstrap of 7 rows, 4 clusters or 5
+# clusters; of 7 clusters at seed 14, one resample is dropped.
+_INPUTS = {"unit": (_unit, None, 11, 0), "earnings": (_earnings, "C", 11, 0),
+           "few_clusters": (_clusters, "C", 13, 1),
+           "n_p_plus_2": (_tight, None, 11, BootstrapDegenerate),
+           "units_1e11": (_units, None, 11, 0),
+           "clusters_4": (functools.partial(_clusters, groups=4), "C", 11,
+                          BootstrapDegenerate),
+           "clusters_5": (functools.partial(_clusters, groups=5), "C", 11,
+                          BootstrapDegenerate),
+           "clusters_7": (functools.partial(_clusters, groups=7), "C", 14, 1)}
+# The specs each stress input runs: one SF ratio, two, and the double
+# placebo.
+_STRESS_CASES = [_CASES[0], _CASES[4], _CASES[-1]]
+_PARAMS = [(make, *case) for make in _INPUTS
+           for case in (_CASES if make in ("unit", "earnings", "few_clusters")
+                        else _STRESS_CASES)]
 
 
 def _spec(graph, role, edges, covariates):
@@ -114,22 +149,23 @@ def _definition(spec):
 
 
 def _outcome(run, *args):
-    """``run(*args)``, or the class of the package error it raises."""
+    """``run(*args)``, or the class and message of the package error it
+    raises: a bootstrap's message counts its dropped replicates by class."""
     try:
         return run(*args)
     except PlmError as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 def _run(data, cfg, varying):
     """(failures, points) of run_table and of run_line along ``varying``
-    at ``cfg``, or the class of the error they raise: a point is (k,
+    at ``cfg``, or the error they raise (``_outcome``): a point is (k,
     direct, estimate, SE or None, CI low, CI high), of every table row,
     then of each line point."""
     table = _outcome(run_table, data, cfg)
     line = _outcome(run_line, data, cfg, varying, (0.0, 0.7))
-    if isinstance(table, type):
-        assert line is table
+    if isinstance(table, tuple):
+        assert line == table
         return table
     assert line.metadata["bootstrap_failures"] == \
         table.metadata["bootstrap_failures"]
@@ -170,8 +206,8 @@ def _config(spec, cluster_col, seed):
 
 
 def _replicates(data, cfg, statistic):
-    """The fits ``bootstrap()`` keeps, or the class of the error it
-    raises."""
+    """The fits ``bootstrap()`` keeps, or the error it raises
+    (``_outcome``)."""
     kept = []
 
     def record(rows):
@@ -179,7 +215,7 @@ def _replicates(data, cfg, statistic):
         return 0.0
 
     outcome = _outcome(bootstrap, data, cfg, record)
-    return outcome if isinstance(outcome, type) else kept
+    return outcome if isinstance(outcome, tuple) else kept
 
 
 def _small_budget(monkeypatch, units, q):
@@ -192,21 +228,19 @@ def _small_budget(monkeypatch, units, q):
 
 
 @pytest.mark.filterwarnings("ignore::plm.errors.MediatorCautionWarning")
-@pytest.mark.parametrize("graph, role, edges", _CASES,
-                         ids=[f"{g}-{r}" for g, r, _ in _CASES])
-@pytest.mark.parametrize("make", _INPUTS)
+@pytest.mark.parametrize("make, graph, role, edges", _PARAMS,
+                         ids=[f"{m}-{g}-{r}" for m, g, r, _ in _PARAMS])
 def test_runners_equal_their_definition(monkeypatch, make, graph, role,
                                         edges):
-    build, cluster_col = _INPUTS[make]
+    build, cluster_col, seed, outcome = _INPUTS[make]
     cols = build(graph)
     data = Dataset(cols)
     spec = _spec(graph, role, edges,
                  tuple(name for name in cols if name[0] == "X"))
     statistic, estimate = _definition(spec)
     full = statistic(data)
-    cfg = _config(spec, cluster_col, _SEED[make])
+    cfg = _config(spec, cluster_col, seed)
     replicates = _replicates(data, cfg, statistic)
-    failures = REPS - len(replicates)
     # (SF held fixed or None, run): each line along k at the default
     # budget, along the direct effect at the small one and with freeze_sf.
     runs = [(None, _run(data, cfg, "k"))]
@@ -218,24 +252,28 @@ def test_runners_equal_their_definition(monkeypatch, make, graph, role,
     if role != "double_placebo":
         runs.append((full[1], _run(
             data, dataclasses.replace(cfg, freeze_sf=True), "direct")))
-    for sf, (got_failures, points) in runs:
-        assert got_failures == failures
+    if isinstance(replicates, tuple):
+        assert replicates[0] is outcome
+        assert all(run == replicates for _, run in runs)
+        return
+    assert REPS - len(replicates) == outcome
+    for sf, (failures, points) in runs:
+        assert failures == outcome
         _assert_defined(points, replicates, full, estimate, sf,
                         cfg.ci_level)
-    assert failures == (make == "few_clusters")
 
 
 @pytest.mark.parametrize("graph, role, edges", [
     _CASES[0], _CASES[-1]], ids=["a-placebo_outcome", "double_b"])
 def test_a_degenerate_bootstrap_raises_on_every_path(monkeypatch, graph,
                                                      role, edges):
-    cols = _few_clusters(graph)
+    cols = _clusters(graph)
     data = Dataset(cols)
     spec = _spec(graph, role, edges, ("X1", "X2", "X3"))
     cfg = _config(spec, "C", 11)
     statistic = _definition(spec)[0]
-    assert _replicates(data, cfg, statistic) is BootstrapDegenerate
-    assert _run(data, cfg, "k") is BootstrapDegenerate
+    assert _replicates(data, cfg, statistic)[0] is BootstrapDegenerate
+    assert _run(data, cfg, "k")[0] is BootstrapDegenerate
     # Each names the cause: the three dropped resamples hold two clusters
     # or fewer, so the cluster-level covariates are collinear with the
     # intercept.
@@ -245,7 +283,7 @@ def test_a_degenerate_bootstrap_raises_on_every_path(monkeypatch, graph,
         with pytest.raises(BootstrapDegenerate, match=message):
             run(data, cfg)
     _small_budget(monkeypatch, 6, len(cols))
-    assert _run(data, cfg, "direct") is BootstrapDegenerate
+    assert _run(data, cfg, "direct")[0] is BootstrapDegenerate
 
 
 @pytest.mark.filterwarnings("ignore::plm.errors.MediatorCautionWarning")

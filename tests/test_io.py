@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plm.engine import (AnalysisConfig, ContourGrid, ResultTable, TableRow,
-                        run_contour, run_line)
+from plm.engine import (AnalysisConfig, ContourGrid, LineSlice, ResultTable,
+                        TableRow, run_contour, run_line)
 from plm.adjust import PlaceboSpec, dispatch_case
 from plm.errors import (
     AmbiguousSpec,
@@ -28,7 +28,6 @@ from plm.errors import (
 )
 from plm.io import (
     RunConfig,
-    _fmt,
     check_fixture_manifest,
     emit_outputs,
     load_csv,
@@ -552,7 +551,7 @@ def test_contour_csv_bytes_match_the_per_cell_form(tmp_path):
     grid = ContourGrid(k_values, direct_values, estimates, ())
     path = write_contour_csv(grid, tmp_path / "contour.csv")
     expected = ["k,direct,estimate"] + [
-        f"{_fmt(k)},{_fmt(dv)},{_fmt(estimates[i, j])}"
+        f"{float(k)!r},{float(dv)!r},{float(estimates[i, j])!r}"
         for i, k in enumerate(k_values)
         for j, dv in enumerate(direct_values)
     ]
@@ -613,6 +612,50 @@ def test_dataset_csv_writer_peak_is_at_most_1_mib(tmp_path):
     data = Dataset(dict(zip(("Y", "D"), columns)))
     peak = _traced_write(write_dataset_csv, data, tmp_path / "data.csv")
     assert peak <= 2**20
+
+
+def _table(n):
+    values = np.random.default_rng(n).standard_normal((n, 6)) * 1e17
+    values[0] = (-0.0, 5e-324, 0.1 + 0.2, 1e-300, -2.5e17, 1.0)
+    return ResultTable(rows=tuple(TableRow(f"Grid{i}", *row)
+                                  for i, row in enumerate(values.tolist())))
+
+
+def _line(n):
+    curve = np.random.default_rng(n).standard_normal((n, 4)) * 1e-3
+    curve[0] = (-0.0, 5e-324, 1e300, -2.5e17)
+    return LineSlice("k", (0.1 + 0.2,), (curve,))
+
+
+def _per_row_table(table):
+    return ["label,k,direct_effect,estimate,std_error,ci_low,ci_high"] + [
+        ",".join([row.label, *(repr(float(v)) for v in row[1:])])
+        for row in table.rows]
+
+
+def _per_row_line(line):
+    return ["k,estimate,ci_low,ci_high,fixed_direct"] + [
+        ",".join(repr(float(v)) for v in (*point, line.fixed_values[0]))
+        for point in line.curves[0]]
+
+
+@pytest.mark.parametrize("write, make, reference, rows", [
+    (write_table_csv, _table, _per_row_table, 200_000),
+    (lambda line, path: write_line_csvs(line, path)[0], _line,
+     _per_row_line, 200_001)], ids=["table", "line"])
+def test_table_and_line_csv_writers_stream_the_per_row_form(
+        tmp_path, write, make, reference, rows):
+    # Around the one CSV writer's blocks of 4096 rows.
+    path = tmp_path / "out.csv"
+    for n in (1, 4095, 4096, 8193):
+        result = make(n)
+        write(result, path)
+        assert path.read_bytes() == ("\n".join(reference(result))
+                                     + "\n").encode(), n
+    # Over 12 MiB of text at 200k rows; a block of rows is under 1 MiB.
+    peak = _traced_write(write, make(rows), path)
+    assert peak <= 3 * 2**20
+    assert path.stat().st_size > 12 * 2**20
 
 
 def test_line_csv_single_and_multi(tmp_path):
