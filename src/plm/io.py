@@ -383,8 +383,8 @@ def _cells(values):
 
 def _write_csv(path, header, blocks) -> Path:
     """The one CSV writer: the ``header`` row, then the rows of each of
-    ``blocks``, a list of columns of cell text that ends with its shortest
-    column. Bounded blocks keep what a writer holds from growing."""
+    ``blocks``, a list of columns of cell text, as many rows as its
+    shortest column. Bounded blocks keep what a writer holds from growing."""
     def chunks():
         yield ",".join(header) + "\n"
         for columns in blocks:
