@@ -89,18 +89,16 @@ from .io import (
     read_table_csv,
     write_dataset_csv,
 )
-from .regression import (
+from .oracle import (
     BiasDecomposition,
-    Dataset,
     FitSummary,
-    Residualization,
     bias_decomposition_oracle,
     cohens_f,
     fit_ols,
     partial_corr,
-    residualize,
     verify_bias_factor_identity,
 )
+from .regression import Dataset
 from .selfcheck import CheckReport, run_selfcheck
 from .semiparam import (
     SemiparamInputs,

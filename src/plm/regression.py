@@ -1,32 +1,28 @@
-"""Dense OLS with QR, residualization, and bias decompositions.
+"""Dense least squares: the data table, the tolerances and the kernels.
 
 This module is the numeric foundation for everything else: every adjustment
 formula in the package is assembled from short-regression coefficients and
-residual norms computed here. It also houses the oracle-side decomposition of
-omitted variable bias used to validate the adjustment formulas on simulated
-data where the confounders are observed.
+residual norms computed here, by QR (``least_squares``) on a run's frame of
+standardized columns (``ScaledColumns``), or for a batch of bootstrap
+resamples from their Gram matrices (``gram_least_squares``).
 
 Conventions
 -----------
-* An intercept is always included in every fit and never reported among the
-  slope coefficients; it is available separately as ``FitSummary.intercept``.
-* Standard errors are classical (homoskedastic). Inference in the rest of the
-  package comes from the bootstrap, not from these.
-* Sample standard deviations use the n-1 denominator. Ratio quantities are
-  built from L2 norms of residuals so that common denominators cancel.
+* An intercept is always included in every fit; ``least_squares`` returns
+  it in the first row of its coefficients.
+* Ratio quantities are built from L2 norms of residuals so that common
+  denominators cancel.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DegenerateResidual,
-    DivisionByNearZero,
     NonFiniteValue,
     RankDeficient,
     TooFewRows,
@@ -159,88 +155,6 @@ class Dataset:
     def matrix(self, names) -> np.ndarray:
         """Stack the named columns into an (n_rows, len(names)) matrix."""
         return np.column_stack([self[name] for name in names])
-
-
-@dataclass(frozen=True)
-class FitSummary:
-    """Result of a least-squares fit.
-
-    Attributes
-    ----------
-    coefficients : dict
-        Slope coefficient per regressor (intercept excluded).
-    intercept : float
-        Fitted intercept.
-    residuals : ndarray
-        Response minus fitted values, length ``n_rows``.
-    residual_l2 : float
-        L2 norm of the residual vector.
-    dof : int
-        Residual degrees of freedom, ``n_rows - (p + 1)``.
-    se : dict
-        Classical standard error per regressor.
-    response_name : str
-    regressor_names : tuple of str
-    """
-
-    coefficients: dict[str, float]
-    intercept: float
-    residuals: np.ndarray
-    residual_l2: float
-    dof: int
-    se: dict[str, float]
-    response_name: str
-    regressor_names: tuple[str, ...]
-
-    def coef(self, name: str) -> float:
-        try:
-            return self.coefficients[name]
-        except KeyError:
-            raise UnknownColumn(
-                f"no coefficient for {name!r} in fit of {self.response_name!r} "
-                f"on {self.regressor_names}"
-            ) from None
-
-
-@dataclass(frozen=True)
-class Residualization:
-    """Residual of one variable after partialling out controls.
-
-    ``sd`` is the sample standard deviation of the residual vector computed
-    as ``l2_norm / sqrt(n_rows - 1)``; ratio-based formulas elsewhere use
-    ``l2_norm`` directly so the convention never matters there.
-    """
-
-    variable: str
-    controls: tuple[str, ...]
-    residual: np.ndarray
-    sd: float
-    l2_norm: float
-
-
-@dataclass(frozen=True)
-class BiasDecomposition:
-    """Short-minus-long coefficient gap and its correlation factorization.
-
-    ``bias`` is ``short_coef - long_coef`` exactly. The same number factors
-    into ``partial_corr * cohens_f * sd_ratio`` where ``partial_corr`` is the
-    partial correlation of the response with the fitted confounder
-    combination, ``cohens_f`` is the Cohen's-f association of the treatment
-    with that combination, and ``sd_ratio`` rescales from correlation units
-    back to coefficient units.
-    """
-
-    partial_corr: float
-    cohens_f: float
-    bias: float
-    long_coef: float
-    short_coef: float
-    sd_ratio: float
-
-    @property
-    def product(self) -> float:
-        """The factorized bias; equals ``bias`` up to rounding."""
-        return self.partial_corr * self.cohens_f * self.sd_ratio
 
 
 def _standardize(values, out):
@@ -595,220 +509,3 @@ def guard_residual_norm(l2: float, norm: float, variable: str,
             "norm; scale factor undefined"
         )
     return float(l2)
-
-
-def fit_ols(data: Dataset, response: str, regressors) -> FitSummary:
-    """Ordinary least squares of ``response`` on ``regressors`` + intercept.
-
-    Parameters
-    ----------
-    data : Dataset
-    response : str
-        Column to fit.
-    regressors : sequence of str
-        Slope columns; may be empty for an intercept-only fit.
-
-    Returns
-    -------
-    FitSummary
-
-    Raises
-    ------
-    UnknownColumn, TooFewRows, RankDeficient
-    """
-    regressors = tuple(regressors)
-    beta, l2, r = _fit_vector(data, regressors, data[response])
-    dof = data.n_rows - (len(regressors) + 1)
-    sigma2 = float(l2) ** 2 / dof
-    r_inv = np.linalg.inv(r)
-    xtx_inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)
-    se_all = np.sqrt(sigma2 * xtx_inv_diag)
-    return FitSummary(
-        coefficients={name: float(b) for name, b in zip(regressors, beta[1:])},
-        intercept=float(beta[0]),
-        residuals=_residual_vector(data, response, regressors, beta),
-        residual_l2=float(l2),
-        dof=dof,
-        se={name: float(s) for name, s in zip(regressors, se_all[1:])},
-        response_name=response,
-        regressor_names=regressors,
-    )
-
-
-def residualize(data: Dataset, variable: str, controls) -> Residualization:
-    """Residual of ``variable`` after OLS on ``controls`` + intercept.
-
-    With no controls this is just centering. The residual's sample SD and L2
-    norm are returned alongside the vector; a zero SD is legal here and only
-    becomes an error where a scale factor divides by it.
-    """
-    controls = tuple(controls)
-    resid = _residual_vector(data, variable, controls)
-    l2 = float(np.linalg.norm(resid))
-    return Residualization(
-        variable=variable,
-        controls=controls,
-        residual=resid,
-        sd=l2 / np.sqrt(data.n_rows - 1),
-        l2_norm=l2,
-    )
-
-
-def _column(data: Dataset, v) -> np.ndarray:
-    """The column of ``data`` named ``v``, or ``v`` itself as a vector."""
-    return data[v] if isinstance(v, str) else np.asarray(v)
-
-
-def _fit_vector(data: Dataset, regressors, y):
-    """(beta, l2, r_x) of ``least_squares`` of the vector ``y`` on an
-    intercept plus ``regressors`` (``_column``s), from a frame of those
-    columns alone: a name keyed by itself, a vector by its position and
-    ``y`` by None."""
-    keys = [v if isinstance(v, str) else j for j, v in enumerate(regressors)]
-    frame = ScaledColumns({**{key: _column(data, v)
-                              for key, v in zip(keys, regressors)}, None: y})
-    beta, l2, _, r = least_squares(frame, frame.factor(), keys, [None])
-    return beta[:, 0], l2[0], r
-
-
-def _residual_vector(data: Dataset, variable, controls, beta=None):
-    """Residual of ``variable`` on ``controls`` + intercept, all
-    ``_column``s, at coefficients ``beta`` (by default, fitted here)."""
-    y = _column(data, variable)
-    if beta is None:
-        beta = _fit_vector(data, controls, y)[0]
-    return y - beta[0] - sum(b * _column(data, v)
-                             for v, b in zip(controls, beta[1:]))
-
-
-def partial_corr(data: Dataset, a, b, given) -> float:
-    """Partial correlation of ``a`` and ``b`` given the ``given`` columns.
-
-    Each of ``a``, ``b`` and ``given`` may be a column name or a raw
-    vector. Computed as the cosine of the two residual vectors after
-    partialling out ``given``.
-    """
-    va, vb = _column(data, a), _column(data, b)
-    ra = _residual_vector(data, va, given)
-    rb = _residual_vector(data, vb, given)
-    na = float(np.linalg.norm(ra))
-    nb = float(np.linalg.norm(rb))
-    if (na <= NEAR_ZERO * np.linalg.norm(va)
-            or nb <= NEAR_ZERO * np.linalg.norm(vb)):
-        raise DivisionByNearZero(
-            "partial correlation undefined: a residual has (near) zero norm"
-        )
-    return float(ra @ rb / (na * nb))
-
-
-def cohens_f(r: float) -> float:
-    """Map a (partial) correlation to Cohen's f, r / sqrt(1 - r^2)."""
-    if abs(r) >= 1.0:
-        raise DivisionByNearZero("correlation magnitude at 1; f is unbounded")
-    return r / np.sqrt(1.0 - r * r)
-
-
-def _fitted_confounder_combination(
-    data: Dataset, response: str, treatment: str, controls, z_cols
-):
-    """Collapse multivariate Z to the single column driving the response.
-
-    Returns (zc, long_coef, short_coef) where zc is Z times the long-fit
-    coefficients of the response on Z. Regressing on zc reproduces the same
-    coefficient on the treatment as regressing on all of Z, which lets every
-    scalar-confounder identity apply verbatim when Z has several columns.
-    """
-    z_cols = tuple(z_cols)
-    long_fit = fit_ols(data, response, (treatment, *z_cols, *controls))
-    short_fit = fit_ols(data, response, (treatment, *controls))
-    gamma = np.array([long_fit.coef(z) for z in z_cols])
-    zc = data.matrix(z_cols) @ gamma
-    return zc, long_fit.coef(treatment), short_fit.coef(treatment)
-
-
-def bias_decomposition_oracle(
-    data_with_z: Dataset, response: str, treatment: str, controls, z_cols
-) -> BiasDecomposition:
-    """Decompose omitted variable bias using observed confounder columns.
-
-    Fits the regression of ``response`` on treatment + controls both with and
-    without ``z_cols``, takes the coefficient gap on the treatment, and
-    factors it into partial-correlation times Cohen's-f times an SD ratio.
-    Only meaningful on (simulated) data where the confounders are observed;
-    the rest of the package never sees Z.
-
-    Returns
-    -------
-    BiasDecomposition
-    """
-    controls = tuple(controls)
-    zc, long_coef, short_coef = _fitted_confounder_combination(
-        data_with_z, response, treatment, controls, z_cols
-    )
-    bias = short_coef - long_coef
-    ry = _residual_vector(data_with_z, response, (treatment, *controls))
-    rd = _residual_vector(data_with_z, treatment, controls)
-    rz_dt = _residual_vector(data_with_z, zc, (treatment, *controls))
-    rz_ctrl = _residual_vector(data_with_z, zc, controls)
-    zc_norm = float(np.linalg.norm(rz_dt))
-    if zc_norm <= NEAR_ZERO * np.linalg.norm(zc):
-        # Fitted combination carries no signal: no confounding measured.
-        pc = 0.0
-        f = 0.0
-    else:
-        pc = float(ry @ rz_dt / (np.linalg.norm(ry) * zc_norm))
-        r_dz = float(
-            rd @ rz_ctrl / (np.linalg.norm(rd) * np.linalg.norm(rz_ctrl))
-        )
-        f = float(cohens_f(r_dz))
-    sd_ratio = float(np.linalg.norm(ry) / np.linalg.norm(rd))
-    return BiasDecomposition(
-        partial_corr=pc,
-        cohens_f=f,
-        bias=bias,
-        long_coef=long_coef,
-        short_coef=short_coef,
-        sd_ratio=sd_ratio,
-    )
-
-
-def verify_bias_factor_identity(
-    data_with_z: Dataset, response: str, treatment: str, controls, z_cols
-) -> float:
-    """Residual of the exact identity linking the two bias-factor routes.
-
-    On any sample, with f denoting Cohen's f of a partial correlation,
-
-        1 = f(Y~D|X) / (R(Y~Z|D,X) * f(D~Z|X))
-              - f(Y~D|Z,X) / (f(Y~Z|D,X) * R(D~Z|X))
-
-    where Z is the fitted scalar confounder combination. Returns 1 minus the
-    evaluated right-hand side, which should sit at rounding level.
-
-    Raises
-    ------
-    DivisionByNearZero
-        Any denominator factor with magnitude below 1e-12.
-    """
-    controls = tuple(controls)
-    zc, _, _ = _fitted_confounder_combination(
-        data_with_z, response, treatment, controls, z_cols
-    )
-    r_yd_x = partial_corr(data_with_z, response, treatment, controls)
-    r_yz_dx = partial_corr(data_with_z, response, zc, (treatment, *controls))
-    r_dz_x = partial_corr(data_with_z, treatment, zc, controls)
-    r_yd_zx = partial_corr(data_with_z, response, treatment, (zc, *controls))
-    f_yd_x = cohens_f(r_yd_x)
-    f_dz_x = cohens_f(r_dz_x)
-    f_yz_dx = cohens_f(r_yz_dx)
-    f_yd_zx = cohens_f(r_yd_zx)
-    for label, value in (
-        ("R(Y~Z|D,X)", r_yz_dx),
-        ("f(D~Z|X)", f_dz_x),
-        ("f(Y~Z|D,X)", f_yz_dx),
-        ("R(D~Z|X)", r_dz_x),
-    ):
-        if abs(value) < NEAR_ZERO:
-            raise DivisionByNearZero(f"identity factor {label} is near zero")
-    rhs = f_yd_x / (r_yz_dx * f_dz_x) - f_yd_zx / (f_yz_dx * r_dz_x)
-    return float(1.0 - rhs)

@@ -2,11 +2,12 @@
 
 Every adjustment here has an exact finite-sample counterpart: feed it the
 relative-confounding value and direct-effect value computed from the full
-regressions (the ones that include the hidden driver Z) and it must return
-the clean coefficient to floating-point accuracy. These routines run that
-round trip for randomized structural models, plus the decomposition
-identity that ties the bias factors together. They back the ``verify``
-command and the test suite.
+regressions (the ones that include the hidden driver Z) by ``plm.oracle``,
+apart from the package's kernel, and it must return the clean coefficient
+to floating-point accuracy. These routines run that round trip for
+randomized structural models, plus the decomposition identity that ties
+the bias factors together. They back the ``verify`` command and the test
+suite.
 
 Two tables state what the checks read: ``simulate._GRAPHS`` the graphs
 the models are drawn from, and ``_ORACLE`` each role's full regressions,
@@ -27,8 +28,9 @@ from .double import (DoublePlaceboPoint, adjust_double_placebo,
                      fit_double_shorts, point_identify_double_placebo)
 from .errors import ConfigError, MediatorCautionWarning, \
     ScaleConfusionWarning
-from .regression import (Dataset, ScaledColumns, bias_decomposition_oracle,
-                         fit_ols, verify_bias_factor_identity)
+from .oracle import (bias_decomposition_oracle, fit_ols,
+                     verify_bias_factor_identity)
+from .regression import Dataset, ScaledColumns
 from .simulate import _GRAPHS, GRAPH_EDGES, SCMRecipe, simulate_scm
 
 # The three-node graph of each set of edges besides z's.
@@ -45,6 +47,18 @@ _CASE_ORDER = (
     ("g", "post_outcome"), ("h", "post_outcome"), ("d", "placebo_outcome"),
 )
 
+
+def _case_place(case) -> int:
+    """The place of a (graph, role, ...) case in ``_CASE_ORDER``; a
+    ValueError naming the case where it has none."""
+    try:
+        return _CASE_ORDER.index(case[:2])
+    except ValueError:
+        raise ValueError(
+            f"self-check case {case[:2]} of the role table has no place in "
+            "selfcheck._CASE_ORDER; add it there to fix its seeds") from None
+
+
 # Graph label, placebo role, and the PlaceboSpec flags: one case for each
 # set of declared edges a role accepts, on the graph of d -> y, those edges
 # and the one the role implies.
@@ -54,7 +68,7 @@ SINGLE_CASES: tuple[tuple[str, str, dict], ...] = tuple(sorted((
      role, {**{f"edge_{edge}": True for edge in sorted(declared)},
             "acknowledge_mediator": True})
     for role, rule in _ROLE_TABLE.items() for declared in rule.accepts),
-    key=lambda case: _CASE_ORDER.index(case[:2])))
+    key=_case_place))
 
 # The bound ``plm verify`` holds each worst-case error to, as it prints it.
 CHECK_TOL_TEXT = "1e-8"
@@ -102,8 +116,9 @@ def random_recipe(graph_case: str, seed: int, n: int = 160,
 
 # Each role's two regressions on the simulated columns, written
 # independently of ``adjust._ROLE_TABLE`` so that the recovery round trip
-# checks that table: the target's and the direct effect's, each as
-# (response, regressors, coefficient). Their long fits add Z, then X.
+# checks that table, SF included: the target's and the direct effect's,
+# each as (response, regressors, coefficient). Their long fits add Z,
+# then X.
 _ORACLE = {
     "placebo_outcome": (("Y", "D", "D"), ("P", "D", "D")),
     "placebo_treatment": (("Y", "DP", "D"), ("Y", "DP", "P")),
@@ -116,22 +131,23 @@ _ORACLE = {
 
 def _oracle_quantities(role: str, data: Dataset, x: tuple[str, ...],
                        z: tuple[str, ...]):
-    """Clean coefficient, true direct effect, and the two exact biases:
-    each ``_ORACLE`` regression's long-fit coefficient, and its
-    ``bias_decomposition_oracle`` with the coefficient's column as the
-    treatment and the other regressors, then X, as controls."""
+    """Clean coefficient, true direct effect, and the two exact bias
+    decompositions: each ``_ORACLE`` regression's long-fit coefficient,
+    and its ``bias_decomposition_oracle`` with the coefficient's column as
+    the treatment and the other regressors, then X, as controls."""
     regressions = _ORACLE[role]
     longs = [fit_ols(data, response, (*regressors, *z, *x)).coef(column)
              for response, regressors, column in regressions]
     biases = [bias_decomposition_oracle(
-        data, response, column, (*regressors.replace(column, ""), *x),
-        z).product for response, regressors, column in regressions]
+        data, response, column, (*regressors.replace(column, ""), *x), z)
+        for response, regressors, column in regressions]
     return (*longs, *biases)
 
 
-def recovery_error(graph_case: str, role: str, spec_kwargs: dict,
-                   seed: int, n: int = 160, z_dim: int = 1) -> float:
-    """Relative error of the exact-parameter round trip for one draw.
+def round_trip_inputs(graph_case: str, role: str, spec_kwargs: dict,
+                      seed: int, n: int = 160, z_dim: int = 1):
+    """(case, (target, placebo, SF), oracle) of one draw: the case
+    formula, its short quantities, and ``_oracle_quantities``.
 
     The last hidden driver is treated as unobserved; earlier ones (when
     z_dim > 1) are used as observed covariates, exercising the X channel.
@@ -140,21 +156,34 @@ def recovery_error(graph_case: str, role: str, spec_kwargs: dict,
     data = simulate_scm(recipe)
     x = tuple(f"Z{i}" for i in range(1, z_dim))
     z = (f"Z{z_dim}",)
-    spec = PlaceboSpec(outcome_col="Y", treatment_col="D", placebo_col="P",
-                       role=role, covariate_cols=x, **spec_kwargs)
+    case = dispatch_case(PlaceboSpec(
+        outcome_col="Y", treatment_col="D", placebo_col="P", role=role,
+        covariate_cols=x, **spec_kwargs))
+    return (case, case.quantities(ScaledColumns(data, case.columns)),
+            _oracle_quantities(role, data, x, z))
+
+
+def recovery_error(graph_case: str, role: str, spec_kwargs: dict,
+                   seed: int, n: int = 160, z_dim: int = 1) -> float:
+    """Relative error of the exact-parameter round trip for one draw.
+
+    The oracle's k is scale-free, the ratio of the two biases in
+    correlation units (partial correlation times Cohen's f), so the case
+    formula gets back the clean coefficient only if its SF is the
+    oracle's ratio of the two biases' SD ratios.
+    """
+    case, (short_target, placebo, sf), (target, direct, bias_t, bias_p) = \
+        round_trip_inputs(graph_case, role, spec_kwargs, seed, n, z_dim)
+    k = ((bias_t.partial_corr * bias_t.cohens_f)
+         / (bias_p.partial_corr * bias_p.cohens_f))
     with warnings.catch_warnings():
         # The round trip feeds back whatever exact k the draw implies, so
         # both advisory warnings are expected noise here.
         warnings.simplefilter("ignore", MediatorCautionWarning)
         warnings.simplefilter("ignore", ScaleConfusionWarning)
-        case = dispatch_case(spec)
-        short_target, placebo, sf = case.quantities(
-            ScaledColumns(data, case.columns))
-        target, direct, bias_t, bias_p = _oracle_quantities(role, data, x, z)
-        k_exact = bias_t / (bias_p * sf)
         adjusted = case.adjust(ShortCoefficients(float(short_target),
                                                  float(placebo)),
-                               k_exact, direct, sf)
+                               k, direct, sf)
     return abs(adjusted - target) / max(1.0, abs(target))
 
 
@@ -172,10 +201,12 @@ def double_recovery_error(graph_case: str, seed: int, n: int = 200,
     data = simulate_scm(recipe)
     z = tuple(f"Z{i}" for i in range(1, z_dim + 1))
     fits = fit_double_shorts(data, "Y", "D", "P", "N")
-    long = fit_double_shorts(data, "Y", "D", "P", "N", z)
-    target = long.beta_yd
-    longs = {"beta_yp_long": long.beta_yp, "beta_nd_long": long.beta_nd,
-             "beta_np_long": long.beta_np}
+    long_y = fit_ols(data, "Y", ("D", "P", *z))
+    long_n = fit_ols(data, "N", ("D", "P", *z))
+    target = long_y.coef("D")
+    longs = {"beta_yp_long": long_y.coef("P"),
+             "beta_nd_long": long_n.coef("D"),
+             "beta_np_long": long_n.coef("P")}
     if point_identified:
         adjusted = point_identify_double_placebo(fits, longs)
     else:

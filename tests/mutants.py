@@ -5,11 +5,14 @@
 A mutant is one exact replacement of text in one file, with the test ids
 that must fail on it. For each mutant the script copies ``src/``,
 ``tests/``, ``pyproject.toml`` and ``README.md`` into a temporary
-directory, applies the replacement there and runs only the mutant's ids. A mutant whose ids all pass survives. First the ids run on
-an unmutated copy, where each must pass, so a mistyped id or a failing
-test cannot pass for a kill. Every mutant's text must occur exactly once
-in its file. The script prints one line per mutant and exits 1 if any
-mutant survives or does not apply.
+directory, applies the replacement there and runs the mutant's ids in
+one pytest call, reading from its JUnit XML report which of them failed.
+The mutant is killed only if every one of its ids failed (an id whose
+module no longer imports counts as failed); otherwise it survives. First
+the ids run on an unmutated copy, where each must pass, so a mistyped id
+or a failing test cannot pass for a kill. Every mutant's text must occur
+exactly once in its file. The script prints one line per mutant and
+exits 1 if any mutant survives or does not apply.
 
 Hypothesis runs with a fixed seed, so a kill by a property test repeats.
 Standard library only; pytest does not collect this file.
@@ -22,6 +25,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 _REGRESSION = "src/plm/regression.py"
+_ORACLE = "src/plm/oracle.py"
 _DOUBLE = "src/plm/double.py"
 _IO = "src/plm/io.py"
 _ENGINE = "src/plm/engine.py"
@@ -213,7 +218,17 @@ MUTANTS = (
            '        (("p", "d", "y", "d"),),\n',
            ("tests/test_adjust.py::test_placebo_outcome_hand_example",
             "tests/test_adjust.py::test_role_paths_match_lstsq_reference"
-            "[placebo_outcome]", *_RECOVERY)),
+            "[placebo_outcome]",
+            "tests/test_selfcheck.py::test_scale_factor_is_the_oracles_sd"
+            "_ratio[1-a-placebo_outcome-kwargs0]", *_RECOVERY)),
+    Mutant("oracle design without the intercept column", _ORACLE,
+           "    beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)\n",
+           "    beta, _, rank, _ = np.linalg.lstsq(design[:, 1:], y, "
+           "rcond=None)\n    beta, rank = np.r_[0.0, beta], rank + 1\n",
+           ("tests/test_regression.py::test_matches_high_precision_normal"
+            "_equations",
+            "tests/test_regression.py::test_partial_corr_and_cohens_f",
+            *_RECOVERY)),
     Mutant("self-check cases on graphs without the implied edge",
            "src/plm/selfcheck.py",
            "(*declared, rule.implies) if edge",
@@ -267,7 +282,7 @@ MUTANTS = (
            '(_check("a number", _is_number), "ci_level")',
            '(_check("a number", lambda value: True), "ci_level")',
            ("tests/test_cli.py::test_malformed_config_value_exits_two"
-            "[ci_level-x-ci_level]", _WRONG_TYPE + "[ci_level-bool]")),
+            "[ci_level-x-ci_level]", _WRONG_TYPE + "[ci_level-list]")),
     Mutant("config range check", _IO,
            "and len(value) == 2 and all(map(_is_number, value)),",
            "and len(value) == 2,",
@@ -315,15 +330,31 @@ def _copy(dest: Path) -> None:
         shutil.copy2(ROOT / name, dest / name)
 
 
-def _passes(where: Path, ids) -> bool:
-    """Whether pytest passes every one of ``ids`` in the copy ``where``."""
+def _outcomes(where: Path, ids) -> tuple[set[str], set[str]]:
+    """(passed, failed) of ``ids`` in the copy ``where``, from one pytest
+    call's JUnit XML report. An id the report does not name failed: its
+    module did not import. A skipped id is in neither set."""
     env = dict(os.environ, PYTHONPATH=str(where / "src"))
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--hypothesis-seed=0", *ids],
+    report = where / "report.xml"
+    report.unlink(missing_ok=True)
+    subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", "--continue-on-collection-errors",
+         f"--junitxml={report}", *ids],
         cwd=where, env=env, stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL)
-    return run.returncode == 0
+    ran = {}
+    if report.exists():
+        for case in ET.parse(report).iter("testcase"):
+            test = (case.get("classname").replace(".", "/") + ".py::"
+                    + case.get("name"))
+            ran[test] = {child.tag for child in case}
+    passed = {test for test in ids
+              if test in ran and not ran[test] & {"failure", "error",
+                                                   "skipped"}}
+    failed = {test for test in ids
+              if test not in ran or ran[test] & {"failure", "error"}}
+    return passed, failed
 
 
 def _mutated(where: Path, mutant: Mutant) -> bool:
@@ -341,9 +372,10 @@ def main() -> int:
     ids = sorted({test for mutant in MUTANTS for test in mutant.kills})
     with tempfile.TemporaryDirectory() as tmp:
         _copy(Path(tmp))
-        if not _passes(Path(tmp), ids):
-            print("the mutants' tests fail on the unmutated code",
-                  file=sys.stderr)
+        passed, _ = _outcomes(Path(tmp), ids)
+        if passed != set(ids):
+            print("the mutants' tests do not pass on the unmutated code: "
+                  + "; ".join(sorted(set(ids) - passed)), file=sys.stderr)
             return 1
     bad = []
     for mutant in MUTANTS:
@@ -352,7 +384,7 @@ def main() -> int:
             _copy(where)
             if not _mutated(where, mutant):
                 verdict = "does not apply"
-            elif _passes(where, mutant.kills):
+            elif _outcomes(where, mutant.kills)[1] != set(mutant.kills):
                 verdict = "SURVIVED"
             else:
                 verdict = "killed"

@@ -29,7 +29,8 @@ from plm.did import (
 )
 from plm.double import fit_double_shorts, point_identify_double_placebo
 from plm.engine import AnalysisConfig, bootstrap, run_line, run_table
-from plm.regression import Dataset, fit_ols, residualize
+from plm.oracle import fit_ols, residual
+from plm.regression import Dataset
 from plm.selfcheck import double_recovery_error, identity_residual, \
     random_recipe, run_selfcheck
 from plm.semiparam import SemiparamInputs, adjust_partially_linear
@@ -177,8 +178,8 @@ def test_acceptance_06_algebraic_identities(capsys):
     for seed in range(20):
         data = simulate_scm(random_recipe("b", seed=seed, n=200, z_dim=2))
         direct_coef = fit_ols(data, "Y", ("D", "P", "Z1", "Z2")).coef("D")
-        ry = residualize(data, "Y", ("P", "Z1", "Z2")).residual
-        rd = residualize(data, "D", ("P", "Z1", "Z2")).residual
+        ry = residual(data, "Y", ("P", "Z1", "Z2"))
+        rd = residual(data, "D", ("P", "Z1", "Z2"))
         slope = float(ry @ rd / (rd @ rd))
         assert abs(slope - direct_coef) <= 1e-9 * max(1.0,
                                                       abs(direct_coef))

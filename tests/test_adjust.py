@@ -26,7 +26,8 @@ from plm.errors import (
     ScaleConfusionWarning,
     UnsupportedCase,
 )
-from plm.regression import Dataset, cohens_f, fit_ols, partial_corr
+from plm.oracle import cohens_f, fit_ols, partial_corr
+from plm.regression import Dataset
 from plm.selfcheck import SINGLE_CASES, random_recipe, recovery_error
 from plm.simulate import simulate_scm
 

@@ -14,7 +14,8 @@ from plm.did import (
     w_to_m,
 )
 from plm.errors import ConfigError, DataError, DenominatorNearZero
-from plm.regression import Dataset, fit_ols, residualize
+from plm.oracle import fit_ols, residual
+from plm.regression import Dataset
 
 MEANS = GroupMeans(
     mean_y_treated=10.0,
@@ -138,8 +139,8 @@ def test_att_matches_placebo_outcome_adjustment():
     beta_n = fit_ols(data, "N", ("G",)).coef("G")
     assert beta_y == pytest.approx(dim(means)["dim_Y"], rel=1e-10)
     assert beta_n == pytest.approx(dim(means)["dim_N"], rel=1e-10)
-    sf = (residualize(data, "Y", ("G",)).l2_norm
-          / residualize(data, "N", ("G",)).l2_norm)
+    sf = (np.linalg.norm(residual(data, "Y", ("G",)))
+          / np.linalg.norm(residual(data, "N", ("G",))))
     case = dispatch_case(PlaceboSpec(outcome_col="Y", treatment_col="G",
                                      placebo_col="N", role="placebo_outcome"))
     coefs = ShortCoefficients(target=beta_y, placebo=beta_n)

@@ -13,7 +13,7 @@ from plm.double import (
 )
 from plm.engine import AnalysisConfig, _bind
 from plm.errors import ConfigError, DenominatorNearZero
-from plm.regression import fit_ols
+from plm.oracle import fit_ols
 from plm.selfcheck import double_recovery_error
 from plm.simulate import SCMRecipe, simulate_scm
 

@@ -1,11 +1,12 @@
-"""Core OLS, residualization, and bias decomposition checks."""
+"""The least-squares kernel, and the oracle's fits and bias
+decompositions."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from plm import regression
+from plm import oracle, regression
 from plm.errors import (
     DegenerateResidual,
     DivisionByNearZero,
@@ -14,17 +15,19 @@ from plm.errors import (
     TooFewRows,
     UnknownColumn,
 )
-from plm.regression import (
-    Dataset,
-    ScaledColumns,
+from plm.oracle import (
     bias_decomposition_oracle,
     cohens_f,
     fit_ols,
+    partial_corr,
+    residual,
+    verify_bias_factor_identity,
+)
+from plm.regression import (
+    Dataset,
+    ScaledColumns,
     guard_residual_norm,
     least_squares,
-    partial_corr,
-    residualize,
-    verify_bias_factor_identity,
 )
 from plm.selfcheck import random_recipe
 from plm.simulate import simulate_scm
@@ -98,34 +101,6 @@ def test_matches_high_precision_normal_equations():
         assert fit.coef(name) == pytest.approx(value, rel=1e-9)
 
 
-def test_classical_se_matches_direct_covariance():
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((120, 3))
-    y = x @ np.array([0.5, 0.0, -1.0]) + rng.standard_normal(120)
-    data = Dataset({"y": y, "a": x[:, 0], "b": x[:, 1], "c": x[:, 2]})
-    fit = fit_ols(data, "y", ["a", "b", "c"])
-    design = np.column_stack([np.ones(120), x])
-    resid = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
-    sigma2 = resid @ resid / (120 - 4)
-    cov = sigma2 * np.linalg.inv(design.T @ design)
-    for j, name in enumerate(["a", "b", "c"], start=1):
-        assert fit.se[name] == pytest.approx(np.sqrt(cov[j, j]), rel=1e-8)
-
-
-def test_residuals_orthogonal_to_design():
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((80, 2))
-    y = x[:, 0] - x[:, 1] + rng.standard_normal(80)
-    data = Dataset({"y": y, "u": x[:, 0], "v": x[:, 1]})
-    fit = fit_ols(data, "y", ["u", "v"])
-    scale = fit.residual_l2
-    assert abs(fit.residuals.sum()) <= 1e-8 * scale * np.sqrt(80)
-    for name in ("u", "v"):
-        col = data[name]
-        assert abs(fit.residuals @ col) <= 1e-8 * scale * np.linalg.norm(col)
-    assert fit.dof == 80 - 3
-
-
 def test_fit_errors():
     data = Dataset({"y": [1.0, 2.0, 3.0], "x": [0.0, 1.0, 2.0]})
     with pytest.raises(UnknownColumn):
@@ -152,9 +127,14 @@ def test_slope_and_se_do_not_depend_on_the_regressors_units(units):
     design = np.column_stack([np.ones(x.size), x])
     beta, rss = np.linalg.lstsq(design, y, rcond=None)[:2]
     se = np.sqrt(rss[0] / (x.size - 2) / np.sum((x - x.mean()) ** 2))
-    fit = fit_ols(Dataset({"y": y, "x": x * units}), "y", ["x"])
-    assert fit.coef("x") * units == pytest.approx(beta[1], rel=1e-8)
-    assert fit.se["x"] * units == pytest.approx(se, rel=1e-8)
+    frame = ScaledColumns({"y": y, "x": x * units})
+    slopes, l2, _, r_x = least_squares(frame, frame.factor(), ["x"], ["y"])
+    # Classical SE from the kernel's residual norm and the R of its
+    # centred design.
+    r_inv = np.linalg.inv(r_x)
+    fit_se = l2[0] / np.sqrt(x.size - 2) * np.linalg.norm(r_inv[1])
+    assert slopes[1, 0] * units == pytest.approx(beta[1], rel=1e-8)
+    assert fit_se * units == pytest.approx(se, rel=1e-8)
 
 
 @pytest.mark.parametrize("n", [300, 2675])
@@ -169,8 +149,9 @@ def test_regressor_constant_up_to_rounding_is_rank_deficient(n, value,
     w = np.full(n, value)
     if jitter:
         w[np.random.default_rng(2).random(n) < 0.5] += np.spacing(value)
+    frame = ScaledColumns({"y": y, "x": x, "w": w})
     with pytest.raises(RankDeficient):
-        fit_ols(Dataset({"y": y, "x": x, "w": w}), "y", ["x", "w"])
+        least_squares(frame, frame.factor(), ["x", "w"], ["y"])
 
 
 def test_near_constant_regressor_is_refused_only_below_the_rank_rule():
@@ -180,17 +161,17 @@ def test_near_constant_regressor_is_refused_only_below_the_rank_rule():
     for rho, recovered in ((1e-11, False), (1e-9, True)):
         x = 1e6 + 1e6 * rho * noise
         y = 3.0 + 2.04 * noise + rng.standard_normal(300)
-        data = Dataset({"y": y, "x": x})
+        frame = ScaledColumns({"y": y, "x": x})
         if not recovered:
             with pytest.raises(RankDeficient):
-                fit_ols(data, "y", ["x"])
+                least_squares(frame, frame.factor(), ["x"], ["y"])
             continue
         # x - mean(x) is exact, so lstsq on the centred column is the
         # reference.
         design = np.column_stack([np.ones(300), x - x.mean()])
         want = np.linalg.lstsq(design, y, rcond=None)[0][1]
-        assert fit_ols(data, "y", ["x"]).coef("x") == pytest.approx(
-            want, rel=1e-8)
+        beta = least_squares(frame, frame.factor(), ["x"], ["y"])[0]
+        assert beta[1, 0] == pytest.approx(want, rel=1e-8)
 
 
 def _lstsq(columns, response, regressors):
@@ -204,7 +185,8 @@ def _lstsq(columns, response, regressors):
 
 def test_near_constant_response_keeps_its_slope():
     # w has SD 1e-11 of its RMS: constant as a regressor, but as a response
-    # it keeps QR's slope of about 5e-11, in a run's frame as in fit_ols.
+    # it keeps QR's slope of about 5e-11 in a run's frame, as the oracle's
+    # lstsq fit does.
     rng = np.random.default_rng(3)
     x = rng.standard_normal(400)
     cols = {"x": x, "w": 5.0 + 5e-11 * (rng.standard_normal(400) + x)}
@@ -242,8 +224,9 @@ def test_designs_of_one_frame_ignore_the_columns_they_exclude():
     for design in (["c"], ["x1", "c"], ["x1", "x2", "x3"]):
         with pytest.raises(RankDeficient):
             least_squares(frame, r, design, ["y"])
+        own = ScaledColumns(cols, ["y", *design])
         with pytest.raises(RankDeficient):
-            fit_ols(Dataset(cols), "y", design)
+            least_squares(own, own.factor(), design, ["y"])
     # An exact combination as a response: a residual of rounding only.
     _, l2, y_l2, _ = least_squares(frame, r, ["x1", "x2"], ["e"])
     with pytest.raises(DegenerateResidual):
@@ -322,30 +305,6 @@ def test_blocked_factor_makes_no_copy_of_the_frame():
         assert peak < bound, (peak, copy)
 
 
-def test_residualize_orthogonal_variable_is_centering():
-    rng = np.random.default_rng(5)
-    c = rng.standard_normal(60)
-    v_raw = rng.standard_normal(60)
-    # Make v exactly orthogonal to the control and the intercept.
-    design = np.column_stack([np.ones(60), c])
-    v = v_raw - design @ np.linalg.lstsq(design, v_raw, rcond=None)[0]
-    v = v + 4.0  # shift back; centering should remove it again
-    data = Dataset({"v": v, "c": c})
-    res = residualize(data, "v", ["c"])
-    np.testing.assert_allclose(res.residual, v - v.mean(), atol=1e-10)
-    assert res.sd == pytest.approx(np.std(v, ddof=1), rel=1e-10)
-
-
-def test_residualize_exact_combination_has_zero_sd():
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal(40)
-    b = rng.standard_normal(40)
-    data = Dataset({"v": 2.0 * a - b + 3.0, "a": a, "b": b})
-    res = residualize(data, "v", ["a", "b"])
-    assert res.sd <= 1e-10
-    assert res.l2_norm <= 1e-9
-
-
 def test_fwl_residual_on_residual_matches_joint_fit():
     rng = np.random.default_rng(8)
     x1 = rng.standard_normal(150)
@@ -354,8 +313,8 @@ def test_fwl_residual_on_residual_matches_joint_fit():
     y = 1.5 * d + x1 + 0.5 * x2 + rng.standard_normal(150)
     data = Dataset({"y": y, "d": d, "x1": x1, "x2": x2})
     joint = fit_ols(data, "y", ["d", "x1", "x2"]).coef("d")
-    ry = residualize(data, "y", ["x1", "x2"]).residual
-    rd = residualize(data, "d", ["x1", "x2"]).residual
+    ry = residual(data, "y", ["x1", "x2"])
+    rd = residual(data, "d", ["x1", "x2"])
     slope = float(ry @ rd / (rd @ rd))
     assert slope == pytest.approx(joint, rel=1e-9)
 
@@ -450,7 +409,7 @@ def test_identity_gives_the_confounder_combination_by_value(monkeypatch):
     def no_copy(columns):
         raise AssertionError("the data set was copied")
 
-    monkeypatch.setattr(regression, "Dataset", no_copy)
+    monkeypatch.setattr(oracle, "Dataset", no_copy)
     assert verify_bias_factor_identity(data, "y", "d", [], ["z"]) == want
 
 

@@ -1,8 +1,11 @@
 """Tests for the randomized self-check harness itself."""
 
+import pytest
+
 from plm.adjust import _ROLE_TABLE
 from plm.selfcheck import (_CASE_ORDER, SINGLE_CASES, CheckReport,
-                           identity_residual, run_selfcheck)
+                           _case_place, identity_residual,
+                           round_trip_inputs, run_selfcheck)
 from plm.simulate import _GRAPHS, GRAPH_EDGES, SCMRecipe, simulate_scm
 
 
@@ -75,3 +78,26 @@ def test_every_three_node_graph_serves_a_case():
 def test_single_cases_keep_their_seed_order():
     # Each case's place fixes the seeds ``plm verify`` draws for it.
     assert [case[:2] for case in SINGLE_CASES] == list(_CASE_ORDER)
+
+
+def test_a_case_without_a_place_is_named():
+    # A new accepted edge set in the role table makes a case that
+    # _CASE_ORDER does not list; the error names it and where to add it.
+    assert _case_place(("d", "placebo_outcome", {})) == len(_CASE_ORDER) - 1
+    with pytest.raises(ValueError, match=r"\('c', 'placebo_outcome'\).*"
+                       r"selfcheck\._CASE_ORDER"):
+        _case_place(("c", "placebo_outcome", {}))
+
+
+@pytest.mark.parametrize("graph_case, role, kwargs", SINGLE_CASES)
+@pytest.mark.parametrize("z_dim", [1, 2])
+def test_scale_factor_is_the_oracles_sd_ratio(graph_case, role, kwargs,
+                                              z_dim):
+    # SF carries the scale-free k back to coefficient units: it must be the
+    # ratio of the oracle's SD ratios of the target's and the direct
+    # effect's biases, whatever else the round trip checks.
+    for seed in (11, 12, 13):
+        _, (_, _, sf), (_, _, bias_t, bias_p) = round_trip_inputs(
+            graph_case, role, kwargs, seed, z_dim=z_dim)
+        want = bias_t.sd_ratio / bias_p.sd_ratio
+        assert sf == pytest.approx(want, rel=1e-12, abs=0), (seed, sf, want)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plm.errors import InvalidRecipe
-from plm.regression import fit_ols, partial_corr
+from plm.oracle import fit_ols, partial_corr
 from plm.simulate import (
     GRAPH_EDGES,
     SCMRecipe,
