@@ -42,14 +42,13 @@ TABLE_COLUMNS = ("label", "k", "direct_effect", "estimate", "std_error",
 
 @contextmanager
 def _csv_reader(path: Path):
-    """The open text handle of a UTF-8 file, a leading byte-order mark
-    dropped, and a csv.reader over it; IoError where the file cannot be
-    read, ParseError where it is not UTF-8 or a field is longer than
-    ``csv.field_size_limit()``."""
+    """A csv.reader over a UTF-8 file, a leading byte-order mark dropped;
+    IoError where the file cannot be read, ParseError where it is not
+    UTF-8 or a field is longer than ``csv.field_size_limit()``."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            yield fh, reader
+            yield reader
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -76,7 +75,7 @@ def load_csv(path) -> Dataset:
         The file cannot be read.
     """
     path = Path(path)
-    with _csv_reader(path) as (handle, rows):
+    with _csv_reader(path) as rows:
         header = next(rows, None)
         if header is None:
             raise ParseError(f"{path}: file is empty")
@@ -88,32 +87,43 @@ def load_csv(path) -> Dataset:
         if len(set(header)) != len(header):
             name = next(n for i, n in enumerate(header) if n in header[:i])
             raise DuplicateHeader(f"{path}: column {name!r} appears twice")
-        values = _parse_rows(path, handle, len(header))
+        values = _parse_rows(path, rows.line_num, len(header))
     if values is not None:
         columns = values.T
     else:
-        with _csv_reader(path) as (_, rows):
+        with _csv_reader(path) as rows:
             next(rows)
             columns = _scan_rows(path, header, rows)
     return Dataset._adopt(dict(zip(header, columns)))
 
 
-def _parse_rows(path: Path, handle, width: int):
-    """The data rows after the header as a (rows, width) array, parsed by
-    NumPy's C reader; None where ``_scan_rows`` must read the file instead.
+# The suffixes by which np.loadtxt's opener picks a decompressor.
+_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _parse_rows(path: Path, header_lines: int, width: int):
+    """The data rows after the header's ``header_lines`` lines as a
+    (rows, width) array, parsed by NumPy's C reader from the path in
+    blocks; None where ``_scan_rows`` must read the file instead.
 
     ``np.loadtxt`` accepts a subset of the cells ``_scan_rows`` accepts (not
     quoted cells or ``1_000``) and turns each into the same double as
     ``float()``. It does not hold rows to the header's width, refuse
     non-finite values or apply ``csv.field_size_limit()``, so an array
     that breaks one of those rules, or an empty one, is passed over and
-    the scan words the error.
+    the scan words the error. The finiteness test here is the one check
+    of a parsed cell: ``Dataset._adopt`` does not repeat it. A file named
+    like a compressed one goes to the scan, which reads it as the text
+    the header reader accepted, where ``np.loadtxt`` would decompress it.
     """
+    if path.suffix in _DECOMPRESSED:
+        return None
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            values = np.loadtxt(handle, delimiter=",", comments=None,
-                                ndmin=2)
+            values = np.loadtxt(path, delimiter=",", comments=None,
+                                skiprows=header_lines, ndmin=2,
+                                encoding="utf-8-sig")
         except ValueError:
             return None
     if (values.shape[0] == 0 or values.shape[1] != width
@@ -402,7 +412,7 @@ def read_table_csv(path) -> ResultTable:
     """Read back a table CSV written by write_table_csv."""
     path = Path(path)
     table = []
-    with _csv_reader(path) as (_, rows):
+    with _csv_reader(path) as rows:
         if tuple(next(rows, ())) != TABLE_COLUMNS:
             raise ParseError(
                 f"{path}: expected header {','.join(TABLE_COLUMNS)}")

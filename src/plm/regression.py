@@ -86,13 +86,19 @@ class Dataset:
 
     @classmethod
     def _adopt(cls, columns) -> "Dataset":
-        """A Dataset that keeps the given arrays without copying them; for
-        loaders whose fresh arrays no one else holds."""
+        """A Dataset that keeps the given arrays without copying them or
+        testing them for finiteness; for loaders whose fresh arrays no one
+        else holds and whose every cell is known to be finite. ``io``'s
+        loader is the one caller: ``_parse_rows`` tests its parsed array
+        with ``np.isfinite``, and ``_scan_rows`` refuses each non-finite
+        cell as it reads it."""
         out = object.__new__(cls)
         out._keep(columns, copy=False)
         return out
 
     def _keep(self, columns, copy: bool) -> None:
+        """Keep ``columns``: copied and tested for finiteness where
+        ``copy``, else adopted as they are (see ``_adopt``)."""
         cleaned: dict[str, np.ndarray] = {}
         n_rows = None
         if not columns:
@@ -109,7 +115,7 @@ class Dataset:
                 raise ValueError(
                     f"column {name!r} has length {arr.shape[0]}, expected {n_rows}"
                 )
-            if not np.all(np.isfinite(arr)):
+            if copy and not np.all(np.isfinite(arr)):
                 bad = int(np.flatnonzero(~np.isfinite(arr))[0])
                 raise NonFiniteValue(
                     f"column {name!r} has a non-finite value at row {bad + 1}"
@@ -159,10 +165,16 @@ class Dataset:
 
 def _standardize(values, out):
     """Write ``values`` centred and scaled to unit SD into ``out``; return
-    (mean, SD). An exactly constant column is written as zeros (SD 1)."""
-    mean = values.mean()
-    sd = values.std()
-    np.subtract(values, mean, out=out)
+    (mean, SD). An exactly constant column is written as zeros (SD 1).
+
+    ``values`` is copied into ``out`` first and read there: a loaded
+    column is a strided view of the parsed rows, and one strided pass is
+    cheaper than the three of its mean, SD and centring. The mean, the SD
+    and the result are the same bytes as those taken from ``values``."""
+    np.copyto(out, values)
+    mean = out.mean()
+    sd = out.std()
+    out -= mean
     if sd > 0:
         out /= sd
     return mean, sd if sd > 0 else 1.0

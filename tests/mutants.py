@@ -319,6 +319,22 @@ MUTANTS = (
            '_refuse_unknown([key for key in raw if "." in key])',
            "_refuse_unknown([])",
            (_IO_TESTS + "test_run_config_rejects_unknown_keys[mutate4]",)),
+    # The CSV loader's block reader and the checks Dataset._adopt relies on.
+    Mutant("block reader skips one header line", _IO,
+           "skiprows=header_lines,",
+           "skiprows=1,",
+           (_IO_TESTS + "test_load_csv_accepts[two-line-header]",)),
+    Mutant("block reader keeps non-finite cells", _IO,
+           "\n            or not np.isfinite(values).all()):",
+           "):",
+           (_IO_TESTS + "test_load_csv_rejects[nan]",
+            _IO_TESTS + "test_load_csv_rejects[inf]")),
+    Mutant("block reader decompresses by the file's name", _IO,
+           "    if path.suffix in _DECOMPRESSED:\n        return None\n",
+           "",
+           (_IO_TESTS + "test_load_csv_reads_a_compressed_name_as_text[.gz]",
+            _IO_TESTS
+            + "test_load_csv_reads_a_compressed_name_as_text[.xz]")),
 )
 
 

@@ -1,6 +1,7 @@
 """Tests for CSV loading, run configs, and output writers."""
 
 import csv
+import gzip
 import json
 import math
 import tempfile
@@ -26,6 +27,7 @@ from plm.errors import (
     ParseError,
     TooFewRows,
 )
+import plm.io as plm_io
 from plm.io import (
     RunConfig,
     check_fixture_manifest,
@@ -41,7 +43,7 @@ from plm.io import (
     write_line_csvs,
     write_table_csv,
 )
-from plm.regression import Dataset
+from plm.regression import Dataset, ScaledColumns
 from plm.selfcheck import random_recipe
 from plm.simulate import simulate_scm
 
@@ -142,24 +144,67 @@ def test_load_csv_empty_and_header_only(tmp_path):
                 load_csv(header_only)
 
 
-@pytest.mark.parametrize("content, columns", [
-    (b"D,Y\r\n1,2\r\n3,4\r\n", {"D": [1, 3], "Y": [2, 4]}),
-    (b"D,Y\r1,2\r3,4\r", {"D": [1, 3], "Y": [2, 4]}),
-    (b'D,Y\n"1",2\n3,"4"\n', {"D": [1, 3], "Y": [2, 4]}),
-    (b"D,Y\n 1 ,\t2\n3 , 4 \n", {"D": [1, 3], "Y": [2, 4]}),
-    (b"D,Y\n1_000,2\n3,4\n", {"D": [1000, 3], "Y": [2, 4]}),
+@pytest.mark.parametrize("content, columns, scanned", [
+    (b"D,Y\r\n1,2\r\n3,4\r\n", {"D": [1, 3], "Y": [2, 4]}, False),
+    (b"D,Y\r1,2\r3,4\r", {"D": [1, 3], "Y": [2, 4]}, False),
+    (b'D,Y\n"1",2\n3,"4"\n', {"D": [1, 3], "Y": [2, 4]}, True),
+    (b"D,Y\n 1 ,\t2\n3 , 4 \n", {"D": [1, 3], "Y": [2, 4]}, False),
+    (b"D,Y\n1_000,2\n3,4\n", {"D": [1000, 3], "Y": [2, 4]}, True),
     # Spreadsheet exports start with one; it is not part of the first name.
-    (b'\xef\xbb\xbf"Y",D\n1,2\n3,4\n', {"Y": [1, 3], "D": [2, 4]}),
-    (b"D,Y\n0,1\n\n1,2\n", {"D": [0, 1], "Y": [1, 2]}),
+    (b'\xef\xbb\xbf"Y",D\n1,2\n3,4\n', {"Y": [1, 3], "D": [2, 4]}, False),
+    (b"D,Y\n0,1\n\n1,2\n", {"D": [0, 1], "Y": [1, 2]}, False),
+    # NumPy skips the header's two physical lines, not one.
+    (b'"Y\nx",D\n1,2\n3,4\n', {"Y\nx": [1, 3], "D": [2, 4]}, False),
 ], ids=["crlf", "cr-only", "quoted-cell", "padded-cells", "underscore-digits",
-        "byte-order-mark", "blank-lines"])
-def test_load_csv_accepts(tmp_path, content, columns):
+        "byte-order-mark", "blank-lines", "two-line-header"])
+def test_load_csv_accepts(tmp_path, monkeypatch, content, columns, scanned):
+    # NumPy's block reader reads every file whose cells it parses; the row
+    # scan reads only the others.
+    scan, scans = plm_io._scan_rows, []
+    monkeypatch.setattr(plm_io, "_scan_rows",
+                        lambda *args: scans.append(args) or scan(*args))
     path = tmp_path / "in.csv"
     path.write_bytes(content)
     data = load_csv(path)
     assert data.names == tuple(columns)
     for name, values in columns.items():
         assert data[name].tolist() == values
+    assert bool(scans) == scanned
+
+
+def test_load_csv_refuses_a_gzip_file(tmp_path):
+    # NumPy's opener would decompress it by its name; the header reader
+    # refuses it first, so NumPy never reads it.
+    path = tmp_path / "in.csv.gz"
+    path.write_bytes(gzip.compress(b"D,Y\n1,2\n3,4\n"))
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_load_csv_reads_a_compressed_name_as_text(tmp_path, suffix):
+    path = tmp_path / f"in.csv{suffix}"
+    path.write_bytes(b"D,Y\n1,2\n3,4\n")
+    data = load_csv(path)
+    assert data["D"].tolist() == [1, 3] and data["Y"].tolist() == [2, 4]
+
+
+def test_frame_of_loaded_columns_is_the_two_pass_formula(tmp_path):
+    # A loaded column is a strided view of the parsed rows. The frame
+    # copies it before it standardizes; its bytes do not move for that.
+    values = np.random.default_rng(1).normal(1e4, 3e3, size=(5000, 4))
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,c,d\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in values.tolist()))
+    data = load_csv(path)
+    frame = ScaledColumns(data, data.names)
+    for j, name in enumerate(data.names, 1):
+        x = data[name]
+        assert x.strides == (8 * 4,)
+        assert frame.mean[j].tobytes() == x.mean().tobytes()
+        assert frame.scale[j].tobytes() == x.std().tobytes()
+        assert (frame.zt[j].tobytes()
+                == (np.subtract(x, x.mean()) / x.std()).tobytes())
 
 
 @pytest.mark.parametrize("content, error, message", [
@@ -239,7 +284,8 @@ _ODD_CELL = st.one_of(
 def _loader_csv(draw):
     """CSV text over 1-3 columns: clean numeric rows, or rows with quoted,
     padded, special and junk cells, ragged and blank rows; LF, CRLF or
-    CR-only line endings, mixed in the second kind."""
+    CR-only line endings, mixed in the second kind. The first name may be
+    quoted over two lines."""
     width = draw(st.integers(1, 3))
     clean = draw(st.booleans())
     cell = _NUMBER if clean else st.one_of(_NUMBER, _ODD_CELL)
@@ -247,9 +293,12 @@ def _loader_csv(draw):
                else st.one_of(st.just(width), st.integers(0, width + 1)))
     rows = draw(st.lists(lengths.flatmap(
         lambda n: st.lists(cell, min_size=n, max_size=n)), max_size=12))
-    lines = [",".join(f"c{j}" for j in range(width))]
-    lines += [",".join(row) for row in rows]
     endings = st.sampled_from(["\n", "\r\n", "\r"])
+    names = [f"c{j}" for j in range(width)]
+    if draw(st.booleans()):
+        names[0] = f'"c{draw(endings)}0"'
+    lines = [",".join(names)]
+    lines += [",".join(row) for row in rows]
     ending = draw(endings)
     text = "".join(line + (ending if clean else draw(endings))
                    for line in lines)
