@@ -63,7 +63,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .adjust import PlaceboSpec, dispatch_case, ovb_estimate
-from .adjust import standard_did_k  # noqa: F401, re-exported
 from .double import DoubleFormula, DoublePlaceboSpec
 from .errors import (
     BootstrapDegenerate,

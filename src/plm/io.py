@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import warnings
 from array import array
 from contextlib import contextmanager
@@ -58,7 +59,9 @@ def _csv_reader(path: Path):
 
 
 def load_csv(path) -> Dataset:
-    """Read a numeric CSV (header row, '.' decimals) into a Dataset.
+    """Read a numeric CSV (header row, '.' decimals) into a Dataset. The
+    path is opened once; one that is not a regular file (a pipe such as
+    ``<(zcat data.csv.gz)``, ``/dev/stdin``) is read once, by the row scan.
 
     Raises
     ------
@@ -72,7 +75,7 @@ def load_csv(path) -> Dataset:
     TooFewRows
         Header only, no data rows.
     IoError
-        The file cannot be read.
+        A missing, directory or unreadable path (exit 3 in every command).
     """
     path = Path(path)
     with _csv_reader(path) as rows:
@@ -88,12 +91,8 @@ def load_csv(path) -> Dataset:
             name = next(n for i, n in enumerate(header) if n in header[:i])
             raise DuplicateHeader(f"{path}: column {name!r} appears twice")
         values = _parse_rows(path, rows.line_num, len(header))
-    if values is not None:
-        columns = values.T
-    else:
-        with _csv_reader(path) as rows:
-            next(rows)
-            columns = _scan_rows(path, header, rows)
+        columns = (values.T if values is not None
+                   else _scan_rows(path, header, rows))
     return Dataset._adopt(dict(zip(header, columns)))
 
 
@@ -104,7 +103,7 @@ _DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 def _parse_rows(path: Path, header_lines: int, width: int):
     """The data rows after the header's ``header_lines`` lines as a
     (rows, width) array, parsed by NumPy's C reader from the path in
-    blocks; None where ``_scan_rows`` must read the file instead.
+    blocks; None where ``_scan_rows`` must read the rows instead.
 
     ``np.loadtxt`` accepts a subset of the cells ``_scan_rows`` accepts (not
     quoted cells or ``1_000``) and turns each into the same double as
@@ -114,9 +113,10 @@ def _parse_rows(path: Path, header_lines: int, width: int):
     the scan words the error. The finiteness test here is the one check
     of a parsed cell: ``Dataset._adopt`` does not repeat it. A file named
     like a compressed one goes to the scan, which reads it as the text
-    the header reader accepted, where ``np.loadtxt`` would decompress it.
+    the header reader accepted, where ``np.loadtxt`` would decompress it,
+    and so does a path that is not a regular file: a pipe reads once.
     """
-    if path.suffix in _DECOMPRESSED:
+    if path.suffix in _DECOMPRESSED or not path.is_file():
         return None
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -138,7 +138,7 @@ def _parse_rows(path: Path, header_lines: int, width: int):
 
 
 def _scan_rows(path: Path, header: list, rows) -> list:
-    """The columns of the csv.reader ``rows`` after the header, cell by
+    """The columns of the header's csv.reader ``rows`` read on, cell by
     cell through ``float()``; the loader's only wording of a data error."""
     # Raw doubles, not lists of float objects: a third of the memory, and
     # no small objects left to fragment the heap between loads.
@@ -231,7 +231,7 @@ _RANGE = _check("a [low, high] pair of numbers",
                 and len(value) == 2 and all(map(_is_number, value)),
                 lambda value, base: (float(value[0]), float(value[1])))
 _PATH = _check("a path", lambda value: isinstance(value, (str, Path)),
-               lambda value, base: (base / value).resolve())
+               lambda value, base: Path(os.path.abspath(base / value)))
 
 # Every key a run config may hold, under its dotted name ("bootstrap.reps"
 # is {"bootstrap": {"reps": ...}} in a file): (check of its JSON value, the
@@ -300,8 +300,6 @@ class RunConfig:
         given = {key: check(settings[key], key, base)
                  for key, (check, _) in _KEYS.items() if key in settings}
         self.data_path = given["data_path"]
-        if not self.data_path.is_file():
-            raise ConfigError(f"data_path {self.data_path} does not exist")
         edges = _group(given, "edges")
         self.spec = PlaceboSpec(
             outcome_col=given["outcome"],

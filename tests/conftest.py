@@ -1,4 +1,4 @@
-"""Shared test helpers: optional real-data fixtures.
+"""Shared test helpers: optional real-data fixtures and a named pipe.
 
 The two application datasets are not redistributed with the code. When a
 checkout lacks them the tests that need them skip with a visible reason;
@@ -6,6 +6,8 @@ see tests/fixtures/README.md for the export procedure.
 """
 
 import json
+import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -38,3 +40,43 @@ def load_fixture(name: str):
         if name in manifest:
             check_fixture_manifest(data, manifest[name])
     return data
+
+
+@pytest.fixture
+def fifo():
+    """``fifo(path, content)``: a named pipe made at ``path``, returned,
+    whose first reader reads ``content`` from a writer thread. Each later
+    open of the pipe reads nothing at once, as a reopened ``<(cat file)``
+    does, so a reader that opens it twice fails instead of waiting for a
+    writer."""
+    done = threading.Event()
+    writers = []
+
+    def feed(path, content):
+        while not done.wait(0.005):
+            try:
+                # Refused (ENXIO) while no reader has the pipe open.
+                fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK)
+            except OSError:
+                continue
+            os.set_blocking(fd, True)
+            try:
+                while content:
+                    content = content[os.write(fd, content):]
+            except BrokenPipeError:
+                content = b""  # the reader stopped at an error
+            finally:
+                os.close(fd)
+
+    def make(path, content: bytes):
+        os.mkfifo(path)
+        writer = threading.Thread(target=feed, daemon=True,
+                                  args=(path, memoryview(content)))
+        writer.start()
+        writers.append(writer)
+        return path
+
+    yield make
+    done.set()
+    for writer in writers:
+        writer.join(timeout=5)

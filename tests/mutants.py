@@ -330,11 +330,17 @@ MUTANTS = (
            (_IO_TESTS + "test_load_csv_rejects[nan]",
             _IO_TESTS + "test_load_csv_rejects[inf]")),
     Mutant("block reader decompresses by the file's name", _IO,
-           "    if path.suffix in _DECOMPRESSED:\n        return None\n",
+           "path.suffix in _DECOMPRESSED or ",
            "",
            (_IO_TESTS + "test_load_csv_reads_a_compressed_name_as_text[.gz]",
             _IO_TESTS
             + "test_load_csv_reads_a_compressed_name_as_text[.xz]")),
+    Mutant("block reader reads a non-regular file", _IO,
+           " or not path.is_file()",
+           "",
+           (_IO_TESTS + "test_load_csv_reads_a_pipe_once",
+            _IO_TESTS
+            + "test_load_csv_words_a_bad_cell_in_a_pipe_as_in_a_file")),
 )
 
 

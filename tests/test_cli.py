@@ -463,6 +463,47 @@ def test_unreadable_file_or_bad_number_exits_with_its_code(
         assert "cannot write " in err and "outdir" in err
 
 
+_DID_FLAGS = ["--outcome", "Y", "--placebo", "P", "--group", "G"]
+
+
+def _argv(kind, data, out):
+    flags = _DID_FLAGS if kind == "did" else _FLAGS
+    return [kind, "--data", str(data), *flags, "--out", str(out)]
+
+
+@pytest.mark.parametrize("kind", ["table", "contour", "line", "did"])
+@pytest.mark.parametrize("make", ["missing", "directory"])
+def test_a_data_path_that_cannot_be_read_exits_three(tmp_path, capsys, kind,
+                                                     make):
+    # load_csv alone decides whether a data path can be read, for every
+    # subcommand: no earlier check words it as a configuration error.
+    data = tmp_path / "data.csv"
+    if make == "directory":
+        data.mkdir()
+    assert cli_main(_argv(kind, data, tmp_path / "out.csv")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"plm: data error: cannot read {data}: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == ([data] if make == "directory"
+                                         else [])
+
+
+@pytest.mark.parametrize("kind", ["table", "did"])
+def test_a_pipe_gives_the_bytes_of_its_file(tmp_path, capsys, fifo, kind):
+    # More than the 8 KiB the header reader takes from a pipe at once.
+    data = simulate_scm(random_recipe("b", seed=1, n=1500))
+    columns = {name: data[name] for name in data.names}
+    path = write_dataset_csv(Dataset({**columns, "G": np.arange(1500) % 2.0}),
+                             tmp_path / "data.csv")
+    assert path.stat().st_size >= 100_000
+    pipe = fifo(tmp_path / "pipe.csv", path.read_bytes())
+    for source, out in ((path, "file.out"), (pipe, "pipe.out")):
+        assert cli_main(_argv(kind, source, tmp_path / out)) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "pipe.out").read_bytes()
+            == (tmp_path / "file.out").read_bytes())
+
+
 def test_config_with_a_byte_order_mark_runs(tmp_path, capsys):
     # Windows editors save JSON with a leading byte-order mark.
     _data_csv(tmp_path)

@@ -21,6 +21,7 @@ from plm.adjust import (
     PlaceboSpec,
     dispatch_case,
     ovb_estimate,
+    standard_did_k,
 )
 from plm.double import DoublePlaceboSpec, fit_double_shorts, \
     point_identify_double_placebo
@@ -37,7 +38,6 @@ from plm.engine import (
     run_contour,
     run_line,
     run_table,
-    standard_did_k,
 )
 from plm.errors import (
     BootstrapDegenerate,

@@ -368,6 +368,36 @@ def test_load_csv_missing_file(tmp_path):
         load_csv(tmp_path / "nope.csv")
 
 
+def _pipe_csv(tmp_path) -> Path:
+    # More than the 8 KiB the header reader takes from a pipe at once, so
+    # a reader that opens the pipe again finds rows missing.
+    path = _write_dataset(tmp_path / "data.csv", _sim_data(n=1500))
+    assert path.stat().st_size >= 100_000
+    return path
+
+
+def test_load_csv_reads_a_pipe_once(tmp_path, fifo):
+    path = _pipe_csv(tmp_path)
+    piped = load_csv(fifo(tmp_path / "pipe.csv", path.read_bytes()))
+    loaded = load_csv(path)
+    assert piped.names == loaded.names
+    for name in loaded.names:
+        assert np.array_equal(piped[name], loaded[name])
+
+
+def test_load_csv_words_a_bad_cell_in_a_pipe_as_in_a_file(tmp_path, fifo):
+    path = _pipe_csv(tmp_path)
+    *rows, last = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(rows) + b"NA," + last.split(b",", 1)[1])
+    messages = []
+    for source in (path, fifo(tmp_path / "pipe.csv", path.read_bytes())):
+        with pytest.raises(NonFiniteValue) as error:
+            load_csv(source)
+        messages.append(str(error.value).replace(str(source), "<path>"))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("<path>: row 1501, column 'Z1': 'NA'")
+
+
 def test_fixture_manifest_check(tmp_path):
     data = load_csv(_write_dataset(tmp_path / "d.csv", _sim_data(n=25)))
     manifest = {
@@ -453,12 +483,6 @@ def test_run_config_requires_core_fields(tmp_path):
     payload = _config_payload("data.csv")
     del payload["treatment"]
     with pytest.raises(ConfigError, match="treatment"):
-        parse_run_config(_write_config(tmp_path, payload))
-
-
-def test_run_config_missing_data_file(tmp_path):
-    payload = _config_payload("absent.csv")
-    with pytest.raises(ConfigError, match="absent.csv"):
         parse_run_config(_write_config(tmp_path, payload))
 
 
