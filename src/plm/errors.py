@@ -67,10 +67,6 @@ class DegenerateResidual(NumericError):
     """A residual needed in a scale factor has (near) zero variance."""
 
 
-class DivisionByNearZero(NumericError):
-    """An identity denominator factor is below the magnitude threshold."""
-
-
 class DenominatorNearZero(NumericError):
     """A formula denominator vanished; the expression is undefined there."""
 

@@ -62,6 +62,7 @@ def load_csv(path) -> Dataset:
     """Read a numeric CSV (header row, '.' decimals) into a Dataset. The
     path is opened once; one that is not a regular file (a pipe such as
     ``<(zcat data.csv.gz)``, ``/dev/stdin``) is read once, by the row scan.
+    Every error message names the path made absolute.
 
     Raises
     ------
@@ -77,7 +78,7 @@ def load_csv(path) -> Dataset:
     IoError
         A missing, directory or unreadable path (exit 3 in every command).
     """
-    path = Path(path)
+    path = Path(os.path.abspath(path))
     with _csv_reader(path) as rows:
         header = next(rows, None)
         if header is None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionByNearZero, RankDeficient, TooFewRows, \
+from .errors import DenominatorNearZero, RankDeficient, TooFewRows, \
     UnknownColumn
 from .regression import NEAR_ZERO, Dataset
 
@@ -128,7 +128,7 @@ def partial_corr(data: Dataset, a, b, given) -> float:
     nb = float(np.linalg.norm(rb))
     if (na <= NEAR_ZERO * np.linalg.norm(va)
             or nb <= NEAR_ZERO * np.linalg.norm(vb)):
-        raise DivisionByNearZero(
+        raise DenominatorNearZero(
             "partial correlation undefined: a residual has (near) zero norm"
         )
     return float(ra @ rb / (na * nb))
@@ -137,7 +137,7 @@ def partial_corr(data: Dataset, a, b, given) -> float:
 def cohens_f(r: float) -> float:
     """Map a (partial) correlation to Cohen's f, r / sqrt(1 - r^2)."""
     if abs(r) >= 1.0:
-        raise DivisionByNearZero("correlation magnitude at 1; f is unbounded")
+        raise DenominatorNearZero("correlation magnitude at 1; f is unbounded")
     return r / np.sqrt(1.0 - r * r)
 
 
@@ -210,7 +210,7 @@ def verify_bias_factor_identity(
     where Z is the fitted scalar confounder combination. Returns 1 minus the
     evaluated right-hand side, which should sit at rounding level.
 
-    Raises DivisionByNearZero where a denominator factor has magnitude
+    Raises DenominatorNearZero where a denominator factor has magnitude
     below NEAR_ZERO.
     """
     controls = tuple(controls)
@@ -232,6 +232,6 @@ def verify_bias_factor_identity(
         ("R(D~Z|X)", r_dz_x),
     ):
         if abs(value) < NEAR_ZERO:
-            raise DivisionByNearZero(f"identity factor {label} is near zero")
+            raise DenominatorNearZero(f"identity factor {label} is near zero")
     rhs = f_yd_x / (r_yz_dx * f_dz_x) - f_yd_zx / (f_yz_dx * r_dz_x)
     return float(1.0 - rhs)

@@ -390,9 +390,9 @@ def least_squares(frame: ScaledColumns, r, regressors, responses):
     ``idx`` (all of them, or a resample), and the design's R is that of the
     small QR of its columns of ``r``: the frame is Q R, so its columns J
     are Q R[:, J] (Golub & Van Loan, Matrix Computations, 5.2). Returns
-    (beta, l2, y_l2, r_x) in the columns' own units: beta (coefficients,
-    responses) with the intercept in ``beta[0]``, each response's residual
-    norm and own L2 norm, and R of the centred design [1, X - mean].
+    (beta, l2, y_l2) in the columns' own units: beta (coefficients,
+    responses) with the intercept in ``beta[0]``, and each response's
+    residual norm and own L2 norm.
 
     Raises TooFewRows unless there are more rows than coefficients, and
     RankDeficient where a regressor is constant over the rows (SD at most
@@ -433,8 +433,7 @@ def least_squares(frame: ScaledColumns, r, regressors, responses):
     beta[0] += frame.mean[v] - frame.mean[s] @ beta
     y_l2 = np.linalg.norm(frame.scale[v] * r[:, v]
                           + np.outer(r[:, 0], frame.mean[v]), axis=0)
-    return (beta, frame.scale[v] * np.linalg.norm(r_d[k:, k:], axis=0), y_l2,
-            r_d[:k, :k] * frame.scale[s])
+    return beta, frame.scale[v] * np.linalg.norm(r_d[k:, k:], axis=0), y_l2
 
 
 def gram_least_squares(cols: ScaledColumns, g: np.ndarray, regressors,

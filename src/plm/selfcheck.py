@@ -12,7 +12,9 @@ suite.
 Two tables state what the checks read: ``simulate._GRAPHS`` the graphs
 the models are drawn from, and ``_ORACLE`` each role's full regressions,
 written apart from the role table the formulas read. The cases are
-derived from the role table and the graphs (``SINGLE_CASES``).
+derived from the role table and the graphs (``SINGLE_CASES``) and run in
+the role table's order, each role's accepted edge sets in turn; a case's
+place in that order sets the seeds ``plm verify`` draws for it.
 """
 
 from __future__ import annotations
@@ -37,38 +39,16 @@ from .simulate import _GRAPHS, GRAPH_EDGES, SCMRecipe, simulate_scm
 _GRAPH_OF = {frozenset(edges): graph
              for graph, (nodes, edges) in _GRAPHS.items() if len(nodes) == 3}
 
-# The place of each (graph, role) case: ``run_selfcheck`` draws case i's
-# seeds from seed + 1000 * i, so this order fixes what ``plm verify`` prints.
-_CASE_ORDER = (
-    ("a", "placebo_outcome"), ("a", "placebo_treatment"),
-    ("b", "placebo_outcome"), ("c", "placebo_treatment"),
-    ("c", "observed_confounder_1"), ("d", "mediator"),
-    ("e", "observed_confounder_2"), ("f", "observed_confounder_2"),
-    ("g", "post_outcome"), ("h", "post_outcome"), ("d", "placebo_outcome"),
-)
-
-
-def _case_place(case) -> int:
-    """The place of a (graph, role, ...) case in ``_CASE_ORDER``; a
-    ValueError naming the case where it has none."""
-    try:
-        return _CASE_ORDER.index(case[:2])
-    except ValueError:
-        raise ValueError(
-            f"self-check case {case[:2]} of the role table has no place in "
-            "selfcheck._CASE_ORDER; add it there to fix its seeds") from None
-
-
 # Graph label, placebo role, and the PlaceboSpec flags: one case for each
 # set of declared edges a role accepts, on the graph of d -> y, those edges
-# and the one the role implies.
-SINGLE_CASES: tuple[tuple[str, str, dict], ...] = tuple(sorted((
+# and the one the role implies, in the role table's order. ``run_selfcheck``
+# draws case i's seeds from seed + 1000 * i.
+SINGLE_CASES: tuple[tuple[str, str, dict], ...] = tuple(
     (_GRAPH_OF[frozenset({"d->y", *(edge.replace("_to_", "->") for edge in
                                     (*declared, rule.implies) if edge)})],
      role, {**{f"edge_{edge}": True for edge in sorted(declared)},
             "acknowledge_mediator": True})
-    for role, rule in _ROLE_TABLE.items() for declared in rule.accepts),
-    key=_case_place))
+    for role, rule in _ROLE_TABLE.items() for declared in rule.accepts)
 
 # The bound ``plm verify`` holds each worst-case error to, as it prints it.
 CHECK_TOL_TEXT = "1e-8"

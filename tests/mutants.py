@@ -220,7 +220,7 @@ MUTANTS = (
             "tests/test_adjust.py::test_role_paths_match_lstsq_reference"
             "[placebo_outcome]",
             "tests/test_selfcheck.py::test_scale_factor_is_the_oracles_sd"
-            "_ratio[1-a-placebo_outcome-kwargs0]", *_RECOVERY)),
+            "_ratio[1-a-placebo_outcome]", *_RECOVERY)),
     Mutant("oracle design without the intercept column", _ORACLE,
            "    beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)\n",
            "    beta, _, rank, _ = np.linalg.lstsq(design[:, 1:], y, "

@@ -78,7 +78,9 @@ def test_k_zero_returns_short_target_everywhere():
             assert case.adjust(coefs, 0.0, 0.0, sf) == coefs.target
 
 
-@pytest.mark.parametrize("graph_case, role, kwargs", SINGLE_CASES)
+@pytest.mark.parametrize("graph_case, role, kwargs", SINGLE_CASES,
+                         ids=[f"{graph}-{role}" for graph, role, _ in
+                              SINGLE_CASES])
 @pytest.mark.parametrize("z_dim", [1, 2])
 def test_exact_parameter_recovery(graph_case, role, kwargs, z_dim):
     for seed in (101, 202, 303):

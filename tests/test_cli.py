@@ -488,6 +488,17 @@ def test_a_data_path_that_cannot_be_read_exits_three(tmp_path, capsys, kind,
                                          else [])
 
 
+def test_every_subcommand_names_the_absolute_data_path(tmp_path, monkeypatch,
+                                                       capsys):
+    # load_csv words a relative data path as the absolute path it tried,
+    # whether or not the subcommand builds a RunConfig (did does not).
+    monkeypatch.chdir(tmp_path)
+    want = f"plm: data error: cannot read {os.path.abspath('missing.csv')}: "
+    for kind in ("table", "contour", "line", "did"):
+        assert cli_main(_argv(kind, "missing.csv", "out.csv")) == 3
+        assert capsys.readouterr().err.startswith(want), kind
+
+
 @pytest.mark.parametrize("kind", ["table", "did"])
 def test_a_pipe_gives_the_bytes_of_its_file(tmp_path, capsys, fifo, kind):
     # More than the 8 KiB the header reader takes from a pipe at once.

@@ -109,7 +109,9 @@ _INPUTS = {"unit": (_unit, None, 11, 0), "earnings": (_earnings, "C", 11, 0),
            "clusters_7": (functools.partial(_clusters, groups=7), "C", 14, 1)}
 # The specs each stress input runs: one SF ratio, two, and the double
 # placebo.
-_STRESS_CASES = [_CASES[0], _CASES[4], _CASES[-1]]
+_STRESS_CASES = [case for case in _CASES if case[:2] in {
+    ("a", "placebo_outcome"), ("c", "observed_confounder_1"),
+    ("double_b", "double_placebo")}]
 _PARAMS = [(make, *case) for make in _INPUTS
            for case in (_CASES if make in ("unit", "earnings", "few_clusters")
                         else _STRESS_CASES)]

@@ -3,8 +3,7 @@
 import pytest
 
 from plm.adjust import _ROLE_TABLE
-from plm.selfcheck import (_CASE_ORDER, SINGLE_CASES, CheckReport,
-                           _case_place, identity_residual,
+from plm.selfcheck import (SINGLE_CASES, CheckReport, identity_residual,
                            round_trip_inputs, run_selfcheck)
 from plm.simulate import _GRAPHS, GRAPH_EDGES, SCMRecipe, simulate_scm
 
@@ -75,21 +74,9 @@ def test_every_three_node_graph_serves_a_case():
     assert {graph for graph, _, _ in SINGLE_CASES} == three_node
 
 
-def test_single_cases_keep_their_seed_order():
-    # Each case's place fixes the seeds ``plm verify`` draws for it.
-    assert [case[:2] for case in SINGLE_CASES] == list(_CASE_ORDER)
-
-
-def test_a_case_without_a_place_is_named():
-    # A new accepted edge set in the role table makes a case that
-    # _CASE_ORDER does not list; the error names it and where to add it.
-    assert _case_place(("d", "placebo_outcome", {})) == len(_CASE_ORDER) - 1
-    with pytest.raises(ValueError, match=r"\('c', 'placebo_outcome'\).*"
-                       r"selfcheck\._CASE_ORDER"):
-        _case_place(("c", "placebo_outcome", {}))
-
-
-@pytest.mark.parametrize("graph_case, role, kwargs", SINGLE_CASES)
+@pytest.mark.parametrize("graph_case, role, kwargs", SINGLE_CASES,
+                         ids=[f"{graph}-{role}" for graph, role, _ in
+                              SINGLE_CASES])
 @pytest.mark.parametrize("z_dim", [1, 2])
 def test_scale_factor_is_the_oracles_sd_ratio(graph_case, role, kwargs,
                                               z_dim):
