@@ -40,9 +40,9 @@ def _column_list(text: str) -> list[str]:
     return [c.strip() for c in text.split(",") if c.strip()]
 
 
-# The flags that define an analysis: (flag, the config key it sets, argparse
-# keywords); "{kind}" is the subcommand. A config file holds the same keys,
-# so --config clashes with each of them.
+# The flags that define an analysis: (flag, the config key it sets and the
+# flag's dest, argparse keywords); "{kind}" is the subcommand. A config file
+# holds the same keys, so --config clashes with each of them.
 _ANALYSIS_FLAGS = (
     ("--data", "data_path", dict(metavar="PATH", help="input CSV")),
     ("--outcome", "outcome", dict(metavar="COL")),
@@ -65,8 +65,9 @@ _ANALYSIS_FLAGS = (
     ("--k", "k", dict(nargs=2, type=float, metavar=("MIN", "MAX"))),
     ("--direct", "direct", dict(nargs=2, type=float, metavar=("MIN", "MAX"))),
     ("--grid", "grid", dict(type=int)),
-    ("--reps", "bootstrap.reps", dict(type=int, help="bootstrap replicates")),
-    ("--seed", "bootstrap.seed", dict(type=int)),
+    ("--reps", "bootstrap.reps", dict(
+        type=int, metavar="REPS", help="bootstrap replicates")),
+    ("--seed", "bootstrap.seed", dict(type=int, metavar="SEED")),
     ("--ci-level", "ci_level", dict(type=float)),
     ("--out", "outputs.{kind}", dict(metavar="PATH", help="output file")),
     ("--svg", "outputs.svg", dict(
@@ -74,21 +75,18 @@ _ANALYSIS_FLAGS = (
 )
 
 
-def _flag_value(args, flag: str):
-    return getattr(args, flag[2:].replace("-", "_"))
+def _flag_keys(kind: str) -> dict:
+    """Each analysis flag of subcommand ``kind`` under its config key."""
+    return {key.format(kind=kind): flag for flag, key, _ in _ANALYSIS_FLAGS}
 
 
-def _given(value) -> bool:
-    """An unset flag holds None, an unset switch False; 0 is a value."""
-    return value is not None and value is not False
-
-
-def _env_seed() -> int | None:
+def _env_seed() -> dict:
+    """``{"seed": PLM_SEED}`` where PLM_SEED is set, else nothing."""
     raw = os.environ.get("PLM_SEED")
     if raw is None or raw == "":
-        return None
+        return {}
     try:
-        return int(raw)
+        return {"seed": int(raw)}
     except ValueError:
         raise ConfigError(
             f"PLM_SEED must be an integer, got {raw!r}"
@@ -96,26 +94,28 @@ def _env_seed() -> int | None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads "-1e-3" as a value, as argparse reads "-1": no plm option
-    starts with "-" and a digit. Its subparsers share the class."""
+    """Leaves an option not given off the namespace, so the library's own
+    default applies. Reads "-1e-3" as a value, as argparse reads "-1": no
+    plm option starts with "-" and a digit. Its subparsers share the
+    class."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, argument_default=argparse.SUPPRESS, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
-def _analysis_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
+def _analysis_parent(kind: str) -> argparse.ArgumentParser:
+    parent = _Parser(add_help=False)
     data = parent.add_argument_group("analysis (use --config or flags)")
     data.add_argument("--config", metavar="PATH",
                       help="JSON run config; excludes the flags below")
-    for flag, _, kwargs in _ANALYSIS_FLAGS:
-        data.add_argument(flag, **kwargs)
+    for flag, key, kwargs in _ANALYSIS_FLAGS:
+        data.add_argument(flag, dest=key.format(kind=kind), **kwargs)
     run = parent.add_argument_group("execution")
-    run.add_argument("--freeze-sf", action="store_true", default=False,
+    run.add_argument("--freeze-sf", action="store_true",
                      help="hold the scale factor at its full-sample value "
                           "inside the bootstrap")
-    run.add_argument("--cluster", metavar="COL",
+    run.add_argument("--cluster", metavar="COL", dest="cluster_col",
                      help="cluster bootstrap on this column")
     return parent
 
@@ -127,24 +127,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "using imperfect placebos.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parent = _analysis_parent()
 
     analyses = {}
     for kind, help_text in (
             ("table", "benchmark rows plus a grid of adjusted estimates"),
             ("contour", "estimate surface over the (k, direct) rectangle"),
             ("line", "one-dimensional slices with bootstrap bands")):
-        analyses[kind] = sub.add_parser(kind, parents=[parent],
-                                        help=help_text)
+        analyses[kind] = sub.add_parser(
+            kind, parents=[_analysis_parent(kind)], help=help_text)
         analyses[kind].set_defaults(
             func=functools.partial(_run_analysis, kind))
-    # Unset line, semiparam and verify flags stay off the namespace, so the
-    # library's own defaults apply.
     analyses["line"].add_argument("--vary", choices=("k", "direct"),
-                                  dest="varying", default=argparse.SUPPRESS)
+                                  dest="varying")
     analyses["line"].add_argument(
         "--at", nargs="+", type=float, metavar="FRACTION",
-        dest="fixed_percentiles", default=argparse.SUPPRESS,
+        dest="fixed_percentiles",
         help="fixed-axis positions as range fractions")
 
     p_did = sub.add_parser(
@@ -156,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pre-period outcome column")
     p_did.add_argument("--group", required=True, metavar="COL",
                        help="0/1 treatment group column")
-    p_did.add_argument("--att-n", type=float, default=0.0,
+    p_did.add_argument("--att-n", type=float,
                        help="assumed treatment effect on the pre-period "
                             "outcome")
     p_did.add_argument("--out", metavar="PATH",
@@ -171,31 +168,30 @@ def build_parser() -> argparse.ArgumentParser:
                         help="short-model effect on the outcome")
     p_semi.add_argument("--theta-s-n", type=float, required=True,
                         help="short-model effect on the placebo")
+    # SemiparamInputs has no default for theta_l_n: this one the CLI states.
     p_semi.add_argument("--theta-l-n", type=float, default=0.0,
                         help="assumed true effect on the placebo")
     p_semi.add_argument("--k", type=float, required=True)
-    p_semi.add_argument("--gamma", type=float, default=argparse.SUPPRESS)
-    p_semi.add_argument("--s2-y", type=float, default=argparse.SUPPRESS)
-    p_semi.add_argument("--s2-n", type=float, default=argparse.SUPPRESS)
-    p_semi.add_argument("--sign-m", type=int, choices=(-1, 1),
-                        default=argparse.SUPPRESS)
+    p_semi.add_argument("--gamma", type=float)
+    p_semi.add_argument("--s2-y", type=float)
+    p_semi.add_argument("--s2-n", type=float)
+    p_semi.add_argument("--sign-m", type=int, choices=(-1, 1))
     p_semi.add_argument("--out", metavar="PATH")
     p_semi.set_defaults(func=_run_semiparam)
 
     p_sim = sub.add_parser(
         "simulate", help="draw a synthetic dataset from a linear SCM",
     )
-    p_sim.add_argument("--case", required=True,
+    p_sim.add_argument("--case", required=True, dest="graph_case",
                        choices=sorted(GRAPH_EDGES))
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--z-dim", type=int, default=1)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--coef", action="append", default=[],
+    p_sim.add_argument("--z-dim", type=int)
+    p_sim.add_argument("--seed", type=int)
+    p_sim.add_argument("--coef", action="append", dest="coefficients",
                        metavar="EDGE=VALUE",
                        help="e.g. --coef 'z->y=0.5' or 'z->y=0.5,0.2'; "
                             "repeatable")
-    p_sim.add_argument("--noise-sd", action="append", default=[],
-                       metavar="NODE=VALUE",
+    p_sim.add_argument("--noise-sd", action="append", metavar="NODE=VALUE",
                        help="e.g. --noise-sd y=0.8; repeatable")
     p_sim.add_argument("--out", required=True, metavar="PATH")
     p_sim.set_defaults(func=_run_simulate)
@@ -203,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="run randomized internal consistency checks",
     )
-    p_verify.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p_verify.add_argument("--draws", type=int, default=argparse.SUPPRESS)
+    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--draws", type=int)
     p_verify.set_defaults(func=_run_verify)
 
     return parser
@@ -219,14 +215,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def _run_config_from_flags(kind: str, args) -> RunConfig:
     """The config keys the given flags set, as a config file sets them."""
-    settings, missing = {}, []
-    for flag, key, _ in _ANALYSIS_FLAGS:
-        key = key.format(kind=kind)
-        value = _flag_value(args, flag)
-        if _given(value):
-            settings[key] = value
-        elif key in (*REQUIRED_KEYS, f"outputs.{kind}"):
-            missing.append(flag)
+    flags = _flag_keys(kind)
+    settings = {key: value for key, value in vars(args).items()
+                if key in flags}
+    missing = [flag for key, flag in flags.items() if key not in settings
+               and key in (*REQUIRED_KEYS, f"outputs.{kind}")]
     if missing:
         raise ConfigError(f"missing {', '.join(missing)} (or use --config)")
     if kind == "table" and "outputs.svg" in settings:
@@ -235,9 +228,9 @@ def _run_config_from_flags(kind: str, args) -> RunConfig:
 
 
 def _run_analysis(kind: str, args) -> int:
-    if args.config is not None:
-        clashing = [flag for flag, _, _ in _ANALYSIS_FLAGS
-                    if _given(_flag_value(args, flag))]
+    if "config" in args:
+        clashing = [flag for key, flag in _flag_keys(kind).items()
+                    if key in args]
         if clashing:
             raise ConfigError(
                 f"--config cannot be combined with {', '.join(clashing)}"
@@ -248,18 +241,20 @@ def _run_analysis(kind: str, args) -> int:
     else:
         cfg = _run_config_from_flags(kind, args)
     engine_cfg = cfg.analysis_config(
-        freeze_sf=args.freeze_sf,
-        cluster_col=args.cluster,
-        seed=_env_seed(),
-    )
+        **_options(args, "freeze_sf", "cluster_col"), **_env_seed())
     data = load_csv(cfg.data_path)
     runner = {"table": run_table, "contour": run_contour,
               "line": run_line}[kind]
-    given = {name: value for name, value in vars(args).items()
-             if name in ("varying", "fixed_percentiles")}
-    for path in emit_outputs({kind: runner(data, engine_cfg, **given)}, cfg):
+    line = _options(args, "varying", "fixed_percentiles")
+    for path in emit_outputs({kind: runner(data, engine_cfg, **line)}, cfg):
         print(path)
     return 0
+
+
+def _options(args, *names: str) -> dict:
+    """The options among ``names`` that were given, under those names."""
+    return {name: value for name, value in vars(args).items()
+            if name in names}
 
 
 def _library_kwargs(args) -> dict:
@@ -268,32 +263,33 @@ def _library_kwargs(args) -> dict:
             if name not in ("command", "func", "out")}
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    if out is None:
-        print(json_text(payload))
+def _emit_json(payload: dict, args) -> None:
+    if "out" in args:
+        write_json(payload, args.out)
+        print(args.out)
     else:
-        write_json(payload, out)
-        print(out)
+        print(json_text(payload))
 
 
 def _run_did(args) -> int:
     data = load_csv(args.data)
     means = GroupMeans.from_data(data, outcome=args.outcome,
                                  placebo=args.placebo, group=args.group)
+    assumed = _options(args, "att_n")
     payload = dim(means)
     payload["att_at_m"] = {
-        f"{m:g}": att(means, DIDAssumption(m=m, att_n=args.att_n))
+        f"{m:g}": att(means, DIDAssumption(m=m, **assumed))
         for m in (0.0, 0.5, 1.0, 1.5)
     }
     payload["trends"] = parallel_trends_gap(means)
-    payload["w_for_m_1"] = m_to_w(1.0, means, att_n=args.att_n)
-    _emit_json(payload, args.out)
+    payload["w_for_m_1"] = m_to_w(1.0, means, **assumed)
+    _emit_json(payload, args)
     return 0
 
 
 def _run_semiparam(args) -> int:
     inputs = SemiparamInputs(**_library_kwargs(args))
-    _emit_json({"estimate": adjust_partially_linear(inputs)}, args.out)
+    _emit_json({"estimate": adjust_partially_linear(inputs)}, args)
     return 0
 
 
@@ -316,17 +312,12 @@ def _parse_pairs(items, what: str) -> dict:
 
 
 def _run_simulate(args) -> int:
-    noise = _parse_pairs(args.noise_sd, "--noise-sd")
-    env_seed = _env_seed()
-    recipe = SCMRecipe(
-        n=args.n,
-        graph_case=args.case,
-        coefficients=_parse_pairs(args.coef, "--coef"),
-        z_dim=args.z_dim,
-        noise_sd=noise if noise else 1.0,
-        seed=args.seed if env_seed is None else env_seed,
-    )
-    print(write_dataset_csv(simulate_scm(recipe), args.out))
+    recipe = _library_kwargs(args)
+    for name, flag in (("noise_sd", "--noise-sd"), ("coefficients", "--coef")):
+        if name in recipe:
+            recipe[name] = _parse_pairs(recipe[name], flag)
+    recipe.update(_env_seed())
+    print(write_dataset_csv(simulate_scm(SCMRecipe(**recipe)), args.out))
     return 0
 
 

@@ -326,13 +326,11 @@ class RunConfig:
                                for key, (_, field) in _KEYS.items()
                                if field is not None and key in given})
 
-    def analysis_config(self, freeze_sf: bool = False,
-                        cluster_col: str | None = None,
-                        seed: int | None = None) -> AnalysisConfig:
-        """The engine configuration, optionally overriding the seed."""
-        return dataclasses.replace(
-            self._analysis, freeze_sf=freeze_sf, cluster_col=cluster_col,
-            seed=self._analysis.seed if seed is None else seed)
+    def analysis_config(self, **given) -> AnalysisConfig:
+        """The engine configuration with the ``given`` AnalysisConfig
+        fields replaced: the execution options ``freeze_sf``,
+        ``cluster_col`` and an overriding ``seed``."""
+        return dataclasses.replace(self._analysis, **given)
 
 
 def parse_run_config(path) -> RunConfig:

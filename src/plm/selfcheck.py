@@ -125,15 +125,17 @@ def _oracle_quantities(role: str, data: Dataset, x: tuple[str, ...],
 
 
 def round_trip_inputs(graph_case: str, role: str, spec_kwargs: dict,
-                      seed: int, n: int = 160, z_dim: int = 1):
-    """(case, (target, placebo, SF), oracle) of one draw: the case
+                      seed: int, **size):
+    """(case, (target, placebo, SF), oracle) of one draw of
+    ``random_recipe`` of the given ``size`` (``n``, ``z_dim``): the case
     formula, its short quantities, and ``_oracle_quantities``.
 
     The last hidden driver is treated as unobserved; earlier ones (when
     z_dim > 1) are used as observed covariates, exercising the X channel.
     """
-    recipe = random_recipe(graph_case, seed, n=n, z_dim=z_dim)
+    recipe = random_recipe(graph_case, seed, **size)
     data = simulate_scm(recipe)
+    z_dim = recipe.z_dim
     x = tuple(f"Z{i}" for i in range(1, z_dim))
     z = (f"Z{z_dim}",)
     case = dispatch_case(PlaceboSpec(
@@ -144,8 +146,9 @@ def round_trip_inputs(graph_case: str, role: str, spec_kwargs: dict,
 
 
 def recovery_error(graph_case: str, role: str, spec_kwargs: dict,
-                   seed: int, n: int = 160, z_dim: int = 1) -> float:
-    """Relative error of the exact-parameter round trip for one draw.
+                   seed: int, **size) -> float:
+    """Relative error of the exact-parameter round trip for one draw of
+    the given ``size``, as ``round_trip_inputs`` takes it.
 
     The oracle's k is scale-free, the ratio of the two biases in
     correlation units (partial correlation times Cohen's f), so the case
@@ -153,7 +156,7 @@ def recovery_error(graph_case: str, role: str, spec_kwargs: dict,
     oracle's ratio of the two biases' SD ratios.
     """
     case, (short_target, placebo, sf), (target, direct, bias_t, bias_p) = \
-        round_trip_inputs(graph_case, role, spec_kwargs, seed, n, z_dim)
+        round_trip_inputs(graph_case, role, spec_kwargs, seed, **size)
     k = ((bias_t.partial_corr * bias_t.cohens_f)
          / (bias_p.partial_corr * bias_p.cohens_f))
     with warnings.catch_warnings():

@@ -1,11 +1,14 @@
 """Tests for the single-placebo case formulas and dispatch."""
 
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from plm.adjust import (
+    _ROLE_TABLE,
     ROLES,
     PlaceboSpec,
     SensitivityPoint,
@@ -413,3 +416,35 @@ def test_double_placebo_matches_lstsq_reference():
                                            seed=1))
     soo = next(row for row in table.rows if row.label == "SOO")
     assert soo.estimate == pytest.approx(on_y["D"], rel=1e-10)
+
+
+def _readme_regressors(names: str) -> str:
+    return ",".join([*names.upper(), "X"])
+
+
+def _readme_role_row(rule) -> list[str]:
+    """A role's target, placebo and SF in README's notation."""
+    def coefficient(response, regressors, column):
+        return (f"b({response.upper()} ~ {_readme_regressors(regressors)} : "
+                f"{column.upper()})")
+
+    sf = " · ".join(
+        f"r({num.upper()}|{_readme_regressors(num_c)}) / "
+        f"r({den.upper()}|{_readme_regressors(den_c)})"
+        for num, num_c, den, den_c in rule.sf)
+    return [coefficient(*rule.target), coefficient(*rule.placebo), sf]
+
+
+def test_readme_role_table_matches_the_role_table():
+    # README's target/placebo/SF table is written by hand; each row must
+    # say what _ROLE_TABLE says.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    rows = {}
+    for line in readme.splitlines():
+        cells = [cell.strip().strip("`").replace("\\|", "|")
+                 for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if len(cells) == 4 and cells[1].startswith("b("):
+            rows[cells[0]] = cells[1:]
+    assert rows == {role: _readme_role_row(rule)
+                    for role, rule in _ROLE_TABLE.items()}

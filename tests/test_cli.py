@@ -19,8 +19,9 @@ from plm import cli
 from plm.adjust import _ROLE_TABLE, ROLES
 from plm.cli import _ANALYSIS_FLAGS, cli_main
 from plm.errors import ScaleConfusionWarning
-from plm.io import load_csv, parse_run_config, read_table_csv, \
-    write_dataset_csv
+from plm.engine import run_table
+from plm.io import RunConfig, load_csv, parse_run_config, \
+    read_table_csv, write_dataset_csv, write_table_csv
 from plm.regression import Dataset
 from plm.selfcheck import CHECK_TOL, CheckReport, random_recipe
 from plm.simulate import SCMRecipe, simulate_scm
@@ -546,6 +547,90 @@ def test_flag_and_config_forms_share_defaults(tmp_path, capsys):
     assert cli_main(["table", "--config", str(config)]) == 0
     capsys.readouterr()
     assert flags.read_bytes() == (tmp_path / "config.csv").read_bytes()
+
+
+def test_freeze_sf_flag_writes_the_frozen_table(tmp_path, capsys):
+    data_path = _data_csv(tmp_path)
+    out = tmp_path / "t.csv"
+    argv = _table_argv(data_path, out)
+    run = RunConfig({"data_path": str(data_path), "outcome": "Y",
+                     "treatment": "D", "placebo": "P",
+                     "role": "placebo_outcome", "edges.d_to_p": True,
+                     "bootstrap.reps": 80, "bootstrap.seed": 3})
+    frozen = run_table(load_csv(data_path),
+                       run.analysis_config(freeze_sf=True))
+    want = write_table_csv(frozen, tmp_path / "want.csv").read_bytes()
+    assert cli_main([*argv, "--freeze-sf"]) == 0
+    assert out.read_bytes() == want
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    assert out.read_bytes() != want
+
+
+@pytest.mark.parametrize("execution", [
+    ["--cluster", "C"], ["--freeze-sf"], ["--freeze-sf", "--cluster", "C"]],
+    ids=["cluster", "freeze-sf", "both"])
+def test_execution_flags_combine_with_a_config(tmp_path, monkeypatch, capsys,
+                                               execution):
+    # The benchmark's table_large form: a config file plus execution flags,
+    # which set no config key and so do not clash with --config.
+    monkeypatch.chdir(tmp_path)
+    data = simulate_scm(random_recipe("b", seed=1, n=250))
+    columns = {name: data[name] for name in data.names}
+    write_dataset_csv(Dataset({**columns, "C": np.arange(250) % 25}),
+                      tmp_path / "data.csv")
+    Path("run.json").write_text(json.dumps({
+        **_RUN, "bootstrap": {"reps": 20},
+        "outputs": {"table": "config.csv"}}), encoding="utf-8")
+    assert cli_main(["table", "--config", "run.json", *execution]) == 0
+    assert cli_main(["table", "--data", "data.csv", *_FLAGS, *execution,
+                     "--out", "flags.csv"]) == 0
+    assert cli_main(["table", "--data", "data.csv", *_FLAGS,
+                     "--out", "plain.csv"]) == 0
+    capsys.readouterr()
+    config = (tmp_path / "config.csv").read_bytes()
+    assert config == (tmp_path / "flags.csv").read_bytes()
+    assert config != (tmp_path / "plain.csv").read_bytes()
+
+
+def test_an_option_left_out_takes_the_librarys_default(tmp_path,
+                                                       monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("did.csv").write_text("G,Y,N\n1,10,5\n1,14,7\n0,6,4\n0,8,6\n",
+                               encoding="utf-8")
+    did = ["did", "--data", "did.csv", "--outcome", "Y", "--placebo", "N",
+           "--group", "G"]
+    simulate = ["simulate", "--case", "b", "--n", "40"]
+    for short, full in ((did + ["--out", "a.json"],
+                         did + ["--att-n", "0", "--out", "b.json"]),
+                        (simulate + ["--out", "a.csv"],
+                         simulate + ["--z-dim", "1", "--seed", "0",
+                                     "--out", "b.csv"])):
+        assert cli_main(short) == 0 and cli_main(full) == 0
+        assert Path(short[-1]).read_bytes() == Path(full[-1]).read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, given", [
+    (["table"], set()),
+    (["contour", "--config", "run.json", "--freeze-sf"],
+     {"config", "freeze_sf"}),
+    (["table", "--cluster", "C", "--reps", "0", "--edge-d-to-p"],
+     {"cluster_col", "bootstrap.reps", "edges.d_to_p"}),
+    (["line", "--out", "l.csv", "--vary", "k"], {"outputs.line", "varying"}),
+    (["did", "--data", "d.csv", "--outcome", "Y", "--placebo", "P",
+      "--group", "G"], {"data", "outcome", "placebo", "group"}),
+    # theta_l_n has no default in SemiparamInputs: the CLI states 0.
+    (["semiparam", "--theta-s-y", "1", "--theta-s-n", "1", "--k", "1"],
+     {"theta_s_y", "theta_s_n", "k", "theta_l_n"}),
+    (["simulate", "--case", "a", "--n", "5", "--out", "s.csv"],
+     {"graph_case", "n", "out"}),
+    (["verify"], set()),
+], ids=["table", "contour", "table-flags", "line", "did", "semiparam",
+        "simulate", "verify"])
+def test_an_option_not_given_is_off_the_namespace(argv, given):
+    args = vars(cli._parser().parse_args(argv))
+    assert set(args) == {"command", "func", *given}
 
 
 _JSON = st.recursive(
