@@ -27,7 +27,6 @@ from .adjust import (
     dispatch_case,
     k_from_m,
     m_from_k,
-    scale_factor,
     standard_did_k,
 )
 from .did import (

@@ -404,10 +404,3 @@ class CaseFormula:
 
 # Resolve a PlaceboSpec to its case formula.
 dispatch_case = CaseFormula
-
-
-def scale_factor(case: CaseFormula, data: Dataset) -> float:
-    """Evaluate the case's scale factor on a dataset."""
-    value = case.sf(data)
-    _check_sf(value)
-    return value

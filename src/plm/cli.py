@@ -246,7 +246,7 @@ def _run_analysis(kind: str, args) -> int:
     runner = {"table": run_table, "contour": run_contour,
               "line": run_line}[kind]
     line = _options(args, "varying", "fixed_percentiles")
-    for path in emit_outputs({kind: runner(data, engine_cfg, **line)}, cfg):
+    for path in emit_outputs(kind, runner(data, engine_cfg, **line), cfg):
         print(path)
     return 0
 

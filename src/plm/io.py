@@ -620,30 +620,24 @@ def render_line_svg(line: LineSlice) -> str:
                      ".4g", body)
 
 
-def emit_outputs(results: Mapping, cfg: RunConfig) -> list[Path]:
-    """Write every configured output whose result is present.
-
-    ``results`` maps "table"/"contour"/"line" to engine results. The svg
-    output renders the contour when one is present, otherwise the line
-    slice. Returns the written paths in a fixed order.
-    """
-    written: list[Path] = []
-    table = results.get("table")
-    if table is not None and "table" in cfg.outputs:
-        written.append(write_table_csv(table, cfg.outputs["table"]))
-    contour = results.get("contour")
-    if contour is not None and "contour" in cfg.outputs:
-        csv_path = cfg.outputs["contour"]
-        written.append(write_contour_csv(contour, csv_path))
-        json_path = csv_path.with_suffix(".json")
-        if json_path == csv_path:
-            json_path = csv_path.with_name(csv_path.name + ".json")
-        written.append(write_contour_json(contour, json_path))
-    line = results.get("line")
-    if line is not None and "line" in cfg.outputs:
-        written.extend(write_line_csvs(line, cfg.outputs["line"]))
-    if "svg" in cfg.outputs and (contour is not None or line is not None):
-        svg = (render_contour_svg(contour) if contour is not None
-               else render_line_svg(line))
-        written.append(_write_chunks(cfg.outputs["svg"], (svg,)))
+def emit_outputs(kind: str, result, cfg: RunConfig) -> list[Path]:
+    """Write ``result``, the result of subcommand ``kind``, to
+    ``cfg.outputs[kind]``: a table's CSV, a contour's CSV and JSON
+    sidecar, or a line's CSVs. A contour or line also draws itself to the
+    configured svg output. Returns the written paths in that order."""
+    path = cfg.outputs[kind]
+    if kind == "table":
+        return [write_table_csv(result, path)]
+    if kind == "contour":
+        json_path = path.with_suffix(".json")
+        if json_path == path:
+            json_path = path.with_name(path.name + ".json")
+        written = [write_contour_csv(result, path),
+                   write_contour_json(result, json_path)]
+        render = render_contour_svg
+    else:
+        written = write_line_csvs(result, path)
+        render = render_line_svg
+    if "svg" in cfg.outputs:
+        written.append(_write_chunks(cfg.outputs["svg"], (render(result),)))
     return written

@@ -87,11 +87,11 @@ class Dataset:
     @classmethod
     def _adopt(cls, columns) -> "Dataset":
         """A Dataset that keeps the given arrays without copying them or
-        testing them for finiteness; for loaders whose fresh arrays no one
+        testing them for finiteness; for callers whose fresh arrays no one
         else holds and whose every cell is known to be finite. ``io``'s
-        loader is the one caller: ``_parse_rows`` tests its parsed array
-        with ``np.isfinite``, and ``_scan_rows`` refuses each non-finite
-        cell as it reads it."""
+        loader is one caller: ``_parse_rows`` tests its parsed array with
+        ``np.isfinite``, and ``_scan_rows`` refuses each non-finite cell as
+        it reads it. ``take`` is the other: it indexes finite columns."""
         out = object.__new__(cls)
         out._keep(columns, copy=False)
         return out
@@ -146,17 +146,12 @@ class Dataset:
         return self.n_rows
 
     def take(self, indices) -> "Dataset":
-        """Row subset/resample by integer indices, skipping re-validation."""
+        """The rows at the integer ``indices``, as a resample draws them.
+        Each column is a fresh copy of a finite column, so ``_adopt``
+        keeps it without a second copy or finiteness test."""
         idx = np.asarray(indices, dtype=np.intp)
-        out = object.__new__(Dataset)
-        cols = {}
-        for name, arr in self._columns.items():
-            sub = arr[idx]
-            sub.setflags(write=False)
-            cols[name] = sub
-        out._columns = cols
-        out.n_rows = int(idx.shape[0])
-        return out
+        return Dataset._adopt({name: arr[idx]
+                               for name, arr in self._columns.items()})
 
     def matrix(self, names) -> np.ndarray:
         """Stack the named columns into an (n_rows, len(names)) matrix."""

@@ -56,6 +56,8 @@ _DEFINED = ("tests/test_definition.py::test_runners_equal_their_definition"
             "[unit-a-placebo_outcome]",
             "tests/test_definition.py::test_runners_equal_their_definition"
             "[few_clusters-double_b-double_placebo]")
+_DID = "tests/test_did.py::test_m_w_maps_refuse_a_non_finite_argument"
+_TABLE = "tests/test_regression.py::test_dataset_refuses_a_malformed_table"
 _RECOVERY = ("tests/test_selfcheck.py::test_selfcheck_passes_on_small_run",
              "tests/test_acceptance.py::test_acceptance_05_recovery_identity"
              "_suite")
@@ -341,6 +343,58 @@ MUTANTS = (
            (_IO_TESTS + "test_load_csv_reads_a_pipe_once",
             _IO_TESTS
             + "test_load_csv_words_a_bad_cell_in_a_pipe_as_in_a_file")),
+    # The contour sidecar's name and the JSON writer's default.
+    Mutant("contour sidecar overwrites a .json CSV", _IO,
+           "        if json_path == path:\n",
+           "        if False:\n",
+           (_IO_TESTS + "test_contour_sidecar_never_overwrites_its_csv"
+            "[c.json-c.json.json]",)),
+    Mutant("JSON writer refuses a numpy scalar", _IO,
+           "    if isinstance(value, np.generic):\n",
+           "    if False:\n",
+           (_IO_TESTS
+            + "test_json_text_writes_a_numpy_scalar_as_its_python_value",)),
+    Mutant("JSON writer writes any object as null", _IO,
+           "    raise TypeError(",
+           "    return None\n    raise TypeError(",
+           (_IO_TESTS + "test_json_text_refuses_a_value_it_cannot_write",)),
+    # Input checks: one mutant per check.
+    Mutant("m_to_w takes a non-finite m", "src/plm/did.py",
+           "    if not np.isfinite(m):\n", "    if False:\n",
+           tuple(_DID + f"[m_to_w-{v}]" for v in ("nan", "inf", "-inf"))),
+    Mutant("w_to_m takes a non-finite w", "src/plm/did.py",
+           "    if not np.isfinite(w):\n", "    if False:\n",
+           tuple(_DID + f"[w_to_m-{v}]" for v in ("nan", "inf", "-inf"))),
+    Mutant("double-placebo spec takes non-finite long coefficients", _DOUBLE,
+           "        if not (np.isfinite(self.beta_yp_long)\n"
+           "                and np.isfinite(self.beta_np_long)):\n",
+           "        if False:\n",
+           tuple(f"tests/test_double.py::test_spec_refuses_a_non_finite_long"
+                 f"_coefficient[{field}-nan]"
+                 for field in ("beta_yp_long", "beta_np_long"))),
+    Mutant("analysis config takes any spec", _ENGINE,
+           "        if not isinstance(self.spec, (PlaceboSpec, "
+           "DoublePlaceboSpec,\n" + " " * 38 + "type(None))):\n",
+           "        if False:\n",
+           (_ENGINE_TESTS + "test_config_validation",)),
+    Mutant("fixture manifest names a column the data lacks", _IO,
+           "    if missing:\n        raise DataError(f\"fixture lacks",
+           "    if False:\n        raise DataError(f\"fixture lacks",
+           (_IO_TESTS + "test_fixture_manifest_check",)),
+    Mutant("dataset with no columns", _REGRESSION,
+           "        if not columns:\n", "        if False:\n",
+           (_TABLE + "[no-columns]",)),
+    Mutant("dataset with an empty column name", _REGRESSION,
+           "if not isinstance(name, str) or not name:",
+           "if not isinstance(name, str):",
+           (_TABLE + "[empty-name]",)),
+    Mutant("dataset with a two-dimensional column", _REGRESSION,
+           "            if arr.ndim != 1:\n", "            if False:\n",
+           (_TABLE + "[two-d]",)),
+    Mutant("dataset with no rows", _REGRESSION,
+           "if n_rows is None or n_rows < 1:", "if n_rows is None:",
+           (_TABLE + "[no-rows]", "tests/test_regression.py::test_dataset"
+            "_take_of_no_rows_is_refused")),
 )
 
 

@@ -16,7 +16,6 @@ from plm.adjust import (
     dispatch_case,
     k_from_m,
     m_from_k,
-    scale_factor,
 )
 from plm.double import DoublePlaceboSpec, fit_double_shorts
 from plm.engine import AnalysisConfig, run_table
@@ -118,7 +117,6 @@ def test_scale_factor_trivial_placebo_copies():
     case = dispatch_case(spec)
     assert case.sf(data_same) == pytest.approx(1.0, rel=1e-12)
     assert case.sf(data_double) == pytest.approx(0.5, rel=1e-10)
-    assert scale_factor(case, data_double) == case.sf(data_double)
 
 
 def test_outcome_rescaling_equivariance():

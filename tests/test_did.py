@@ -71,6 +71,14 @@ def test_m_w_maps_refuse_a_non_finite_att_n(mapping, att_n):
         mapping(1.0, GroupMeans(5.0, 3.0, 2.0, 1.0), att_n=att_n)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mapping, name", [(m_to_w, "m"), (w_to_m, "w")],
+                         ids=["m_to_w", "w_to_m"])
+def test_m_w_maps_refuse_a_non_finite_argument(mapping, name, value):
+    with pytest.raises(ConfigError, match=f"^{name} must be finite$"):
+        mapping(value, GroupMeans(5.0, 3.0, 2.0, 1.0))
+
+
 def test_denominator_guards():
     flat_control = GroupMeans(10.0, 4.0, 5.0, 4.0)
     with pytest.raises(DenominatorNearZero):

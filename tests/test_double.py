@@ -126,6 +126,16 @@ def test_fit_double_shorts_matches_direct_fits():
     assert fits.np_unit == np.std(data["N"]) / np.std(data["P"])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["beta_yp_long", "beta_np_long"])
+def test_spec_refuses_a_non_finite_long_coefficient(field, value):
+    with pytest.raises(ConfigError,
+                       match="^fixed long coefficients must be finite$"):
+        DoublePlaceboSpec(outcome_col="Y", treatment_col="D",
+                          placebo_treatment_col="P",
+                          placebo_outcome_col="N", **{field: value})
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError, match="distinct"):
         DoublePlaceboSpec(outcome_col="Y", treatment_col="D",

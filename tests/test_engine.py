@@ -641,6 +641,9 @@ def test_config_validation():
         AnalysisConfig(spec=_role_spec("double_placebo"), freeze_sf=True)
     with pytest.raises(ConfigError, match="grid_points"):
         AnalysisConfig(grid_points_per_axis=0)
+    with pytest.raises(ConfigError, match="^spec must be a PlaceboSpec or "
+                       "DoublePlaceboSpec$"):
+        AnalysisConfig(spec="x")
     with pytest.raises(ConfigError, match="spec"):
         run_table(_data(), AnalysisConfig())
 

@@ -412,6 +412,24 @@ def test_fixture_manifest_check(tmp_path):
     wrong["Y"] += 0.1
     with pytest.raises(DataError, match="'Y'"):
         check_fixture_manifest(data, {**manifest, "column_means": wrong})
+    with pytest.raises(DataError, match=r"^fixture lacks manifest columns "
+                       r"\['Q'\]$"):
+        check_fixture_manifest(data, {**manifest, "column_means": {
+            **manifest["column_means"], "Q": 0.0}})
+
+
+def test_json_text_writes_a_numpy_scalar_as_its_python_value():
+    data = _sim_data(n=60)
+    metadata = [run_contour(data, AnalysisConfig(
+        spec=_spec(), grid_points_per_axis=3, seed=seed)).metadata
+        for seed in (np.int64(7), 7)]
+    assert type(metadata[0]["seed"]) is np.int64
+    assert plm_io.json_text(metadata[0]) == plm_io.json_text(metadata[1])
+
+
+def test_json_text_refuses_a_value_it_cannot_write():
+    with pytest.raises(TypeError, match="^object is not JSON serializable$"):
+        plm_io.json_text({"x": object()})
 
 
 def test_parse_run_config_builds_spec(tmp_path):
@@ -794,23 +812,43 @@ def test_emit_outputs_writes_configured_results(tmp_path):
         "contour": run_contour(load_csv(data_path), engine_cfg),
         "line": run_line(load_csv(data_path), engine_cfg),
     }
-    written = emit_outputs(results, cfg)
-    names = [p.name for p in written]
-    assert names == ["table.csv", "contour.csv", "contour.json",
-                     "line.csv", "plot.svg"]
-    svg_text = (tmp_path / "plot.svg").read_text(encoding="utf-8")
+    svg_path = tmp_path / "plot.svg"
+
+    # A table writes its CSV and no SVG.
+    assert emit_outputs("table", results["table"], cfg) == [
+        tmp_path / "table.csv"]
+    assert not svg_path.exists()
+
+    # A line writes its CSV and draws its curves.
+    written = emit_outputs("line", results["line"], cfg)
+    assert [p.name for p in written] == ["line.csv", "plot.svg"]
+    assert "<polyline" in svg_path.read_text(encoding="utf-8")
+
+    # A contour writes its CSV and sidecar and draws its zero isoline.
+    written = emit_outputs("contour", results["contour"], cfg)
+    assert [p.name for p in written] == ["contour.csv", "contour.json",
+                                         "plot.svg"]
+    svg_text = svg_path.read_text(encoding="utf-8")
     assert svg_text.count("<path") == len(results["contour"].zero_contour)
 
     # Second emission produces identical bytes.
     before = {p: p.read_bytes() for p in written}
-    emit_outputs(results, cfg)
+    emit_outputs("contour", results["contour"], cfg)
     for p, blob in before.items():
         assert p.read_bytes() == blob
 
-    # Without a contour result the svg falls back to the line slice.
-    emit_outputs({"line": results["line"]}, cfg)
-    assert "<polyline" in (tmp_path / "plot.svg").read_text(encoding="utf-8")
 
-    # Configured outputs with no matching result are skipped.
-    only_table = emit_outputs({"table": results["table"]}, cfg)
-    assert [p.name for p in only_table] == ["table.csv"]
+@pytest.mark.parametrize("name, sidecar", [("c.json", "c.json.json"),
+                                           ("c", "c.json")])
+def test_contour_sidecar_never_overwrites_its_csv(tmp_path, name, sidecar):
+    data_path = _write_dataset(tmp_path / "data.csv", _sim_data(n=60))
+    payload = _config_payload("data.csv", grid=5,
+                              outputs={"contour": name})
+    cfg = parse_run_config(_write_config(tmp_path, payload))
+    grid = run_contour(load_csv(data_path), cfg.analysis_config())
+    written = emit_outputs("contour", grid, cfg)
+    assert written == [tmp_path / name, tmp_path / sidecar]
+    with open(tmp_path / name, encoding="utf-8") as handle:
+        assert handle.readline() == "k,direct,estimate\n"
+    assert json.loads((tmp_path / sidecar).read_text(encoding="utf-8"))[
+        "k_values"] == grid.k_values.tolist()

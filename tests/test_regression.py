@@ -61,6 +61,25 @@ def test_dataset_take_resamples_rows():
     sub = data.take([2, 0, 2])
     assert sub.n_rows == 3
     assert sub["a"].tolist() == [3.0, 1.0, 3.0]
+    assert not sub["a"].flags.writeable
+
+
+@pytest.mark.parametrize("columns, message", [
+    ({}, "dataset needs at least one column"),
+    ({"": [1.0]}, "column names must be non-empty strings"),
+    ({1: [1.0]}, "column names must be non-empty strings"),
+    ({"a": [[1.0, 2.0], [3.0, 4.0]]}, "column 'a' is not one-dimensional"),
+    ({"a": [], "b": []}, "dataset needs at least one row"),
+], ids=["no-columns", "empty-name", "non-string-name", "two-d", "no-rows"])
+def test_dataset_refuses_a_malformed_table(columns, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Dataset(columns)
+
+
+def test_dataset_take_of_no_rows_is_refused():
+    # As Dataset() itself refuses a table with no rows.
+    with pytest.raises(ValueError, match="^dataset needs at least one row$"):
+        Dataset({"a": [1.0, 2.0]}).take([])
 
 
 def test_noise_free_linear_fit_is_exact():
