@@ -12,6 +12,9 @@ Entry points
 ------------
 dispatch_case / CaseFormula
     Pick the adjustment formula implied by a PlaceboSpec and apply it.
+DoubleFormula
+    The same for a DoublePlaceboSpec: a placebo treatment and a placebo
+    outcome at once.
 run_table, run_contour, run_line
     Batch runners with bootstrap uncertainty (engine module).
 load_csv, parse_run_config, emit_outputs
@@ -39,12 +42,9 @@ from .did import (
     w_to_m,
 )
 from .double import (
-    DoublePlaceboPoint,
+    DoubleFormula,
     DoublePlaceboSpec,
     DoubleShortFits,
-    adjust_double_placebo,
-    fit_double_shorts,
-    point_identify_double_placebo,
 )
 from .engine import (
     AnalysisConfig,

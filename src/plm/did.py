@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjust import ovb_estimate
-from .errors import ConfigError, DataError, DenominatorNearZero
+from .errors import ConfigError, DataError, DenominatorNearZero, \
+    NumericError
 from .regression import NEAR_ZERO, Dataset
 
 
@@ -41,7 +42,8 @@ class GroupMeans:
     @classmethod
     def from_data(cls, data: Dataset, outcome: str, placebo: str,
                   group: str) -> "GroupMeans":
-        """Compute cell means from unit-level data with a 0/1 group column."""
+        """Compute cell means from unit-level data with a 0/1 group column;
+        NumericError where a mean overflows."""
         g = data[group]
         if not np.isin(g, (0.0, 1.0)).all():
             raise DataError(f"group column {group!r} must be 0/1")
@@ -50,16 +52,14 @@ class GroupMeans:
         n0 = g.size - n1
         if n1 == 0 or n0 == 0:
             raise DataError("both groups must be non-empty")
-        y = data[outcome]
-        n = data[placebo]
-        return cls(
-            mean_y_treated=float(y[treated].mean()),
-            mean_y_control=float(y[~treated].mean()),
-            mean_n_treated=float(n[treated].mean()),
-            mean_n_control=float(n[~treated].mean()),
-            n_treated=n1,
-            n_control=n0,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = [float(data[name][rows].mean())
+                     for name in (outcome, placebo)
+                     for rows in (treated, ~treated)]
+        if not np.isfinite(means).all():
+            raise NumericError(
+                f"group means of {outcome!r} and {placebo!r} overflow")
+        return cls(*means, n_treated=n1, n_control=n0)
 
 
 @dataclass(frozen=True)

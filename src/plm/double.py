@@ -9,18 +9,19 @@ relative-confounding input at all.
 The adjustment is the single-placebo one, ``adjust.ovb_estimate``, with
 beta_yd as the target, beta_nd as the placebo coefficient, and the placebo
 pair's slope (beta_yp - yp_long) / (beta_np - np_long) as the scale in
-place of a ratio of residual norms. ``DoubleFormula`` serves it to the
-engine through the members ``adjust.CaseFormula`` serves a role with.
+place of a ratio of residual norms. ``DoubleFormula`` serves it: to the
+engine through the members ``adjust.CaseFormula`` serves a role with, and
+on a whole dataset through ``fit_coefficients`` and ``adjust``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .adjust import ovb_estimate
+from .adjust import SensitivityPoint, ovb_estimate
 from .errors import ConfigError, DenominatorNearZero
 from .regression import (GRAM_TOL, NEAR_ZERO, Dataset, ScaledColumns,
                          gram_least_squares, least_squares)
@@ -52,35 +53,12 @@ class DoubleShortFits(NamedTuple):
 
 
 @dataclass(frozen=True)
-class DoublePlaceboPoint:
-    """Sensitivity parameters for the double-placebo adjustment.
-
-    ``k_product`` is the product of the two scaled relative-confounding
-    ratios (equivalently the ratio of the two raw bias ratios); the factors
-    are never needed individually. The three ``*_long`` fields are the direct
-    causal coefficients P-to-Y, D-to-N, and P-to-N, all zero for perfect
-    placebos. An equivalent regrouping of the product exists with the same
-    interpretation; only the product enters the formula.
-    """
-
-    k_product: float
-    beta_yp_long: float = 0.0
-    beta_nd_long: float = 0.0
-    beta_np_long: float = 0.0
-
-    def __post_init__(self):
-        values = (self.k_product, self.beta_yp_long, self.beta_nd_long,
-                  self.beta_np_long)
-        if not all(np.isfinite(v) for v in values):
-            raise ConfigError("double-placebo parameters must be finite")
-
-
-@dataclass(frozen=True)
 class DoublePlaceboSpec:
     """Column declaration for a double-placebo analysis.
 
-    ``beta_yp_long`` and ``beta_np_long`` are held fixed in grids; the
-    D-to-N direct effect takes the table's second axis.
+    ``beta_yp_long`` and ``beta_np_long`` are the direct P-to-Y and P-to-N
+    links, zero for perfect placebos, held fixed in grids; the D-to-N
+    direct effect takes the table's second axis.
     """
 
     outcome_col: str
@@ -107,17 +85,6 @@ class DoublePlaceboSpec:
             raise ConfigError("fixed long coefficients must be finite")
 
 
-def fit_double_shorts(data: Dataset, outcome: str, treatment: str,
-                      placebo_treatment: str, placebo_outcome: str,
-                      covariates=()) -> DoubleShortFits:
-    """``DoubleFormula.fit`` of these columns on all rows. ``data`` maps
-    names to columns: a Dataset or a plain dict."""
-    formula = DoubleFormula(DoublePlaceboSpec(
-        outcome, treatment, placebo_treatment, placebo_outcome,
-        tuple(covariates)))
-    return formula.fit(ScaledColumns(data, formula.columns))
-
-
 def placebo_pair_vanishes(beta_np, beta_np_long, np_unit, tol=NEAR_ZERO):
     """Elementwise: whether ``beta_np - np_long`` counts as zero.
 
@@ -131,45 +98,18 @@ def placebo_pair_vanishes(beta_np, beta_np_long, np_unit, tol=NEAR_ZERO):
     return np.abs(beta_np - beta_np_long) <= tol * scale
 
 
-def check_placebo_pair(fits: DoubleShortFits, beta_np_long: float) -> None:
-    """Raise DenominatorNearZero where ``placebo_pair_vanishes``."""
-    if placebo_pair_vanishes(fits.beta_np, beta_np_long, fits.np_unit):
-        raise DenominatorNearZero(
-            "measured placebo-pair coefficient equals its assumed direct "
-            "part; the double-placebo adjustment is undefined"
-        )
-
-
-def pair_slope(fits: DoubleShortFits, beta_yp_long, beta_np_long):
-    """(beta_yp - yp_long) / (beta_np - np_long), elementwise: the scale of
-    the double-placebo adjustment. Unguarded: callers run
-    ``check_placebo_pair`` on the short fits first."""
-    return (fits.beta_yp - beta_yp_long) / (fits.beta_np - beta_np_long)
-
-
-def adjust_double_placebo(fits: DoubleShortFits,
-                          point: DoublePlaceboPoint) -> float:
-    """Adjusted Y~D coefficient from the four short fits.
-
-        beta_yd - k_product * (beta_nd - nd_long) * pair_slope
-
-    after ``check_placebo_pair`` has ruled out a vanishing denominator.
-    """
-    check_placebo_pair(fits, point.beta_np_long)
-    return ovb_estimate(fits.beta_yd, fits.beta_nd,
-                        pair_slope(fits, point.beta_yp_long,
-                                   point.beta_np_long),
-                        point.k_product, point.beta_nd_long)
-
-
 class DoubleFormula:
-    """A double-placebo spec as the engine reads it.
+    """A double-placebo spec as the engine reads it, and the double
+    placebo's public API.
 
     The members of ``adjust.CaseFormula``. A quantity row holds the
     ``DoubleShortFits``, and ``triple`` maps rows to (beta_yd, beta_nd,
-    pair_slope): k is the product parameter and the direct effect the
+    pair slope): k is the product parameter and the direct effect the
     D-to-N direct link, while ``beta_yp_long`` and ``beta_np_long`` stay
-    fixed at the spec's values.
+    fixed at the spec's values. On a whole dataset ``fit_coefficients``
+    gives the short fits and ``adjust(fits, k, direct_effect)`` the
+    adjusted estimate; k = 1 is point identification under a single shared
+    confounder.
     """
 
     def __init__(self, spec: DoublePlaceboSpec):
@@ -179,11 +119,13 @@ class DoubleFormula:
         self.responses = (spec.outcome_col, spec.placebo_outcome_col)
         self.columns = (*self.design, *self.responses)
 
-    def fit(self, frame: ScaledColumns, idx=slice(None)) -> DoubleShortFits:
+    def quantities(self, frame: ScaledColumns,
+                   idx=slice(None)) -> DoubleShortFits:
         """The four short coefficients of the shared design D + P + X, with
         Y and N as its two responses, on rows ``idx`` (all, the default, or
         a resample's row numbers) of the frame of ``columns``, and np_unit
-        over those rows: all from one QR of the frame's rows."""
+        over those rows: all from one QR of the frame's rows. A vanishing
+        placebo pair raises, so such replicates are dropped."""
         r = frame.factor(idx)
         beta = least_squares(frame, r, self.design, self.responses)[0]
         j = [frame.position[name] for name in (self.spec.placebo_treatment_col,
@@ -193,15 +135,18 @@ class DoubleFormula:
             # Over a resample's rows: each column's R below the intercept
             # is its centred norm there.
             sd = sd * np.linalg.norm(r[1:, j], axis=0)
-        return DoubleShortFits.read(beta, sd[1] / sd[0])
-
-    def quantities(self, frame: ScaledColumns,
-                   idx=slice(None)) -> DoubleShortFits:
-        """``fit``; a vanishing placebo pair raises, so such replicates are
-        dropped."""
-        fits = self.fit(frame, idx)
-        check_placebo_pair(fits, self.spec.beta_np_long)
+        fits = DoubleShortFits.read(beta, sd[1] / sd[0])
+        self._check_pair(fits)
         return fits
+
+    def _check_pair(self, fits: DoubleShortFits) -> None:
+        """Raise DenominatorNearZero where ``placebo_pair_vanishes``."""
+        if placebo_pair_vanishes(fits.beta_np, self.spec.beta_np_long,
+                                 fits.np_unit):
+            raise DenominatorNearZero(
+                "measured placebo-pair coefficient equals its assumed direct "
+                "part; the double-placebo adjustment is undefined"
+            )
 
     def gram_quantities(self, frame: ScaledColumns, g):
         """``quantities`` rows, (batch, 5), from ``g = frame.grams(counts)``;
@@ -220,10 +165,13 @@ class DoubleFormula:
         return q
 
     def triple(self, q):
-        """(target, placebo, scale) of quantity rows ``q`` (..., 5)."""
+        """(target, placebo, scale) of quantity rows ``q`` (..., 5): beta_yd,
+        beta_nd and the pair slope (beta_yp - yp_long) / (beta_np -
+        np_long), unguarded: ``quantities`` and ``adjust`` check the pair."""
         fits = DoubleShortFits(*np.moveaxis(q, -1, 0))
-        return fits.beta_yd, fits.beta_nd, pair_slope(
-            fits, self.spec.beta_yp_long, self.spec.beta_np_long)
+        return fits.beta_yd, fits.beta_nd, (
+            (fits.beta_yp - self.spec.beta_yp_long)
+            / (fits.beta_np - self.spec.beta_np_long))
 
     @staticmethod
     def anchors(q):
@@ -241,23 +189,16 @@ class DoubleFormula:
     def warn_large_k(k: float, stacklevel: int) -> None:
         """None: the product parameter has no raw-bias scale."""
 
+    def fit_coefficients(self, data: Dataset) -> DoubleShortFits:
+        """``quantities`` on all rows of ``data``, a Dataset or a mapping of
+        names to columns."""
+        return DoubleShortFits(*map(float, self.quantities(
+            ScaledColumns(data, self.columns))))
 
-def point_identify_double_placebo(fits: DoubleShortFits,
-                                  imperfection: Mapping[str, float]
-                                  | None = None) -> float:
-    """Point estimate under a single shared confounder (k_product = 1).
-
-    Valid when one confounder (or confounder combinations with equal
-    partial associations) drives both placebos; then the relative level of
-    confounding drops out entirely. ``imperfection`` may supply
-    ``beta_yp_long``, ``beta_nd_long``, ``beta_np_long`` for imperfect
-    placebos; omitted entries default to 0.
-    """
-    extra = dict(imperfection or {})
-    unknown = set(extra) - {"beta_yp_long", "beta_nd_long", "beta_np_long"}
-    if unknown:
-        raise ConfigError(
-            f"unknown imperfection keys: {sorted(unknown)}"
-        )
-    return adjust_double_placebo(fits, DoublePlaceboPoint(k_product=1.0,
-                                                          **extra))
+    def adjust(self, fits: DoubleShortFits, k: float,
+               direct_effect: float) -> float:
+        """beta_yd - k * (beta_nd - direct_effect) * pair slope, for the
+        product k and the D-to-N direct effect, once the pair is checked."""
+        SensitivityPoint(k=k, direct_effect=direct_effect)  # finite check
+        self._check_pair(fits)
+        return float(ovb_estimate(*self.triple(fits), k, direct_effect))

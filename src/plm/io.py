@@ -32,6 +32,7 @@ from .errors import (
     DuplicateHeader,
     IoError,
     NonFiniteValue,
+    NumericError,
     ParseError,
     TooFewRows,
 )
@@ -444,11 +445,40 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+def _non_finite(value, key: str):
+    """(key, number) of the first non-finite number in ``value``, in the
+    order ``json_text`` writes it, with the keys and list indices on its
+    path; None where every number is finite."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, Mapping):
+        parts = ((f"{key}.{name}" if key else str(name), item)
+                 for name, item in sorted(value.items()))
+    elif isinstance(value, (list, tuple)):
+        parts = ((f"{key}[{i}]", item) for i, item in enumerate(value))
+    else:
+        if isinstance(value, np.generic):
+            value = value.item()
+        finite = not isinstance(value, float) or math.isfinite(value)
+        return None if finite else (key, value)
+    return next(filter(None, (_non_finite(item, name)
+                              for name, item in parts)), None)
+
+
 def json_text(payload) -> str:
     """The text of every JSON output: sorted keys, one-space indent,
-    arrays as lists and numpy scalars as their Python values."""
-    return json.dumps(payload, sort_keys=True, indent=1,
-                      default=_json_default)
+    arrays as lists and numpy scalars as their Python values. JSON has no
+    infinity or NaN, so a non-finite number raises NumericError naming
+    its key, before any of the text is written."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=1,
+                          allow_nan=False, default=_json_default)
+    except ValueError:
+        found = _non_finite(payload, "")
+        if found is None:
+            raise
+        raise NumericError(f"output {found[0]} is {found[1]}; JSON has no "
+                           "infinity or NaN") from None
 
 
 def write_json(payload, path) -> Path:

@@ -142,9 +142,6 @@ class Dataset:
                 f"column {name!r} not in dataset (has: {', '.join(self._columns)})"
             ) from None
 
-    def __len__(self) -> int:
-        return self.n_rows
-
     def take(self, indices) -> "Dataset":
         """The rows at the integer ``indices``, as a resample draws them.
         Each column is a fresh copy of a finite column, so ``_adopt``
@@ -165,14 +162,23 @@ def _standardize(values, out):
     ``values`` is copied into ``out`` first and read there: a loaded
     column is a strided view of the parsed rows, and one strided pass is
     cheaper than the three of its mean, SD and centring. The mean, the SD
-    and the result are the same bytes as those taken from ``values``."""
+    and the result are the same bytes as those taken from ``values``.
+
+    Where the sum or the squares overflow, so the mean or the SD is not
+    finite, both are taken again over the column divided by its largest
+    magnitude and scaled back: then the SD is at most that magnitude."""
     np.copyto(out, values)
-    mean = out.mean()
-    sd = out.std()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, sd = out.mean(), out.std()
+    unit = 1.0
+    if not (np.isfinite(mean) and np.isfinite(sd)):
+        unit = np.abs(out).max()
+        out /= unit
+        mean, sd = out.mean(), out.std()
     out -= mean
     if sd > 0:
         out /= sd
-    return mean, sd if sd > 0 else 1.0
+    return mean * unit, sd * unit if sd > 0 else 1.0
 
 
 def _block_rows(units: int, per_row: int) -> int:
@@ -266,10 +272,6 @@ class ScaledColumns:
         self._upper = np.triu_indices(len(self.zt))
         self.units = self.zt.shape[1]
         self._unit_sums = None
-
-    def __len__(self) -> int:
-        """The number of named columns."""
-        return len(self.position)
 
     def grouped(self, groups) -> "ScaledColumns":
         """This frame, sharing its columns, with groups of rows as the units
@@ -393,8 +395,9 @@ def least_squares(frame: ScaledColumns, r, regressors, responses):
     RankDeficient where a regressor is constant over the rows (SD at most
     RANK_TOL of its root mean square, or of its root mean square about
     the frame's centre) or a diagonal of the design's R, each regressor
-    scaled to unit SD over the rows, falls to RANK_TOL of the largest.
-    Responses are never judged constant.
+    scaled to unit SD over the rows, falls to RANK_TOL of the largest, or
+    where the design's triangular solve still fails. Responses are never
+    judged constant.
     """
     s = np.array([0, *(frame.position[name] for name in regressors)])
     v = np.array([frame.position[name] for name in responses])
@@ -423,7 +426,12 @@ def least_squares(frame: ScaledColumns, r, regressors, responses):
             f"collinear design on {list(regressors)} "
             f"(min |R_ii| = {diag.min():.3e})"
         )
-    b = np.linalg.solve(r_d[:k, :k], r_d[:k, k:])
+    try:
+        b = np.linalg.solve(r_d[:k, :k], r_d[:k, k:])
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(
+            f"design on {list(regressors)} cannot be solved ({exc})"
+        ) from None
     beta = b * (frame.scale[v] / frame.scale[s][:, None])
     beta[0] += frame.mean[v] - frame.mean[s] @ beta
     y_l2 = np.linalg.norm(frame.scale[v] * r[:, v]

@@ -26,8 +26,7 @@ import numpy as np
 
 from .adjust import _ROLE_TABLE, PlaceboSpec, ShortCoefficients, \
     dispatch_case
-from .double import (DoublePlaceboPoint, adjust_double_placebo,
-                     fit_double_shorts, point_identify_double_placebo)
+from .double import DoubleFormula, DoublePlaceboSpec
 from .errors import ConfigError, MediatorCautionWarning, \
     ScaleConfusionWarning
 from .oracle import (bias_decomposition_oracle, fit_ols,
@@ -183,22 +182,21 @@ def double_recovery_error(graph_case: str, seed: int, n: int = 200,
     recipe = random_recipe(graph_case, seed, n=n, z_dim=z_dim)
     data = simulate_scm(recipe)
     z = tuple(f"Z{i}" for i in range(1, z_dim + 1))
-    fits = fit_double_shorts(data, "Y", "D", "P", "N")
     long_y = fit_ols(data, "Y", ("D", "P", *z))
     long_n = fit_ols(data, "N", ("D", "P", *z))
-    target = long_y.coef("D")
-    longs = {"beta_yp_long": long_y.coef("P"),
-             "beta_nd_long": long_n.coef("D"),
-             "beta_np_long": long_n.coef("P")}
-    if point_identified:
-        adjusted = point_identify_double_placebo(fits, longs)
-    else:
+    target, nd_long = long_y.coef("D"), long_n.coef("D")
+    formula = DoubleFormula(DoublePlaceboSpec(
+        "Y", "D", "P", "N", beta_yp_long=long_y.coef("P"),
+        beta_np_long=long_n.coef("P")))
+    fits = formula.fit_coefficients(data)
+    k_product = 1.0
+    if not point_identified:
+        spec = formula.spec
         k_product = (((fits.beta_yd - target)
-                      / (fits.beta_yp - longs["beta_yp_long"]))
-                     / ((fits.beta_nd - longs["beta_nd_long"])
-                        / (fits.beta_np - longs["beta_np_long"])))
-        adjusted = adjust_double_placebo(
-            fits, DoublePlaceboPoint(k_product=k_product, **longs))
+                      / (fits.beta_yp - spec.beta_yp_long))
+                     / ((fits.beta_nd - nd_long)
+                        / (fits.beta_np - spec.beta_np_long)))
+    adjusted = formula.adjust(fits, k_product, nd_long)
     return float(abs(adjusted - target) / max(1.0, abs(target)))
 
 

@@ -350,8 +350,8 @@ MUTANTS = (
            (_IO_TESTS + "test_contour_sidecar_never_overwrites_its_csv"
             "[c.json-c.json.json]",)),
     Mutant("JSON writer refuses a numpy scalar", _IO,
-           "    if isinstance(value, np.generic):\n",
-           "    if False:\n",
+           "    if isinstance(value, np.generic):\n        return value.item()",
+           "    if False:\n        return value.item()",
            (_IO_TESTS
             + "test_json_text_writes_a_numpy_scalar_as_its_python_value",)),
     Mutant("JSON writer writes any object as null", _IO,
@@ -395,6 +395,42 @@ MUTANTS = (
            "if n_rows is None or n_rows < 1:", "if n_rows is None:",
            (_TABLE + "[no-rows]", "tests/test_regression.py::test_dataset"
             "_take_of_no_rows_is_refused")),
+    # The double placebo's scale, as the runners and the self-check read it.
+    Mutant("pair slope adds the placebo-to-outcome link", _DOUBLE,
+           "(fits.beta_yp - self.spec.beta_yp_long)",
+           "(fits.beta_yp + self.spec.beta_yp_long)",
+           ("tests/test_double.py::test_single_confounder_point_"
+            "identification_exact",
+            "tests/test_double.py::test_general_k_product_exact_with_two_"
+            "confounders")),
+    # Numbers past the float range: one mutant per guard.
+    Mutant("a huge column standardizes to zeros", _REGRESSION,
+           "    if not (np.isfinite(mean) and np.isfinite(sd)):\n",
+           "    if False:\n",
+           tuple(f"tests/test_regression.py::test_a_huge_column_standardizes"
+                 f"_without_overflow[{case}]"
+                 for case in ("1e+155-0.0", "1e+300-0.0", "1e+308-1.2"))
+           + tuple(f"tests/test_cli.py::test_a_huge_treatment_runs_a_table"
+                   f"[{unit}]" for unit in ("1e+155", "1e+300"))),
+    Mutant("a failed solve escapes least_squares", _REGRESSION,
+           "    except np.linalg.LinAlgError as exc:\n        raise Rank",
+           "    except ZeroDivisionError as exc:\n        raise Rank",
+           ("tests/test_regression.py::test_a_design_that_cannot_be_solved"
+            "_is_rank_deficient",)),
+    Mutant("JSON writer writes a non-finite number", _IO,
+           "allow_nan=False, ", "",
+           tuple(_IO_TESTS + "test_json_text_names_a_non_finite_number"
+                 f"[{case}]" for case in ("nested", "array", "numpy-scalar"))
+           + ("tests/test_cli.py::test_semiparam_of_a_huge_product_exits"
+              "_four",)),
+    Mutant("group means that overflow are a configuration error",
+           "src/plm/did.py",
+           "        if not np.isfinite(means).all():\n",
+           "        if False:\n",
+           ("tests/test_did.py::test_group_means_that_overflow_are_a_numeric"
+            "_error",
+            "tests/test_cli.py::test_did_of_a_huge_outcome_exits_four_before"
+            "_writing")),
 )
 
 

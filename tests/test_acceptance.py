@@ -27,7 +27,7 @@ from plm.did import (
     parallel_trends_gap,
     w_to_m,
 )
-from plm.double import fit_double_shorts, point_identify_double_placebo
+from plm.double import DoubleFormula, DoublePlaceboSpec
 from plm.engine import AnalysisConfig, bootstrap, run_line, run_table
 from plm.oracle import fit_ols, residual
 from plm.regression import Dataset
@@ -230,14 +230,13 @@ def test_acceptance_07_double_placebo_point_identification(capsys):
         seed=13,
     )
     data = simulate_scm(recipe)
-    fits = fit_double_shorts(data, "Y", "D", "P", "N")
     long_y = fit_ols(data, "Y", ("D", "P", "Z1", "Z2"))
     long_n = fit_ols(data, "N", ("D", "P", "Z1", "Z2"))
-    got = point_identify_double_placebo(fits, {
-        "beta_yp_long": long_y.coef("P"),
-        "beta_nd_long": long_n.coef("D"),
-        "beta_np_long": long_n.coef("P"),
-    })
+    formula = DoubleFormula(DoublePlaceboSpec(
+        "Y", "D", "P", "N", beta_yp_long=long_y.coef("P"),
+        beta_np_long=long_n.coef("P")))
+    got = formula.adjust(formula.fit_coefficients(data), 1.0,
+                         long_n.coef("D"))
     miss = abs(got - long_y.coef("D"))
     assert miss >= 10 * 1e-8
     _report(capsys, 7, "PASS",

@@ -17,7 +17,7 @@ from plm.adjust import (
     k_from_m,
     m_from_k,
 )
-from plm.double import DoublePlaceboSpec, fit_double_shorts
+from plm.double import DoubleFormula, DoublePlaceboSpec
 from plm.engine import AnalysisConfig, run_table
 from plm.errors import (
     AmbiguousSpec,
@@ -405,11 +405,11 @@ def test_double_placebo_matches_lstsq_reference():
     on_n = _lstsq_fit(data, "N", ("D", "P", *x))[0]
     want = (on_y["D"], on_y["P"], on_n["D"], on_n["P"],
             np.std(data["N"]) / np.std(data["P"]))
-    fits = fit_double_shorts(data, "Y", "D", "P", "N", x)
-    assert tuple(fits) == pytest.approx(want, rel=1e-10)
     spec = DoublePlaceboSpec(outcome_col="Y", treatment_col="D",
                              placebo_treatment_col="P",
                              placebo_outcome_col="N", covariate_cols=x)
+    fits = DoubleFormula(spec).fit_coefficients(data)
+    assert tuple(fits) == pytest.approx(want, rel=1e-10)
     table = run_table(data, AnalysisConfig(spec=spec, bootstrap_reps=20,
                                            seed=1))
     soo = next(row for row in table.rows if row.label == "SOO")

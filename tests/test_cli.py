@@ -819,6 +819,58 @@ def test_semiparam_json(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("unit", [1e155, 1e300])
+def test_a_huge_treatment_runs_a_table(tmp_path, capsys, unit):
+    # D ~ N(0, 1) * unit squares past the float range; the frame
+    # standardizes it all the same, with no RuntimeWarning (an error under
+    # this suite), and the estimates are those of D in units of ``unit``.
+    rng = np.random.default_rng(1)
+    x, d = rng.normal(size=(2, 60))
+    columns = {"Y": x + rng.normal(size=60), "D": d,
+               "P": x + rng.normal(size=60)}
+    estimates = []
+    for name, scale in (("unit.csv", 1.0), ("huge.csv", unit)):
+        data = write_dataset_csv(Dataset({**columns, "D": d * scale}),
+                                 tmp_path / name)
+        out = tmp_path / f"{name}.table.csv"
+        assert cli_main(["table", "--data", str(data), "--outcome", "Y",
+                         "--treatment", "D", "--placebo", "P",
+                         "--role", "placebo_outcome", "--reps", "50",
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        estimates.append([row.estimate * scale
+                          for row in read_table_csv(out).rows])
+    assert estimates[1] == pytest.approx(estimates[0], rel=1e-9)
+
+
+def test_did_of_a_huge_outcome_exits_four_before_writing(tmp_path, capsys):
+    # One row per group: the means are finite and their difference is
+    # not. Two rows per group: the means themselves overflow.
+    one = tmp_path / "one.csv"
+    one.write_text("G,Y,N\n1,1e308,0\n0,-1e308,1\n", encoding="utf-8")
+    two = tmp_path / "two.csv"
+    two.write_text("G,Y,N\n1,1e308,0\n1,1e308,0\n0,-1e308,1\n"
+                   "0,-1e308,1\n", encoding="utf-8")
+    out = tmp_path / "did.json"
+    for path, message in (
+            (one, "output att_at_m.0 is inf; JSON has no infinity or NaN"),
+            (two, "group means of 'Y' and 'N' overflow")):
+        assert cli_main(["did", "--data", str(path), "--outcome", "Y",
+                         "--placebo", "N", "--group", "G",
+                         "--out", str(out)]) == 4
+        assert capsys.readouterr() == (
+            "", f"plm: numeric degeneracy: {message}\n")
+        assert not out.exists()
+
+
+def test_semiparam_of_a_huge_product_exits_four(capsys):
+    assert cli_main(["semiparam", "--theta-s-y", "1", "--theta-s-n", "1",
+                     "--k", "1e308", "--gamma", "1e308"]) == 4
+    assert capsys.readouterr() == (
+        "", "plm: numeric degeneracy: output estimate is -inf; JSON has "
+        "no infinity or NaN\n")
+
+
 @pytest.mark.parametrize("argv, exponent, plain", [
     (["contour", "--data", "data.csv", *_FLAGS, "--grid", "5"],
      ["--k", "-1e-3", "1", "--direct", "-1e4", "1e4"],
@@ -862,17 +914,21 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
     pre = 2e4 + 100.0 * age + 500.0 * education + 3e3 * u \
         + rng.normal(0.0, 2e3, n)
     post = pre + 1500.0 * trained + 2e3 * u + rng.normal(0.0, 2e3, n)
+    sibling = (u + rng.normal(size=n) > 0).astype(float)
     write_dataset_csv(Dataset({
         "earnings_post": post, "trained": trained, "earnings_pre": pre,
-        "age": age, "education": education}), tmp_path / "study.csv")
+        "sibling_trained": sibling, "age": age, "education": education}),
+        tmp_path / "study.csv")
     monkeypatch.chdir(tmp_path)
     exec(compile(code, "README.md", "exec"), {})
     # The adjusted estimate at k = 1, then three anchor rows and a grid of
-    # three k values at one direct value; the third anchor is k = 1.
+    # three k values at one direct value; the third anchor is k = 1. Last
+    # the double placebo's point-identified estimate.
     printed = capsys.readouterr().out.splitlines()
-    assert len(printed) == 1 + 3 + 3
+    assert len(printed) == 1 + 3 + 3 + 1
     assert printed[3].startswith("k=1 DID 1.0 ")
     assert float(printed[0]) == pytest.approx(float(printed[3].split()[-3]))
+    assert np.isfinite(float(printed[-1]))
 
 
 def test_readme_config_example_parses(tmp_path, monkeypatch):

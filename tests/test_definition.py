@@ -7,8 +7,8 @@ percentile interval are taken over the kept replicates. ``bootstrap()``
 reads the same draw and never uses the Gram path, so the reference here is
 one ``bootstrap()`` call per setting whose statistic reads public members
 only: ``CaseFormula.fit_coefficients``, ``sf`` and ``adjust``, or, for
-the double placebo, ``fit_double_shorts``, ``check_placebo_pair`` and
-``pair_slope``. Under ``freeze_sf`` it uses the full-sample SF.
+the double placebo, ``DoubleFormula.fit_coefficients`` and ``adjust``.
+Under ``freeze_sf`` it uses the full-sample SF.
 
 ``run_table`` and ``run_line`` must match it to 1e-10 of the SE and of the
 CI width, with equal ``bootstrap_failures``, or raise the same error: at
@@ -26,9 +26,8 @@ import numpy as np
 import pytest
 
 from plm import engine, regression
-from plm.adjust import PlaceboSpec, dispatch_case, ovb_estimate
-from plm.double import (DoublePlaceboSpec, check_placebo_pair,
-                        fit_double_shorts, pair_slope)
+from plm.adjust import PlaceboSpec, dispatch_case
+from plm.double import DoubleFormula, DoublePlaceboSpec
 from plm.engine import AnalysisConfig, bootstrap, run_contour, run_line, \
     run_table
 from plm.errors import BootstrapDegenerate, PlmError
@@ -129,16 +128,11 @@ def _definition(spec):
     returns its fits; ``estimate(fits, k, direct, sf)`` is the adjusted
     estimate of those fits at (k, direct), at the SF ``sf`` where given."""
     if isinstance(spec, DoublePlaceboSpec):
-        def statistic(rows):
-            fits = fit_double_shorts(rows, "Y", "D", "P", "N",
-                                     spec.covariate_cols)
-            check_placebo_pair(fits, spec.beta_np_long)
-            return fits
+        double = DoubleFormula(spec)
 
         def estimate(fits, k, direct, sf=None):
-            return ovb_estimate(fits.beta_yd, fits.beta_nd, pair_slope(
-                fits, spec.beta_yp_long, spec.beta_np_long), k, direct)
-        return statistic, estimate
+            return double.adjust(fits, k, direct)
+        return double.fit_coefficients, estimate
     case = dispatch_case(spec)
 
     def statistic(rows):

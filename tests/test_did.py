@@ -13,7 +13,8 @@ from plm.did import (
     parallel_trends_gap,
     w_to_m,
 )
-from plm.errors import ConfigError, DataError, DenominatorNearZero
+from plm.errors import ConfigError, DataError, DenominatorNearZero, \
+    NumericError
 from plm.oracle import fit_ols, residual
 from plm.regression import Dataset
 
@@ -122,6 +123,14 @@ def test_group_means_from_data():
             Dataset({"Y": [1.0, 2.0], "N": [0.0, 1.0], "G": [1.0, 1.0]}),
             "Y", "N", "G",
         )
+
+
+def test_group_means_that_overflow_are_a_numeric_error():
+    data = Dataset({"Y": [1e308, 1e308, -1e308, -1e308],
+                    "N": [0.0, 0.0, 1.0, 1.0], "G": [1.0, 1.0, 0.0, 0.0]})
+    with pytest.raises(NumericError,
+                       match="^group means of 'Y' and 'N' overflow$"):
+        GroupMeans.from_data(data, "Y", "N", "G")
 
 
 def test_validation():

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from plm.double import (
-    DoublePlaceboPoint,
-    DoublePlaceboSpec,
-    DoubleShortFits,
-    adjust_double_placebo,
-    fit_double_shorts,
-    point_identify_double_placebo,
-)
+from plm.double import DoubleFormula, DoublePlaceboSpec, DoubleShortFits
 from plm.engine import AnalysisConfig, _bind
 from plm.errors import ConfigError, DenominatorNearZero
 from plm.oracle import fit_ols
@@ -18,17 +11,22 @@ from plm.selfcheck import double_recovery_error
 from plm.simulate import SCMRecipe, simulate_scm
 
 
+def _formula(beta_yp_long=0.0, beta_np_long=0.0):
+    return DoubleFormula(DoublePlaceboSpec(
+        outcome_col="Y", treatment_col="D", placebo_treatment_col="P",
+        placebo_outcome_col="N", beta_yp_long=beta_yp_long,
+        beta_np_long=beta_np_long))
+
+
 def test_hand_example():
     fits = DoubleShortFits(beta_yd=2.0, beta_yp=1.5, beta_nd=0.8,
                            beta_np=0.6)
-    assert point_identify_double_placebo(fits) == pytest.approx(0.0,
-                                                                abs=1e-12)
-    half = adjust_double_placebo(fits, DoublePlaceboPoint(k_product=0.5))
+    assert _formula().adjust(fits, 1.0, 0.0) == pytest.approx(0.0,
+                                                               abs=1e-12)
+    half = _formula().adjust(fits, 0.5, 0.0)
     assert half == pytest.approx(1.0, abs=1e-12)
-    imperfect = point_identify_double_placebo(
-        fits,
-        {"beta_yp_long": 0.5, "beta_nd_long": 0.2, "beta_np_long": 0.1},
-    )
+    imperfect = _formula(beta_yp_long=0.5, beta_np_long=0.1).adjust(
+        fits, 1.0, 0.2)
     assert imperfect == pytest.approx(0.8, abs=1e-12)
 
 
@@ -36,7 +34,7 @@ def test_affine_in_k_product():
     fits = DoubleShortFits(1.0, 0.7, -0.4, 0.9)
 
     def est(kp):
-        return adjust_double_placebo(fits, DoublePlaceboPoint(k_product=kp))
+        return _formula().adjust(fits, kp, 0.0)
 
     slope = est(1.0) - est(0.0)
     assert est(3.0) == pytest.approx(est(0.0) + 3.0 * slope, rel=1e-12)
@@ -75,17 +73,12 @@ def test_two_unequal_confounders_break_point_identification():
         seed=13,
     )
     data = simulate_scm(recipe)
-    fits = fit_double_shorts(data, "Y", "D", "P", "N")
     long_y = fit_ols(data, "Y", ("D", "P", "Z1", "Z2"))
     long_n = fit_ols(data, "N", ("D", "P", "Z1", "Z2"))
-    got = point_identify_double_placebo(
-        fits,
-        {
-            "beta_yp_long": long_y.coef("P"),
-            "beta_nd_long": long_n.coef("D"),
-            "beta_np_long": long_n.coef("P"),
-        },
-    )
+    formula = _formula(beta_yp_long=long_y.coef("P"),
+                       beta_np_long=long_n.coef("P"))
+    got = formula.adjust(formula.fit_coefficients(data), 1.0,
+                         long_n.coef("D"))
     target = long_y.coef("D")
     err = abs(got - target) / max(1.0, abs(target))
     assert err > 1e-7 * 10
@@ -94,30 +87,26 @@ def test_two_unequal_confounders_break_point_identification():
 def test_denominator_guard():
     fits = DoubleShortFits(1.0, 1.0, 1.0, 0.5)
     with pytest.raises(DenominatorNearZero):
-        adjust_double_placebo(
-            fits, DoublePlaceboPoint(k_product=1.0, beta_np_long=0.5)
-        )
+        _formula(beta_np_long=0.5).adjust(fits, 1.0, 0.0)
 
 
 def test_point_parameter_validation():
-    with pytest.raises(ConfigError):
-        DoublePlaceboPoint(k_product=float("nan"))
-    with pytest.raises(ConfigError, match="unknown imperfection"):
-        point_identify_double_placebo(
-            DoubleShortFits(1.0, 1.0, 1.0, 1.0), {"beta_dp_long": 0.1}
-        )
+    for k, direct in ((np.nan, 0.0), (1.0, np.inf)):
+        with pytest.raises(ConfigError,
+                           match="^sensitivity parameters must be finite$"):
+            _formula().adjust(DoubleShortFits(1.0, 1.0, 1.0, 1.0), k,
+                              direct)
 
 
-def test_fit_double_shorts_matches_direct_fits():
+def test_fit_coefficients_matches_direct_fits():
     # One QR of the shared design: bit for bit the engine's full-sample
     # route, and two separate fit_ols calls up to the last bit.
     data = simulate_scm(SCMRecipe(n=120, graph_case="double_b", seed=5))
-    fits = fit_double_shorts(data, "Y", "D", "P", "N")
-    spec = DoublePlaceboSpec(outcome_col="Y", treatment_col="D",
-                             placebo_treatment_col="P",
-                             placebo_outcome_col="N")
-    formula, cols = _bind(data, AnalysisConfig(spec=spec))
-    assert tuple(formula.quantities(cols, slice(None))) == tuple(fits)
+    formula = _formula()
+    fits = formula.fit_coefficients(data)
+    assert all(type(value) is float for value in fits)
+    engine_formula, cols = _bind(data, AnalysisConfig(spec=formula.spec))
+    assert tuple(engine_formula.quantities(cols, slice(None))) == tuple(fits)
     fit_y = fit_ols(data, "Y", ("D", "P"))
     fit_n = fit_ols(data, "N", ("D", "P"))
     assert fits[:4] == pytest.approx(

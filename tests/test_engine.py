@@ -23,8 +23,7 @@ from plm.adjust import (
     ovb_estimate,
     standard_did_k,
 )
-from plm.double import DoublePlaceboSpec, fit_double_shorts, \
-    point_identify_double_placebo
+from plm.double import DoubleFormula, DoublePlaceboSpec
 from plm.engine import (
     AnalysisConfig,
     _bind,
@@ -497,12 +496,13 @@ def test_double_placebo_table():
     table = run_table(data, cfg)
     labels = [row.label for row in table.rows]
     assert labels[:2] == ["SOO", "Point ID"]
-    fits = fit_double_shorts(data, "Y", "D", "P", "N")
+    formula = DoubleFormula(spec)
+    fits = formula.fit_coefficients(data)
     by_label = {row.label: row for row in table.rows}
     assert by_label["SOO"].estimate == pytest.approx(fits.beta_yd,
                                                      abs=1e-12)
     assert by_label["Point ID"].estimate == pytest.approx(
-        point_identify_double_placebo(fits), rel=1e-12
+        formula.adjust(fits, 1.0, 0.0), rel=1e-12
     )
     assert table.metadata["role"] == "double_placebo"
     assert all(row.se > 0 for row in table.rows)
@@ -542,11 +542,11 @@ def test_double_placebo_vanishing_pair_is_rejected():
     # An assumed placebo-pair direct part equal to the measured coefficient
     # leaves the double-placebo surface undefined on every runner.
     data = simulate_scm(SCMRecipe(n=200, graph_case="double_a", seed=2))
-    fits = fit_double_shorts(data, "Y", "D", "P", "N")
     spec = DoublePlaceboSpec(outcome_col="Y", treatment_col="D",
                              placebo_treatment_col="P",
-                             placebo_outcome_col="N",
-                             beta_np_long=fits.beta_np)
+                             placebo_outcome_col="N")
+    fits = DoubleFormula(spec).fit_coefficients(data)
+    spec = dataclasses.replace(spec, beta_np_long=fits.beta_np)
     cfg = AnalysisConfig(spec=spec, bootstrap_reps=20, seed=4)
     for runner in (run_table, run_contour, run_line):
         with pytest.raises(DenominatorNearZero):
@@ -566,11 +566,12 @@ def test_double_placebo_pair_check_does_not_depend_on_units():
                              placebo_treatment_col="P",
                              placebo_outcome_col="N")
     cfg = AnalysisConfig(spec=spec, bootstrap_reps=50, seed=3)
+    formula = DoubleFormula(spec)
     results = []
     for units in (1.0, 1e13):
         scaled = _rescaled(data, "P", units)
-        fits = fit_double_shorts(scaled, "Y", "D", "P", "N")
-        results.append((point_identify_double_placebo(fits),
+        fits = formula.fit_coefficients(scaled)
+        results.append((formula.adjust(fits, 1.0, 0.0),
                         run_table(scaled, cfg).rows[:2]))
     (point, anchors), (point_13, anchors_13) = results
     assert point_13 == pytest.approx(point, rel=1e-8)
@@ -587,12 +588,11 @@ def test_placebo_pair_vanishing_to_rounding_is_rejected(units):
     data = simulate_scm(SCMRecipe(n=400, graph_case="double_b", seed=5))
     data = Dataset({**{name: data[name] for name in data.names},
                     "N": 0.3 + 0.8 * data["D"], "P": data["P"] * units})
-    with pytest.raises(DenominatorNearZero):
-        point_identify_double_placebo(
-            fit_double_shorts(data, "Y", "D", "P", "N"))
     spec = DoublePlaceboSpec(outcome_col="Y", treatment_col="D",
                              placebo_treatment_col="P",
                              placebo_outcome_col="N")
+    with pytest.raises(DenominatorNearZero):
+        DoubleFormula(spec).fit_coefficients(data)
     cfg = AnalysisConfig(spec=spec, bootstrap_reps=20, seed=4)
     with pytest.raises(DenominatorNearZero):
         run_table(data, cfg)
@@ -806,7 +806,7 @@ def test_bootstrap_replicates_run_no_qr(monkeypatch, role):
     calls = _counting_qr(monkeypatch)
     for n, reps in ((400, 20), (400, 200), (3000, 20), (3000, 200)):
         data = _earnings_data(seed=3, n=n)
-        q = len(_bind(data, AnalysisConfig(spec=_role_spec(role)))[1]) + 1
+        q = len(_bind(data, AnalysisConfig(spec=_role_spec(role)))[1].zt)
         block = regression._qr_block(q)
         tall = ([(n, q)] if n <= block
                 else [(n // block, block, q), (n // block * q + n % block, q)])
@@ -1046,7 +1046,7 @@ def _budget(data, cfg, batch):
     a byte a unit, and 6 q^2 floats each for a frame of q columns fill
     half of it."""
     frame = _resampled(data, cfg)
-    q = len(frame) + 1
+    q = len(frame.zt)
     return 2 * (frame.units + 8 * 6 * q * q) * batch
 
 
@@ -1465,7 +1465,7 @@ def test_row_bootstrap_memory_stays_within_the_batch_budget():
                           covariate_cols=("X1", "X2")),
                bootstrap_reps=12)
     formula, cols = _bind(data, cfg)
-    stored = (len(cols) + 1) * n * 8  # ScaledColumns.zt
+    stored = len(cols.zt) * n * 8  # ScaledColumns.zt
     # Slack: a replicate's draw and its bincount, a column's temporaries
     # while it is scaled, and 1 MiB for small arrays.
     slack = 4 * n * 8 + 2**20

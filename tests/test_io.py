@@ -24,6 +24,7 @@ from plm.errors import (
     DuplicateHeader,
     IoError,
     NonFiniteValue,
+    NumericError,
     ParseError,
     TooFewRows,
 )
@@ -430,6 +431,17 @@ def test_json_text_writes_a_numpy_scalar_as_its_python_value():
 def test_json_text_refuses_a_value_it_cannot_write():
     with pytest.raises(TypeError, match="^object is not JSON serializable$"):
         plm_io.json_text({"x": object()})
+
+
+@pytest.mark.parametrize("payload, where", [
+    ({"a": 1.0, "b": {"c": [0.5, float("inf")]}}, r"b\.c\[1\] is inf"),
+    ({"k": np.array([1.0, np.nan])}, r"k\[1\] is nan"),
+    ({"x": np.float32("-inf")}, r"x is -inf"),
+], ids=["nested", "array", "numpy-scalar"])
+def test_json_text_names_a_non_finite_number(payload, where):
+    with pytest.raises(NumericError, match=f"^output {where}; JSON has no "
+                       "infinity or NaN$"):
+        plm_io.json_text(payload)
 
 
 def test_parse_run_config_builds_spec(tmp_path):

@@ -56,6 +56,37 @@ def test_dataset_copies_the_callers_arrays():
     assert not data["a"].flags.writeable
 
 
+@pytest.mark.parametrize("unit, offset", [(1e155, 0.0), (1e300, 0.0),
+                                          (1e308, 1.2)])
+def test_a_huge_column_standardizes_without_overflow(unit, offset):
+    # At 1e155 the squares overflow, and at 1e308 around 1.2 the sum too:
+    # the frame is that of the column in units of ``unit``, and no
+    # RuntimeWarning (an error under this suite) is raised.
+    values = np.random.default_rng(3).normal(size=60)
+    if offset:
+        values = offset + 0.1 * values
+    small = ScaledColumns({"D": values})
+    huge = ScaledColumns({"D": values * unit})
+    assert huge.zt[1] == pytest.approx(small.zt[1], rel=1e-12, abs=1e-12)
+    assert huge.scale[1] == pytest.approx(small.scale[1] * unit, rel=1e-12)
+    assert huge.mean[1] == pytest.approx(small.mean[1] * unit, rel=1e-12,
+                                         abs=1e-12 * unit)
+
+
+def test_a_design_that_cannot_be_solved_is_rank_deficient():
+    # A column standardized to zeros at an infinite SD, as a column of
+    # 1e155s once was: no rank rule sees it, and the triangular solve
+    # fails.
+    rng = np.random.default_rng(4)
+    frame = ScaledColumns({"y": rng.normal(size=30),
+                           "d": rng.normal(size=30)})
+    frame.zt[2] = 0.0
+    frame.scale[2] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(
+            RankDeficient, match=r"^design on \['d'\] cannot be solved"):
+        least_squares(frame, frame.factor(), ("d",), ("y",))
+
+
 def test_dataset_take_resamples_rows():
     data = Dataset({"a": [1.0, 2.0, 3.0]})
     sub = data.take([2, 0, 2])
