@@ -184,18 +184,15 @@ def double_recovery_error(graph_case: str, seed: int, n: int = 200,
     z = tuple(f"Z{i}" for i in range(1, z_dim + 1))
     long_y = fit_ols(data, "Y", ("D", "P", *z))
     long_n = fit_ols(data, "N", ("D", "P", *z))
-    target, nd_long = long_y.coef("D"), long_n.coef("D")
+    target, yp_long = long_y.coef("D"), long_y.coef("P")
+    nd_long, np_long = long_n.coef("D"), long_n.coef("P")
     formula = DoubleFormula(DoublePlaceboSpec(
-        "Y", "D", "P", "N", beta_yp_long=long_y.coef("P"),
-        beta_np_long=long_n.coef("P")))
+        "Y", "D", "P", "N", beta_yp_long=yp_long, beta_np_long=np_long))
     fits = formula.fit_coefficients(data)
     k_product = 1.0
     if not point_identified:
-        spec = formula.spec
-        k_product = (((fits.beta_yd - target)
-                      / (fits.beta_yp - spec.beta_yp_long))
-                     / ((fits.beta_nd - nd_long)
-                        / (fits.beta_np - spec.beta_np_long)))
+        k_product = (((fits.beta_yd - target) / (fits.beta_yp - yp_long))
+                     / ((fits.beta_nd - nd_long) / (fits.beta_np - np_long)))
     adjusted = formula.adjust(fits, k_product, nd_long)
     return float(abs(adjusted - target) / max(1.0, abs(target)))
 
